@@ -26,6 +26,12 @@ using namespace ssp::sweep;
 namespace
 {
 
+/** @{ Upper bounds for --jobs and --txs: generous, but finite, so a
+ *  mistyped huge count fails up front instead of running for hours. */
+constexpr unsigned kMaxJobs = 1024;
+constexpr std::uint64_t kMaxTxs = 1'000'000'000;
+/** @} */
+
 [[noreturn]] void
 usage(int exit_code)
 {
@@ -67,14 +73,10 @@ usage(int exit_code)
         "  --nvram-device D   NVRAM preset for every cell: paper-pcm,\n"
         "                     stt-mram, flash, dram-only (default:\n"
         "                     paper-pcm, the Table 2 device)\n"
-        "  --jobs N           worker threads (default 1)\n"
-        "  --cell-threads N   host threads per cell (default 1):\n"
-        "                     N-1 ghost speculation threads prefetch\n"
-        "                     ahead of each cell's simulation; results\n"
-        "                     are bit-identical for any N.  Shares the\n"
-        "                     host-thread budget with --jobs (workers\n"
-        "                     are clamped so jobs*N fits the machine)\n"
-        "  --txs N            transactions per cell (default: figure)\n"
+        "  --jobs N           worker threads, 1..%u (default 1);\n"
+        "                     results are bit-identical for any N\n"
+        "  --txs N            transactions per cell, 1..%llu\n"
+        "                     (default: the figure's own count)\n"
         "  --seed N           base RNG seed (default 42)\n"
         "  --json PATH        output path (default BENCH_<figure>.json)\n"
         "  --time             emit host wall-clock times (host_ms per\n"
@@ -82,7 +84,8 @@ usage(int exit_code)
         "                     JSON; off by default so checked-in\n"
         "                     reports stay byte-stable\n"
         "  --quiet            suppress per-cell progress lines\n"
-        "  --list             print known figures and exit\n");
+        "  --list             print known figures and exit\n",
+        kMaxJobs, static_cast<unsigned long long>(kMaxTxs));
     std::exit(exit_code);
 }
 
@@ -91,7 +94,6 @@ struct CliArgs
     std::string figure;
     SweepGridOptions grid;
     unsigned jobs = 1;
-    unsigned cellThreads = 1;
     std::string jsonPath;
     bool time = false;
     bool quiet = false;
@@ -158,13 +160,12 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--nvram-device") {
             args.grid.nvramDevice = parseNvramDevice(next_value(i));
         } else if (arg == "--jobs") {
+            // parseCount is fatal on anything but a plain integer in
+            // range: "4x", "0" and "-1" exit 2 instead of running.
             args.jobs = static_cast<unsigned>(
-                std::stoul(next_value(i)));
-        } else if (arg == "--cell-threads") {
-            // Fatal on anything outside [1, 64], like the count lists.
-            args.cellThreads = parseCellThreads(next_value(i));
+                parseCount(arg, next_value(i), kMaxJobs));
         } else if (arg == "--txs") {
-            args.grid.txs = std::stoull(next_value(i));
+            args.grid.txs = parseCount(arg, next_value(i), kMaxTxs);
         } else if (arg == "--seed") {
             args.grid.scale.seed = std::stoull(next_value(i));
         } else if (arg == "--json") {
@@ -255,13 +256,9 @@ try {
                      args.figure.c_str());
         return 2;
     }
-    std::string summary = "sweep " + args.figure + ": " +
-                          std::to_string(cells.size()) + " cell(s), " +
-                          std::to_string(args.jobs) + " job(s)";
-    if (args.cellThreads > 1) {
-        summary +=
-            ", " + std::to_string(args.cellThreads) + " cell thread(s)";
-    }
+    const std::string summary = "sweep " + args.figure + ": " +
+                                std::to_string(cells.size()) + " cell(s), " +
+                                std::to_string(args.jobs) + " job(s)";
     std::printf("%s", banner(summary).c_str());
 
     CellCallback progress;
@@ -276,7 +273,7 @@ try {
     }
 
     const std::vector<CellResult> results =
-        runSweep(cells, args.jobs, progress, args.cellThreads);
+        runSweep(cells, args.jobs, progress);
 
     TextTable table({"cell", "tps", "nvram writes", "logging writes",
                      "avg lines/tx"});

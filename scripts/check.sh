@@ -55,8 +55,9 @@ cmake --build "$build_dir" -j "$jobs"
 
 echo "== ctest =="
 if [ "$run_tsan" = 1 ]; then
-    # Any TSan report fails the run; the suite forces ghost threads on
-    # via SSP_FORCE_GHOSTS so even single-CPU hosts race-test them.
+    # Any TSan report fails the run.  This race-checks the runSweep
+    # --jobs worker pool, the only host parallelism: the suite's
+    # *DeterministicAcrossJobs tests run multi-worker sweeps.
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
     echo "OK (tsan)"

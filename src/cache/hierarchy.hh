@@ -89,20 +89,6 @@ class CacheHierarchy
     Cycles flushLines(CoreId core, const Addr *lines, std::size_t count,
                       WriteCategory cat, Cycles now);
 
-    /**
-     * Host-cache prefetch hint for the tag sets @p addr maps to on
-     * @p core's lookup path (L1, L2, L3).  Reads no simulated state —
-     * safe from ghost speculation threads at any time.
-     */
-    void
-    prefetchTags(CoreId core, Addr addr) const
-    {
-        const Addr line = lineBase(addr);
-        l1s_[core]->prefetchSet(line);
-        l2s_[core]->prefetchSet(line);
-        l3_->prefetchSet(line);
-    }
-
     /** Drop a line everywhere without write-back (SSP abort path). */
     void invalidateLine(Addr addr);
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "core/config.hh"
-#include "sim/ghost.hh"
 
 namespace ssp
 {
@@ -128,8 +127,7 @@ finishRunMetrics(RunResult &res, Experiment &exp, const RunBaseline &base)
 
 RunResult
 runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores,
-              ScheduleMode mode, unsigned cell_threads,
-              const RunHooks &hooks)
+              ScheduleMode mode, const RunHooks &hooks)
 {
     AtomicityBackend &be = *exp.backend;
     Machine &machine = be.machine();
@@ -151,25 +149,8 @@ runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores,
     };
 
     if (mode == ScheduleMode::Rounds) {
-        // Extra cell threads become ghost speculators: they prefetch
-        // host cache lines ahead of this (authoritative) thread but
-        // touch no simulated state, so the run below produces the
-        // sequential result bit for bit at any thread count.  Without a
-        // speculator (or with cell_threads == 1) no engine exists and
-        // the loop is exactly the single-threaded path.
-        std::unique_ptr<GhostEngine> ghosts;
-        if (cell_threads > 1 && GhostEngine::hostSupportsGhosts()) {
-            auto spec = exp.workload->makeGhostSpeculator();
-            if (spec != nullptr) {
-                ghosts = std::make_unique<GhostEngine>(
-                    machine, std::move(spec), cell_threads - 1, num_cores,
-                    num_txs);
-            }
-        }
         for (std::uint64_t i = 0; i < num_txs; ++i) {
             const CoreId core = static_cast<CoreId>(i % num_cores);
-            if (ghosts != nullptr)
-                ghosts->advance(i);
             if (hooks.beforeOp)
                 hooks.beforeOp(i);
             run_one(core);
@@ -179,8 +160,6 @@ runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores,
             if (num_cores > 1 && core == num_cores - 1)
                 machine.syncClocks();
         }
-        if (ghosts != nullptr)
-            ghosts->stop();
         // A final partial round (num_txs % num_cores != 0) must not
         // leave core clocks skewed relative to the bulk-synchronous
         // model — the run ends on the same barrier every full round

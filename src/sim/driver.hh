@@ -161,8 +161,7 @@ void finishRunMetrics(RunResult &res, Experiment &exp,
  * Driver instrumentation points.  beforeOp, when set, runs immediately
  * before each dispatched operation with the operation's slot index —
  * the hook the fault harness uses to fire scheduled crashes at
- * deterministic positions in the dispatch order (never mid-operation,
- * so the injection is independent of host threading).
+ * deterministic positions in the dispatch order (never mid-operation).
  */
 struct RunHooks
 {
@@ -172,20 +171,12 @@ struct RunHooks
 /**
  * Run @p num_txs operations on @p exp, interleaving @p num_cores cores
  * under @p mode.  Core clocks are synchronized at the start; wall time
- * is max core time.
- *
- * @p cell_threads is the host-thread budget for this one cell.  With
- * more than one, ScheduleMode::Rounds keeps the authoritative execution
- * on the calling thread — in exactly today's order — and uses the extra
- * threads as ghost speculators (sim/ghost.hh) that prefetch ahead of
- * it.  Results are therefore bit-identical at any thread count; 1 is
- * today's path with zero additional code executed.  Event-driven mode
- * and workloads without a speculator ignore the extra threads.
+ * is max core time.  The run executes serially on the calling thread;
+ * host parallelism lives one level up, across cells (sweep::runSweep).
  */
 RunResult runExperiment(Experiment &exp, std::uint64_t num_txs,
                         unsigned num_cores,
                         ScheduleMode mode = ScheduleMode::Rounds,
-                        unsigned cell_threads = 1,
                         const RunHooks &hooks = {});
 
 } // namespace ssp

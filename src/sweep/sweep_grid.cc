@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <thread>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -66,61 +64,40 @@ splitCommas(const std::string &list)
     return out;
 }
 
+std::uint64_t
+parseCount(const std::string &flag, const std::string &value,
+           std::uint64_t max_value)
+{
+    // Digits only: stoull alone would skip leading blanks, accept a
+    // sign, and wrap "-1" to 2^64-1.
+    unsigned long long v = 0;
+    if (!value.empty() &&
+        value.find_first_not_of("0123456789") == std::string::npos) {
+        try {
+            v = std::stoull(value);
+        } catch (const std::out_of_range &) {
+            v = 0;
+        }
+    }
+    if (v == 0 || v > max_value) {
+        ssp_fatal("%s must be an integer in [1, %llu], got '%s'",
+                  flag.c_str(), static_cast<unsigned long long>(max_value),
+                  value.c_str());
+    }
+    return v;
+}
+
 std::vector<unsigned>
 parseCountList(const std::string &flag, const std::string &list,
                unsigned max_value)
 {
     std::vector<unsigned> out;
-    for (const std::string &item : splitCommas(list)) {
-        unsigned long v = 0;
-        try {
-            std::size_t used = 0;
-            v = std::stoul(item, &used);
-            if (used != item.size())
-                v = 0; // trailing junk ("4x") is invalid too
-        } catch (const std::exception &) {
-            v = 0;
-        }
-        if (v == 0 || v > max_value) {
-            ssp_fatal("%s values must be integers in [1, %u], got '%s'",
-                      flag.c_str(), max_value, item.c_str());
-        }
-        out.push_back(static_cast<unsigned>(v));
-    }
+    for (const std::string &item : splitCommas(list))
+        out.push_back(
+            static_cast<unsigned>(parseCount(flag, item, max_value)));
     if (out.empty())
         ssp_fatal("%s: empty count list", flag.c_str());
     return out;
-}
-
-unsigned
-parseCellThreads(const std::string &value)
-{
-    unsigned long v = 0;
-    try {
-        std::size_t used = 0;
-        v = std::stoul(value, &used);
-        if (used != value.size())
-            v = 0; // trailing junk ("4x") is invalid too
-    } catch (const std::exception &) {
-        v = 0;
-    }
-    if (v == 0 || v > 64) {
-        ssp_fatal("--cell-threads must be an integer in [1, 64], got '%s'",
-                  value.c_str());
-    }
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    // SSP_FORCE_GHOSTS (tests, TSan) overrides the cap: determinism is
-    // guaranteed at any thread count, so oversubscribing only costs
-    // host time.
-    if (v > hw && std::getenv("SSP_FORCE_GHOSTS") == nullptr) {
-        std::fprintf(stderr,
-                     "sweep: --cell-threads %lu exceeds the %u hardware "
-                     "thread(s); capping\n",
-                     v, hw);
-        v = hw;
-    }
-    return static_cast<unsigned>(v);
 }
 
 std::vector<double>

@@ -187,25 +187,25 @@ std::uint64_t deriveCellSeed(std::uint64_t base_seed, std::uint64_t ordinal);
 std::vector<std::string> splitCommas(const std::string &list);
 
 /**
+ * Parse one count value for @p flag ("--jobs", "--txs", or an item of a
+ * count list): a plain integer in [1, @p max_value].  Anything else —
+ * "0", "-1", "4x", "abc", "" — is fatal with a message naming @p flag,
+ * never a silent truncation or fall-back to a default.
+ */
+std::uint64_t parseCount(const std::string &flag, const std::string &value,
+                         std::uint64_t max_value);
+
+/**
  * Parse a comma-separated count list for @p flag ("--cores",
- * "--channels"): every item must be an integer in [1, @p max_value],
- * and the list must be non-empty — an empty or invalid list is fatal,
- * never a silent fall-back to the grid default.  --cores passes
- * kMaxCores (the per-figure ceiling is enforced by buildFigureGrid);
- * --channels keeps the historical 64.
+ * "--channels"): every item must pass parseCount, and the list must be
+ * non-empty — an empty or invalid list is fatal, never a silent
+ * fall-back to the grid default.  --cores passes kMaxCores (the
+ * per-figure ceiling is enforced by buildFigureGrid); --channels keeps
+ * the historical 64.
  */
 std::vector<unsigned> parseCountList(const std::string &flag,
                                      const std::string &list,
                                      unsigned max_value = 64);
-
-/**
- * Parse the --cell-threads value: one integer in [1, 64].  Values above
- * the host's hardware concurrency are capped to it (with a warning on
- * stderr) — asking for more host threads than the machine has is a
- * budget overshoot, not an error.  Anything non-numeric, zero, or
- * above 64 is fatal, exactly like parseCountList.
- */
-unsigned parseCellThreads(const std::string &value);
 
 /**
  * Parse a comma-separated offered-load list for @p flag ("--load"):

@@ -61,16 +61,13 @@ using CellCallback =
  * independently; a throwing cell is captured as !ok instead of taking
  * the sweep down.  The callback, when set, is serialized by a mutex.
  *
- * @p cell_threads is the per-cell host-thread budget (ghost
- * speculation; see sim/ghost.hh).  Results are bit-identical at any
- * value.  jobs and cell_threads share one global budget: with
- * cell_threads > 1 the worker count is clamped so that
- * jobs * cell_threads stays within the host's hardware threads.
+ * The worker pool is the only host parallelism: each cell runs
+ * serially on one worker, so results are bit-identical for any
+ * @p jobs.
  */
 std::vector<CellResult> runSweep(const std::vector<SweepCell> &cells,
                                  unsigned jobs,
-                                 const CellCallback &on_cell = {},
-                                 unsigned cell_threads = 1);
+                                 const CellCallback &on_cell = {});
 
 /**
  * Serialize sweep results as the BENCH_*.json report document:

@@ -15,17 +15,11 @@
  * means "unmapped") with an unordered_map spilling any VPN beyond it.
  * The machine sizes the dense range to cover the identity-mapped
  * persistent heap, so every hot-path translation is one array load.
- * Dense entries are read and written through relaxed atomics: ghost
- * speculation threads (src/sim/ghost.*) translate ahead of the
- * authoritative core with ghostTranslate(), racing benignly with map()
- * — a stale or torn-window translation only mis-targets a prefetch
- * hint, never simulated state.
  */
 
 #ifndef SSP_VM_PAGE_TABLE_HH
 #define SSP_VM_PAGE_TABLE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -62,22 +56,6 @@ class PageTable
      *  workloads never touch unmapped persistent memory. */
     Ppn translate(Vpn vpn) const;
 
-    /**
-     * Lock-free translation for ghost speculation threads: returns the
-     * mapped PPN, or kInvalidPpn when @p vpn is unmapped or outside the
-     * dense range.  Never consults the overflow map (not thread-safe)
-     * and never panics — a failed ghost translation just skips a
-     * prefetch.
-     */
-    Ppn
-    ghostTranslate(Vpn vpn) const noexcept
-    {
-        if (vpn >= densePages_)
-            return kInvalidPpn;
-        const std::uint64_t e = relaxedLoad(dense_[vpn]);
-        return e == 0 ? kInvalidPpn : e - 1;
-    }
-
     /** Timed page walk. @return completion time. */
     Cycles
     walk(Cycles now) const
@@ -90,15 +68,14 @@ class PageTable
     /**
      * Visit every (vpn, ppn) mapping.  The table is persistent — it
      * survives powerFail() untouched — and recovery walks it through
-     * here to rebuild free-page pools.  Quiescent use only (no
-     * concurrent map/unmap).
+     * here to rebuild free-page pools.
      */
     template <typename Fn>
     void
     forEachEntry(Fn &&fn) const
     {
         for (Vpn vpn = 0; vpn < densePages_; ++vpn) {
-            const std::uint64_t e = relaxedLoad(dense_[vpn]);
+            const std::uint64_t e = dense_[vpn];
             if (e != 0)
                 fn(vpn, static_cast<Ppn>(e - 1));
         }
@@ -107,22 +84,6 @@ class PageTable
     }
 
   private:
-    /** Relaxed atomic load of a dense entry (ghosts race with map()). */
-    static std::uint64_t
-    relaxedLoad(const std::uint64_t &word) noexcept
-    {
-        return std::atomic_ref<std::uint64_t>(
-                   const_cast<std::uint64_t &>(word))
-            .load(std::memory_order_relaxed);
-    }
-
-    static void
-    relaxedStore(std::uint64_t &word, std::uint64_t value) noexcept
-    {
-        std::atomic_ref<std::uint64_t>(word).store(
-            value, std::memory_order_relaxed);
-    }
-
     Cycles walkCycles_;
     std::uint64_t densePages_;
     /** densePages_ entries of ppn+1 (0 = unmapped); calloc'd so the

@@ -1,103 +1,9 @@
 #include "workloads/btree.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "sim/ghost.hh"
 
 namespace ssp
 {
-
-namespace
-{
-
-/**
- * Replays the key stream and prefetches the root-to-leaf descent: each
- * node's header, key lines, and the child slot the search takes.
- * Mirrors BTreeWorkload's node layout (field offsets passed in), but
- * every pointer it chases is a ghost read — bounded depth and clamped
- * counts guard against stale mid-update values.
- */
-class BTreeGhost final : public GhostSpeculator
-{
-  public:
-    struct Layout
-    {
-        Addr rootAddr;
-        std::uint64_t countOff;
-        std::uint64_t keysOff;
-        std::uint64_t slotsOff;
-        unsigned fanout;
-    };
-
-    BTreeGhost(const KeyGenerator &keys, unsigned key_shards,
-               const Layout &layout)
-        : keys_(keys), keyShards_(key_shards), layout_(layout)
-    {
-    }
-
-    GhostPlan
-    draw(std::uint64_t) override
-    {
-        GhostPlan plan;
-        plan.arg0 = keys_.next();
-        plan.valid = true;
-        return plan;
-    }
-
-    void
-    traverse(const GhostPlan &plan, CoreId core,
-             const GhostReader &reader) override
-    {
-        std::uint64_t key = plan.arg0;
-        if (keyShards_ > 1) {
-            const std::uint64_t shard = keys_.keySpace() / keyShards_;
-            key = key % shard + (core % keyShards_) * shard;
-        }
-        reader.prefetch(core, layout_.rootAddr);
-        Addr n = reader.read64(layout_.rootAddr);
-        for (unsigned depth = 0; depth < 16 && n != 0; ++depth) {
-            reader.prefetch(core, n); // header: is_leaf, count
-            for (std::uint64_t off = layout_.keysOff;
-                 off < layout_.slotsOff; off += kLineSize) {
-                reader.prefetch(core, n + off);
-            }
-            const bool leaf = reader.read64(n) != 0;
-            std::uint64_t count = reader.read64(n + layout_.countOff);
-            count = std::min<std::uint64_t>(count, layout_.fanout);
-            unsigned i = 0;
-            while (i < count &&
-                   key >= reader.read64(n + layout_.keysOff + 8 * i)) {
-                ++i;
-            }
-            reader.prefetch(core, n + layout_.slotsOff + 8 * i);
-            if (leaf)
-                break;
-            n = reader.read64(n + layout_.slotsOff + 8 * i);
-        }
-    }
-
-  private:
-    KeyGenerator keys_;
-    unsigned keyShards_;
-    Layout layout_;
-};
-
-} // namespace
-
-std::unique_ptr<GhostSpeculator>
-BTreeWorkload::makeGhostSpeculator() const
-{
-    if (rootAddr_ == 0)
-        return nullptr; // setup() has not run
-    BTreeGhost::Layout layout;
-    layout.rootAddr = rootAddr_;
-    layout.countOff = kCountOff;
-    layout.keysOff = kKeysOff;
-    layout.slotsOff = kSlotsOff;
-    layout.fanout = kFanout;
-    return std::make_unique<BTreeGhost>(keys_, keyShards_, layout);
-}
 
 BTreeWorkload::BTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                              std::uint64_t key_space, KeyDist dist,

@@ -40,7 +40,6 @@ class BTreeWorkload : public Workload
     void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
-    std::unique_ptr<GhostSpeculator> makeGhostSpeculator() const override;
 
     std::uint64_t size() const { return reference_.size(); }
 

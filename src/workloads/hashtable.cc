@@ -1,7 +1,6 @@
 #include "workloads/hashtable.hh"
 
 #include "common/logging.hh"
-#include "sim/ghost.hh"
 
 namespace ssp
 {
@@ -21,65 +20,7 @@ hashKey(std::uint64_t key)
     return (key * 0x9e3779b97f4a7c15ull) >> 17;
 }
 
-/** Replays the key stream and prefetches the bucket chain walk. */
-class HashGhost final : public GhostSpeculator
-{
-  public:
-    HashGhost(const KeyGenerator &keys, unsigned key_shards,
-              std::uint64_t buckets, Addr table)
-        : keys_(keys), keyShards_(key_shards), buckets_(buckets),
-          table_(table)
-    {
-    }
-
-    GhostPlan
-    draw(std::uint64_t) override
-    {
-        GhostPlan plan;
-        plan.arg0 = keys_.next();
-        plan.valid = true;
-        return plan;
-    }
-
-    void
-    traverse(const GhostPlan &plan, CoreId core,
-             const GhostReader &reader) override
-    {
-        std::uint64_t key = plan.arg0;
-        if (keyShards_ > 1) {
-            const std::uint64_t shard = keys_.keySpace() / keyShards_;
-            key = key % shard + (core % keyShards_) * shard;
-        }
-        const Addr head =
-            table_ + (hashKey(key) & (buckets_ - 1)) * sizeof(std::uint64_t);
-        reader.prefetch(core, head);
-        Addr node = reader.read64(head);
-        // Bounded chain walk: a pointer read mid-update may be stale, so
-        // cap the hops rather than trust the chain to terminate.
-        for (unsigned hop = 0; hop < 64 && node != 0; ++hop) {
-            reader.prefetch(core, node);
-            if (reader.read64(node + kKeyOff) == key)
-                break;
-            node = reader.read64(node + kNextOff);
-        }
-    }
-
-  private:
-    KeyGenerator keys_;
-    unsigned keyShards_;
-    std::uint64_t buckets_;
-    Addr table_;
-};
-
 } // namespace
-
-std::unique_ptr<GhostSpeculator>
-HashWorkload::makeGhostSpeculator() const
-{
-    if (table_ == 0)
-        return nullptr; // setup() has not run
-    return std::make_unique<HashGhost>(keys_, keyShards_, buckets_, table_);
-}
 
 HashWorkload::HashWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                            std::uint64_t buckets, std::uint64_t key_space,

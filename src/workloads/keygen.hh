@@ -34,14 +34,6 @@ class KeyGenerator
   public:
     KeyGenerator(KeyDist dist, std::uint64_t key_space, std::uint64_t seed);
 
-    /**
-     * Deep copy, including the Zipf state: a clone replays exactly the
-     * key stream the original will draw (ghost speculation relies on
-     * this).
-     */
-    KeyGenerator(const KeyGenerator &other);
-    KeyGenerator &operator=(const KeyGenerator &) = delete;
-
     /** Next key. */
     std::uint64_t next();
 

@@ -1,58 +1,9 @@
 #include "workloads/sps.hh"
 
 #include "common/logging.hh"
-#include "sim/ghost.hh"
 
 namespace ssp
 {
-
-namespace
-{
-
-/** Replays SPS's two uniform draws and prefetches both elements. */
-class SpsGhost final : public GhostSpeculator
-{
-  public:
-    SpsGhost(std::uint64_t num_elements, Addr base, const Rng &rng)
-        : numElements_(num_elements), base_(base), rng_(rng)
-    {
-    }
-
-    GhostPlan
-    draw(std::uint64_t) override
-    {
-        GhostPlan plan;
-        plan.arg0 = rng_.nextBounded(numElements_);
-        plan.arg1 = rng_.nextBounded(numElements_);
-        if (plan.arg0 == plan.arg1)
-            plan.arg1 = (plan.arg1 + 1) % numElements_;
-        plan.valid = true;
-        return plan;
-    }
-
-    void
-    traverse(const GhostPlan &plan, CoreId core,
-             const GhostReader &reader) override
-    {
-        reader.prefetch(core, base_ + plan.arg0 * sizeof(std::uint64_t));
-        reader.prefetch(core, base_ + plan.arg1 * sizeof(std::uint64_t));
-    }
-
-  private:
-    std::uint64_t numElements_;
-    Addr base_;
-    Rng rng_;
-};
-
-} // namespace
-
-std::unique_ptr<GhostSpeculator>
-SpsWorkload::makeGhostSpeculator() const
-{
-    if (base_ == 0)
-        return nullptr; // setup() has not run
-    return std::make_unique<SpsGhost>(numElements_, base_, rng_);
-}
 
 SpsWorkload::SpsWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                          std::uint64_t num_elements, std::uint64_t seed)

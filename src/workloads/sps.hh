@@ -30,7 +30,6 @@ class SpsWorkload : public Workload
     void setup() override;
     void runOp(CoreId core) override;
     bool verify() override;
-    std::unique_ptr<GhostSpeculator> makeGhostSpeculator() const override;
 
   private:
     Addr elemAddr(std::uint64_t idx) const;

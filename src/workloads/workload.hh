@@ -13,13 +13,11 @@
 #define SSP_WORKLOADS_WORKLOAD_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "core/backend.hh"
-#include "sim/ghost.hh"
 #include "workloads/persist_alloc.hh"
 #include "workloads/tx_heap.hh"
 
@@ -77,18 +75,6 @@ class Workload
     virtual bool verify() = 0;
 
     AtomicityBackend &backend() { return heap_.backend(); }
-
-    /**
-     * Clone this workload's per-operation RNG state into a ghost
-     * speculator (see sim/ghost.hh).  Must be called after setup() so
-     * the clone starts where the measured run starts.  The default —
-     * no speculator — simply disables ghost threads for the cell.
-     */
-    virtual std::unique_ptr<GhostSpeculator>
-    makeGhostSpeculator() const
-    {
-        return nullptr;
-    }
 
     /**
      * Partition the key space per core (the "scale" grid's partitioned

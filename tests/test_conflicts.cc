@@ -8,8 +8,6 @@
  * against the checked-in smoke report.
  */
 
-#include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -452,11 +450,7 @@ TEST(ConflictEndToEnd, SingleCoreCellsMatchTheCheckedInSmokeReport)
     // The acceptance bar: with conflict handling in the tree, the
     // single-core model must reproduce the checked-in smoke report bit
     // for bit (no recording, no validation, no timing drift).
-    std::ifstream in(std::string(SSP_SOURCE_DIR) + "/BENCH_smoke.json");
-    ASSERT_TRUE(in) << "checked-in BENCH_smoke.json missing";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const Json checked_in = Json::parse(buf.str());
+    const Json checked_in = ssp::test::loadCheckedIn("BENCH_smoke.json");
 
     const auto cells = buildFigureGrid("smoke");
     const auto results = runSweep(cells, 1);

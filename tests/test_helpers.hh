@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared test fixtures: a small machine configuration that keeps tests
- * fast, and helpers for driving transactions by hand.
+ * fast, helpers for driving transactions by hand, and a loader for the
+ * checked-in BENCH_*.json reports.
  *
  * Include convention: test sources include this header as
  * "tests/test_helpers.hh", i.e. relative to the repository root.  The
@@ -18,9 +19,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/config.hh"
 #include "core/ssp_system.hh"
+#include "sim/report.hh"
 
 namespace ssp::test
 {
@@ -65,6 +71,22 @@ timed64(AtomicityBackend &be, CoreId core, Addr addr)
     std::uint64_t v = 0;
     be.load(core, addr, &v, sizeof(v));
     return v;
+}
+
+/**
+ * Parse the checked-in report @p name (e.g. "BENCH_scale.json") from
+ * the source tree.  SSP_SOURCE_DIR is defined for every test suite, so
+ * this works from any ctest working directory.
+ */
+inline Json
+loadCheckedIn(const std::string &name)
+{
+    std::ifstream in(std::string(SSP_SOURCE_DIR) + "/" + name);
+    if (!in)
+        throw std::runtime_error("checked-in " + name + " missing");
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return Json::parse(buf.str());
 }
 
 } // namespace ssp::test

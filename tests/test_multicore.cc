@@ -9,8 +9,6 @@
  * sharer-index/hot-path work must not move a simulated cycle).
  */
 
-#include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -286,11 +284,7 @@ TEST(Multicore, ContendedZipfCellsMatchTheCheckedInScaleReport)
     // where peer invalidations, shootdowns, and conflict validation
     // all fire at once — if an optimization moved a single cycle or
     // reclassified a single conflict, this is where it would show.
-    std::ifstream in(std::string(SSP_SOURCE_DIR) + "/BENCH_scale.json");
-    ASSERT_TRUE(in) << "checked-in BENCH_scale.json missing";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const Json checked_in = Json::parse(buf.str());
+    const Json checked_in = ssp::test::loadCheckedIn("BENCH_scale.json");
 
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashZipf,

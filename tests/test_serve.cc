@@ -7,8 +7,6 @@
  * the bulk-synchronous rounds model.
  */
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -255,11 +253,7 @@ TEST(Scheduler, RoundsModeReplaysTheCheckedInScaleCells)
     // ScheduleMode::Rounds through the driver must reproduce the
     // checked-in BENCH_scale.json contended 4-core cells exactly — the
     // rounds model is an API option now, not just the default path.
-    std::ifstream in(std::string(SSP_SOURCE_DIR) + "/BENCH_scale.json");
-    ASSERT_TRUE(in) << "checked-in BENCH_scale.json missing";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const Json checked_in = Json::parse(buf.str());
+    const Json checked_in = ssp::test::loadCheckedIn("BENCH_scale.json");
 
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::BTreeZipf};

@@ -9,10 +9,8 @@
  * the shard sweep grid across worker counts.
  */
 
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -62,16 +60,6 @@ expectSameRun(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.maxPagesPerTx, b.maxPagesPerTx);
     EXPECT_EQ(a.coreBusyCycles, b.coreBusyCycles);
     EXPECT_EQ(a.coreTxs, b.coreTxs);
-}
-
-Json
-loadCheckedIn(const std::string &name)
-{
-    std::ifstream in(std::string(SSP_SOURCE_DIR) + "/" + name);
-    EXPECT_TRUE(in) << "checked-in " << name << " missing";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return Json::parse(buf.str());
 }
 
 // ---- network model ---------------------------------------------------------
@@ -160,7 +148,7 @@ TEST(ShardGrid, OneMachineCellsReplayTheCheckedInScaleCells)
     // (backend, workload) bit for bit — same machine, same streams,
     // same driver.  scripts/check.sh enforces the same identity on the
     // checked-in BENCH_shard.json; this test catches it at ctest time.
-    const Json scale = loadCheckedIn("BENCH_scale.json");
+    const Json scale = ssp::test::loadCheckedIn("BENCH_scale.json");
     std::map<std::string, const Json *> scale_cells;
     for (std::size_t i = 0; i < scale["cells"].size(); ++i) {
         const Json &c = scale["cells"].at(i);

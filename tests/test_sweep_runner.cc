@@ -1,13 +1,15 @@
 /**
  * @file
  * Sweep subsystem tests: grid construction, determinism of the parallel
- * runner (identical results for any worker count), and JSON round-trip
- * of the emitted BENCH_*.json report.
+ * runner (identical results for any worker count), JSON round-trip of
+ * the emitted BENCH_*.json report, replays of checked-in grid cells,
+ * and the sweep CLI's value parsers.
  */
 
 #include <cstdio>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +52,35 @@ expectSameRun(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.avgLinesPerTx, b.avgLinesPerTx);
     EXPECT_EQ(a.avgPagesPerTx, b.avgPagesPerTx);
     EXPECT_EQ(a.maxPagesPerTx, b.maxPagesPerTx);
+}
+
+/**
+ * Rerun the @p opts subset of @p figure and require every cell entry of
+ * the report to equal, byte for byte, the same-label entry of the
+ * checked-in BENCH_<figure>.json.
+ */
+void
+expectReplaysCheckedIn(const std::string &figure,
+                       const SweepGridOptions &opts, std::size_t want_cells)
+{
+    const Json checked_in =
+        ssp::test::loadCheckedIn("BENCH_" + figure + ".json");
+    const auto results = runSweep(buildFigureGrid(figure, opts), 1);
+    ASSERT_EQ(results.size(), want_cells);
+    const Json report = sweepReport(figure, results);
+    std::size_t matched = 0;
+    for (std::size_t i = 0; i < report["cells"].size(); ++i) {
+        const Json &got = report["cells"].at(i);
+        ASSERT_TRUE(got["ok"].asBool()) << results[i].error;
+        for (std::size_t j = 0; j < checked_in["cells"].size(); ++j) {
+            const Json &want = checked_in["cells"].at(j);
+            if (want["label"].asString() != got["label"].asString())
+                continue;
+            EXPECT_EQ(got.dump(2), want.dump(2));
+            ++matched;
+        }
+    }
+    EXPECT_EQ(matched, want_cells);
 }
 
 TEST(SweepGrid, KnownFiguresBuildNonEmptyGrids)
@@ -367,6 +398,32 @@ TEST(SweepCli, EmptyOrInvalidCountListIsFatalNotASilentDefault)
                  std::runtime_error);
 }
 
+TEST(SweepCli, JobsValueRejectsInvalidInput)
+{
+    // ssp_fatal throws std::runtime_error; sweep_main turns it into
+    // exit code 2 with the flag named in the message.
+    EXPECT_THROW(parseCount("--jobs", "0", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", "1025", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", "4x", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", "", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", "-1", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", "abc", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", " 4", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", "+4", 1024), std::runtime_error);
+    EXPECT_THROW(parseCount("--jobs", "-18446744073709551615", 1024),
+                 std::runtime_error); // stoull would wrap this to 1
+    EXPECT_THROW(parseCount("--txs", "99999999999999999999999", 1024),
+                 std::runtime_error);
+    try {
+        parseCount("--jobs", "4x", 1024);
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos);
+    }
+    EXPECT_EQ(parseCount("--jobs", "1", 1024), 1u);
+    EXPECT_EQ(parseCount("--jobs", "1024", 1024), 1024u);
+    EXPECT_EQ(parseCount("--txs", "4000", 1'000'000'000), 4000u);
+}
+
 // ---- host wall-clock harness ---------------------------------------------
 
 TEST(SweepReport, HostTimeIsOptInAndKeepsDefaultReportsByteStable)
@@ -458,6 +515,14 @@ TEST(SweepReport, Scale64EmitsPerCoreCountersAtEveryCoreCount)
         EXPECT_TRUE(m.has("coherence_flips"));
         EXPECT_TRUE(m.has("tx_aborts"));
     }
+}
+
+TEST(SweepReplay, Scale64HashZipfC16CellsMatchCheckedInReport)
+{
+    SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::HashZipf};
+    opts.coreCounts = {16};
+    expectReplaysCheckedIn("scale64", opts, 3);
 }
 
 // ---- queue grid ------------------------------------------------------------
@@ -568,6 +633,15 @@ TEST(SweepReport, QueueCellsCarryTailLatencyMetricsAndCoordinates)
     EXPECT_FALSE(smoke_report["cells"].at(0).has("arrival"));
     EXPECT_FALSE(
         smoke_report["cells"].at(0)["metrics"].has("p99_cycles"));
+}
+
+TEST(SweepReplay, QueueSpsC4Load60CellsMatchCheckedInReport)
+{
+    SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::Sps};
+    opts.coreCounts = {4};
+    opts.loads = {0.6};
+    expectReplaysCheckedIn("queue", opts, 3);
 }
 
 // ---- scale256 grid --------------------------------------------------------
