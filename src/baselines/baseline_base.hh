@@ -10,11 +10,11 @@
 #define SSP_BASELINES_BASELINE_BASE_HH
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/backend.hh"
 #include "core/config.hh"
+#include "core/line_set.hh"
 #include "core/machine.hh"
 
 namespace ssp
@@ -25,10 +25,11 @@ struct BaselineTxState
 {
     bool inTx = false;
     TxId tid = 0;
-    /** Distinct line addresses written by the ongoing transaction. */
-    std::set<Addr> lines;
+    /** Distinct line addresses written by the ongoing transaction,
+     *  iterated in ascending order (the flush/invalidate order). */
+    LineSet lines;
     /** Distinct pages written by the ongoing transaction. */
-    std::set<Vpn> pages;
+    LineSet pages;
 
     void
     clear()

@@ -93,15 +93,6 @@ PersistLog::persistedRecords() const
     return out;
 }
 
-LogRecord &
-PersistLog::mutableRecord(std::size_t idx)
-{
-    ssp_assert(idx < records_.size());
-    ssp_assert(!isPersisted(idx),
-               "updating a log record that already reached NVRAM");
-    return records_[idx];
-}
-
 void
 PersistLog::truncate()
 {

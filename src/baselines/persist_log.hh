@@ -13,6 +13,7 @@
 #ifndef SSP_BASELINES_PERSIST_LOG_HH
 #define SSP_BASELINES_PERSIST_LOG_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -37,13 +38,17 @@ struct LogRecord
     TxId tid = 0;
     Addr addr = 0;            ///< target line address (Data) / vpn (Map)
     Ppn mapPpn = kInvalidPpn; ///< new mapping (Map records)
-    std::vector<std::uint8_t> data; ///< line payload (Data records)
+    /** Line payload (Data records only); inline, so logging a line
+     *  allocates nothing. */
+    std::array<std::uint8_t, kLineSize> data{};
 
-    /** Serialized size: 16-byte header plus the payload. */
+    /** Serialized size: 16-byte header plus the payload (Data only). */
     std::uint64_t
     sizeBytes() const
     {
-        return kind == Kind::Commit ? 8 : 16 + data.size();
+        if (kind == Kind::Commit)
+            return 8;
+        return kind == Kind::Data ? 16 + kLineSize : 16;
     }
 
     /** Size including line padding (synchronous logging cannot pack
@@ -85,26 +90,6 @@ class PersistLog
 
     /** Force everything appended so far to NVRAM; returns completion. */
     Cycles flush(Cycles now);
-
-    /** Index of the most recently appended record. */
-    std::size_t
-    lastIndex() const
-    {
-        return records_.size() - 1;
-    }
-
-    /** True once record @p idx is durable (its last byte persisted). */
-    bool
-    isPersisted(std::size_t idx) const
-    {
-        return recordEnds_[idx] <= persistedBytes_;
-    }
-
-    /**
-     * In-buffer record update (the redo baseline's log buffer predicts a
-     * line's final value).  Only legal while the record is unpersisted.
-     */
-    LogRecord &mutableRecord(std::size_t idx);
 
     /** Records that would survive a crash right now. */
     std::vector<LogRecord> persistedRecords() const;

@@ -34,6 +34,11 @@ RedoLogBackend::redirectLoad(CoreId core, Addr line_vaddr,
                              std::uint64_t offset, void *buf,
                              std::uint64_t size)
 {
+    // Almost every load misses the write set: answer that from the
+    // transaction's sorted line set (same keys as writeBuf_) instead
+    // of hashing into the buffer.
+    if (!tx_[core].lines.contains(line_vaddr))
+        return false;
     auto it = writeBuf_[core].find(line_vaddr);
     if (it == writeBuf_[core].end())
         return false;
@@ -109,7 +114,7 @@ RedoLogBackend::commitPhase1(CoreId core)
         rec.kind = LogRecord::Kind::Data;
         rec.tid = tx.tid;
         rec.addr = lineAddr(ppn, lineIndexInPage(line_vaddr));
-        rec.data.assign(image.begin(), image.end());
+        rec.data = image;
         logs_[core]->append(std::move(rec), now, false);
     }
     LogRecord marker;
@@ -202,8 +207,7 @@ RedoLogBackend::recover()
                 !committed.contains(rec.tid)) {
                 continue;
             }
-            machine_->mem().write(rec.addr, rec.data.data(),
-                                  rec.data.size());
+            machine_->mem().write(rec.addr, rec.data.data(), kLineSize);
         }
         log->truncate();
     }

@@ -1,7 +1,5 @@
 #include "baselines/undo_log.hh"
 
-#include <unordered_set>
-
 #include "common/logging.hh"
 
 namespace ssp
@@ -67,7 +65,6 @@ UndoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
         rec.kind = LogRecord::Kind::Data;
         rec.tid = tx.tid;
         rec.addr = line_paddr;
-        rec.data.resize(kLineSize);
         now = machine_->caches().read(core, line_paddr, now);
         machine_->mem().read(line_paddr, rec.data.data(), kLineSize);
         now = logs_[core]->append(std::move(rec), now, true);

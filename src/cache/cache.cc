@@ -1,7 +1,6 @@
 #include "cache/cache.hh"
 
 #include "cache/sharer_index.hh"
-#include "common/logging.hh"
 
 namespace ssp
 {
@@ -14,6 +13,7 @@ Cache::Cache(const CacheParams &params) : params_(params)
                "cache size must be a multiple of ways*line");
     numSets_ = num_lines / params.ways;
     ssp_assert(numSets_ > 0);
+    setsPow2_ = (numSets_ & (numSets_ - 1)) == 0;
     numLines_ = num_lines;
     // calloc: all-zero tag words are valid==false, and the OS hands back
     // lazily-mapped zero pages — a 96 MiB L3's tag array costs nothing
@@ -24,26 +24,6 @@ Cache::Cache(const CacheParams &params) : params_(params)
     lru_.reset(static_cast<std::uint64_t *>(
         std::calloc(num_lines, sizeof(std::uint64_t))));
     ssp_assert(tags_ != nullptr && lru_ != nullptr);
-}
-
-std::uint64_t
-Cache::setOf(Addr line_addr) const
-{
-    return (line_addr >> kLineShift) % numSets_;
-}
-
-std::uint64_t
-Cache::findIdx(Addr line_addr) const
-{
-    const std::uint64_t base = setOf(line_addr) * params_.ways;
-    // One compare per way: tag equality and the valid bit test fold
-    // into a single masked comparison against addr|valid.
-    const std::uint64_t want = line_addr | kValidBit;
-    for (unsigned w = 0; w < params_.ways; ++w) {
-        if ((tags_[base + w] & (kTagMask | kValidBit)) == want)
-            return base + w;
-    }
-    return kNoLine;
 }
 
 std::uint64_t
@@ -61,12 +41,6 @@ Cache::victimIn(std::uint64_t set) const
 }
 
 void
-Cache::touch(std::uint64_t idx)
-{
-    lru_[idx] = ++lruClock_;
-}
-
-void
 Cache::notifyAdd(Addr line_addr)
 {
     if (sharers_ != nullptr)
@@ -81,24 +55,10 @@ Cache::notifyRemove(Addr line_addr)
 }
 
 CacheAccessResult
-Cache::access(Addr line_addr, bool is_write)
+Cache::accessMiss(Addr line_addr, bool is_write)
 {
-    ssp_assert_dbg(lineOffset(line_addr) == 0, "unaligned line address");
-    CacheAccessResult res;
-    const std::uint64_t idx = findIdx(line_addr);
-    if (idx != kNoLine) {
-        ++hits_;
-        res.hit = true;
-        if (is_write)
-            tags_[idx] |= kDirtyBit;
-        touch(idx);
-        return res;
-    }
     ++misses_;
-    // findIdx() just proved the line absent; go straight to the victim.
-    res = fillVictim(line_addr, is_write, false);
-    res.hit = false;
-    return res;
+    return fillVictim(line_addr, is_write, false);
 }
 
 CacheAccessResult
@@ -135,19 +95,6 @@ Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
                  (tx ? kTxFlagBit : 0);
     touch(idx);
     return res;
-}
-
-bool
-Cache::probe(Addr line_addr) const
-{
-    return findIdx(line_addr) != kNoLine;
-}
-
-bool
-Cache::isDirty(Addr line_addr) const
-{
-    const std::uint64_t idx = findIdx(line_addr);
-    return idx != kNoLine && (tags_[idx] & kDirtyBit) != 0;
 }
 
 void

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace ssp
@@ -91,14 +92,36 @@ class Cache
      * @param line_addr 64-byte-aligned physical address.
      * @param is_write Marks the line dirty on a write.
      * @return hit/miss and any dirty victim.
+     *
+     * The hit path is inline: an L1 hit, the common case of every
+     * simulated access, costs one set scan and no out-of-line call.
      */
-    CacheAccessResult access(Addr line_addr, bool is_write);
+    CacheAccessResult
+    access(Addr line_addr, bool is_write)
+    {
+        ssp_assert_dbg(lineOffset(line_addr) == 0, "unaligned line address");
+        const std::uint64_t idx = findIdx(line_addr);
+        if (idx == kNoLine)
+            return accessMiss(line_addr, is_write);
+        ++hits_;
+        if (is_write)
+            tags_[idx] |= kDirtyBit;
+        touch(idx);
+        CacheAccessResult res;
+        res.hit = true;
+        return res;
+    }
 
     /** Look up without allocating; returns true on hit. */
-    bool probe(Addr line_addr) const;
+    bool probe(Addr line_addr) const { return findIdx(line_addr) != kNoLine; }
 
     /** True if present and dirty. */
-    bool isDirty(Addr line_addr) const;
+    bool
+    isDirty(Addr line_addr) const
+    {
+        const std::uint64_t idx = findIdx(line_addr);
+        return idx != kNoLine && (tags_[idx] & kDirtyBit) != 0;
+    }
 
     /** Clear the dirty bit (after an explicit clwb write-back). */
     void cleanLine(Addr line_addr);
@@ -158,12 +181,36 @@ class Cache
     /** "No such line" sentinel index. */
     static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
 
-    std::uint64_t setOf(Addr line_addr) const;
+    /** Set index: line number modulo the set count, taken with a mask
+     *  when the count is a power of two (L1, L2) and with a division
+     *  otherwise (the 12- and 96-MiB L3s). */
+    std::uint64_t
+    setOf(Addr line_addr) const
+    {
+        const std::uint64_t line = line_addr >> kLineShift;
+        return setsPow2_ ? (line & (numSets_ - 1)) : line % numSets_;
+    }
+
     /** Index of @p line_addr's slot, or kNoLine when absent. */
-    std::uint64_t findIdx(Addr line_addr) const;
+    std::uint64_t
+    findIdx(Addr line_addr) const
+    {
+        const std::uint64_t base = setOf(line_addr) * params_.ways;
+        // One compare per way: tag equality and the valid bit test fold
+        // into a single masked comparison against addr|valid.
+        const std::uint64_t want = line_addr | kValidBit;
+        for (unsigned w = 0; w < params_.ways; ++w) {
+            if ((tags_[base + w] & (kTagMask | kValidBit)) == want)
+                return base + w;
+        }
+        return kNoLine;
+    }
+
     /** Victim slot in @p set: first invalid way, else lowest LRU. */
     std::uint64_t victimIn(std::uint64_t set) const;
-    void touch(std::uint64_t idx);
+    void touch(std::uint64_t idx) { lru_[idx] = ++lruClock_; }
+    /** access() after findIdx() proved @p line_addr absent. */
+    CacheAccessResult accessMiss(Addr line_addr, bool is_write);
     void notifyAdd(Addr line_addr);
     void notifyRemove(Addr line_addr);
     /** Allocate @p line_addr (known absent) over the set's victim. */
@@ -174,6 +221,8 @@ class Cache
     unsigned shareLevel_ = 0;
     CacheParams params_;
     std::uint64_t numSets_;
+    /** numSets_ is a power of two, so setOf() can mask. */
+    bool setsPow2_;
     std::uint64_t numLines_;
     /** numLines_ packed tag words, set-major; calloc'd (see above). */
     std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;

@@ -10,7 +10,7 @@ namespace ssp
 ConflictManager::ConflictManager(unsigned num_cores,
                                  const ConflictParams &params)
     : params_(params), enabled_(params.enabled && num_cores > 1),
-      tx_(num_cores)
+      tx_(num_cores), liveRecords_(num_cores, 0)
 {
 }
 
@@ -22,26 +22,11 @@ ConflictManager::beginTx(CoreId core, Cycles now)
     TxState &tx = tx_[core];
     ssp_assert(!tx.active, "conflict tracking already open on this core");
     tx.active = true;
+    ++openTxs_;
     tx.beginCycle = now;
     tx.validated = false;
     tx.reads.clear();
     tx.writes.clear();
-}
-
-void
-ConflictManager::recordRead(CoreId core, Addr vaddr)
-{
-    if (!enabled_ || !tx_[core].active)
-        return;
-    tx_[core].reads.insert(lineBase(vaddr));
-}
-
-void
-ConflictManager::recordWrite(CoreId core, Addr vaddr)
-{
-    if (!enabled_ || !tx_[core].active)
-        return;
-    tx_[core].writes.insert(lineBase(vaddr));
 }
 
 bool
@@ -97,7 +82,9 @@ ConflictManager::validate(CoreId core, Cycles now)
                 best = std::min(best, lo->seq);
         }
     };
-    if (!postings_.empty()) {
+    // Only a live peer record can conflict (see liveRecords_), so a log
+    // holding nothing but this core's own records skips the index.
+    if (liveRecords_[core] < log_.size()) {
         if (params_.validation == ConflictValidation::FirstCommitterWins) {
             for (Addr line : tx.writes)
                 earliest_hit(line, best_ww);
@@ -131,22 +118,23 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
     rec.core = core;
     rec.commitCycle = tx.validated ? tx.validatedAt : now;
     rec.writes = std::move(tx.writes);
-    tx.active = false;
-    tx.validated = false;
-    tx.reads.clear();
-    tx.writes.clear();
+    closeTx(tx);
 
     // Prune: a future transaction on any core begins no earlier than
     // that core's current clock, and an already-open one no earlier
     // than its begin point — records at or below both floors can never
     // fall inside a validation window again.
     Cycles floor = min_core_clock;
-    for (const TxState &t : tx_) {
-        if (t.active)
-            floor = std::min(floor, t.beginCycle);
+    if (openTxs_ > 0) {
+        for (const TxState &t : tx_) {
+            if (t.active)
+                floor = std::min(floor, t.beginCycle);
+        }
     }
-    while (!log_.empty() && log_.front().commitCycle <= floor)
+    while (!log_.empty() && log_.front().commitCycle <= floor) {
+        --liveRecords_[log_.front().core];
         log_.pop_front();
+    }
     // The log drains completely at every round boundary (the barrier
     // advances the floor past the previous round's commit points), so
     // this is where the posting index resets instead of growing
@@ -178,6 +166,7 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
             const auto [word, bit] = bloomBit(line);
             postingBloom_[word] |= bit;
         }
+        ++liveRecords_[rec.core];
         log_.push_back(std::move(rec));
     }
 }
@@ -187,7 +176,14 @@ ConflictManager::abortTx(CoreId core)
 {
     if (!enabled_)
         return;
-    TxState &tx = tx_[core];
+    closeTx(tx_[core]);
+}
+
+void
+ConflictManager::closeTx(TxState &tx)
+{
+    if (tx.active)
+        --openTxs_;
     tx.active = false;
     tx.validated = false;
     tx.reads.clear();
@@ -212,13 +208,10 @@ ConflictManager::retryPenalty(CoreId core, unsigned attempt)
 void
 ConflictManager::reset()
 {
-    for (auto &tx : tx_) {
-        tx.active = false;
-        tx.validated = false;
-        tx.reads.clear();
-        tx.writes.clear();
-    }
+    for (auto &tx : tx_)
+        closeTx(tx);
     log_.clear();
+    std::fill(liveRecords_.begin(), liveRecords_.end(), 0);
     postings_.clear();
     postingBloom_.fill(0);
 }

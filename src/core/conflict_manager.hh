@@ -88,11 +88,23 @@ class ConflictManager
     /** A transaction opened on @p core at simulated time @p now. */
     void beginTx(CoreId core, Cycles now);
 
-    /** Record a transactional load of the line containing @p vaddr. */
-    void recordRead(CoreId core, Addr vaddr);
+    /** Record a transactional load of the line containing @p vaddr.
+     *  Inline: every simulated load calls it, and on one core (or
+     *  outside a transaction) it must cost no more than the test. */
+    void
+    recordRead(CoreId core, Addr vaddr)
+    {
+        if (enabled_ && tx_[core].active)
+            tx_[core].reads.insert(lineBase(vaddr));
+    }
 
     /** Record a transactional store to the line containing @p vaddr. */
-    void recordWrite(CoreId core, Addr vaddr);
+    void
+    recordWrite(CoreId core, Addr vaddr)
+    {
+        if (enabled_ && tx_[core].active)
+            tx_[core].writes.insert(lineBase(vaddr));
+    }
 
     /**
      * Commit-time validation at simulated time @p now: false when a
@@ -197,7 +209,19 @@ class ConflictManager
     ConflictParams params_;
     bool enabled_;
     std::vector<TxState> tx_;
+    /** Number of tx_ entries with active set: commitTx skips the
+     *  open-begin scan of the prune floor when no transaction is open. */
+    unsigned openTxs_ = 0;
     std::deque<CommitRecord> log_;
+    /**
+     * Live log_ records per publishing core.  When every live record is
+     * the validator's own, validate has nothing to find: own postings
+     * never conflict, and postings of pruned records fail the window
+     * test.  This is the case throughout single-core setup phases, where
+     * idle peers at clock 0 pin the prune floor and the log grows to one
+     * record per setup transaction.
+     */
+    std::vector<std::size_t> liveRecords_;
     /**
      * Inverted index over log_: line address -> postings of every
      * published write of that line, sorted by commit point so a
@@ -227,6 +251,9 @@ class ConflictManager
     /** Log-order sequence number of the next published record. */
     std::uint64_t nextSeq_ = 0;
     ConflictStats stats_;
+
+    /** Close @p core's transaction, keeping openTxs_ in step. */
+    void closeTx(TxState &tx);
 
     /** Bloom bit position for @p line (splitmix-style spread). */
     static std::pair<unsigned, std::uint64_t>

@@ -11,28 +11,16 @@ Tlb::Tlb(unsigned num_entries) : capacity_(num_entries)
     entries_.resize(num_entries);
 }
 
-TlbEntry *
-Tlb::lookup(Vpn vpn)
+unsigned
+Tlb::scan(Vpn vpn)
 {
-    // One-entry lookup cache: accesses cluster on a page (a structure
-    // node spans a few lines), so most lookups re-translate the last
-    // vpn.  entries_ never reallocates, so the index stays valid; the
-    // slot's contents are re-checked, so eviction/flush need no hook.
-    TlbEntry &last = entries_[lastIdx_];
-    if (last.valid && last.vpn == vpn) {
-        last.lru = ++lruClock_;
-        ++hits_;
-        return &last;
-    }
-    for (auto &entry : entries_) {
-        if (entry.valid && entry.vpn == vpn) {
-            entry.lru = ++lruClock_;
-            ++hits_;
-            lastIdx_ = static_cast<unsigned>(&entry - entries_.data());
-            return &entry;
+    for (unsigned i = 0; i < capacity_; ++i) {
+        if (entries_[i].valid && entries_[i].vpn == vpn) {
+            hints_[hintOf(vpn)] = i;
+            return i;
         }
     }
-    return nullptr;
+    return kNoEntry;
 }
 
 std::optional<TlbEntry>
@@ -56,20 +44,20 @@ Tlb::insert(const TlbEntry &entry)
     }
     *victim = entry;
     victim->lru = ++lruClock_;
+    hints_[hintOf(entry.vpn)] =
+        static_cast<unsigned>(victim - entries_.data());
     return displaced;
 }
 
 std::optional<TlbEntry>
 Tlb::evict(Vpn vpn)
 {
-    for (auto &entry : entries_) {
-        if (entry.valid && entry.vpn == vpn) {
-            TlbEntry out = entry;
-            entry.valid = false;
-            return out;
-        }
-    }
-    return std::nullopt;
+    const unsigned idx = find(vpn);
+    if (idx == kNoEntry)
+        return std::nullopt;
+    TlbEntry out = entries_[idx];
+    entries_[idx].valid = false;
+    return out;
 }
 
 std::vector<TlbEntry>

@@ -21,6 +21,7 @@
 #ifndef SSP_VM_TLB_HH
 #define SSP_VM_TLB_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -58,8 +59,19 @@ class Tlb
   public:
     explicit Tlb(unsigned num_entries);
 
-    /** Look up @p vpn; updates LRU on hit. */
-    TlbEntry *lookup(Vpn vpn);
+    /** Look up @p vpn; updates LRU on hit.  Inline: every simulated
+     *  access translates, and the hinted hit needs no call. */
+    TlbEntry *
+    lookup(Vpn vpn)
+    {
+        const unsigned idx = find(vpn);
+        if (idx == kNoEntry)
+            return nullptr;
+        TlbEntry &entry = entries_[idx];
+        entry.lru = ++lruClock_;
+        ++hits_;
+        return &entry;
+    }
 
     /**
      * Insert a new translation, evicting the LRU entry if full.
@@ -88,10 +100,49 @@ class Tlb
     void countMiss() { ++misses_; }
 
   private:
+    /** Hint-table size: a power of two, 4x the Table 2 TLB, so the
+     *  pages of a clustered working set rarely share a slot. */
+    static constexpr unsigned kHintSlots = 256;
+    /** "Not present" from find(). */
+    static constexpr unsigned kNoEntry = ~0u;
+
+    /**
+     * Index of @p vpn's valid entry, or kNoEntry; no LRU/counter side
+     * effects.  Expected O(1): the hinted entry is checked first (see
+     * hints_).  Valid entries hold distinct vpns (insert() runs only
+     * after a miss), so the hint and the scan cannot disagree on the
+     * match.
+     */
+    unsigned
+    find(Vpn vpn)
+    {
+        const unsigned hint = hints_[hintOf(vpn)];
+        const TlbEntry &hinted = entries_[hint];
+        if (hinted.valid && hinted.vpn == vpn)
+            return hint;
+        return scan(vpn);
+    }
+
+    /** find()'s fallback: the full scan, re-pointing the hint on a hit. */
+    unsigned scan(Vpn vpn);
+
+    static unsigned
+    hintOf(Vpn vpn)
+    {
+        return static_cast<unsigned>(vpn & (kHintSlots - 1));
+    }
+
     unsigned capacity_;
     std::vector<TlbEntry> entries_;
-    /** Slot of the most recent hit (lookup cache; always re-checked). */
-    unsigned lastIdx_ = 0;
+    /**
+     * vpn-indexed lookup hint: hints_[hintOf(vpn)] is the entry that
+     * last held a vpn hashing there, always an index into entries_
+     * (which never reallocates).  It is only a guess — the entry is
+     * re-verified on use and the full scan is the fallback — so
+     * eviction, flush and colliding vpns need no bookkeeping, and
+     * lookups answer exactly what the fully-associative scan would.
+     */
+    std::array<unsigned, kHintSlots> hints_{};
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

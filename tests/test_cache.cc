@@ -316,4 +316,258 @@ TEST_F(SharerIndexTest, RandomizedOpsKeepMaskExact)
     EXPECT_EQ(hier.sharerIndex().trackedLines(), 0u);
 }
 
+// ---- Cache vs. a naive reference model ----------------------------------
+
+/**
+ * The textbook cache the packed, mask-indexed Cache must be
+ * indistinguishable from: set = (line >> 6) % sets, a linear scan over
+ * per-way structs, first invalid way else true LRU.
+ */
+class RefCache
+{
+  public:
+    RefCache(std::uint64_t size_bytes, unsigned ways)
+        : sets_(size_bytes / kLineSize / ways), ways_(ways),
+          way_(sets_ * ways)
+    {
+    }
+
+    CacheAccessResult
+    access(Addr line, bool is_write)
+    {
+        if (Way *w = find(line)) {
+            w->dirty |= is_write;
+            w->lru = ++clock_;
+            CacheAccessResult res;
+            res.hit = true;
+            return res;
+        }
+        return fill(line, is_write, false);
+    }
+
+    CacheAccessResult
+    insert(Addr line, bool dirty, bool tx)
+    {
+        if (Way *w = find(line)) {
+            w->dirty |= dirty;
+            w->tx |= tx;
+            w->lru = ++clock_;
+            return {};
+        }
+        return fill(line, dirty, tx);
+    }
+
+    CacheAccessResult
+    remap(Addr old_line, Addr new_line)
+    {
+        Way *w = find(old_line);
+        if (w == nullptr)
+            return {};
+        w->valid = false;
+        CacheAccessResult res = insert(new_line, w->dirty, w->tx);
+        res.hit = true;
+        return res;
+    }
+
+    bool
+    invalidate(Addr line)
+    {
+        Way *w = find(line);
+        if (w != nullptr)
+            w->valid = false;
+        return w != nullptr;
+    }
+
+    void
+    cleanLine(Addr line)
+    {
+        if (Way *w = find(line))
+            w->dirty = false;
+    }
+
+    void
+    setTxBit(Addr line, bool tx)
+    {
+        if (Way *w = find(line))
+            w->tx = tx;
+    }
+
+    bool probe(Addr line) { return find(line) != nullptr; }
+    bool isDirty(Addr line) { return find(line) && find(line)->dirty; }
+    bool txBit(Addr line) { return find(line) && find(line)->tx; }
+    std::uint64_t evictions() const { return evictions_; }
+
+    std::uint64_t
+    validLines() const
+    {
+        std::uint64_t n = 0;
+        for (const Way &w : way_)
+            n += w.valid ? 1 : 0;
+        return n;
+    }
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        bool tx = false;
+        Addr tag = 0;
+        std::uint64_t lru = 0;
+    };
+
+    Way *
+    setBase(Addr line)
+    {
+        return &way_[((line >> kLineShift) % sets_) * ways_];
+    }
+
+    Way *
+    find(Addr line)
+    {
+        Way *set = setBase(line);
+        for (unsigned i = 0; i < ways_; ++i) {
+            if (set[i].valid && set[i].tag == line)
+                return &set[i];
+        }
+        return nullptr;
+    }
+
+    CacheAccessResult
+    fill(Addr line, bool dirty, bool tx)
+    {
+        Way *set = setBase(line);
+        Way *victim = nullptr;
+        for (unsigned i = 0; i < ways_ && victim == nullptr; ++i) {
+            if (!set[i].valid)
+                victim = &set[i];
+        }
+        if (victim == nullptr) {
+            victim = &set[0];
+            for (unsigned i = 1; i < ways_; ++i) {
+                if (set[i].lru < victim->lru)
+                    victim = &set[i];
+            }
+        }
+        CacheAccessResult res;
+        if (victim->valid) {
+            ++evictions_;
+            if (victim->dirty) {
+                res.writeback = true;
+                res.victimAddr = victim->tag;
+                res.victimTx = victim->tx;
+            }
+        }
+        *victim = Way{true, dirty, tx, line, ++clock_};
+        return res;
+    }
+
+    std::uint64_t sets_;
+    unsigned ways_;
+    std::vector<Way> way_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t evictions_ = 0;
+};
+
+void
+expectSameResult(const CacheAccessResult &got, const CacheAccessResult &want,
+                 unsigned step)
+{
+    EXPECT_EQ(got.hit, want.hit) << "step " << step;
+    EXPECT_EQ(got.writeback, want.writeback) << "step " << step;
+    if (want.writeback) {
+        EXPECT_EQ(got.victimAddr, want.victimAddr) << "step " << step;
+        EXPECT_EQ(got.victimTx, want.victimTx) << "step " << step;
+    }
+}
+
+/**
+ * Random access/insert/remap/invalidate/cleanLine/setTxBit sequences
+ * over a line pool that piles into a few sets — both as congruent lines
+ * (line % sets equal) and as lines that agree only in their low bits,
+ * which a mask-indexed non-power-of-two geometry would wrongly merge.
+ */
+void
+runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
+                     std::uint64_t seed)
+{
+    Cache cache(CacheParams{"dut", size_bytes, ways, 1});
+    RefCache ref(size_bytes, ways);
+    const std::uint64_t sets = size_bytes / kLineSize / ways;
+
+    std::vector<Addr> pool;
+    for (std::uint64_t base : {std::uint64_t{3}, sets - 1}) {
+        for (std::uint64_t k = 0; k < 2 * ways; ++k)
+            pool.push_back((base + k * sets) << kLineShift);
+    }
+    for (std::uint64_t k = 0; k < 2 * ways; ++k)
+        pool.push_back((5 + (k << 20)) << kLineShift);
+    Rng rng(seed);
+    for (unsigned i = 0; i < 16; ++i)
+        pool.push_back(lineBase(rng.nextBounded(std::uint64_t{1} << 40)));
+
+    for (unsigned step = 0; step < 20000; ++step) {
+        const Addr line = pool[rng.nextBounded(pool.size())];
+        switch (rng.nextBounded(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            const bool w = rng.nextBool(0.4);
+            expectSameResult(cache.access(line, w), ref.access(line, w),
+                             step);
+            break;
+          }
+          case 3: {
+            const bool d = rng.nextBool(0.5), t = rng.nextBool(0.3);
+            expectSameResult(cache.insert(line, d, t),
+                             ref.insert(line, d, t), step);
+            break;
+          }
+          case 4: {
+            const Addr to = pool[rng.nextBounded(pool.size())];
+            expectSameResult(cache.remap(line, to), ref.remap(line, to),
+                             step);
+            break;
+          }
+          case 5:
+            EXPECT_EQ(cache.invalidate(line), ref.invalidate(line))
+                << "step " << step;
+            break;
+          case 6:
+            cache.cleanLine(line);
+            ref.cleanLine(line);
+            break;
+          case 7: {
+            const bool t = rng.nextBool(0.5);
+            cache.setTxBit(line, t);
+            ref.setTxBit(line, t);
+            break;
+          }
+        }
+        ASSERT_EQ(cache.probe(line), ref.probe(line)) << "step " << step;
+        EXPECT_EQ(cache.isDirty(line), ref.isDirty(line)) << "step " << step;
+        EXPECT_EQ(cache.txBit(line), ref.txBit(line)) << "step " << step;
+        EXPECT_EQ(cache.evictions(), ref.evictions()) << "step " << step;
+        if (step % 1000 == 0) {
+            EXPECT_EQ(cache.validLines(), ref.validLines());
+        }
+    }
+    EXPECT_EQ(cache.validLines(), ref.validLines());
+}
+
+TEST(CacheGeometry, PowerOfTwoSetsMatchTheReference)
+{
+    runCacheDifferential(32 * 1024, 8, 1); // 64 sets (L1)
+}
+
+TEST(CacheGeometry, TwelveMiBL3MatchesTheReference)
+{
+    runCacheDifferential(12ull << 20, 16, 2); // 12,288 sets
+}
+
+TEST(CacheGeometry, NinetySixMiBL3MatchesTheReference)
+{
+    runCacheDifferential(96ull << 20, 16, 3); // 98,304 sets
+}
+
 } // namespace

@@ -263,6 +263,62 @@ TEST(ConflictManager, AbortClearsTheInFlightFootprint)
     EXPECT_EQ(cm.logSize(), 0u);
 }
 
+TEST(ConflictManager, IdlePeersPinThePruneFloor)
+{
+    // A single-core setup phase on a multi-core machine: only core 0
+    // runs, the idle peers' clocks stay at 0, so nothing can be pruned
+    // — a peer may still begin below any of these commit points.
+    ConflictManager cm(4, ConflictParams{});
+    const Addr shared = lineAddr(7, 0);
+    for (Cycles i = 0; i < 1000; ++i) {
+        cm.beginTx(0, i * 10);
+        cm.recordRead(0, shared);
+        cm.recordWrite(0, i == 500 ? shared : lineAddr(100 + i, 0));
+        ASSERT_TRUE(cm.validate(0, i * 10 + 5));
+        cm.commitTx(0, i * 10 + 5, 0);
+    }
+    EXPECT_EQ(cm.logSize(), 1000u);
+
+    // Core 0's own records never conflict with it, though its read set
+    // meets their postings inside its window.
+    cm.beginTx(0, 4000);
+    cm.recordRead(0, shared);
+    cm.recordWrite(0, lineAddr(100, 0));
+    EXPECT_TRUE(cm.validate(0, 10000));
+    cm.commitTx(0, 10000, 0);
+    EXPECT_EQ(cm.logSize(), 1001u);
+
+    // A peer beginning at its idle clock 0 read the line core 0 wrote
+    // at cycle 5005, inside the peer's (0, 20000] window.
+    cm.beginTx(1, 0);
+    cm.recordRead(1, shared);
+    EXPECT_FALSE(cm.validate(1, 20000));
+    EXPECT_EQ(cm.stats().readWriteConflicts, 1u);
+    EXPECT_EQ(cm.stats().writeWriteConflicts, 0u);
+    cm.abortTx(1);
+
+    // Once every clock passes the last commit point, the log drains.
+    cm.beginTx(2, 30000);
+    cm.recordWrite(2, lineAddr(9, 0));
+    EXPECT_TRUE(cm.validate(2, 30010));
+    cm.commitTx(2, 30010, 30010);
+    EXPECT_EQ(cm.logSize(), 0u);
+
+    // A pruned peer record's posting lingers while core 0's newer
+    // record keeps the log non-empty; it lies below every later
+    // window, so core 0 still validates against only its own record.
+    cm.beginTx(1, 30010);
+    cm.recordWrite(1, shared);
+    cm.commitTx(1, 30020, 30010);
+    cm.beginTx(0, 30030);
+    cm.recordWrite(0, lineAddr(8, 0));
+    cm.commitTx(0, 30040, 30030);
+    EXPECT_EQ(cm.logSize(), 1u);
+    cm.beginTx(0, 30050);
+    cm.recordRead(0, shared);
+    EXPECT_TRUE(cm.validate(0, 30060));
+}
+
 // ---- rollback through the backend abort machinery -----------------------
 
 /**

@@ -162,7 +162,7 @@ class PersistLogTest : public ::testing::Test
         rec.kind = LogRecord::Kind::Data;
         rec.tid = tid;
         rec.addr = addr;
-        rec.data.assign(kLineSize, 0x5a);
+        rec.data.fill(0x5a);
         return rec;
     }
 
@@ -215,17 +215,6 @@ TEST_F(PersistLogTest, PowerFailKeepsDurablePrefix)
     // must NOT survive unless fully persisted.
     for (const auto &r : recs)
         EXPECT_EQ(r.tid, 1u);
-}
-
-TEST_F(PersistLogTest, MutableRecordUpdatesPending)
-{
-    log.append(dataRec(1, 0x40), 0, false);
-    const std::size_t idx = log.lastIndex();
-    if (!log.isPersisted(idx)) {
-        log.mutableRecord(idx).data.assign(kLineSize, 0x77);
-        log.flush(0);
-        EXPECT_EQ(log.persistedRecords()[0].data[0], 0x77);
-    }
 }
 
 } // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
+#include "common/rng.hh"
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
 
@@ -134,6 +138,161 @@ TEST(Tlb, InsertReusesInvalidSlotsFirst)
     auto displaced = tlb.insert(entry(3));
     EXPECT_FALSE(displaced.has_value()); // used the invalidated slot
     EXPECT_NE(tlb.lookup(2), nullptr);
+}
+
+/** The plain fully-associative, true-LRU TLB: a linear scan per call. */
+class RefTlb
+{
+  public:
+    explicit RefTlb(unsigned n) : entries_(n) {}
+
+    TlbEntry *
+    lookup(Vpn vpn)
+    {
+        for (TlbEntry &e : entries_) {
+            if (e.valid && e.vpn == vpn) {
+                e.lru = ++clock_;
+                ++hits_;
+                return &e;
+            }
+        }
+        ++misses_;
+        return nullptr;
+    }
+
+    std::optional<TlbEntry>
+    insert(const TlbEntry &in)
+    {
+        TlbEntry *victim = nullptr;
+        for (TlbEntry &e : entries_) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (victim == nullptr || e.lru < victim->lru)
+                victim = &e;
+        }
+        std::optional<TlbEntry> out;
+        if (victim->valid) {
+            ++evictions_;
+            out = *victim;
+        }
+        *victim = in;
+        victim->lru = ++clock_;
+        return out;
+    }
+
+    std::optional<TlbEntry>
+    evict(Vpn vpn)
+    {
+        for (TlbEntry &e : entries_) {
+            if (e.valid && e.vpn == vpn) {
+                e.valid = false;
+                TlbEntry out = e;
+                out.valid = true;
+                return out;
+            }
+        }
+        return std::nullopt;
+    }
+
+    void
+    flushAll()
+    {
+        for (TlbEntry &e : entries_)
+            e.valid = false;
+    }
+
+    std::vector<TlbEntry>
+    validEntries() const
+    {
+        std::vector<TlbEntry> out;
+        for (const TlbEntry &e : entries_) {
+            if (e.valid)
+                out.push_back(e);
+        }
+        return out;
+    }
+
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t evictions_ = 0;
+
+  private:
+    std::vector<TlbEntry> entries_;
+    std::uint64_t clock_ = 0;
+};
+
+void
+expectSameEntry(const TlbEntry &got, const TlbEntry &want, unsigned step)
+{
+    EXPECT_EQ(got.valid, want.valid) << "step " << step;
+    EXPECT_EQ(got.vpn, want.vpn) << "step " << step;
+    EXPECT_EQ(got.ppn0, want.ppn0) << "step " << step;
+    EXPECT_EQ(got.ppn1, want.ppn1) << "step " << step;
+    EXPECT_EQ(got.slot, want.slot) << "step " << step;
+    EXPECT_EQ(got.lru, want.lru) << "step " << step;
+}
+
+void
+expectSameDisplaced(const std::optional<TlbEntry> &got,
+                    const std::optional<TlbEntry> &want, unsigned step)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+    if (want)
+        expectSameEntry(*got, *want, step);
+}
+
+TEST(Tlb, MatchesALinearScanTrueLruReference)
+{
+    // The lookup hint must be invisible: same hits, same victims, same
+    // slot layout as the scan.  The vpn pool holds four groups of
+    // vpns that agree in their low 12 bits, so they collide in any
+    // low-bit hint table, and it is larger than the TLB so LRU
+    // eviction runs constantly.
+    constexpr unsigned kEntries = 64;
+    Tlb tlb(kEntries);
+    RefTlb ref(kEntries);
+    std::vector<Vpn> pool;
+    for (Vpn low : {Vpn{0}, Vpn{1}, Vpn{7}, Vpn{255}}) {
+        for (Vpn k = 0; k < 40; ++k)
+            pool.push_back(low + (k << 12));
+    }
+    Rng rng(2024);
+    for (unsigned step = 0; step < 40000; ++step) {
+        const Vpn vpn = pool[rng.nextBounded(pool.size())];
+        const std::uint64_t op = rng.nextBounded(100);
+        if (op < 85) {
+            // The engine's sequence: lookup, and on a miss count it
+            // and fill (insert only ever sees an absent vpn).
+            TlbEntry *got = tlb.lookup(vpn);
+            TlbEntry *want = ref.lookup(vpn);
+            ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+            if (want != nullptr) {
+                expectSameEntry(*got, *want, step);
+                continue;
+            }
+            tlb.countMiss();
+            TlbEntry fill = entry(vpn, 1000 + step, step % 7);
+            fill.ppn1 = 2000 + step;
+            expectSameDisplaced(tlb.insert(fill), ref.insert(fill), step);
+        } else if (op < 99) {
+            expectSameDisplaced(tlb.evict(vpn), ref.evict(vpn), step);
+        } else {
+            tlb.flushAll();
+            ref.flushAll();
+        }
+        ASSERT_EQ(tlb.hits(), ref.hits_) << "step " << step;
+        ASSERT_EQ(tlb.misses(), ref.misses_) << "step " << step;
+        ASSERT_EQ(tlb.evictions(), ref.evictions_) << "step " << step;
+        if (step % 256 == 0) {
+            const auto got = tlb.validEntries();
+            const auto want = ref.validEntries();
+            ASSERT_EQ(got.size(), want.size()) << "step " << step;
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expectSameEntry(got[i], want[i], step);
+        }
+    }
 }
 
 } // namespace
