@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <bit>
+
 #include "cache/sharer_index.hh"
 
 namespace ssp
@@ -24,6 +26,7 @@ Cache::Cache(const CacheParams &params) : params_(params)
     lru_.reset(static_cast<std::uint64_t *>(
         std::calloc(num_lines, sizeof(std::uint64_t))));
     ssp_assert(tags_ != nullptr && lru_ != nullptr);
+    filledSets_.assign((numSets_ + 63) / 64, 0);
 }
 
 std::uint64_t
@@ -79,7 +82,9 @@ CacheAccessResult
 Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
 {
     CacheAccessResult res;
-    const std::uint64_t idx = victimIn(setOf(line_addr));
+    const std::uint64_t set = setOf(line_addr);
+    filledSets_[set >> 6] |= std::uint64_t{1} << (set & 63);
+    const std::uint64_t idx = victimIn(set);
     const std::uint64_t old = tags_[idx];
     if ((old & kValidBit) != 0) {
         ++evictions_;
@@ -155,17 +160,24 @@ Cache::remap(Addr old_addr, Addr new_addr)
 void
 Cache::invalidateAll()
 {
-    for (std::uint64_t i = 0; i < numLines_; ++i) {
-        // Write only slots that were ever filled: invalid slots are
-        // behaviorally inert whatever their bytes say (every reader
-        // gates on the valid bit), and skipping the store keeps the
-        // calloc-backed arrays' untouched pages unmapped across
-        // simulated power failures.
-        if ((tags_[i] & kValidBit) == 0)
-            continue;
-        notifyRemove(tags_[i] & kTagMask);
-        tags_[i] = 0;
-        lru_[i] = 0;
+    // Visit only sets marked by fillVictim(), in ascending slot order as
+    // a full scan would, so the sharer index sees the same removals.
+    // Untouched sets are never read, which keeps the calloc-backed
+    // arrays' untouched pages unmapped across simulated power failures.
+    for (std::uint64_t w = 0; w < filledSets_.size(); ++w) {
+        for (std::uint64_t bits = filledSets_[w]; bits != 0;
+             bits &= bits - 1) {
+            const std::uint64_t base =
+                (w * 64 + std::countr_zero(bits)) * params_.ways;
+            for (std::uint64_t i = base; i < base + params_.ways; ++i) {
+                if ((tags_[i] & kValidBit) == 0)
+                    continue;
+                notifyRemove(tags_[i] & kTagMask);
+                tags_[i] = 0;
+                lru_[i] = 0;
+            }
+        }
+        filledSets_[w] = 0;
     }
 }
 

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -152,7 +153,10 @@ class Cache
      */
     CacheAccessResult insert(Addr line_addr, bool dirty, bool tx);
 
-    /** Drop everything (simulated power failure). */
+    /**
+     * Drop everything (simulated power failure).  Costs the sets filled
+     * since the last call, not the whole array.
+     */
     void invalidateAll();
 
     Cycles latency() const { return params_.latency; }
@@ -228,6 +232,10 @@ class Cache
     std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;
     /** numLines_ LRU stamps, parallel to tags_; calloc'd. */
     std::unique_ptr<std::uint64_t[], FreeDeleter> lru_;
+    /** One bit per set: some way was filled since the last
+     *  invalidateAll().  Only fillVictim() makes a slot valid, so an
+     *  unmarked set holds no valid line. */
+    std::vector<std::uint64_t> filledSets_;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

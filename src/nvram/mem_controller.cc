@@ -371,26 +371,31 @@ MemController::recover()
     }
 
     // 3. current := committed is enforced by reload/replay above.
-    //    Fix the OS page table for every live slot and account the
-    //    shadow pages still owned by slots.
-    std::unordered_set<Ppn> owned;
-    for (SlotId sid : cache_.validSlots()) {
+    //    Fix the OS page table for every live slot and mark the pages
+    //    in use: those owned by live slots and those mapped.  Pages at or
+    //    above the end of the reserved range are never pool candidates.
+    const std::vector<SlotId> live_slots = cache_.validSlots();
+    const Ppn universe_end = params_.shadowPoolBase + params_.shadowPoolPages;
+    std::vector<std::uint8_t> used(universe_end, 0);
+    auto mark_used = [&](Ppn ppn) {
+        if (ppn < universe_end)
+            used[ppn] = 1;
+    };
+    for (SlotId sid : live_slots) {
         const SspCacheEntry &e = cache_.entry(sid);
         pt_.map(e.vpn, e.ppn0);
-        owned.insert(e.ppn0);
-        owned.insert(e.ppn1);
+        mark_used(e.ppn0);
+        mark_used(e.ppn1);
     }
+    pt_.forEachEntry([&](Vpn, Ppn ppn) { mark_used(ppn); });
 
     // 4. Rebuild the pool.  Consolidation swaps migrate pages between
     //    heap duty and shadow duty, so the free set is every page below
     //    the end of the reserved range that is neither page-table-mapped
-    //    nor owned by a live slot.
-    std::unordered_set<Ppn> used = owned;
-    pt_.forEachEntry([&](Vpn, Ppn ppn) { used.insert(ppn); });
+    //    nor owned by a live slot, in ascending order.
     std::vector<Ppn> free_list;
-    const Ppn universe_end = params_.shadowPoolBase + params_.shadowPoolPages;
     for (Ppn ppn = 0; ppn < universe_end; ++ppn) {
-        if (!used.contains(ppn))
+        if (used[ppn] == 0)
             free_list.push_back(ppn);
     }
     pool_ = FreePagePool::fromList(params_.shadowPoolBase,
@@ -399,8 +404,8 @@ MemController::recover()
     // 5. Checkpoint immediately so the persistent cache reflects the
     //    recovered state and the journal restarts empty.
     //    (Recovery-time writes are not part of any measured run.)
-    std::unordered_set<SlotId> live;
-    for (SlotId sid : cache_.validSlots()) {
+    std::vector<std::uint8_t> live(cache_.persistentSlots().size(), 0);
+    for (SlotId sid : live_slots) {
         const SspCacheEntry &e = cache_.entry(sid);
         PersistentSlot &p = cache_.persistentSlot(sid);
         p.valid = true;
@@ -408,12 +413,10 @@ MemController::recover()
         p.ppn0 = e.ppn0;
         p.ppn1 = e.ppn1;
         p.committed = e.committed;
-        live.insert(sid);
+        live[sid] = 1;
     }
-    for (SlotId sid = 0;
-         sid < static_cast<SlotId>(cache_.persistentSlots().size());
-         ++sid) {
-        if (!live.contains(sid))
+    for (SlotId sid = 0; sid < static_cast<SlotId>(live.size()); ++sid) {
+        if (live[sid] == 0)
             cache_.persistentSlot(sid).valid = false;
     }
     journal_.truncate();

@@ -379,6 +379,13 @@ class RefCache
     }
 
     void
+    invalidateAll()
+    {
+        for (Way &w : way_)
+            w = Way{};
+    }
+
+    void
     cleanLine(Addr line)
     {
         if (Way *w = find(line))
@@ -482,8 +489,9 @@ expectSameResult(const CacheAccessResult &got, const CacheAccessResult &want,
 }
 
 /**
- * Random access/insert/remap/invalidate/cleanLine/setTxBit sequences
- * over a line pool that piles into a few sets — both as congruent lines
+ * Random access/insert/remap/invalidate/cleanLine/setTxBit sequences,
+ * with a power failure (invalidateAll) about one step in 200, over a
+ * line pool that piles into a few sets — both as congruent lines
  * (line % sets equal) and as lines that agree only in their low bits,
  * which a mask-indexed non-power-of-two geometry would wrongly merge.
  */
@@ -508,6 +516,12 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
 
     for (unsigned step = 0; step < 20000; ++step) {
         const Addr line = pool[rng.nextBounded(pool.size())];
+        if (rng.nextBounded(200) == 0) {
+            cache.invalidateAll();
+            ref.invalidateAll();
+            ASSERT_EQ(cache.validLines(), 0u) << "step " << step;
+            continue;
+        }
         switch (rng.nextBounded(8)) {
           case 0:
           case 1:

@@ -202,19 +202,6 @@ TEST(Zipf, AllKeysInRange)
         EXPECT_LT(gen.next(), 37u);
 }
 
-TEST(Stats, GroupAccumulates)
-{
-    StatGroup g("test");
-    g.add("x");
-    g.add("x", 4);
-    g.set("y", 9);
-    EXPECT_EQ(g.get("x"), 5u);
-    EXPECT_EQ(g.get("y"), 9u);
-    EXPECT_EQ(g.get("absent"), 0u);
-    g.reset();
-    EXPECT_EQ(g.get("x"), 0u);
-}
-
 TEST(Stats, SummaryTracksMinMaxMean)
 {
     StatSummary s;

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "core/recovery.hh"
 #include "core/ssp_system.hh"
 #include "tests/test_helpers.hh"
@@ -142,6 +146,53 @@ TEST_F(SspRecoveryTest, ConsolidatedPagesRecover)
     crashAndRecover();
     for (Vpn p = 30; p < 30 + 100; ++p)
         EXPECT_EQ(raw64(*sys, pageBase(p) + 8), p * 3);
+}
+
+TEST_F(SspRecoveryTest, RebuiltPoolIsEveryUnmappedUnownedPageInOrder)
+{
+    // Rewriting whole pages leaves most sub-pages in P1, so their
+    // consolidations swap page roles: heap pages move into the shadow
+    // range and shadow pages take heap duty.
+    for (Vpn p = 30; p < 30 + 150; ++p) {
+        sys->begin(0);
+        for (unsigned line = 0; line < kPageSize / kLineSize; ++line) {
+            const std::uint64_t v = p + line;
+            sys->store(0, pageBase(p) + line * kLineSize, &v, sizeof(v));
+        }
+        sys->commit(0);
+    }
+    ASSERT_GT(sys->controller().consolidator().consolidations(), 0u);
+    crashAndRecover();
+
+    // Reference: ascending pages below the end of the reserved range
+    // that no page-table entry maps and no valid SSP slot owns.
+    const SspConfig &cfg = sys->cfg();
+    const Ppn universe_end = cfg.shadowPoolBase() + cfg.shadowPoolPages;
+    std::set<Ppn> used;
+    bool migrated = false;
+    sys->machine().pt().forEachEntry([&](Vpn, Ppn ppn) {
+        used.insert(ppn);
+        migrated |= ppn >= cfg.shadowPoolBase() && ppn < universe_end;
+    });
+    EXPECT_TRUE(migrated) << "no heap page moved into the shadow range";
+    SspCache &cache = sys->controller().cache();
+    for (SlotId sid : cache.validSlots()) {
+        used.insert(cache.entry(sid).ppn0);
+        used.insert(cache.entry(sid).ppn1);
+    }
+    std::vector<Ppn> want;
+    for (Ppn ppn = 0; ppn < universe_end; ++ppn) {
+        if (!used.contains(ppn))
+            want.push_back(ppn);
+    }
+
+    // The pool hands pages out from the back of its list.
+    FreePagePool &pool = sys->controller().pool();
+    std::vector<Ppn> got;
+    for (std::uint64_t n = pool.available(); n > 0; --n)
+        got.push_back(pool.allocate());
+    std::reverse(got.begin(), got.end());
+    EXPECT_EQ(got, want);
 }
 
 TEST_F(SspRecoveryTest, PartialJournalFlushDiscardsTail)
