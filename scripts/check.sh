@@ -120,57 +120,6 @@ for c in doc["cells"]:
 print("queue schema ok across %d cells" % len(doc["cells"]))
 EOF
 
-echo "== scale256 report schema validation =="
-# The checked-in interconnect grid must pair every cell with its
-# coherence coordinate and message count; the directory-only counters
-# exist exactly on directory-mode cells, and on every contended
-# (Zipf, >= 128 cores) pair the directory must move strictly less
-# traffic than the broadcast bus — the grid's headline claim.  Legacy
-# broadcast reports must stay free of the new fields.
-python3 - "$repo_root/BENCH_scale256.json" "$repo_root/BENCH_smoke.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["figure"] == "scale256", \
-    "BENCH_scale256.json is not a scale256 report"
-assert doc["cells"], "scale256 report has no cells"
-dir_fields = ("directory_lookups", "hop_traversal_cycles",
-              "snoop_filter_evictions", "back_invalidations")
-messages = {}
-for c in doc["cells"]:
-    assert c.get("ok"), "cell %s failed" % c["label"]
-    assert c.get("coherence") in ("broadcast", "directory"), \
-        "cell %s lacks the coherence coordinate" % c["label"]
-    m = c["metrics"]
-    assert "coherence_messages" in m, \
-        "cell %s lacks coherence_messages" % c["label"]
-    directory = c["coherence"] == "directory"
-    for f in dir_fields:
-        assert (f in m) == directory, \
-            "cell %s %s %s" % (c["label"],
-                               "lacks" if directory else "leaks", f)
-    key = (c["workload"], c["backend"], c["cores"])
-    messages.setdefault(key, {})[c["coherence"]] = \
-        m["coherence_messages"]
-contended = 0
-for (workload, backend, cores), by_mode in messages.items():
-    assert len(by_mode) == 2, \
-        "unpaired coherence modes for %s/%s/c%d" % (workload, backend,
-                                                    cores)
-    if "Zipf" in workload and cores >= 128:
-        contended += 1
-        assert by_mode["directory"] < by_mode["broadcast"], \
-            "directory traffic not below broadcast for %s/%s/c%d" % \
-            (workload, backend, cores)
-assert contended > 0, "no contended (Zipf, >=128 cores) cells found"
-smoke = json.load(open(sys.argv[2]))
-for c in smoke["cells"]:
-    assert "coherence" not in c, "legacy report grew a coherence key"
-    assert "coherence_messages" not in c.get("metrics", {}), \
-        "legacy report grew coherence_messages"
-print("scale256 schema ok across %d cells "
-      "(%d contended pairs checked)" % (len(doc["cells"]), contended))
-EOF
-
 echo "== shard report schema validation =="
 # The checked-in cluster grid must carry the machines coordinate on
 # every cell; the 2PC counters (and the cross-shard fraction) exist

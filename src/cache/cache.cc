@@ -58,8 +58,9 @@ Cache::notifyRemove(Addr line_addr)
 }
 
 CacheAccessResult
-Cache::accessMiss(Addr line_addr, bool is_write)
+Cache::fillMiss(Addr line_addr, bool is_write)
 {
+    ssp_assert_dbg(findIdx(line_addr) == kNoLine, "fill of a present line");
     ++misses_;
     return fillVictim(line_addr, is_write, false);
 }
@@ -100,14 +101,6 @@ Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
                  (tx ? kTxFlagBit : 0);
     touch(idx);
     return res;
-}
-
-void
-Cache::cleanLine(Addr line_addr)
-{
-    const std::uint64_t idx = findIdx(line_addr);
-    if (idx != kNoLine)
-        tags_[idx] &= ~kDirtyBit;
 }
 
 void

@@ -61,9 +61,17 @@ struct CacheAccessResult
  * Storage is structure-of-arrays: one packed tag word per line (the
  * 64-byte-aligned line address with the valid/dirty/TX flags packed into
  * the low bits) plus a separate LRU-stamp array.  A whole 8-way set's
- * tags then sit in a single host cache line, so the way scan every
- * access performs touches one line instead of striding across fat
- * structs — the hot loop of the whole simulator at 64 cores.
+ * tags then sit in a single host cache line, so the way scan touches one
+ * line instead of striding across fat structs.  (Interleaving each
+ * set's stamps after its tags was tried and dropped: no significant
+ * gain, and one 24 MiB array for a 96 MiB L3 raised glibc's dynamic
+ * mmap threshold enough to grow peak RSS by a fifth.)
+ *
+ * Every lookup first tries a hint naming the last slot found or
+ * touched, with the full tag-and-valid compare, and only then scans the
+ * set.  That is exact: a valid line lives in exactly one slot, so a
+ * hinted slot holding it is that slot.  Consecutive accesses often
+ * repeat a line, and then the lookup costs one compare.
  */
 class Cache
 {
@@ -93,25 +101,42 @@ class Cache
      * @param line_addr 64-byte-aligned physical address.
      * @param is_write Marks the line dirty on a write.
      * @return hit/miss and any dirty victim.
-     *
-     * The hit path is inline: an L1 hit, the common case of every
-     * simulated access, costs one set scan and no out-of-line call.
      */
     CacheAccessResult
     access(Addr line_addr, bool is_write)
     {
-        ssp_assert_dbg(lineOffset(line_addr) == 0, "unaligned line address");
-        const std::uint64_t idx = findIdx(line_addr);
-        if (idx == kNoLine)
-            return accessMiss(line_addr, is_write);
-        ++hits_;
-        if (is_write)
-            tags_[idx] |= kDirtyBit;
-        touch(idx);
+        if (!tryHit(line_addr, is_write))
+            return fillMiss(line_addr, is_write);
         CacheAccessResult res;
         res.hit = true;
         return res;
     }
+
+    /**
+     * The hit half of access(): on a hit, count it, mark the line dirty
+     * on a write, touch it and return true; on a miss change nothing
+     * and return false.  Inline, so a hit costs no out-of-line call.
+     */
+    bool
+    tryHit(Addr line_addr, bool is_write)
+    {
+        ssp_assert_dbg(lineOffset(line_addr) == 0, "unaligned line address");
+        const std::uint64_t idx = findIdx(line_addr);
+        if (idx == kNoLine)
+            return false;
+        ++hits_;
+        if (is_write)
+            tags_[idx] |= kDirtyBit;
+        touch(idx);
+        return true;
+    }
+
+    /**
+     * The miss half of access(): count a miss and allocate
+     * @p line_addr, which tryHit() just found absent, over the set's
+     * victim.
+     */
+    CacheAccessResult fillMiss(Addr line_addr, bool is_write);
 
     /** Look up without allocating; returns true on hit. */
     bool probe(Addr line_addr) const { return findIdx(line_addr) != kNoLine; }
@@ -124,8 +149,20 @@ class Cache
         return idx != kNoLine && (tags_[idx] & kDirtyBit) != 0;
     }
 
-    /** Clear the dirty bit (after an explicit clwb write-back). */
-    void cleanLine(Addr line_addr);
+    /**
+     * Clear the dirty bit of a present line (after an explicit clwb
+     * write-back), with one lookup.
+     * @return true if the line was present and dirty.
+     */
+    bool
+    cleanIfDirty(Addr line_addr)
+    {
+        const std::uint64_t idx = findIdx(line_addr);
+        if (idx == kNoLine || (tags_[idx] & kDirtyBit) == 0)
+            return false;
+        tags_[idx] &= ~kDirtyBit;
+        return true;
+    }
 
     /** Mark/clear the TX bit on a present line. */
     void setTxBit(Addr line_addr, bool tx);
@@ -199,22 +236,30 @@ class Cache
     std::uint64_t
     findIdx(Addr line_addr) const
     {
-        const std::uint64_t base = setOf(line_addr) * params_.ways;
-        // One compare per way: tag equality and the valid bit test fold
-        // into a single masked comparison against addr|valid.
+        // One compare per slot: tag equality and the valid bit test
+        // fold into a single masked comparison against addr|valid.
         const std::uint64_t want = line_addr | kValidBit;
+        if ((tags_[hint_] & (kTagMask | kValidBit)) == want)
+            return hint_;
+        const std::uint64_t base = setOf(line_addr) * params_.ways;
         for (unsigned w = 0; w < params_.ways; ++w) {
-            if ((tags_[base + w] & (kTagMask | kValidBit)) == want)
-                return base + w;
+            if ((tags_[base + w] & (kTagMask | kValidBit)) == want) {
+                hint_ = base + w;
+                return hint_;
+            }
         }
         return kNoLine;
     }
 
     /** Victim slot in @p set: first invalid way, else lowest LRU. */
     std::uint64_t victimIn(std::uint64_t set) const;
-    void touch(std::uint64_t idx) { lru_[idx] = ++lruClock_; }
-    /** access() after findIdx() proved @p line_addr absent. */
-    CacheAccessResult accessMiss(Addr line_addr, bool is_write);
+    /** Stamp the slot at @p idx most recently used. */
+    void
+    touch(std::uint64_t idx)
+    {
+        lru_[idx] = ++lruClock_;
+        hint_ = idx;
+    }
     void notifyAdd(Addr line_addr);
     void notifyRemove(Addr line_addr);
     /** Allocate @p line_addr (known absent) over the set's victim. */
@@ -232,6 +277,9 @@ class Cache
     std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;
     /** numLines_ LRU stamps, parallel to tags_; calloc'd. */
     std::unique_ptr<std::uint64_t[], FreeDeleter> lru_;
+    /** Index of the last slot found or touched; any in-range slot is
+     *  safe, since findIdx() re-verifies it in full. */
+    mutable std::uint64_t hint_ = 0;
     /** One bit per set: some way was filled since the last
      *  invalidateAll().  Only fillVictim() makes a slot valid, so an
      *  unmarked set holds no valid line. */

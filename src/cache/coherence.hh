@@ -140,6 +140,10 @@ class CoherenceModel
      *  at a point where no cache access is mid-flight. */
     virtual void drainMaintenance(Cycles) {}
 
+    /** True while deferred maintenance is queued and not yet drained.
+     *  Always false between two public hierarchy calls. */
+    virtual bool maintenancePending() const { return false; }
+
     /** Volatile model state lost on power failure (filters, queues);
      *  counters are measurement state and survive. */
     virtual void powerFail() {}

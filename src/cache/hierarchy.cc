@@ -35,6 +35,7 @@ CacheHierarchy::attachCoherence(CoherenceModel *model)
 {
     coherence_ = model;
     maintenance_ = nullptr;
+    peerInvalidation_ = model != nullptr && numCores() > 1;
     if (model == nullptr)
         return;
     if (SharerListener *listener = model->sharerListener()) {
@@ -74,27 +75,9 @@ CacheHierarchy::handleVictim(CoreId core, unsigned level,
 }
 
 Cycles
-CacheHierarchy::read(CoreId core, Addr addr, Cycles now)
+CacheHierarchy::fillBelowL1(CoreId core, Addr line, Cycles now, Cycles done)
 {
-    const Cycles done = readImpl(core, addr, now);
-    if (maintenance_ != nullptr)
-        maintenance_->drainMaintenance(done);
-    return done;
-}
-
-Cycles
-CacheHierarchy::readImpl(CoreId core, Addr addr, Cycles now)
-{
-    const Addr line = lineBase(addr);
-    Cache &l1 = *l1s_[core];
     Cache &l2 = *l2s_[core];
-
-    auto r1 = l1.access(line, false);
-    Cycles done = now + l1.latency();
-    handleVictim(core, 0, r1, now);
-    if (r1.hit)
-        return done;
-
     auto r2 = l2.access(line, false);
     done += l2.latency();
     handleVictim(core, 1, r2, now);
@@ -111,48 +94,31 @@ CacheHierarchy::readImpl(CoreId core, Addr addr, Cycles now)
 }
 
 Cycles
-CacheHierarchy::write(CoreId core, Addr addr, Cycles now)
+CacheHierarchy::readMiss(CoreId core, Addr line, Cycles now)
 {
-    const Cycles done = writeImpl(core, addr, now);
-    if (maintenance_ != nullptr)
-        maintenance_->drainMaintenance(done);
+    Cache &l1 = *l1s_[core];
+    handleVictim(core, 0, l1.fillMiss(line, false), now);
+    const Cycles done = fillBelowL1(core, line, now, now + l1.latency());
+    drainMaintenance(done);
     return done;
 }
 
 Cycles
-CacheHierarchy::writeImpl(CoreId core, Addr addr, Cycles now)
+CacheHierarchy::writeMiss(CoreId core, Addr line, Cycles now)
 {
-    const Addr line = lineBase(addr);
     Cache &l1 = *l1s_[core];
-    Cache &l2 = *l2s_[core];
-
-    auto r1 = l1.access(line, true);
-    Cycles done = now + l1.latency();
-    handleVictim(core, 0, r1, now);
-    if (r1.hit)
-        return invalidatePeersOnWrite(core, line, done);
-
+    handleVictim(core, 0, l1.fillMiss(line, true), now);
     // Write-allocate: fetch through the lower levels.
-    auto r2 = l2.access(line, false);
-    done += l2.latency();
-    handleVictim(core, 1, r2, now);
-    if (r2.hit)
-        return invalidatePeersOnWrite(core, line, done);
-
-    auto r3 = l3_->access(line, false);
-    done += l3_->latency();
-    handleVictim(core, 2, r3, now);
-    if (r3.hit)
-        return invalidatePeersOnWrite(core, line, done);
-
-    return invalidatePeersOnWrite(core, line, bus_.issueRead(line, done));
+    Cycles done = fillBelowL1(core, line, now, now + l1.latency());
+    if (peerInvalidation_)
+        done = invalidatePeersOnWrite(core, line, done);
+    drainMaintenance(done);
+    return done;
 }
 
 Cycles
 CacheHierarchy::invalidatePeersOnWrite(CoreId core, Addr line, Cycles done)
 {
-    if (coherence_ == nullptr || numCores() <= 1)
-        return done;
     // Peer copies are clean (only the lock holder dirties a page
     // mid-transaction and commit cleans its lines), so dropping
     // without write-back loses nothing.
@@ -194,19 +160,11 @@ CacheHierarchy::flushLine(CoreId core, Addr addr, WriteCategory cat,
                           Cycles now, bool background)
 {
     const Addr line = lineBase(addr);
-    bool dirty = false;
-    if (l1s_[core]->isDirty(line)) {
-        l1s_[core]->cleanLine(line);
-        dirty = true;
-    }
-    if (l2s_[core]->isDirty(line)) {
-        l2s_[core]->cleanLine(line);
-        dirty = true;
-    }
-    if (l3_->isDirty(line)) {
-        l3_->cleanLine(line);
-        dirty = true;
-    }
+    // One probe per level; every level is cleaned, so no short circuit.
+    const bool in_l1 = l1s_[core]->cleanIfDirty(line);
+    const bool in_l2 = l2s_[core]->cleanIfDirty(line);
+    const bool in_l3 = l3_->cleanIfDirty(line);
+    const bool dirty = in_l1 || in_l2 || in_l3;
     // A line dirty in a *different* core's private caches belongs to that
     // core's ongoing transaction; locking at the workload level prevents
     // cross-core flushes of speculative data.
@@ -308,8 +266,7 @@ CacheHierarchy::remapLine(CoreId core, Addr old_addr, Addr new_addr,
     handleVictim(core, 1, r2, now);
     auto r3 = l3_->remap(old_line, new_line);
     handleVictim(core, 2, r3, now);
-    if (maintenance_ != nullptr)
-        maintenance_->drainMaintenance(now);
+    drainMaintenance(now);
     // Copies of the committed line in other cores' private caches are
     // now tagged with a remapped-away address; the caller shoots them
     // down via invalidateLineRemote() as part of the flip-current-bit

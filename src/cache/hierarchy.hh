@@ -18,6 +18,7 @@
 #include "cache/cache.hh"
 #include "cache/coherence.hh"
 #include "cache/sharer_index.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "mem/memory_bus.hh"
 
@@ -60,15 +61,47 @@ class CacheHierarchy
      * one the hierarchy times every access in isolation (standalone
      * tests).  A model with a sharer listener (the directory snoop
      * filter) is wired into the sharer index here, and its deferred
-     * maintenance is drained after every timed access.
+     * maintenance is drained after every timed access that fills a
+     * line.
      */
     void attachCoherence(CoherenceModel *model);
 
-    /** Timed read of the line containing @p addr. */
-    Cycles read(CoreId core, Addr addr, Cycles now);
+    /**
+     * Timed read of the line containing @p addr.  An L1 hit is
+     * handled inline; everything else goes to readMiss().  A hit skips
+     * the maintenance drain exactly: only fills queue snoop-filter
+     * back-invalidations, and every path that fills drains before it
+     * returns, so nothing is ever pending when an access starts.
+     */
+    Cycles
+    read(CoreId core, Addr addr, Cycles now)
+    {
+        const Addr line = lineBase(addr);
+        Cache &l1 = *l1s_[core];
+        if (!l1.tryHit(line, false))
+            return readMiss(core, line, now);
+        assertNothingPending();
+        return now + l1.latency();
+    }
 
-    /** Timed write (write-allocate) of the line containing @p addr. */
-    Cycles write(CoreId core, Addr addr, Cycles now);
+    /**
+     * Timed write (write-allocate) of the line containing @p addr.  An
+     * L1 hit is handled inline, as in read(); it still invalidates
+     * peer copies when the machine has peers to invalidate.
+     */
+    Cycles
+    write(CoreId core, Addr addr, Cycles now)
+    {
+        const Addr line = lineBase(addr);
+        Cache &l1 = *l1s_[core];
+        if (!l1.tryHit(line, true))
+            return writeMiss(core, line, now);
+        Cycles done = now + l1.latency();
+        if (peerInvalidation_)
+            done = invalidatePeersOnWrite(core, line, done);
+        assertNothingPending();
+        return done;
+    }
 
     /**
      * clwb semantics: if the line is dirty anywhere in the hierarchy,
@@ -182,15 +215,44 @@ class CacheHierarchy
     /**
      * MESI-style write invalidation: drop peer copies of @p line and,
      * when any existed, charge the sender one coherence event on top
-     * of @p done.  No-op without an attached model or peers.
+     * of @p done.  Called only when peerInvalidation_.
      */
     Cycles invalidatePeersOnWrite(CoreId core, Addr line, Cycles done);
 
-    /** read() body; the public wrapper drains coherence maintenance. */
-    Cycles readImpl(CoreId core, Addr addr, Cycles now);
+    /**
+     * read() after @p line missed in @p core's L1: fill it from the
+     * levels below without probing L1 again, then drain coherence
+     * maintenance.
+     */
+    Cycles readMiss(CoreId core, Addr line, Cycles now);
 
-    /** write() body; the public wrapper drains coherence maintenance. */
-    Cycles writeImpl(CoreId core, Addr addr, Cycles now);
+    /** write() after @p line missed in @p core's L1: write-allocate as
+     *  readMiss() does, invalidate peer copies, then drain. */
+    Cycles writeMiss(CoreId core, Addr line, Cycles now);
+
+    /**
+     * Look @p line up in @p core's L2, then the L3, then memory,
+     * filling every level it missed; @p done is the time the L1 lookup
+     * finished.  Returns when the data arrives.
+     */
+    Cycles fillBelowL1(CoreId core, Addr line, Cycles now, Cycles done);
+
+    /** Process deferred coherence maintenance queued by fills. */
+    void
+    drainMaintenance(Cycles now)
+    {
+        if (maintenance_ != nullptr)
+            maintenance_->drainMaintenance(now);
+    }
+
+    /** Debug check behind the inline hit paths' skipped drain. */
+    void
+    assertNothingPending() const
+    {
+        ssp_assert_dbg(maintenance_ == nullptr ||
+                           !maintenance_->maintenancePending(),
+                       "coherence maintenance left pending");
+    }
 
     HierarchyParams params_;
     MemoryBus &bus_;
@@ -198,6 +260,9 @@ class CacheHierarchy
     /** Set iff coherence_ queues deferred maintenance (the directory
      *  snoop filter); broadcast machines pay one null check only. */
     CoherenceModel *maintenance_ = nullptr;
+    /** A write may have peer copies to invalidate: a coherence model
+     *  is attached and the machine has more than one core. */
+    bool peerInvalidation_ = false;
     bool indexed_ = false;
     SharerIndex sharers_;
     std::vector<std::unique_ptr<Cache>> l1s_;

@@ -61,6 +61,11 @@ class DirectoryCoherence final : public CoherenceModel,
     }
     bool needsMaintenance() const override { return true; }
     void drainMaintenance(Cycles now) override;
+    bool
+    maintenancePending() const override
+    {
+        return !pendingBackInvals_.empty();
+    }
     void powerFail() override;
 
     std::uint64_t directoryLookups() const override { return lookups_; }

@@ -51,9 +51,10 @@ TEST(Cache, WriteMarksDirty)
     Cache c(tinyCache(4, 4, 1));
     c.access(0x40, true);
     EXPECT_TRUE(c.isDirty(0x40));
-    c.cleanLine(0x40);
+    EXPECT_TRUE(c.cleanIfDirty(0x40));
     EXPECT_FALSE(c.isDirty(0x40));
-    EXPECT_TRUE(c.probe(0x40)); // clwb keeps the line
+    EXPECT_FALSE(c.cleanIfDirty(0x40)); // already clean
+    EXPECT_TRUE(c.probe(0x40));          // clwb keeps the line
 }
 
 TEST(Cache, LruEvictsOldestAndReportsDirtyVictim)
@@ -385,11 +386,14 @@ class RefCache
             w = Way{};
     }
 
-    void
-    cleanLine(Addr line)
+    bool
+    cleanIfDirty(Addr line)
     {
-        if (Way *w = find(line))
-            w->dirty = false;
+        Way *w = find(line);
+        if (w == nullptr || !w->dirty)
+            return false;
+        w->dirty = false;
+        return true;
     }
 
     void
@@ -489,11 +493,20 @@ expectSameResult(const CacheAccessResult &got, const CacheAccessResult &want,
 }
 
 /**
- * Random access/insert/remap/invalidate/cleanLine/setTxBit sequences,
- * with a power failure (invalidateAll) about one step in 200, over a
+ * Random access/insert/remap/invalidate/cleanIfDirty/setTxBit sequences,
+ * with a power failure (invalidateAll) about one step in 400, over a
  * line pool that piles into a few sets — both as congruent lines
  * (line % sets equal) and as lines that agree only in their low bits,
  * which a mask-indexed non-power-of-two geometry would wrongly merge.
+ * Congruent lines also straddle line number 2^32 and sit near the top
+ * of the address space, so the set index is pinned over the whole
+ * line-number range, not just where simulated machines put memory.
+ *
+ * About one step in three repeats the previous line, the case the slot
+ * hint serves; one op drops that hinted line (invalidate, remap away
+ * or power failure) and then touches it again, which a hint that
+ * trusted a stale slot would wrongly hit.  The split tryHit/fillMiss
+ * access and cleanIfDirty run against the same reference.
  */
 void
 runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
@@ -510,19 +523,29 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
     }
     for (std::uint64_t k = 0; k < 2 * ways; ++k)
         pool.push_back((5 + (k << 20)) << kLineShift);
+    for (std::uint64_t top : {std::uint64_t{1} << 32,
+                              (std::uint64_t{1} << 58) - 1}) {
+        const std::uint64_t k0 = top / sets;
+        for (std::uint64_t k = k0 - ways; k < k0 + ways; ++k)
+            pool.push_back((3 + k * sets) << kLineShift);
+    }
     Rng rng(seed);
     for (unsigned i = 0; i < 16; ++i)
         pool.push_back(lineBase(rng.nextBounded(std::uint64_t{1} << 40)));
 
+    Addr last = pool[0];
     for (unsigned step = 0; step < 20000; ++step) {
-        const Addr line = pool[rng.nextBounded(pool.size())];
-        if (rng.nextBounded(200) == 0) {
+        const Addr line = rng.nextBounded(3) == 0
+                              ? last
+                              : pool[rng.nextBounded(pool.size())];
+        last = line;
+        if (rng.nextBounded(400) == 0) {
             cache.invalidateAll();
             ref.invalidateAll();
             ASSERT_EQ(cache.validLines(), 0u) << "step " << step;
             continue;
         }
-        switch (rng.nextBounded(8)) {
+        switch (rng.nextBounded(10)) {
           case 0:
           case 1:
           case 2: {
@@ -548,13 +571,45 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
                 << "step " << step;
             break;
           case 6:
-            cache.cleanLine(line);
-            ref.cleanLine(line);
+            EXPECT_EQ(cache.cleanIfDirty(line), ref.cleanIfDirty(line))
+                << "step " << step;
             break;
           case 7: {
             const bool t = rng.nextBool(0.5);
             cache.setTxBit(line, t);
             ref.setTxBit(line, t);
+            break;
+          }
+          case 8: {
+            // The hierarchy's split access: hit-only, then miss-fill.
+            const bool w = rng.nextBool(0.4);
+            CacheAccessResult got;
+            got.hit = cache.tryHit(line, w);
+            if (!got.hit)
+                got = cache.fillMiss(line, w);
+            expectSameResult(got, ref.access(line, w), step);
+            break;
+          }
+          case 9: {
+            // Aim the hint at the line, drop the line, touch it again.
+            ASSERT_EQ(cache.probe(line), ref.probe(line)) << "step " << step;
+            // Power failures are rare: each one clears the reference's
+            // every way.
+            const unsigned drop = rng.nextBounded(16);
+            if (drop < 8) {
+                EXPECT_EQ(cache.invalidate(line), ref.invalidate(line))
+                    << "step " << step;
+            } else if (drop < 15) {
+                const Addr to = pool[rng.nextBounded(pool.size())];
+                expectSameResult(cache.remap(line, to),
+                                 ref.remap(line, to), step);
+            } else {
+                cache.invalidateAll();
+                ref.invalidateAll();
+            }
+            const bool w = rng.nextBool(0.4);
+            expectSameResult(cache.access(line, w), ref.access(line, w),
+                             step);
             break;
           }
         }

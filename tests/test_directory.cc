@@ -236,12 +236,13 @@ class SnoopFilterTest : public ::testing::Test
   protected:
     static constexpr unsigned kCores = 8;
 
-    explicit SnoopFilterTest(unsigned filter_entries = 1)
+    explicit SnoopFilterTest(unsigned filter_entries = 1,
+                             unsigned cores = kCores)
         : mem(64, 16),
           bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
               MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
-          hier(kCores, smallParams(), bus),
-          dir(kCores, directoryParams(filter_entries))
+          hier(cores, smallParams(), bus, /*force_sharer_index*/ true),
+          dir(cores, directoryParams(filter_entries))
     {
         hier.attachCoherence(&dir);
         dir.attachBackInvalidator([this](Addr line, Cycles now) {
@@ -349,6 +350,72 @@ TEST_F(SnoopFilterLruTest, TouchKeepsRecentlyUsedLinesTracked)
     EXPECT_TRUE(hier.l1(0).probe(c));
     EXPECT_EQ(dir.snoopFilterEvictions(), 1u);
     EXPECT_EQ(dir.filterSize(0), 2u);
+}
+
+class SnoopFilterMixTest : public SnoopFilterTest
+{
+  protected:
+    SnoopFilterMixTest() : SnoopFilterTest(8, 4) {}
+};
+
+TEST_F(SnoopFilterMixTest, NoMaintenanceIsPendingAfterAnyHierarchyCall)
+{
+    // The inline L1-hit paths skip the maintenance drain, which is only
+    // exact if no public hierarchy call ever returns with a snoop-filter
+    // back-invalidation still queued.  Mixed calls over lines that
+    // overflow the 8-entry filters must each leave the queue empty.
+    // The broadcast bus never queues anything.
+    EXPECT_FALSE(BroadcastCoherence(4, 10).maintenancePending());
+    Rng rng(2024);
+    std::vector<Addr> lines;
+    for (unsigned i = 0; i < 48; ++i)
+        lines.push_back(i * kLineSize * 3);
+    std::uint64_t steps_with_eviction = 0;
+    for (unsigned step = 0; step < 6000; ++step) {
+        const CoreId core = static_cast<CoreId>(rng.nextBounded(4));
+        const Addr line = lines[rng.nextBounded(lines.size())];
+        const std::uint64_t evictions = dir.snoopFilterEvictions();
+        switch (rng.nextBounded(8)) {
+          case 0:
+          case 1:
+            hier.read(core, line, step);
+            break;
+          case 2:
+            hier.write(core, line, step);
+            break;
+          case 3:
+            hier.remapLine(core, line,
+                           lines[rng.nextBounded(lines.size())], step);
+            break;
+          case 4:
+            if (rng.nextBool(0.5)) {
+                hier.flushLine(core, line, WriteCategory::Data, step);
+            } else {
+                const Addr batch[2] = {line, line + kLineSize};
+                hier.flushLines(core, batch, 2, WriteCategory::Data, step);
+            }
+            break;
+          case 5:
+            hier.invalidateLine(line);
+            break;
+          case 6:
+            hier.invalidateLineRemote(core, line);
+            break;
+          case 7:
+            if (rng.nextBool(0.02)) {
+                hier.invalidateAll();
+                dir.powerFail();
+            } else {
+                hier.setTxBit(core, line, rng.nextBool(0.5));
+            }
+            break;
+        }
+        ASSERT_FALSE(dir.maintenancePending()) << "step " << step;
+        steps_with_eviction += dir.snoopFilterEvictions() > evictions;
+    }
+    // The filters really overflowed, so there was work to drain.
+    EXPECT_GT(steps_with_eviction, 100u);
+    EXPECT_GT(dir.backInvalidations(), 0u);
 }
 
 // ---- sharer masks past 64 cores -------------------------------------------

@@ -7,9 +7,12 @@
  */
 
 #include <cstdio>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,18 +58,18 @@ expectSameRun(const RunResult &a, const RunResult &b)
 }
 
 /**
- * Rerun the @p opts subset of @p figure and require every cell entry of
- * the report to equal, byte for byte, the same-label entry of the
+ * Rerun @p cells of @p figure and require every cell entry of the
+ * report to equal, byte for byte, the same-label entry of the
  * checked-in BENCH_<figure>.json.
  */
 void
 expectReplaysCheckedIn(const std::string &figure,
-                       const SweepGridOptions &opts, std::size_t want_cells)
+                       const std::vector<SweepCell> &cells)
 {
     const Json checked_in =
         ssp::test::loadCheckedIn("BENCH_" + figure + ".json");
-    const auto results = runSweep(buildFigureGrid(figure, opts), 1);
-    ASSERT_EQ(results.size(), want_cells);
+    const auto results = runSweep(cells, 1);
+    ASSERT_EQ(results.size(), cells.size());
     const Json report = sweepReport(figure, results);
     std::size_t matched = 0;
     for (std::size_t i = 0; i < report["cells"].size(); ++i) {
@@ -80,7 +83,17 @@ expectReplaysCheckedIn(const std::string &figure,
             ++matched;
         }
     }
-    EXPECT_EQ(matched, want_cells);
+    EXPECT_EQ(matched, cells.size());
+}
+
+/** As above, for the @p opts subset of @p figure. */
+void
+expectReplaysCheckedIn(const std::string &figure,
+                       const SweepGridOptions &opts, std::size_t want_cells)
+{
+    const auto cells = buildFigureGrid(figure, opts);
+    ASSERT_EQ(cells.size(), want_cells);
+    expectReplaysCheckedIn(figure, cells);
 }
 
 TEST(SweepGrid, KnownFiguresBuildNonEmptyGrids)
@@ -760,6 +773,81 @@ TEST(SweepReport, Scale256EmitsDirectoryCountersOnlyInDirectoryMode)
     EXPECT_FALSE(smoke_report["cells"].at(0).has("coherence"));
     EXPECT_FALSE(
         smoke_report["cells"].at(0)["metrics"].has("coherence_messages"));
+}
+
+TEST(SweepReplay, Scale256DirectoryCellsMatchCheckedInReport)
+{
+    // Directory-mode Hash-Rand, every design: on one core the snoop
+    // filter overflows and back-invalidates (drained after fills, while
+    // L1 hits skip the drain), and at 128 cores every store hit pays a
+    // directory transaction on the mesh.
+    SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::HashRand};
+    opts.coreCounts = {1, 128};
+    std::vector<SweepCell> cells;
+    for (const SweepCell &cell : buildFigureGrid("scale256", opts)) {
+        if (cell.coherenceMode == CoherenceMode::Directory)
+            cells.push_back(cell);
+    }
+    ASSERT_EQ(cells.size(), 6u);
+    expectReplaysCheckedIn("scale256", cells);
+}
+
+TEST(SweepSchema, Scale256CheckedInReportPairsModesAndDirectoryWins)
+{
+    // Every checked-in interconnect cell names its coherence model and
+    // its message count; the directory-only counters exist exactly on
+    // directory cells; every (workload, design, cores) point has both
+    // modes; and on every contended (Zipf, >= 128 cores) pair the
+    // directory moves strictly less traffic than the broadcast bus —
+    // the grid's headline claim.
+    const Json doc = ssp::test::loadCheckedIn("BENCH_scale256.json");
+    ASSERT_EQ(doc["figure"].asString(), "scale256");
+    ASSERT_GT(doc["cells"].size(), 0u);
+    const char *dir_fields[] = {"directory_lookups", "hop_traversal_cycles",
+                                "snoop_filter_evictions",
+                                "back_invalidations"};
+    // (workload, backend, cores) -> mode -> coherence_messages
+    std::map<std::tuple<std::string, std::string, std::uint64_t>,
+             std::map<std::string, std::uint64_t>>
+        messages;
+    for (std::size_t i = 0; i < doc["cells"].size(); ++i) {
+        const Json &c = doc["cells"].at(i);
+        const std::string label = c["label"].asString();
+        ASSERT_TRUE(c["ok"].asBool()) << label;
+        ASSERT_TRUE(c.has("coherence")) << label;
+        const std::string mode = c["coherence"].asString();
+        ASSERT_TRUE(mode == "broadcast" || mode == "directory") << label;
+        const Json &m = c["metrics"];
+        ASSERT_TRUE(m.has("coherence_messages")) << label;
+        for (const char *f : dir_fields)
+            EXPECT_EQ(m.has(f), mode == "directory") << label << " " << f;
+        messages[{c["workload"].asString(), c["backend"].asString(),
+                  c["cores"].asUint()}][mode] =
+            m["coherence_messages"].asUint();
+    }
+    std::size_t contended = 0;
+    for (const auto &[key, by_mode] : messages) {
+        const auto &[workload, backend, cores] = key;
+        ASSERT_EQ(by_mode.size(), 2u)
+            << "unpaired modes for " << workload << "/" << backend << "/c"
+            << cores;
+        if (workload.find("Zipf") != std::string::npos && cores >= 128) {
+            ++contended;
+            EXPECT_LT(by_mode.at("directory"), by_mode.at("broadcast"))
+                << workload << "/" << backend << "/c" << cores;
+        }
+    }
+    EXPECT_GT(contended, 0u);
+
+    // Legacy broadcast reports stay free of the coherence fields.
+    const Json smoke = ssp::test::loadCheckedIn("BENCH_smoke.json");
+    for (std::size_t i = 0; i < smoke["cells"].size(); ++i) {
+        const Json &c = smoke["cells"].at(i);
+        EXPECT_FALSE(c.has("coherence")) << c["label"].asString();
+        EXPECT_FALSE(c["metrics"].has("coherence_messages"))
+            << c["label"].asString();
+    }
 }
 
 TEST(SweepRunner, Scale256CellsAreDeterministicAcrossJobs)
