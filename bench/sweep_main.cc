@@ -77,12 +77,8 @@ usage(int exit_code)
         "                     results are bit-identical for any N\n"
         "  --txs N            transactions per cell, 1..%llu\n"
         "                     (default: the figure's own count)\n"
-        "  --seed N           base RNG seed (default 42)\n"
+        "  --seed N           base RNG seed, 0..2^64-1 (default 42)\n"
         "  --json PATH        output path (default BENCH_<figure>.json)\n"
-        "  --time             emit host wall-clock times (host_ms per\n"
-        "                     cell, host_ms_total per grid) into the\n"
-        "                     JSON; off by default so checked-in\n"
-        "                     reports stay byte-stable\n"
         "  --quiet            suppress per-cell progress lines\n"
         "  --list             print known figures and exit\n",
         kMaxJobs, static_cast<unsigned long long>(kMaxTxs));
@@ -95,7 +91,6 @@ struct CliArgs
     SweepGridOptions grid;
     unsigned jobs = 1;
     std::string jsonPath;
-    bool time = false;
     bool quiet = false;
     bool arrivalSet = false; ///< --arrival was given explicitly
 };
@@ -167,11 +162,11 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--txs") {
             args.grid.txs = parseCount(arg, next_value(i), kMaxTxs);
         } else if (arg == "--seed") {
-            args.grid.scale.seed = std::stoull(next_value(i));
+            // Digits only, like parseCount, but 0 is a valid seed:
+            // "4x" and "-1" exit 2 instead of running seed 4 or 2^64-1.
+            args.grid.scale.seed = parseSeed(next_value(i));
         } else if (arg == "--json") {
             args.jsonPath = next_value(i);
-        } else if (arg == "--time") {
-            args.time = true;
         } else if (arg == "--quiet") {
             args.quiet = true;
         } else if (arg == "--list") {
@@ -292,7 +287,7 @@ try {
     }
     std::printf("\n%s\n", table.render().c_str());
 
-    const Json report = sweepReport(args.figure, results, args.time);
+    const Json report = sweepReport(args.figure, results);
     std::ofstream out(args.jsonPath);
     if (!out) {
         std::fprintf(stderr, "cannot open '%s' for writing\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/logging.hh"
@@ -64,27 +65,50 @@ splitCommas(const std::string &list)
     return out;
 }
 
+namespace
+{
+
+/** A plain integer in [min_value, max_value]; fatal, naming @p flag,
+ *  on anything else. */
+std::uint64_t
+parseUnsigned(const std::string &flag, const std::string &value,
+              std::uint64_t min_value, std::uint64_t max_value)
+{
+    // Digits only: stoull alone would skip leading blanks, accept a
+    // sign, and wrap "-1" to 2^64-1.
+    bool valid = !value.empty() &&
+                 value.find_first_not_of("0123456789") == std::string::npos;
+    unsigned long long v = 0;
+    if (valid) {
+        try {
+            v = std::stoull(value);
+        } catch (const std::out_of_range &) {
+            valid = false;
+        }
+    }
+    if (!valid || v < min_value || v > max_value) {
+        ssp_fatal("%s must be an integer in [%llu, %llu], got '%s'",
+                  flag.c_str(), static_cast<unsigned long long>(min_value),
+                  static_cast<unsigned long long>(max_value),
+                  value.c_str());
+    }
+    return v;
+}
+
+} // namespace
+
 std::uint64_t
 parseCount(const std::string &flag, const std::string &value,
            std::uint64_t max_value)
 {
-    // Digits only: stoull alone would skip leading blanks, accept a
-    // sign, and wrap "-1" to 2^64-1.
-    unsigned long long v = 0;
-    if (!value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos) {
-        try {
-            v = std::stoull(value);
-        } catch (const std::out_of_range &) {
-            v = 0;
-        }
-    }
-    if (v == 0 || v > max_value) {
-        ssp_fatal("%s must be an integer in [1, %llu], got '%s'",
-                  flag.c_str(), static_cast<unsigned long long>(max_value),
-                  value.c_str());
-    }
-    return v;
+    return parseUnsigned(flag, value, 1, max_value);
+}
+
+std::uint64_t
+parseSeed(const std::string &value)
+{
+    return parseUnsigned("--seed", value, 0,
+                         std::numeric_limits<std::uint64_t>::max());
 }
 
 std::vector<unsigned>
@@ -653,8 +677,10 @@ generateCells(const std::string &figure, std::uint64_t txs,
         // Seed ordinals are pinned per (workload, backend) so every
         // core count replays the identical key stream, and SSP comes
         // first so the (SPS, SSP, 1 core) cell is stream-identical to
-        // the smoke cell — scripts/check.sh diffs the two to catch
-        // single-core timing regressions.
+        // the smoke cell; holding the two equal catches single-core
+        // timing regressions.  Enforced by
+        // Multicore.SingleCoreScaleCellBitIdenticalToSmokeCell and
+        // SweepSchema.SmokeCheckedInCellEqualsTheScaleC1Cell.
         const std::vector<unsigned> core_list =
             opts.coreCounts.empty() ? defaultCoreList() : opts.coreCounts;
         for (unsigned cores : core_list) {
@@ -758,7 +784,9 @@ generateCells(const std::string &figure, std::uint64_t txs,
         // plane — not this grid's own — so every machine count and
         // fraction replays the scale grid's exact streams, and the
         // 1-machine cells are cycle-identical to the checked-in
-        // BENCH_scale.json c4 cells (scripts/check.sh diffs the two).
+        // BENCH_scale.json c4 cells.  Enforced by
+        // ShardGrid.OneMachineCellsReplayTheCheckedInScaleCells and
+        // SweepSchema.ShardCheckedInReportKeeps2pcSchemaAndScaleTwins.
         const std::vector<unsigned> machine_list =
             opts.machines.empty() ? defaultMachineList() : opts.machines;
         for (unsigned machines : machine_list) {
@@ -797,8 +825,10 @@ generateCells(const std::string &figure, std::uint64_t txs,
         // fraction 0.1 wherever 2PC is possible.  Seed ordinals are
         // pinned to the scale plane exactly like the shard grid, so the
         // rate-0 non-replicated cells replay the matching shard-grid
-        // cells bit for bit (scripts/check.sh diffs the two) and every
-        // fault axis perturbs the identical operation stream.
+        // cells bit for bit and every fault axis perturbs the identical
+        // operation stream.  The identity is enforced by
+        // FaultSweep.ZeroFaultCellsReplayTheShardGridBitForBit and
+        // SweepSchema.FaultCheckedInReportConservesFailuresAndTwins.
         const std::vector<unsigned> machine_list =
             opts.machines.empty() ? defaultFaultMachineList()
                                   : opts.machines;

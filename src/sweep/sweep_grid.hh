@@ -196,6 +196,13 @@ std::uint64_t parseCount(const std::string &flag, const std::string &value,
                          std::uint64_t max_value);
 
 /**
+ * Parse the --seed value: a plain integer in [0, 2^64-1].  Anything
+ * else — "4x", "-1", "abc", "", an overflowing number — is fatal with
+ * a message naming --seed.
+ */
+std::uint64_t parseSeed(const std::string &value);
+
+/**
  * Parse a comma-separated count list for @p flag ("--cores",
  * "--channels"): every item must pass parseCount, and the list must be
  * non-empty — an empty or invalid list is fatal, never a silent

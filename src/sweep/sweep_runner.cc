@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -30,7 +29,6 @@ runOneCell(const SweepCell &cell)
 {
     CellResult res;
     res.cell = cell;
-    const auto host_start = std::chrono::steady_clock::now();
     try {
         // Fault-armed cells always go through the cluster driver, even
         // with one machine, so scheduled failures have slot boundaries
@@ -69,10 +67,6 @@ runOneCell(const SweepCell &cell)
             if (inj != nullptr)
                 res.faultStats = inj->stats();
             res.ok = true;
-            res.hostMillis =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - host_start)
-                    .count();
             return res;
         }
         Experiment exp = buildExperiment(cell.backend, cell.workload,
@@ -95,10 +89,6 @@ runOneCell(const SweepCell &cell)
     } catch (const std::exception &e) {
         res.error = e.what();
     }
-    res.hostMillis =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - host_start)
-            .count();
     return res;
 }
 
@@ -148,19 +138,13 @@ runSweep(const std::vector<SweepCell> &cells, unsigned jobs,
 
 Json
 sweepReport(const std::string &figure,
-            const std::vector<CellResult> &results, bool include_host_time)
+            const std::vector<CellResult> &results)
 {
     Json doc = Json::object();
     doc.set("schema", Json::str("ssp-bench-report-v1"));
     doc.set("figure", Json::str(figure));
     doc.set("cell_count", Json::number(
         static_cast<std::uint64_t>(results.size())));
-    if (include_host_time) {
-        double total_ms = 0;
-        for (const CellResult &r : results)
-            total_ms += r.hostMillis;
-        doc.set("host_ms_total", Json::number(total_ms));
-    }
 
     Json cells = Json::array();
     for (const CellResult &r : results) {
@@ -233,10 +217,6 @@ sweepReport(const std::string &figure,
                       static_cast<unsigned long long>(r.cell.scale.seed));
         c.set("seed", Json::str(seed_hex));
         c.set("ok", Json::boolean(r.ok));
-        // Host time is opt-in: it varies run to run, so it must never
-        // leak into the byte-stable default reports.
-        if (include_host_time)
-            c.set("host_ms", Json::number(r.hostMillis));
         if (!r.ok) {
             c.set("error", Json::str(r.error));
             cells.push(std::move(c));
@@ -315,8 +295,9 @@ sweepReport(const std::string &figure,
         }
         // 2PC and network metrics exist only where a network exists:
         // multi-machine cells.  1-machine shard cells keep the exact
-        // single-machine metrics schema so scripts/check.sh can diff
-        // them byte for byte against the scale grid's cells.
+        // single-machine metrics schema, so their metrics equal the
+        // scale grid's c4 cells byte for byte
+        // (SweepSchema.ShardCheckedInReportKeeps2pcSchemaAndScaleTwins).
         if (r.cell.machines > 1) {
             m.set("single_shard_txs",
                   Json::number(r.shardTx.singleShardTxs));

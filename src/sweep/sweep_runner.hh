@@ -42,13 +42,6 @@ struct CellResult
     /** Fault-harness accounting; all zero unless the cell armed it
      *  (fault rate > 0 or replication on). */
     fault::FaultStats faultStats{};
-    /**
-     * Host wall-clock time this cell took to build and run, in
-     * milliseconds.  Always measured (one steady_clock pair per cell);
-     * only serialized when the report asks for it, so the checked-in
-     * BENCH_*.json files stay byte-stable run to run.
-     */
-    double hostMillis = 0;
 };
 
 /** Invoked after each cell completes: (result, done count, total). */
@@ -72,17 +65,12 @@ std::vector<CellResult> runSweep(const std::vector<SweepCell> &cells,
 /**
  * Serialize sweep results as the BENCH_*.json report document:
  * schema/figure metadata plus one entry per cell with the cell's
- * coordinates and the measured metrics.
- *
- * With @p include_host_time set, every cell carries its measured
- * "host_ms" and the document gains a "host_ms_total" — the
- * perf-trajectory data scripts/perf_compare.py consumes.  The default
- * leaves host times out so checked-in reports are byte-identical
- * across runs and machines.
+ * coordinates and the measured metrics.  The document holds only
+ * simulated results, so checked-in reports are byte-identical across
+ * runs and machines.
  */
 Json sweepReport(const std::string &figure,
-                 const std::vector<CellResult> &results,
-                 bool include_host_time = false);
+                 const std::vector<CellResult> &results);
 
 } // namespace ssp::sweep
 

@@ -27,7 +27,6 @@ using sweep::buildFigureGrid;
 using sweep::CellResult;
 using sweep::runSweep;
 using sweep::SweepGridOptions;
-using sweep::sweepReport;
 
 // ---- LineSet unit tests ---------------------------------------------------
 
@@ -506,17 +505,7 @@ TEST(ConflictEndToEnd, SingleCoreCellsMatchTheCheckedInSmokeReport)
     // The acceptance bar: with conflict handling in the tree, the
     // single-core model must reproduce the checked-in smoke report bit
     // for bit (no recording, no validation, no timing drift).
-    const Json checked_in = ssp::test::loadCheckedIn("BENCH_smoke.json");
-
-    const auto cells = buildFigureGrid("smoke");
-    const auto results = runSweep(cells, 1);
-    const Json report = sweepReport("smoke", results);
-
-    ASSERT_EQ(report["cells"].size(), checked_in["cells"].size());
-    const Json &want = checked_in["cells"].at(0);
-    const Json &got = report["cells"].at(0);
-    EXPECT_EQ(got["seed"].asString(), want["seed"].asString());
-    EXPECT_EQ(got["metrics"].dump(2), want["metrics"].dump(2));
+    expectReplaysCheckedIn("smoke", buildFigureGrid("smoke"));
 }
 
 } // namespace

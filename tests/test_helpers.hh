@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared test fixtures: a small machine configuration that keeps tests
- * fast, helpers for driving transactions by hand, and a loader for the
- * checked-in BENCH_*.json reports.
+ * fast, helpers for driving transactions by hand, and a loader and a
+ * replay check for the checked-in BENCH_*.json reports.
  *
  * Include convention: test sources include this header as
  * "tests/test_helpers.hh", i.e. relative to the repository root.  The
@@ -17,16 +17,23 @@
 #ifndef SSP_TESTS_TEST_HELPERS_HH
 #define SSP_TESTS_TEST_HELPERS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
 
 #include "core/config.hh"
 #include "core/ssp_system.hh"
 #include "sim/report.hh"
+#include "sweep/sweep_runner.hh"
 
 namespace ssp::test
 {
@@ -87,6 +94,53 @@ loadCheckedIn(const std::string &name)
     std::stringstream buf;
     buf << in.rdbuf();
     return Json::parse(buf.str());
+}
+
+/**
+ * Rerun @p cells of @p figure and require every cell's report entry to
+ * equal, byte for byte, the same-label entry of the checked-in
+ * BENCH_<figure>.json.  Cells run on one worker per host CPU; results
+ * are bit-identical for any worker count.  Returns the results so a
+ * caller can assert more about them.
+ */
+inline std::vector<sweep::CellResult>
+expectReplaysCheckedIn(const std::string &figure,
+                       const std::vector<sweep::SweepCell> &cells)
+{
+    const Json checked_in = loadCheckedIn("BENCH_" + figure + ".json");
+    std::map<std::string, const Json *> want;
+    for (std::size_t i = 0; i < checked_in["cells"].size(); ++i) {
+        const Json &c = checked_in["cells"].at(i);
+        want[c["label"].asString()] = &c;
+    }
+    std::vector<sweep::CellResult> results = sweep::runSweep(
+        cells, std::max(1u, std::thread::hardware_concurrency()));
+    const Json report = sweep::sweepReport(figure, results);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const Json &got = report["cells"].at(i);
+        const std::string label = got["label"].asString();
+        EXPECT_TRUE(results[i].ok) << label << ": " << results[i].error;
+        const auto it = want.find(label);
+        if (it == want.end()) {
+            ADD_FAILURE() << label << " is not in BENCH_" << figure
+                          << ".json";
+            continue;
+        }
+        EXPECT_EQ(got.dump(2), it->second->dump(2)) << label;
+    }
+    return results;
+}
+
+/** As above, for the @p opts subset of @p figure, which must have
+ *  @p want_cells cells. */
+inline void
+expectReplaysCheckedIn(const std::string &figure,
+                       const sweep::SweepGridOptions &opts,
+                       std::size_t want_cells)
+{
+    const auto cells = sweep::buildFigureGrid(figure, opts);
+    ASSERT_EQ(cells.size(), want_cells);
+    expectReplaysCheckedIn(figure, cells);
 }
 
 } // namespace ssp::test

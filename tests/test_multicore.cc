@@ -26,7 +26,6 @@ using sweep::buildFigureGrid;
 using sweep::CellResult;
 using sweep::runSweep;
 using sweep::SweepGridOptions;
-using sweep::sweepReport;
 
 TEST(Multicore, CowRemapShootsDownPeerStaleLines)
 {
@@ -284,32 +283,13 @@ TEST(Multicore, ContendedZipfCellsMatchTheCheckedInScaleReport)
     // where peer invalidations, shootdowns, and conflict validation
     // all fire at once — if an optimization moved a single cycle or
     // reclassified a single conflict, this is where it would show.
-    const Json checked_in = ssp::test::loadCheckedIn("BENCH_scale.json");
-
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashZipf,
                       WorkloadKind::RbTreeZipf};
     opts.coreCounts = {8};
     const auto cells = buildFigureGrid("scale", opts);
     ASSERT_EQ(cells.size(), 9u); // 3 workloads x 3 backends
-    const auto results = runSweep(cells, 1);
-    const Json report = sweepReport("scale", results);
-
-    std::size_t matched = 0;
-    for (std::size_t i = 0; i < report["cells"].size(); ++i) {
-        const Json &got = report["cells"].at(i);
-        for (std::size_t j = 0; j < checked_in["cells"].size(); ++j) {
-            const Json &want = checked_in["cells"].at(j);
-            if (want["label"].asString() != got["label"].asString())
-                continue;
-            EXPECT_EQ(got["seed"].asString(), want["seed"].asString());
-            EXPECT_EQ(got["metrics"].dump(2), want["metrics"].dump(2))
-                << "cell " << got["label"].asString()
-                << " diverged from the checked-in report";
-            ++matched;
-        }
-    }
-    EXPECT_EQ(matched, 9u);
+    const auto results = expectReplaysCheckedIn("scale", cells);
     // These cells must actually exercise the conflict machinery.
     std::uint64_t aborts = 0;
     for (const CellResult &r : results)

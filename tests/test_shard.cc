@@ -146,8 +146,9 @@ TEST(ShardGrid, OneMachineCellsReplayTheCheckedInScaleCells)
     // The fast-path acceptance bar: every 1-machine shard cell must
     // reproduce the checked-in BENCH_scale.json 4-core cell of the same
     // (backend, workload) bit for bit — same machine, same streams,
-    // same driver.  scripts/check.sh enforces the same identity on the
-    // checked-in BENCH_shard.json; this test catches it at ctest time.
+    // same driver.  This test reruns the cells; the ctest
+    // SweepSchema.ShardCheckedInReportKeeps2pcSchemaAndScaleTwins holds
+    // the checked-in BENCH_shard.json to the same identity.
     const Json scale = ssp::test::loadCheckedIn("BENCH_scale.json");
     std::map<std::string, const Json *> scale_cells;
     for (std::size_t i = 0; i < scale["cells"].size(); ++i) {

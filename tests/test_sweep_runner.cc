@@ -7,11 +7,10 @@
  */
 
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +23,8 @@ namespace ssp::sweep::test
 {
 namespace
 {
+
+using ssp::test::expectReplaysCheckedIn;
 
 /** A tiny fig5 grid that keeps the suite fast on one core. */
 SweepGridOptions
@@ -55,45 +56,6 @@ expectSameRun(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.avgLinesPerTx, b.avgLinesPerTx);
     EXPECT_EQ(a.avgPagesPerTx, b.avgPagesPerTx);
     EXPECT_EQ(a.maxPagesPerTx, b.maxPagesPerTx);
-}
-
-/**
- * Rerun @p cells of @p figure and require every cell entry of the
- * report to equal, byte for byte, the same-label entry of the
- * checked-in BENCH_<figure>.json.
- */
-void
-expectReplaysCheckedIn(const std::string &figure,
-                       const std::vector<SweepCell> &cells)
-{
-    const Json checked_in =
-        ssp::test::loadCheckedIn("BENCH_" + figure + ".json");
-    const auto results = runSweep(cells, 1);
-    ASSERT_EQ(results.size(), cells.size());
-    const Json report = sweepReport(figure, results);
-    std::size_t matched = 0;
-    for (std::size_t i = 0; i < report["cells"].size(); ++i) {
-        const Json &got = report["cells"].at(i);
-        ASSERT_TRUE(got["ok"].asBool()) << results[i].error;
-        for (std::size_t j = 0; j < checked_in["cells"].size(); ++j) {
-            const Json &want = checked_in["cells"].at(j);
-            if (want["label"].asString() != got["label"].asString())
-                continue;
-            EXPECT_EQ(got.dump(2), want.dump(2));
-            ++matched;
-        }
-    }
-    EXPECT_EQ(matched, cells.size());
-}
-
-/** As above, for the @p opts subset of @p figure. */
-void
-expectReplaysCheckedIn(const std::string &figure,
-                       const SweepGridOptions &opts, std::size_t want_cells)
-{
-    const auto cells = buildFigureGrid(figure, opts);
-    ASSERT_EQ(cells.size(), want_cells);
-    expectReplaysCheckedIn(figure, cells);
 }
 
 TEST(SweepGrid, KnownFiguresBuildNonEmptyGrids)
@@ -437,32 +399,43 @@ TEST(SweepCli, JobsValueRejectsInvalidInput)
     EXPECT_EQ(parseCount("--txs", "4000", 1'000'000'000), 4000u);
 }
 
-// ---- host wall-clock harness ---------------------------------------------
-
-TEST(SweepReport, HostTimeIsOptInAndKeepsDefaultReportsByteStable)
+TEST(SweepCli, SeedValueRejectsInvalidInput)
 {
-    auto cells = buildFigureGrid("smoke");
-    cells[0].txs = 20;
-    const auto results = runSweep(cells, 1);
-    ASSERT_TRUE(results[0].ok) << results[0].error;
-    // The runner always measures; only the report opts in.
-    EXPECT_GE(results[0].hostMillis, 0.0);
+    // Digits only, like --jobs, but 0 is a valid seed: a bare stoull
+    // ran "4x" as seed 4 and wrapped "-1" to 2^64-1.
+    for (const char *bad : {"4x", "-1", "abc", "", " 4", "+4", "0x10",
+                            "18446744073709551616"}) {
+        try {
+            parseSeed(bad);
+            ADD_FAILURE() << "--seed '" << bad << "' was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("--seed"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(parseSeed("0"), 0u);
+    EXPECT_EQ(parseSeed("42"), 42u);
+    EXPECT_EQ(parseSeed("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+}
 
-    const Json plain = sweepReport("smoke", results);
-    EXPECT_FALSE(plain.has("host_ms_total"));
-    EXPECT_FALSE(plain["cells"].at(0).has("host_ms"));
+// ---- replays of the paper grids -------------------------------------------
 
-    const Json timed = sweepReport("smoke", results, true);
-    ASSERT_TRUE(timed.has("host_ms_total"));
-    ASSERT_TRUE(timed["cells"].at(0).has("host_ms"));
-    EXPECT_GE(timed["cells"].at(0)["host_ms"].asDouble(), 0.0);
-    EXPECT_GE(timed["host_ms_total"].asDouble(),
-              timed["cells"].at(0)["host_ms"].asDouble());
+TEST(SweepReplay, Fig5SpsCellsMatchCheckedInReport)
+{
+    // The paper's own Figure 5 cells: every design at 1 and 4 cores.
+    SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::Sps};
+    expectReplaysCheckedIn("fig5", opts, 6);
+}
 
-    // Everything except the host-time fields is identical, so --time
-    // cannot perturb the simulated metrics it annotates.
-    EXPECT_EQ(plain["cells"].at(0)["metrics"].dump(2),
-              timed["cells"].at(0)["metrics"].dump(2));
+TEST(SweepReplay, ChanSpsCellsMatchCheckedInReport)
+{
+    // Every design at 1, 2, 4 and 8 page-interleaved NVRAM channels.
+    SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::Sps};
+    expectReplaysCheckedIn("chan", opts, 12);
 }
 
 // ---- scale64 grid ---------------------------------------------------------
@@ -791,63 +764,6 @@ TEST(SweepReplay, Scale256DirectoryCellsMatchCheckedInReport)
     }
     ASSERT_EQ(cells.size(), 6u);
     expectReplaysCheckedIn("scale256", cells);
-}
-
-TEST(SweepSchema, Scale256CheckedInReportPairsModesAndDirectoryWins)
-{
-    // Every checked-in interconnect cell names its coherence model and
-    // its message count; the directory-only counters exist exactly on
-    // directory cells; every (workload, design, cores) point has both
-    // modes; and on every contended (Zipf, >= 128 cores) pair the
-    // directory moves strictly less traffic than the broadcast bus —
-    // the grid's headline claim.
-    const Json doc = ssp::test::loadCheckedIn("BENCH_scale256.json");
-    ASSERT_EQ(doc["figure"].asString(), "scale256");
-    ASSERT_GT(doc["cells"].size(), 0u);
-    const char *dir_fields[] = {"directory_lookups", "hop_traversal_cycles",
-                                "snoop_filter_evictions",
-                                "back_invalidations"};
-    // (workload, backend, cores) -> mode -> coherence_messages
-    std::map<std::tuple<std::string, std::string, std::uint64_t>,
-             std::map<std::string, std::uint64_t>>
-        messages;
-    for (std::size_t i = 0; i < doc["cells"].size(); ++i) {
-        const Json &c = doc["cells"].at(i);
-        const std::string label = c["label"].asString();
-        ASSERT_TRUE(c["ok"].asBool()) << label;
-        ASSERT_TRUE(c.has("coherence")) << label;
-        const std::string mode = c["coherence"].asString();
-        ASSERT_TRUE(mode == "broadcast" || mode == "directory") << label;
-        const Json &m = c["metrics"];
-        ASSERT_TRUE(m.has("coherence_messages")) << label;
-        for (const char *f : dir_fields)
-            EXPECT_EQ(m.has(f), mode == "directory") << label << " " << f;
-        messages[{c["workload"].asString(), c["backend"].asString(),
-                  c["cores"].asUint()}][mode] =
-            m["coherence_messages"].asUint();
-    }
-    std::size_t contended = 0;
-    for (const auto &[key, by_mode] : messages) {
-        const auto &[workload, backend, cores] = key;
-        ASSERT_EQ(by_mode.size(), 2u)
-            << "unpaired modes for " << workload << "/" << backend << "/c"
-            << cores;
-        if (workload.find("Zipf") != std::string::npos && cores >= 128) {
-            ++contended;
-            EXPECT_LT(by_mode.at("directory"), by_mode.at("broadcast"))
-                << workload << "/" << backend << "/c" << cores;
-        }
-    }
-    EXPECT_GT(contended, 0u);
-
-    // Legacy broadcast reports stay free of the coherence fields.
-    const Json smoke = ssp::test::loadCheckedIn("BENCH_smoke.json");
-    for (std::size_t i = 0; i < smoke["cells"].size(); ++i) {
-        const Json &c = smoke["cells"].at(i);
-        EXPECT_FALSE(c.has("coherence")) << c["label"].asString();
-        EXPECT_FALSE(c["metrics"].has("coherence_messages"))
-            << c["label"].asString();
-    }
 }
 
 TEST(SweepRunner, Scale256CellsAreDeterministicAcrossJobs)
