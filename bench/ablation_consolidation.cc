@@ -20,14 +20,14 @@ int
 main()
 {
     setVerbose(false);
-    SspConfig base = paperConfig(1);
+    SspConfig base = sweep::paperConfig(1);
     printHeader("Ablation A2: consolidation writes/tx vs TLB entries",
                 base);
 
     TextTable table({"TLB entries", "RBTree-Rand", "RBTree-Zipf",
                      "Hash-Rand", "Hash-Zipf"});
     for (unsigned entries : {16u, 32u, 64u, 128u, 256u}) {
-        SspConfig cfg = paperConfig(1);
+        SspConfig cfg = sweep::paperConfig(1);
         cfg.tlbEntries = entries;
         cfg.shadowPoolPages =
             cfg.numCores * entries + cfg.sspCacheOverprovision + 512;

@@ -21,7 +21,7 @@ int
 main()
 {
     setVerbose(false);
-    SspConfig base = paperConfig(1);
+    SspConfig base = sweep::paperConfig(1);
     printHeader("Ablation A3: SSP extensions (sub-page granularity, "
                 "lazy consolidation)",
                 base);
@@ -33,12 +33,12 @@ main()
     for (WorkloadKind w :
          {WorkloadKind::BTreeRand, WorkloadKind::RbTreeRand,
           WorkloadKind::Sps}) {
-        SspConfig fine = paperConfig(1);
-        SspConfig coarse = paperConfig(1);
+        SspConfig fine = sweep::paperConfig(1);
+        SspConfig coarse = sweep::paperConfig(1);
         coarse.subPageLines = 4;
 
         auto fine_exp = buildExperiment(BackendKind::Ssp, w, fine,
-                                        paperScale());
+                                        sweep::paperScale());
         auto *fine_sys =
             dynamic_cast<SspSystem *>(fine_exp.backend.get());
         const std::uint64_t fine_flips0 =
@@ -51,7 +51,7 @@ main()
             static_cast<double>(fr.committedTxs);
 
         auto coarse_exp = buildExperiment(BackendKind::Ssp, w, coarse,
-                                          paperScale());
+                                          sweep::paperScale());
         auto *coarse_sys =
             dynamic_cast<SspSystem *>(coarse_exp.backend.get());
         const std::uint64_t coarse_flips0 =
@@ -77,17 +77,17 @@ main()
     for (WorkloadKind w :
          {WorkloadKind::RbTreeRand, WorkloadKind::RbTreeZipf,
           WorkloadKind::HashRand, WorkloadKind::HashZipf}) {
-        SspConfig eager = paperConfig(1);
-        SspConfig lazy = paperConfig(1);
+        SspConfig eager = sweep::paperConfig(1);
+        SspConfig lazy = sweep::paperConfig(1);
         lazy.consolidationPolicy = SspConfig::ConsolidationPolicy::Lazy;
         lazy.lazyLowWatermark = 64;
 
         auto eager_exp =
-            buildExperiment(BackendKind::Ssp, w, eager, paperScale());
+            buildExperiment(BackendKind::Ssp, w, eager, sweep::paperScale());
         RunResult er = runExperiment(eager_exp, kMeasuredTxs, 1);
 
         auto lazy_exp =
-            buildExperiment(BackendKind::Ssp, w, lazy, paperScale());
+            buildExperiment(BackendKind::Ssp, w, lazy, sweep::paperScale());
         auto *lazy_sys = dynamic_cast<SspSystem *>(lazy_exp.backend.get());
         RunResult lr = runExperiment(lazy_exp, kMeasuredTxs, 1);
         const double cancels =

@@ -18,7 +18,7 @@ int
 main()
 {
     setVerbose(false);
-    SspConfig cfg = paperConfig(1);
+    SspConfig cfg = sweep::paperConfig(1);
     printHeader("Ablation A1: conventional shadow paging (SHADOW) vs SSP",
                 cfg);
 

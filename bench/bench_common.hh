@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared infrastructure for the figure/table reproduction benches:
- * the default Table 2 configuration, run helpers, and printing of
- * paper-expected vs. measured values.
+ * Shared infrastructure for the ablation benches, which run
+ * configurations no sweep grid defines: a run helper on the Table 2
+ * machine and printing of paper-expected vs. measured values.
  */
 
 #ifndef SSP_BENCH_BENCH_COMMON_HH
@@ -24,31 +24,12 @@ namespace ssp::bench
 /** Transactions measured per cell (after the setup/prefill phase). */
 inline constexpr std::uint64_t kMeasuredTxs = sweep::kDefaultTxs;
 
-/**
- * The Table 2 machine, scaled where it only affects memory footprint.
- * The definition lives with the sweep grids (src/sweep/sweep_grid.hh)
- * so the figure benches and the sweep CLI run identical machines.
- */
-inline SspConfig
-paperConfig(unsigned cores = 1)
-{
-    return sweep::paperConfig(cores);
-}
-
-/** The workload scale used by all benches. */
-inline WorkloadScale
-paperScale()
-{
-    return sweep::paperScale();
-}
-
-/** Build + run one (backend, workload) cell. */
+/** Build + run one single-core (backend, workload) cell. */
 inline RunResult
-runCell(BackendKind backend, WorkloadKind workload, const SspConfig &cfg,
-        std::uint64_t txs = kMeasuredTxs, unsigned cores = 1)
+runCell(BackendKind backend, WorkloadKind workload, const SspConfig &cfg)
 {
-    auto exp = buildExperiment(backend, workload, cfg, paperScale());
-    return runExperiment(exp, txs, cores);
+    auto exp = buildExperiment(backend, workload, cfg, sweep::paperScale());
+    return runExperiment(exp, kMeasuredTxs, 1);
 }
 
 /** Print the bench header with the simulated machine parameters. */

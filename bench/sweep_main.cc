@@ -1,8 +1,8 @@
 /**
  * @file
  * Parallel sweep CLI: reproduce any figure/table grid of the evaluation
- * in one invocation and emit the machine-readable BENCH_<figure>.json
- * perf report.
+ * in one invocation, print the paper's tables for it, and emit the
+ * machine-readable BENCH_<figure>.json perf report.
  *
  *   sweep_main --figure fig5 --backends ssp,undo,redo --jobs 8 \
  *              --json BENCH_fig5.json
@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "bench/bench_common.hh"
+#include "common/logging.hh"
+#include "sweep/figure_spec.hh"
 #include "sweep/sweep_runner.hh"
 
 using namespace ssp;
@@ -32,41 +34,93 @@ constexpr unsigned kMaxJobs = 1024;
 constexpr std::uint64_t kMaxTxs = 1'000'000'000;
 /** @} */
 
+/** @p values as "1,2,4" (replication modes as "off,on"). */
+template <typename T>
+std::string
+joinList(const std::vector<T> &values)
+{
+    std::string out;
+    for (T v : values) {
+        if (!out.empty())
+            out += ',';
+        if constexpr (std::is_same_v<T, bool>)
+            out += v ? "on" : "off";
+        else
+            out += jsonNumberToString(static_cast<double>(v));
+    }
+    return out;
+}
+
+/** One help line per grid that sweeps @p axis: its default @p list. */
+template <typename T>
+void
+printAxisDefaults(unsigned axis, std::vector<T> FigureSpec::*list)
+{
+    for (const FigureSpec &grid : figureSpecs()) {
+        if ((grid.sweeps & axis) != 0) {
+            std::fprintf(stderr, "%23s%-9s %s\n", "", grid.name,
+                         joinList(grid.*list).c_str());
+        }
+    }
+}
+
 [[noreturn]] void
 usage(int exit_code)
 {
+    std::string figures;
+    std::size_t line = 0;
+    for (const std::string &name : knownFigures()) {
+        if (line + name.size() > 56) {
+            figures += "\n                    ";
+            line = 0;
+        }
+        figures += " " + name;
+        line += name.size() + 1;
+    }
+    std::fprintf(stderr,
+                 "usage: sweep_main --figure <name> [options]\n"
+                 "\n"
+                 "  --figure NAME      grid to run (required):\n"
+                 "                    %s\n"
+                 "                     (fig5 also prints Figs 6 and 7)\n"
+                 "  --backends LIST    comma-separated subset of ssp,undo,"
+                 "redo,\n"
+                 "                     shadow (default: the figure's own "
+                 "set)\n"
+                 "  --workloads LIST   comma-separated subset of Table 3 "
+                 "names\n"
+                 "                     (e.g. BTree-Rand,SPS; default: "
+                 "all)\n"
+                 "\n"
+                 "Axis lists; only these grids sweep them, by default:\n"
+                 "  --channels LIST    NVRAM channel counts\n",
+                 figures.c_str());
+    printAxisDefaults(kAxisChannels, &FigureSpec::channels);
+    std::fprintf(stderr, "  --cores LIST       core counts, up to what the "
+                         "grid's machine is\n"
+                         "                     provisioned for\n");
+    printAxisDefaults(kAxisCores, &FigureSpec::cores);
+    std::fprintf(stderr, "  --load LIST        offered loads as factors of "
+                         "measured closed-loop\n"
+                         "                     capacity, each in (0, 10]\n");
+    printAxisDefaults(kAxisLoads, &FigureSpec::loads);
+    std::fprintf(stderr, "  --arrival KIND     arrival process of the "
+                         "--load grids: poisson\n"
+                         "                     (default), bursty (MMPP-2) "
+                         "or diurnal\n"
+                         "  --machines LIST    cluster sizes\n");
+    printAxisDefaults(kAxisMachines, &FigureSpec::machines);
+    std::fprintf(stderr, "  --fault-rate LIST  machine failures per "
+                         "million cycles per machine,\n"
+                         "                     each in [0, 1000]; 0 = "
+                         "armed but quiet\n");
+    printAxisDefaults(kAxisFaults, &FigureSpec::faultRates);
+    std::fprintf(stderr, "  --replicate MODE   primary/backup replication: "
+                         "off, on or both\n");
+    printAxisDefaults(kAxisFaults, &FigureSpec::replicate);
     std::fprintf(
         stderr,
-        "usage: sweep_main --figure <name> [options]\n"
         "\n"
-        "  --figure NAME      grid to run: fig5 fig6 fig7 fig8 fig9\n"
-        "                     table3 table45 chan scale scale64\n"
-        "                     scale256 queue shard fault smoke\n"
-        "                     (required)\n"
-        "  --backends LIST    comma-separated subset of ssp,undo,redo,\n"
-        "                     shadow (default: the figure's own set)\n"
-        "  --workloads LIST   comma-separated subset of Table 3 names\n"
-        "                     (e.g. BTree-Rand,SPS; default: all)\n"
-        "  --channels LIST    chan grid: NVRAM channel counts to sweep\n"
-        "                     (e.g. 1,2,4,8; default: 1,2,4,8)\n"
-        "  --cores LIST       scale/scale64/scale256/queue grids: core\n"
-        "                     counts to sweep (default: 1,2,4,8 /\n"
-        "                     1,2,4,8,16,32,64 / 1,4,16,64,128,256 /\n"
-        "                     4,16; scale256 accepts up to 256, the\n"
-        "                     other grids' machines cap at 64)\n"
-        "  --machines LIST    shard/fault grids: cluster sizes to sweep\n"
-        "                     (e.g. 1,2,4; default: 1,2,4,8 for shard,\n"
-        "                     1,2,4 for fault)\n"
-        "  --fault-rate LIST  fault grid: expected machine failures per\n"
-        "                     million cycles per machine (e.g. 0,5,20;\n"
-        "                     default: 0,5,20; 0 = armed but quiet)\n"
-        "  --replicate MODE   fault grid: primary/backup replication —\n"
-        "                     off, on, or both (default: both)\n"
-        "  --load LIST        queue grid: offered loads as factors of\n"
-        "                     measured closed-loop capacity (default:\n"
-        "                     0.3,0.6,0.9,1.2)\n"
-        "  --arrival KIND     queue grid: arrival process — poisson\n"
-        "                     (default), bursty (MMPP-2) or diurnal\n"
         "  --conflict-mode M  concurrent-conflict handling: fcw\n"
         "                     (first-committer-wins, the default),\n"
         "                     lazy (read-set-only validation), off\n"
@@ -92,7 +146,6 @@ struct CliArgs
     unsigned jobs = 1;
     std::string jsonPath;
     bool quiet = false;
-    bool arrivalSet = false; ///< --arrival was given explicitly
 };
 
 CliArgs
@@ -120,8 +173,8 @@ parseArgs(int argc, char **argv)
             // parseCountList is fatal on an empty or invalid list: a
             // bad count sweep must fail loudly, never fall back to the
             // grid's default list and "succeed".  --cores parses up to
-            // kMaxCores; the per-figure machine ceiling is checked by
-            // buildFigureGrid once the figure is known.
+            // kMaxCores; buildFigureGrid checks every axis option
+            // against the grid.
             const bool cores = arg == "--cores";
             auto &list =
                 cores ? args.grid.coreCounts : args.grid.channels;
@@ -149,7 +202,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--arrival") {
             args.grid.arrival =
                 ssp::serve::parseArrivalKind(next_value(i));
-            args.arrivalSet = true;
         } else if (arg == "--conflict-mode") {
             args.grid.conflictMode = parseConflictMode(next_value(i));
         } else if (arg == "--nvram-device") {
@@ -182,52 +234,6 @@ parseArgs(int argc, char **argv)
     }
     if (args.figure.empty()) {
         std::fprintf(stderr, "--figure is required\n");
-        usage(2);
-    }
-    if (!args.grid.channels.empty() && args.figure != "chan") {
-        // Only the chan grid sweeps channel counts; erroring beats
-        // silently emitting 1-channel results labeled as a channel run.
-        std::fprintf(stderr,
-                     "--channels only applies to '--figure chan', not "
-                     "'%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if (!args.grid.coreCounts.empty() && args.figure != "scale" &&
-        args.figure != "scale64" && args.figure != "scale256" &&
-        args.figure != "queue") {
-        std::fprintf(stderr,
-                     "--cores only applies to '--figure scale', "
-                     "'--figure scale64', '--figure scale256' or "
-                     "'--figure queue', not '%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if (!args.grid.machines.empty() && args.figure != "shard" &&
-        args.figure != "fault") {
-        std::fprintf(stderr,
-                     "--machines only applies to '--figure shard' or "
-                     "'--figure fault', not '%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if ((!args.grid.faultRates.empty() ||
-         !args.grid.replicateModes.empty()) &&
-        args.figure != "fault") {
-        // Only the fault grid arms the injector; erroring beats
-        // silently emitting fault-free results labeled as a fault run.
-        std::fprintf(stderr,
-                     "--fault-rate/--replicate only apply to '--figure "
-                     "fault', not '%s'\n",
-                     args.figure.c_str());
-        usage(2);
-    }
-    if ((!args.grid.loads.empty() || args.arrivalSet) &&
-        args.figure != "queue") {
-        std::fprintf(stderr,
-                     "--load/--arrival only apply to '--figure queue', "
-                     "not '%s'\n",
-                     args.figure.c_str());
         usage(2);
     }
     if (args.jsonPath.empty())
@@ -288,6 +294,7 @@ try {
     std::printf("\n%s\n", table.render().c_str());
 
     const Json report = sweepReport(args.figure, results);
+    std::printf("%s", renderPaperTables(report).c_str());
     std::ofstream out(args.jsonPath);
     if (!out) {
         std::fprintf(stderr, "cannot open '%s' for writing\n",
@@ -306,8 +313,9 @@ try {
 
     return failures == 0 ? 0 : 1;
 } catch (const std::exception &e) {
-    // ssp_fatal (bad figure/backend/workload names) throws; turn it
-    // into a clean CLI error instead of std::terminate.
+    // ssp_fatal (bad figure/backend/workload names, an axis option the
+    // grid does not sweep) throws; turn it into a clean CLI error
+    // instead of std::terminate.
     std::fprintf(stderr, "sweep_main: %s\n", e.what());
     return 2;
 }

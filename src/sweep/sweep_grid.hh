@@ -47,10 +47,10 @@ const char *conflictModeName(ConflictMode mode);
 /** Printable coherence-model name ("broadcast" / "directory"). */
 const char *coherenceModeName(CoherenceMode mode);
 
-/** The Table 2 machine used by all figure benches (see bench_common). */
+/** The Table 2 machine the paper grids and the ablation benches run. */
 SspConfig paperConfig(unsigned cores = 1);
 
-/** The workload scale used by all figure benches. */
+/** The paper grids' workload scale (and the ablation benches'). */
 WorkloadScale paperScale();
 
 /** Transactions measured per cell unless the grid overrides it. */
@@ -133,31 +133,27 @@ struct SweepGridOptions
     std::uint64_t txs = 0;
     /** Base workload scale (per-cell seeds are derived from its seed). */
     WorkloadScale scale = paperScale();
-    /** chan grid: NVRAM channel counts to sweep; empty = {1, 2, 4, 8}.
-     *  Unlike the backend/workload filters this changes the grid shape,
-     *  so per-cell seeds follow the requested list. */
+    /*
+     * The axis lists below replace the grid's default list (see its
+     * FigureSpec, sweep/figure_spec.hh); empty keeps the default.  Only
+     * the axes a grid sweeps may be set — any other is fatal.  Seeds
+     * are pinned per (workload, backend) on every grid with a sweepable
+     * axis, so a list's shape does not change any cell's stream.
+     */
+    /** NVRAM channel counts (chan). */
     std::vector<unsigned> channels{};
-    /** scale/scale64/queue grids: core counts to sweep; empty = the
-     *  grid default.  Seeds are pinned per (workload, backend), so the
-     *  list's shape does not change any cell's stream. */
+    /** Core counts (scale, scale64, scale256, queue). */
     std::vector<unsigned> coreCounts{};
-    /** queue grid: offered-load factors to sweep; empty =
-     *  {0.3, 0.6, 0.9, 1.2}.  Seeds are pinned per (workload, backend),
-     *  so the list's shape does not change any cell's stream. */
+    /** Offered-load factors of measured capacity (queue). */
     std::vector<double> loads{};
-    /** queue grid: arrival process applied to every cell. */
+    /** Open-loop arrival process; anything but Poisson only on queue. */
     serve::ArrivalKind arrival = serve::ArrivalKind::Poisson;
-    /** shard/fault grids: cluster sizes to sweep; empty = the grid
-     *  default ({1, 2, 4, 8} for shard, {1, 2, 4} for fault).  Seeds
-     *  are pinned per (workload, backend) to the scale grid's plane, so
-     *  machine counts (and the 1-machine cells vs the checked-in scale
-     *  cells) replay the identical operation stream. */
+    /** Cluster sizes (shard, fault). */
     std::vector<unsigned> machines{};
-    /** fault grid: fault rates (failures per Mcycle per machine) to
-     *  sweep; empty = {0, 5, 20}.  0 is a valid point — the harness is
-     *  armed but schedules nothing, pinning the zero-fault baseline. */
+    /** Fault rates, failures per Mcycle per machine (fault).  0 is a
+     *  valid point: the harness is armed but schedules nothing. */
     std::vector<double> faultRates{};
-    /** fault grid: replication modes to sweep; empty = {off, on}. */
+    /** Replication modes (fault). */
     std::vector<bool> replicateModes{};
     /** NVRAM device preset applied to every cell of the grid. */
     NvramDevice nvramDevice = NvramDevice::PaperPcm;
@@ -169,13 +165,12 @@ struct SweepGridOptions
 std::vector<std::string> knownFigures();
 
 /**
- * Build the cell grid reproducing @p figure ("fig5".."fig9", "table3",
- * "table45", the channel-scaling "chan" grid, the core-scaling "scale",
- * "scale64" and "scale256" grids, the open-loop tail-latency "queue"
- * grid, or the tiny CI "smoke" grid), then apply the option filters.
- * Fatal on unknown figure names (the message lists the known grids)
- * and on core counts beyond what the figure's machine preset supports
- * — failing up front beats a Machine assert deep inside a worker.
+ * Build the cell grid of @p figure (one of knownFigures(), defined by
+ * its FigureSpec), then apply the option filters.  Fatal on unknown
+ * figure names (the message lists the known grids), on an axis option
+ * the grid does not sweep, and on core counts beyond what the grid's
+ * machine supports — failing up front beats a Machine assert deep
+ * inside a worker.
  */
 std::vector<SweepCell> buildFigureGrid(const std::string &figure,
                                        const SweepGridOptions &opts = {});

@@ -11,6 +11,7 @@
 
 #include "serve/server.hh"
 #include "sim/system_builder.hh"
+#include "sweep/figure_spec.hh"
 
 namespace ssp::sweep
 {
@@ -158,10 +159,13 @@ sweepReport(const std::string &figure,
               Json::number(r.cell.nvramLatencyMultiplier));
         c.set("ssp_cache_fixed_latency",
               Json::number(r.cell.sspCacheFixedLatency));
-        // Channel/device coordinates are emitted only where they can
-        // deviate from the paper machine, so the pre-refactor reports
-        // (fig5..fig9, table*, smoke) stay byte-identical.
-        if (r.cell.figure == "chan" || r.cell.nvramChannels != 1)
+        // Each optional coordinate or metric group is emitted where the
+        // cell departs from the paper machine, and on every cell of a
+        // grid that always carries it (FigureSpec::emits), so the older
+        // reports stay byte-identical.
+        const FigureSpec *grid = findFigureSpec(r.cell.figure);
+        const unsigned emits = grid != nullptr ? grid->emits : 0;
+        if ((emits & kEmitChannels) != 0 || r.cell.nvramChannels != 1)
             c.set("nvram_channels",
                   Json::number(std::uint64_t{r.cell.nvramChannels}));
         if (r.cell.nvramDevice != NvramDevice::PaperPcm)
@@ -178,32 +182,25 @@ sweepReport(const std::string &figure,
         if (r.cell.offeredLoad > 0)
             c.set("arrival",
                   Json::str(serve::arrivalKindName(r.cell.arrival)));
-        // The coherence coordinate exists on every scale256 cell (the
-        // grid's axis, constant-schema like its metrics) and on any
-        // future directory-mode cell; legacy broadcast reports carry
-        // no coordinate and stay byte-identical.
-        if (r.cell.figure == "scale256" ||
-            r.cell.coherenceMode != CoherenceMode::Broadcast) {
+        const bool coherence_axis =
+            (emits & kEmitCoherence) != 0 ||
+            r.cell.coherenceMode != CoherenceMode::Broadcast;
+        if (coherence_axis) {
             c.set("coherence",
                   Json::str(coherenceModeName(r.cell.coherenceMode)));
         }
-        // The machines coordinate exists on every shard cell (the
-        // grid's axis, constant-schema) and on any future multi-machine
-        // cell; the cross-shard fraction only where 2PC can happen, so
+        // The cross-shard fraction exists only where 2PC can happen, so
         // the 1-machine cells' entries mirror the scale grid's shape.
-        if (r.cell.figure == "shard" || r.cell.figure == "fault" ||
-            r.cell.machines > 1)
+        if ((emits & kEmitMachines) != 0 || r.cell.machines > 1)
             c.set("machines",
                   Json::number(std::uint64_t{r.cell.machines}));
         if (r.cell.machines > 1)
             c.set("cross_shard_pct",
                   Json::number(static_cast<std::uint64_t>(std::lround(
                       r.cell.crossShardFraction * 100))));
-        // Fault coordinates exist on every fault-grid cell (the grid's
-        // axes, constant-schema) and on any future fault-armed cell;
-        // rates are emitted in integer tenths, like the label, so the
-        // document never depends on float formatting.
-        if (r.cell.figure == "fault" || r.cell.faultRate > 0 ||
+        // Fault rates are emitted in integer tenths, like the label, so
+        // the document never depends on float formatting.
+        if ((emits & kEmitFault) != 0 || r.cell.faultRate > 0 ||
             r.cell.replicate) {
             c.set("fault_rate_tenths",
                   Json::number(static_cast<std::uint64_t>(
@@ -246,11 +243,7 @@ sweepReport(const std::string &figure,
         m.set("max_pages_per_tx", Json::number(r.run.maxPagesPerTx));
         // Multi-core-only metrics are gated on the core count so every
         // single-core report stays byte-identical to the 1-core model.
-        // The scale64/scale256 grids opt in at every core count: their
-        // reports are new, and a constant schema across the core axis
-        // is what the scaling analysis scripts want.
-        if (r.cell.cores > 1 || r.cell.figure == "scale64" ||
-            r.cell.figure == "scale256") {
+        if (r.cell.cores > 1 || (emits & kEmitPerCore) != 0) {
             Json busy = Json::array();
             for (std::uint64_t v : r.run.coreBusyCycles)
                 busy.push(Json::number(v));
@@ -265,13 +258,11 @@ sweepReport(const std::string &figure,
                   Json::number(r.run.coherenceInvalidations));
             m.set("coherence_shootdowns",
                   Json::number(r.run.coherenceShootdowns));
-            // Interconnect traffic: the message count exists under both
-            // models on scale256 cells (it is the broadcast-vs-directory
-            // comparison axis); the directory-only counters exist iff
-            // the cell ran the directory model, and are absent from
-            // every broadcast or legacy report.
-            if (r.cell.figure == "scale256" ||
-                r.cell.coherenceMode != CoherenceMode::Broadcast) {
+            // Interconnect traffic: the message count exists wherever
+            // the coherence coordinate does (it is the broadcast-vs-
+            // directory comparison axis); the directory-only counters
+            // exist iff the cell ran the directory model.
+            if (coherence_axis) {
                 m.set("coherence_messages",
                       Json::number(r.run.coherenceMessages));
             }

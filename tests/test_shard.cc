@@ -313,37 +313,6 @@ TEST(ShardGrid, ShapeCoversMachinesAndFractions)
     EXPECT_TRUE(labels.count("shard/REDO-LOG/BTree-Zipf/c4/m8/x50"));
 }
 
-TEST(ShardGrid, SeedsArePinnedToTheScalePlane)
-{
-    // A shard cell replays the scale grid's stream for the same
-    // (workload, backend) at every machine count and fraction — the
-    // cluster axes measure distribution effects, not reseeded noise.
-    const auto shard_cells = sweep::buildFigureGrid("shard");
-    const auto scale_cells = sweep::buildFigureGrid("scale");
-    for (const sweep::SweepCell &s : shard_cells) {
-        bool found = false;
-        for (const sweep::SweepCell &ref : scale_cells) {
-            if (ref.cores == 4 && ref.backend == s.backend &&
-                ref.workload == s.workload) {
-                EXPECT_EQ(ref.scale.seed, s.scale.seed) << s.label();
-                found = true;
-            }
-        }
-        EXPECT_TRUE(found) << s.label();
-    }
-}
-
-TEST(ShardGrid, MachinesOptionIsRejectedElsewhere)
-{
-    sweep::SweepGridOptions opts;
-    opts.machines = {2};
-    EXPECT_THROW(sweep::buildFigureGrid("fig5", opts),
-                 std::runtime_error);
-    EXPECT_THROW(sweep::buildFigureGrid("scale", opts),
-                 std::runtime_error);
-    EXPECT_NO_THROW(sweep::buildFigureGrid("shard", opts));
-}
-
 TEST(ShardSweep, CellsAreDeterministicAcrossJobs)
 {
     sweep::SweepGridOptions opts;

@@ -6,15 +6,21 @@
  * and the sweep CLI's value parsers.
  */
 
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sweep/figure_spec.hh"
 #include "sweep/sweep_grid.hh"
 #include "sweep/sweep_runner.hh"
 #include "tests/test_helpers.hh"
@@ -87,7 +93,7 @@ TEST(SweepGrid, UnknownFigureErrorListsEveryKnownGrid)
     }
 }
 
-TEST(SweepGrid, FigureShapesMatchTheBenches)
+TEST(SweepGrid, PaperGridShapes)
 {
     // fig5: 2 thread counts x 7 microbenchmarks x 3 designs.
     EXPECT_EQ(buildFigureGrid("fig5").size(), 2u * 7u * 3u);
@@ -110,7 +116,9 @@ TEST(SweepGrid, FiltersApply)
         EXPECT_EQ(cell.backend, BackendKind::Ssp);
 
     opts.workloads = {WorkloadKind::Sps};
-    for (const SweepCell &cell : buildFigureGrid("fig6", opts)) {
+    const auto cells = buildFigureGrid("fig9", opts);
+    EXPECT_EQ(cells.size(), 5u); // SSP at five SSP-cache latencies
+    for (const SweepCell &cell : cells) {
         EXPECT_EQ(cell.backend, BackendKind::Ssp);
         EXPECT_EQ(cell.workload, WorkloadKind::Sps);
     }
@@ -154,17 +162,36 @@ TEST(SweepGrid, ChanGridSweepsChannelCounts)
     }
 }
 
-TEST(SweepGrid, ChanGridSharesSeedsAcrossChannelCounts)
+TEST(SweepGrid, AxisGridsPinOneSeedPerWorkloadAndBackend)
 {
-    // Cells differing only in channel count must replay the identical
-    // operation stream, so channel scaling is measured on the same work.
-    const auto cells = buildFigureGrid("chan");
-    for (const SweepCell &a : cells) {
-        for (const SweepCell &b : cells) {
-            if (a.backend == b.backend && a.workload == b.workload) {
-                EXPECT_EQ(a.scale.seed, b.scale.seed);
-            }
+    // Every axis point replays the identical operation stream: the cells
+    // of a grid that differ only in axis values (channels, cores, loads,
+    // coherence, machines, fraction, fault rate, replication) share a
+    // seed.  The cluster grids pin to the scale grid's plane, so their
+    // seeds are the scale grid's.
+    using Key = std::pair<BackendKind, WorkloadKind>;
+    std::map<std::string, std::map<Key, std::uint64_t>> seeds;
+    for (const char *figure : {"scale", "chan", "scale64", "scale256",
+                               "queue", "shard", "fault"}) {
+        for (const SweepCell &cell : buildFigureGrid(figure)) {
+            const auto [it, fresh] = seeds[figure].emplace(
+                Key{cell.backend, cell.workload}, cell.scale.seed);
+            EXPECT_EQ(it->second, cell.scale.seed) << cell.label();
         }
+    }
+    for (const char *figure : {"shard", "fault"}) {
+        for (const auto &[key, seed] : seeds[figure])
+            EXPECT_EQ(seed, seeds["scale"].at(key)) << figure;
+    }
+    // The ordinal is pinned, not positional: a sub-list of the axis keeps
+    // every cell's stream.
+    SweepGridOptions only64;
+    only64.coreCounts = {64};
+    const auto cells = buildFigureGrid("scale64", only64);
+    ASSERT_EQ(cells.size(), 18u);
+    for (const SweepCell &cell : cells) {
+        EXPECT_EQ(cell.scale.seed,
+                  seeds["scale64"].at(Key{cell.backend, cell.workload}));
     }
 }
 
@@ -458,30 +485,6 @@ TEST(SweepGrid, Scale64GridCoversTheBigMachineTo64Cores)
     EXPECT_EQ(cores, (std::set<unsigned>{1, 2, 4, 8, 16, 32, 64}));
 }
 
-TEST(SweepGrid, Scale64SeedsArePinnedPerWorkloadBackend)
-{
-    SweepGridOptions all;
-    const auto full = buildFigureGrid("scale64", all);
-    SweepGridOptions one;
-    one.coreCounts = {64};
-    const auto only64 = buildFigureGrid("scale64", one);
-    ASSERT_EQ(only64.size(), 18u);
-    // A 64-core cell replays the same stream whether or not the other
-    // core counts were generated (the ordinal is pinned, not
-    // positional).
-    for (const auto &cell : only64) {
-        bool found = false;
-        for (const auto &ref : full) {
-            if (ref.cores == 64 && ref.backend == cell.backend &&
-                ref.workload == cell.workload) {
-                EXPECT_EQ(ref.scale.seed, cell.scale.seed);
-                found = true;
-            }
-        }
-        EXPECT_TRUE(found);
-    }
-}
-
 TEST(SweepReport, Scale64EmitsPerCoreCountersAtEveryCoreCount)
 {
     SweepGridOptions opts;
@@ -542,30 +545,53 @@ TEST(SweepGrid, QueueGridCoversLoadsCoresAndSharingScenarios)
                              "poisson/load120"));
 }
 
-TEST(SweepGrid, QueueSeedsArePinnedAcrossLoadsAndCores)
+TEST(SweepGrid, AxisOptionsApplyOnlyToTheGridsThatSweepThem)
 {
-    // Cells differing only in offered load or core count replay the
-    // identical key stream — the load axis measures queueing delay on
-    // the same work.
-    const auto cells = buildFigureGrid("queue");
-    for (const SweepCell &a : cells) {
-        for (const SweepCell &b : cells) {
-            if (a.backend == b.backend && a.workload == b.workload) {
-                EXPECT_EQ(a.scale.seed, b.scale.seed);
+    // Written out here rather than read from the registry: which grid
+    // sweeps which axis is the contract under test.
+    const std::vector<std::string> figures = {
+        "fig5",    "fig8",     "fig9",  "table3", "table45", "chan", "scale",
+        "scale64", "scale256", "queue", "shard",  "fault",   "smoke"};
+    EXPECT_EQ(knownFigures(), figures);
+    const std::map<std::string, std::set<std::string>> sweeps = {
+        {"chan", {"channels"}},
+        {"scale", {"cores"}},
+        {"scale64", {"cores"}},
+        {"scale256", {"cores"}},
+        {"queue", {"cores", "loads", "arrival"}},
+        {"shard", {"machines"}},
+        {"fault", {"machines", "fault rates", "replicate"}},
+    };
+    for (const std::string &figure : figures) {
+        for (const std::string axis :
+             {"channels", "cores", "loads", "arrival", "machines",
+              "fault rates", "replicate"}) {
+            SweepGridOptions opts;
+            if (axis == "channels")
+                opts.channels = {2};
+            if (axis == "cores")
+                opts.coreCounts = {4};
+            if (axis == "loads")
+                opts.loads = {0.5};
+            if (axis == "arrival")
+                opts.arrival = serve::ArrivalKind::Bursty;
+            if (axis == "machines")
+                opts.machines = {2};
+            if (axis == "fault rates")
+                opts.faultRates = {5};
+            if (axis == "replicate")
+                opts.replicateModes = {true};
+            const auto it = sweeps.find(figure);
+            if (it != sweeps.end() && it->second.count(axis) != 0) {
+                EXPECT_NO_THROW(buildFigureGrid(figure, opts))
+                    << figure << " x " << axis;
+            } else {
+                EXPECT_THROW(buildFigureGrid(figure, opts),
+                             std::runtime_error)
+                    << figure << " x " << axis;
             }
         }
     }
-}
-
-TEST(SweepGrid, QueueOnlyOptionsAreRejectedElsewhere)
-{
-    SweepGridOptions opts;
-    opts.loads = {0.5};
-    EXPECT_THROW(buildFigureGrid("fig5", opts), std::runtime_error);
-    EXPECT_THROW(buildFigureGrid("scale", opts), std::runtime_error);
-    opts.loads.clear();
-    opts.coreCounts = {4};
-    EXPECT_NO_THROW(buildFigureGrid("queue", opts));
 }
 
 TEST(SweepCli, LoadListParsesValidInputAndRejectsGarbage)
@@ -696,21 +722,6 @@ TEST(SweepGrid, Scale256PairsBroadcastAndDirectoryAtEveryCoreCount)
     EXPECT_EQ(labels.size(), cells.size());
 }
 
-TEST(SweepGrid, Scale256SeedsArePinnedAcrossCoherenceModesAndCores)
-{
-    // A broadcast cell and its directory twin (and every core count)
-    // replay the identical operation stream: any traffic or cycle
-    // difference between them is the interconnect, not reseeded noise.
-    const auto cells = buildFigureGrid("scale256");
-    for (const SweepCell &a : cells) {
-        for (const SweepCell &b : cells) {
-            if (a.backend == b.backend && a.workload == b.workload) {
-                EXPECT_EQ(a.scale.seed, b.scale.seed);
-            }
-        }
-    }
-}
-
 TEST(SweepReport, Scale256EmitsDirectoryCountersOnlyInDirectoryMode)
 {
     SweepGridOptions opts;
@@ -780,6 +791,138 @@ TEST(SweepRunner, Scale256CellsAreDeterministicAcrossJobs)
     const Json a = sweepReport("scale256", serial);
     const Json b = sweepReport("scale256", parallel);
     EXPECT_EQ(a.dump(2), b.dump(2));
+}
+
+// ---- paper tables ----------------------------------------------------------
+
+/** The fields of row @p name in the table under banner @p title
+ *  ("Figure 5a"); empty if there is no such row. */
+std::vector<std::string>
+tableRow(const std::string &text, const std::string &title,
+         const std::string &name)
+{
+    const std::size_t at = text.find("= " + title + ":");
+    if (at == std::string::npos)
+        return {};
+    std::istringstream in(text.substr(at + 1));
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("= ", 0) == 0)
+            break; // the next table
+        std::istringstream words(line);
+        std::vector<std::string> fields{
+            std::istream_iterator<std::string>(words), {}};
+        if (!fields.empty() && fields[0] == name)
+            return fields;
+    }
+    return {};
+}
+
+/** Every field of the row is present: a value, not "-". */
+void
+expectComplete(const std::vector<std::string> &fields)
+{
+    EXPECT_FALSE(fields.empty());
+    for (const std::string &f : fields)
+        EXPECT_NE(f, "-");
+}
+
+TEST(FigureTables, Fig5ReportRendersFigs5To7)
+{
+    const Json report = ssp::test::loadCheckedIn("BENCH_fig5.json");
+    const std::string text = renderPaperTables(report);
+    for (const char *title : {"Figure 5a", "Figure 5b", "Figure 6",
+                              "Figure 7a", "Figure 7b"}) {
+        for (WorkloadKind w : microbenchmarks()) {
+            SCOPED_TRACE(std::string(title) + " " + workloadKindName(w));
+            expectComplete(tableRow(text, title, workloadKindName(w)));
+        }
+    }
+    EXPECT_EQ(text.find("nan"), std::string::npos);
+    EXPECT_EQ(text.find("inf"), std::string::npos);
+
+    // The geomeans equal the ones computed straight from the metrics.
+    std::map<std::string, double> tps;
+    for (std::size_t i = 0; i < report["cells"].size(); ++i) {
+        const Json &c = report["cells"].at(i);
+        tps[c["label"].asString()] = c["metrics"]["tps"].asDouble();
+    }
+    for (const auto &[title, cores] : {std::pair{"Figure 5a", "/c1"},
+                                       std::pair{"Figure 5b", "/c4"}}) {
+        double vs_undo = 1, vs_redo = 1;
+        for (WorkloadKind w : microbenchmarks()) {
+            auto at = [&](const char *backend) {
+                return tps.at(std::string("fig5/") + backend + "/" +
+                              workloadKindName(w) + cores);
+            };
+            vs_undo *= at("SSP") / at("UNDO-LOG");
+            vs_redo *= at("SSP") / at("REDO-LOG");
+        }
+        const auto geomean = tableRow(text, title, "geomean");
+        ASSERT_EQ(geomean.size(), 6u) << title;
+        EXPECT_EQ(geomean[4], fmtDouble(std::pow(vs_undo, 1.0 / 7)));
+        EXPECT_EQ(geomean[5], fmtDouble(std::pow(vs_redo, 1.0 / 7)));
+    }
+    EXPECT_NE(text.find("paper reference: Fig 5b"), std::string::npos);
+}
+
+TEST(FigureTables, SmallRunsRenderEveryRow)
+{
+    SweepGridOptions opts;
+    opts.txs = 40;
+    opts.scale.keySpace = 256;
+    opts.scale.spsElements = 1024;
+    // Per figure: the one workload run, and the rows (table, row label)
+    // it must print.
+    using Rows = std::vector<std::pair<const char *, const char *>>;
+    const std::vector<std::tuple<const char *, WorkloadKind, Rows>> cases =
+        {{"fig8", WorkloadKind::BTreeRand,
+          {{"Figure 8b", "x1"}, {"Figure 8b", "x5"}, {"Figure 8b", "x9"}}},
+         {"fig9", WorkloadKind::Sps,
+          {{"Figure 9", "20"}, {"Figure 9", "100"}, {"Figure 9", "180"}}},
+         {"table3", WorkloadKind::Vacation, {{"Table 3", "Vacation"}}},
+         {"table45", WorkloadKind::Memcached,
+          {{"Table 4", "Memcached"}, {"Table 5", "Memcached"}}}};
+    for (const auto &[figure, workload, rows] : cases) {
+        opts.workloads = {workload};
+        const auto results = runSweep(buildFigureGrid(figure, opts), 4);
+        const std::string text =
+            renderPaperTables(sweepReport(figure, results));
+        for (const auto &[title, name] : rows) {
+            SCOPED_TRACE(std::string(title) + " " + name);
+            expectComplete(tableRow(text, title, name));
+        }
+        EXPECT_EQ(text.find("nan"), std::string::npos) << figure;
+        EXPECT_EQ(text.find("inf"), std::string::npos) << figure;
+    }
+}
+
+TEST(FigureTables, FilteredReportPrintsDashesForMissingBaselines)
+{
+    // A --backends ssp run of fig5: every comparison with UNDO-LOG or
+    // REDO-LOG is missing, never a division by zero.
+    const Json full = ssp::test::loadCheckedIn("BENCH_fig5.json");
+    Json cells = Json::array();
+    for (std::size_t i = 0; i < full["cells"].size(); ++i) {
+        if (full["cells"].at(i)["backend"].asString() == "SSP")
+            cells.push(full["cells"].at(i));
+    }
+    Json report = Json::object();
+    report.set("figure", Json::str("fig5"));
+    report.set("cells", std::move(cells));
+    const std::string text = renderPaperTables(report);
+    auto dashes = [](const char *name) {
+        std::vector<std::string> fields(6, "-");
+        fields[0] = name;
+        return fields;
+    };
+    EXPECT_EQ(tableRow(text, "Figure 5a", "SPS"), dashes("SPS"));
+    EXPECT_EQ(tableRow(text, "Figure 5a", "geomean"), dashes("geomean"));
+    EXPECT_EQ(tableRow(text, "Figure 6", "SPS"), dashes("SPS"));
+    EXPECT_EQ(tableRow(text, "Figure 7a", "average"), dashes("average"));
+    // SSP's own write breakdown needs no baseline.
+    expectComplete(tableRow(text, "Figure 7b", "SPS"));
+    EXPECT_EQ(text.find("nan"), std::string::npos);
+    EXPECT_EQ(text.find("inf"), std::string::npos);
 }
 
 } // namespace
