@@ -10,6 +10,10 @@ namespace ssp
 Cache::Cache(const CacheParams &params) : params_(params)
 {
     ssp_assert(params.ways > 0);
+    if (params.ways > kMaxWays)
+        ssp_fatal("cache '%s': %u ways exceeds the limit of %u (one "
+                  "4-bit way number per recency-word nibble)",
+                  params.name.c_str(), params.ways, kMaxWays);
     const std::uint64_t num_lines = params.sizeBytes / kLineSize;
     ssp_assert(num_lines % params.ways == 0,
                "cache size must be a multiple of ways*line");
@@ -21,26 +25,26 @@ Cache::Cache(const CacheParams &params) : params_(params)
     // lazily-mapped zero pages — a 96 MiB L3's tag array costs nothing
     // until its sets are actually filled (every sweep cell builds a
     // fresh machine, so eager zeroing was measurable per-cell setup).
+    // An all-zero recency word is the identity order (see the class
+    // comment).
     tags_.reset(static_cast<std::uint64_t *>(
         std::calloc(num_lines, sizeof(std::uint64_t))));
-    lru_.reset(static_cast<std::uint64_t *>(
-        std::calloc(num_lines, sizeof(std::uint64_t))));
-    ssp_assert(tags_ != nullptr && lru_ != nullptr);
+    recency_.reset(static_cast<std::uint64_t *>(
+        std::calloc(numSets_, sizeof(std::uint64_t))));
+    ssp_assert(tags_ != nullptr && recency_ != nullptr);
     filledSets_.assign((numSets_ + 63) / 64, 0);
 }
 
-std::uint64_t
+unsigned
 Cache::victimIn(std::uint64_t set) const
 {
     const std::uint64_t base = set * params_.ways;
-    std::uint64_t victim = kNoLine;
     for (unsigned w = 0; w < params_.ways; ++w) {
         if ((tags_[base + w] & kValidBit) == 0)
-            return base + w;
-        if (victim == kNoLine || lru_[base + w] < lru_[victim])
-            victim = base + w;
+            return w;
     }
-    return victim;
+    const std::uint64_t order = recency_[set] ^ kIdentityOrder;
+    return static_cast<unsigned>(order >> (4 * (params_.ways - 1))) & 0xF;
 }
 
 void
@@ -73,7 +77,7 @@ Cache::insert(Addr line_addr, bool dirty, bool tx)
     if (idx != kNoLine) {
         // Merging an insert into a present line keeps the stickier state.
         tags_[idx] |= (dirty ? kDirtyBit : 0) | (tx ? kTxFlagBit : 0);
-        touch(idx);
+        touchHint();
         return res;
     }
     return fillVictim(line_addr, dirty, tx);
@@ -85,7 +89,8 @@ Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
     CacheAccessResult res;
     const std::uint64_t set = setOf(line_addr);
     filledSets_[set >> 6] |= std::uint64_t{1} << (set & 63);
-    const std::uint64_t idx = victimIn(set);
+    const unsigned way = victimIn(set);
+    const std::uint64_t idx = set * params_.ways + way;
     const std::uint64_t old = tags_[idx];
     if ((old & kValidBit) != 0) {
         ++evictions_;
@@ -99,7 +104,10 @@ Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
     notifyAdd(line_addr);
     tags_[idx] = line_addr | kValidBit | (dirty ? kDirtyBit : 0) |
                  (tx ? kTxFlagBit : 0);
-    touch(idx);
+    touch(set, way);
+    hint_ = idx;
+    hintSet_ = set;
+    hintWay_ = way;
     return res;
 }
 
@@ -157,6 +165,8 @@ Cache::invalidateAll()
     // a full scan would, so the sharer index sees the same removals.
     // Untouched sets are never read, which keeps the calloc-backed
     // arrays' untouched pages unmapped across simulated power failures.
+    // Recency words are left as they are: every way is invalid, so
+    // each is filled, and thereby touched, before it can be a victim.
     for (std::uint64_t w = 0; w < filledSets_.size(); ++w) {
         for (std::uint64_t bits = filledSets_[w]; bits != 0;
              bits &= bits - 1) {
@@ -167,7 +177,6 @@ Cache::invalidateAll()
                     continue;
                 notifyRemove(tags_[i] & kTagMask);
                 tags_[i] = 0;
-                lru_[i] = 0;
             }
         }
         filledSets_[w] = 0;

@@ -16,6 +16,7 @@
 #ifndef SSP_CACHE_CACHE_HH
 #define SSP_CACHE_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -37,6 +38,8 @@ struct CacheParams
      *  same dangling-pointer class MemTimingParams::name fixed). */
     std::string name = "cache";
     std::uint64_t sizeBytes = 32 * 1024;
+    /** Associativity, 1 to Cache::kMaxWays (16): a set's LRU order
+     *  is one 64-bit word of 4-bit way numbers. */
     unsigned ways = 8;
     /** Lookup latency in core cycles (Table 2: 4 / 6 / 27). */
     Cycles latency = 4;
@@ -58,17 +61,25 @@ struct CacheAccessResult
  * Tag/state array for one cache level.  True-LRU replacement within the
  * set; victims are reported to the caller, which models the next level.
  *
- * Storage is structure-of-arrays: one packed tag word per line (the
- * 64-byte-aligned line address with the valid/dirty/TX flags packed into
- * the low bits) plus a separate LRU-stamp array.  A whole 8-way set's
- * tags then sit in a single host cache line, so the way scan touches one
- * line instead of striding across fat structs.  (Interleaving each
- * set's stamps after its tags was tried and dropped: no significant
- * gain, and one 24 MiB array for a 96 MiB L3 raised glibc's dynamic
- * mmap threshold enough to grow peak RSS by a fifth.)
+ * Storage is one packed tag word per line (the 64-byte-aligned line
+ * address with the valid/dirty/TX flags packed into the low bits) plus
+ * one recency word per set.  A whole 8-way set's tags sit in a single
+ * host cache line, so the way scan touches one line.
+ *
+ * True LRU needs only the order of a set's ways, not when each was
+ * used: the recency word holds that order as a permutation of way
+ * numbers, one 4-bit nibble each, most recently used in nibble 0 (so at
+ * most kMaxWays = 16 ways).  It is stored XOR kIdentityOrder, the
+ * permutation 0, 1, ..., 15, so the calloc'd all-zero word is a valid
+ * order.  The victim is the first invalid way, else the order's last
+ * nibble, the least recently used way — exactly what per-line
+ * timestamps would pick: an invalid way always wins, and every fill
+ * touches its way, so once all ways are valid the order ranks each by
+ * its last use.  Replacement state is 8 bytes per set rather than per
+ * line.
  *
  * Every lookup first tries a hint naming the last slot found or
- * touched, with the full tag-and-valid compare, and only then scans the
+ * filled, with the full tag-and-valid compare, and only then scans the
  * set.  That is exact: a valid line lives in exactly one slot, so a
  * hinted slot holding it is that slot.  Consecutive accesses often
  * repeat a line, and then the lookup costs one compare.
@@ -76,6 +87,10 @@ struct CacheAccessResult
 class Cache
 {
   public:
+    /** Largest associativity: 16 four-bit way numbers fill the
+     *  recency word. */
+    static constexpr unsigned kMaxWays = 16;
+
     explicit Cache(const CacheParams &params);
 
     /**
@@ -127,7 +142,7 @@ class Cache
         ++hits_;
         if (is_write)
             tags_[idx] |= kDirtyBit;
-        touch(idx);
+        touchHint();
         return true;
     }
 
@@ -221,6 +236,10 @@ class Cache
     static constexpr std::uint64_t kTagMask = ~kFlagsMask;
     /** "No such line" sentinel index. */
     static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+    /** Stored recency word XOR this is the set's MRU-first order; the
+     *  nibbles at positions >= ways keep their identity value. */
+    static constexpr std::uint64_t kIdentityOrder = 0xFEDCBA9876543210;
+    static constexpr std::uint64_t kNibbleOnes = 0x1111111111111111;
 
     /** Set index: line number modulo the set count, taken with a mask
      *  when the count is a power of two (L1, L2) and with a division
@@ -238,28 +257,50 @@ class Cache
     {
         // One compare per slot: tag equality and the valid bit test
         // fold into a single masked comparison against addr|valid.
+        // A found slot becomes the hint, which carries its set and way
+        // to touch(), so no caller divides a slot index by the ways.
         const std::uint64_t want = line_addr | kValidBit;
         if ((tags_[hint_] & (kTagMask | kValidBit)) == want)
             return hint_;
-        const std::uint64_t base = setOf(line_addr) * params_.ways;
+        const std::uint64_t set = setOf(line_addr);
+        const std::uint64_t base = set * params_.ways;
         for (unsigned w = 0; w < params_.ways; ++w) {
             if ((tags_[base + w] & (kTagMask | kValidBit)) == want) {
                 hint_ = base + w;
+                hintSet_ = set;
+                hintWay_ = w;
                 return hint_;
             }
         }
         return kNoLine;
     }
 
-    /** Victim slot in @p set: first invalid way, else lowest LRU. */
-    std::uint64_t victimIn(std::uint64_t set) const;
-    /** Stamp the slot at @p idx most recently used. */
+    /** Victim way in @p set: first invalid way, else the LRU way. */
+    unsigned victimIn(std::uint64_t set) const;
+    /** Make way @p way of @p set its most recently used. */
     void
-    touch(std::uint64_t idx)
+    touch(std::uint64_t set, unsigned way)
     {
-        lru_[idx] = ++lruClock_;
-        hint_ = idx;
+        const std::uint64_t order = recency_[set] ^ kIdentityOrder;
+        if ((order & 0xF) == way)
+            return; // already MRU: a repeated hit changes nothing
+        // The nibble equal to way is the lowest zero nibble of x; the
+        // borrow trick marks it exactly (only nibbles above the first
+        // zero can be marked falsely).
+        const std::uint64_t x = order ^ (way * kNibbleOnes);
+        const std::uint64_t zeros =
+            (x - kNibbleOnes) & ~x & (kNibbleOnes << 3);
+        ssp_assert_dbg(zeros != 0, "way %u missing from the recency order",
+                       way);
+        // Shift the nibbles before way's position up one, put way first.
+        const std::uint64_t below =
+            (std::uint64_t{1} << (std::countr_zero(zeros) - 3)) - 1;
+        const std::uint64_t moved = (below << 4) | 0xF;
+        recency_[set] = ((order & ~moved) | ((order & below) << 4) | way) ^
+                        kIdentityOrder;
     }
+    /** touch() the slot findIdx() just returned. */
+    void touchHint() { touch(hintSet_, hintWay_); }
     void notifyAdd(Addr line_addr);
     void notifyRemove(Addr line_addr);
     /** Allocate @p line_addr (known absent) over the set's victim. */
@@ -275,16 +316,18 @@ class Cache
     std::uint64_t numLines_;
     /** numLines_ packed tag words, set-major; calloc'd (see above). */
     std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;
-    /** numLines_ LRU stamps, parallel to tags_; calloc'd. */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> lru_;
-    /** Index of the last slot found or touched; any in-range slot is
-     *  safe, since findIdx() re-verifies it in full. */
+    /** numSets_ recency words, stored XOR kIdentityOrder; calloc'd. */
+    std::unique_ptr<std::uint64_t[], FreeDeleter> recency_;
+    /** Index of the last slot found or filled, with its set and way;
+     *  any in-range slot is safe, since findIdx() re-verifies it in
+     *  full. */
     mutable std::uint64_t hint_ = 0;
+    mutable std::uint64_t hintSet_ = 0;
+    mutable unsigned hintWay_ = 0;
     /** One bit per set: some way was filled since the last
      *  invalidateAll().  Only fillVictim() makes a slot valid, so an
      *  unmarked set holds no valid line. */
     std::vector<std::uint64_t> filledSets_;
-    std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;

@@ -20,7 +20,8 @@ MemTimingParams::writeHitLatency() const
 }
 
 MemTimingModel::MemTimingModel(const MemTimingParams &params)
-    : params_(params), banks_(params.banks)
+    : params_(params), readHitLatency_(params.readHitLatency()),
+      writeHitLatency_(params.writeHitLatency()), banks_(params.banks)
 {
     ssp_assert(params.banks > 0);
     ssp_assert(params.rowBufferBytes >= kLineSize);
@@ -51,8 +52,7 @@ MemTimingModel::access(Addr addr, bool is_write, Cycles now,
     Cycles latency;
     if (row_hit) {
         ++rowHits_;
-        latency = is_write ? params_.writeHitLatency()
-                           : params_.readHitLatency();
+        latency = is_write ? writeHitLatency_ : readHitLatency_;
     } else {
         ++rowMisses_;
         latency = is_write ? params_.writeLatency : params_.readLatency;

@@ -117,6 +117,10 @@ class MemTimingModel
     std::uint64_t rowOf(Addr addr) const;
 
     MemTimingParams params_;
+    /** params_.readHitLatency()/writeHitLatency(), computed once: a
+     *  row hit then costs no floating-point multiply. */
+    Cycles readHitLatency_;
+    Cycles writeHitLatency_;
     std::vector<Bank> banks_;
     std::uint64_t rowHits_ = 0;
     std::uint64_t rowMisses_ = 0;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -624,9 +626,33 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
     EXPECT_EQ(cache.validLines(), ref.validLines());
 }
 
+// One geometry per way count the recency word packs differently:
+// direct-mapped (a single nibble, never reordered), 2, 4, 8, 12 (not a
+// power of two, so the LRU nibble sits mid-word) and 16 (every nibble).
+
+TEST(CacheGeometry, DirectMappedMatchesTheReference)
+{
+    runCacheDifferential(4 * 1024, 1, 4); // 64 sets
+}
+
+TEST(CacheGeometry, TwoWayMatchesTheReference)
+{
+    runCacheDifferential(8 * 1024, 2, 5); // 64 sets
+}
+
+TEST(CacheGeometry, FourWayMatchesTheReference)
+{
+    runCacheDifferential(16 * 1024, 4, 6); // 64 sets
+}
+
 TEST(CacheGeometry, PowerOfTwoSetsMatchTheReference)
 {
     runCacheDifferential(32 * 1024, 8, 1); // 64 sets (L1)
+}
+
+TEST(CacheGeometry, TwelveWayMatchesTheReference)
+{
+    runCacheDifferential(3ull << 20, 12, 7); // 4,096 sets
 }
 
 TEST(CacheGeometry, TwelveMiBL3MatchesTheReference)
@@ -637,6 +663,20 @@ TEST(CacheGeometry, TwelveMiBL3MatchesTheReference)
 TEST(CacheGeometry, NinetySixMiBL3MatchesTheReference)
 {
     runCacheDifferential(96ull << 20, 16, 3); // 98,304 sets
+}
+
+TEST(CacheGeometry, MoreThanSixteenWaysIsFatal)
+{
+    // ssp_fatal throws, so a configuration error is catchable here.
+    EXPECT_NO_THROW(Cache(CacheParams{"l3", 64 * 1024, 16, 1}));
+    try {
+        Cache c(CacheParams{"l3", 68 * 1024, 17, 1});
+        FAIL() << "a 17-way cache was built";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("limit of 16"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -391,5 +391,44 @@ TEST(SweepSchema, Scale256CheckedInReportPairsModesAndDirectoryWins)
     }
 }
 
+TEST(SweepSchema, Fig5PaperDirectionalClaims)
+{
+    // The paper's directional claims (Figs 5-7), per workload at 1 and
+    // 4 threads: SSP is faster than both logging designs, writes less
+    // NVRAM than UNDO-LOG, and logs less than both.  SSP also writes
+    // less NVRAM than REDO-LOG in the paper, but not in this model on
+    // the cells below (consolidation and journal lines outweigh REDO's
+    // saved log writes; README "Reproduction").  A model change that
+    // closes or widens that gap updates this set and README together.
+    const std::set<std::string> ssp_writes_at_least_redo = {
+        "Hash-Rand/c1", "RBTree-Rand/c1", "RBTree-Zipf/c1", "SPS/c1",
+        "RBTree-Rand/c4"};
+    const Json doc = loadCheckedIn("BENCH_fig5.json");
+    ASSERT_EQ(doc["figure"].asString(), "fig5");
+    const auto cells = cellsByLabel(doc);
+    for (const std::string workload :
+         {"BTree-Rand", "BTree-Zipf", "Hash-Rand", "Hash-Zipf",
+          "RBTree-Rand", "RBTree-Zipf", "SPS"}) {
+        for (const std::string cores : {"c1", "c4"}) {
+            const std::string point = workload + "/" + cores;
+            SCOPED_TRACE(point);
+            const Json *ssp = twinMetrics(cells, "fig5/SSP/" + point);
+            const Json *undo = twinMetrics(cells, "fig5/UNDO-LOG/" + point);
+            const Json *redo = twinMetrics(cells, "fig5/REDO-LOG/" + point);
+            ASSERT_TRUE(ssp != nullptr && undo != nullptr && redo != nullptr);
+            auto of = [](const Json *m, const char *key) {
+                return (*m)[key].asDouble();
+            };
+            EXPECT_GT(of(ssp, "tps"), of(undo, "tps"));
+            EXPECT_GT(of(ssp, "tps"), of(redo, "tps"));
+            EXPECT_LT(of(ssp, "nvram_writes"), of(undo, "nvram_writes"));
+            EXPECT_LT(of(ssp, "logging_writes"), of(undo, "logging_writes"));
+            EXPECT_LT(of(ssp, "logging_writes"), of(redo, "logging_writes"));
+            EXPECT_EQ(of(ssp, "nvram_writes") >= of(redo, "nvram_writes"),
+                      ssp_writes_at_least_redo.count(point) == 1);
+        }
+    }
+}
+
 } // namespace
 } // namespace ssp::sweep::test
