@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -40,7 +39,7 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
 
     // Measured phase starts from a barrier, like every closed-loop run.
     machine.syncClocks();
-    const RunBaseline base = captureRunBaseline(exp);
+    const RunResult base = captureRunBaseline(exp);
     const Cycles serve_start = machine.maxClock();
 
     RunResult res;
@@ -77,17 +76,6 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
         ++res.coreTxs[core];
     };
 
-    // Injected fault epochs: each scheduled fault crashes + recovers
-    // the backend the moment simulated time would cross its offset, and
-    // completions inside the window around it are binned separately.
-    for (std::size_t i = 1; i < params.faultAt.size(); ++i) {
-        ssp_assert(params.faultAt[i - 1] < params.faultAt[i],
-                   "serve fault offsets must be ascending");
-    }
-    std::size_t next_fault = 0;
-    std::vector<std::pair<Cycles, Cycles>> epochs;
-    LatencyHistogram epoch_hist;
-
     while (delivered < num_requests || waiting > 0) {
         // The earliest possible dispatch: among cores with waiting
         // requests, the lowest start cycle (ties to the lowest core id).
@@ -103,34 +91,6 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
                 have_dispatch = true;
                 best_core = c;
                 best_start = start;
-            }
-        }
-
-        if (next_fault < params.faultAt.size()) {
-            const Cycles t_fault =
-                serve_start + params.faultAt[next_fault];
-            const bool arrival_next =
-                delivered < num_requests &&
-                (!have_dispatch || next_arrival <= best_start);
-            const Cycles t_next =
-                arrival_next ? next_arrival : best_start;
-            if (t_fault <= t_next) {
-                // Power failure mid-serving: volatile state is lost,
-                // recovery replays the durable image, and every core
-                // stalls for the outage.  Queued requests are host-side
-                // client state and survive to be served late.
-                advance_to(t_fault);
-                be.crash();
-                be.recover();
-                for (unsigned c = 0; c < num_cores; ++c) {
-                    machine.clock(c) =
-                        std::max(machine.clock(c), t_fault) +
-                        params.faultStallCycles;
-                }
-                epochs.emplace_back(
-                    t_fault, t_fault + 2 * params.faultStallCycles);
-                ++next_fault;
-                continue;
             }
         }
 
@@ -164,12 +124,6 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
         run_one(best_core);
         const Cycles done = machine.clock(best_core);
         hists[best_core].record(done - arrived);
-        for (const auto &[from, to] : epochs) {
-            if (done >= from && done <= to) {
-                epoch_hist.record(done - arrived);
-                break;
-            }
-        }
     }
 
     finishRunMetrics(res, exp, base);
@@ -184,10 +138,6 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     res.p999Cycles = merged.percentile(0.999);
     res.rejectedTxs = rejected;
     res.offeredLoad = params.offeredLoad;
-    res.faultEpochs = static_cast<std::uint64_t>(epochs.size());
-    res.faultEpochTxs = epoch_hist.count();
-    res.p99FaultEpochCycles =
-        epoch_hist.count() > 0 ? epoch_hist.percentile(0.99) : 0;
     const Cycles elapsed = machine.maxClock() - serve_start;
     res.meanQueueDepth =
         elapsed == 0 ? 0 : depth_area / static_cast<double>(elapsed);

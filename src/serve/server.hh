@@ -28,8 +28,6 @@
 #ifndef SSP_SERVE_SERVER_HH
 #define SSP_SERVE_SERVER_HH
 
-#include <vector>
-
 #include "serve/arrival.hh"
 #include "sim/driver.hh"
 
@@ -50,19 +48,6 @@ struct ServeParams
     /** Seed of the arrival process RNG stream (independent of the
      *  workload's key stream). */
     std::uint64_t seed = 1;
-    /**
-     * Fault epochs: offsets (cycles after the measured phase starts,
-     * ascending) at which the machine power-fails mid-serving.  Each
-     * fault crashes + recovers the backend and stalls every core for
-     * faultStallCycles; completions inside the window
-     * [fault, fault + 2 * faultStallCycles] are binned separately, so
-     * the tail latency is reported conditioned on the fault
-     * (RunResult::p99FaultEpochCycles).  Empty = no faults, the
-     * byte-identical default.
-     */
-    std::vector<Cycles> faultAt{};
-    /** Downtime charged per injected serve fault. */
-    Cycles faultStallCycles = 300000;
 };
 
 /**

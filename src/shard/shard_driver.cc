@@ -1,9 +1,8 @@
 #include "shard/shard_driver.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "sim/metrics.hh"
 
 namespace ssp::shard
 {
@@ -13,45 +12,13 @@ namespace
 
 /** Roll the per-shard results into the cluster-wide aggregate. */
 RunResult
-aggregateShards(const std::vector<RunResult> &shards, unsigned num_cores)
+aggregateShards(const std::vector<RunResult> &shards)
 {
     RunResult agg;
     agg.backend = shards[0].backend;
     agg.workload = shards[0].workload;
-    agg.coreBusyCycles.assign(num_cores, 0);
-    agg.coreTxs.assign(num_cores, 0);
-    for (const RunResult &s : shards) {
-        agg.committedTxs += s.committedTxs;
-        agg.cycles = std::max(agg.cycles, s.cycles);
-        agg.nvramWrites += s.nvramWrites;
-        agg.loggingWrites += s.loggingWrites;
-        agg.dataWrites += s.dataWrites;
-        agg.consolidationWrites += s.consolidationWrites;
-        agg.checkpointWrites += s.checkpointWrites;
-        agg.journalWrites += s.journalWrites;
-        agg.coherenceFlips += s.coherenceFlips;
-        agg.coherenceInvalidations += s.coherenceInvalidations;
-        agg.coherenceShootdowns += s.coherenceShootdowns;
-        agg.coherenceMessages += s.coherenceMessages;
-        agg.directoryLookups += s.directoryLookups;
-        agg.hopTraversalCycles += s.hopTraversalCycles;
-        agg.snoopFilterEvictions += s.snoopFilterEvictions;
-        agg.backInvalidations += s.backInvalidations;
-        agg.txAborts += s.txAborts;
-        agg.txRetries += s.txRetries;
-        agg.conflictsWriteWrite += s.conflictsWriteWrite;
-        agg.conflictsReadWrite += s.conflictsReadWrite;
-        agg.backoffCycles += s.backoffCycles;
-        agg.avgLinesPerTx += s.avgLinesPerTx;
-        agg.avgPagesPerTx += s.avgPagesPerTx;
-        agg.maxPagesPerTx = std::max(agg.maxPagesPerTx, s.maxPagesPerTx);
-        for (unsigned c = 0; c < num_cores; ++c) {
-            agg.coreBusyCycles[c] += s.coreBusyCycles[c];
-            agg.coreTxs[c] += s.coreTxs[c];
-        }
-    }
-    agg.avgLinesPerTx /= static_cast<double>(shards.size());
-    agg.avgPagesPerTx /= static_cast<double>(shards.size());
+    for (const Metric &metric : metricList())
+        rollUp(metric, agg, shards);
     return agg;
 }
 
@@ -81,7 +48,7 @@ runClusterExperiment(Cluster &cluster, std::uint64_t txs_per_shard,
                    "cluster run uses more cores than a machine has");
         machine.syncClocks();
     }
-    std::vector<RunBaseline> base;
+    std::vector<RunResult> base;
     base.reserve(machines);
     for (unsigned m = 0; m < machines; ++m)
         base.push_back(captureRunBaseline(cluster.shard(m)));
@@ -160,7 +127,7 @@ runClusterExperiment(Cluster &cluster, std::uint64_t txs_per_shard,
         r.coreTxs = std::move(ops[m]);
         finishRunMetrics(r, cluster.shard(m), base[m]);
     }
-    res.aggregate = aggregateShards(res.shards, num_cores);
+    res.aggregate = aggregateShards(res.shards);
     res.tx = coord.stats();
     res.networkMessages = cluster.network().messages();
     res.networkCycles = cluster.network().cyclesCharged();

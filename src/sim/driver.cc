@@ -2,9 +2,11 @@
 
 #include <queue>
 #include <utility>
+#include <variant>
 
 #include "common/logging.hh"
 #include "core/config.hh"
+#include "sim/metrics.hh"
 
 namespace ssp
 {
@@ -29,6 +31,15 @@ RunResult::writesPerTx() const
 }
 
 double
+RunResult::cyclesPerTx() const
+{
+    if (committedTxs == 0)
+        return 0;
+    return static_cast<double>(cycles) /
+           static_cast<double>(committedTxs);
+}
+
+double
 RunResult::imbalance() const
 {
     std::uint64_t total = 0;
@@ -44,81 +55,32 @@ RunResult::imbalance() const
     return static_cast<double>(peak) / mean;
 }
 
-RunBaseline
+RunResult
 captureRunBaseline(Experiment &exp)
 {
-    AtomicityBackend &be = *exp.backend;
-    Machine &machine = be.machine();
-    MemoryBus &bus = machine.bus();
-    const CoherenceModel &coh = machine.coherence();
-    RunBaseline base;
-    base.clock = machine.maxClock();
-    base.commits = be.committedTxs();
-    base.nvramWrites = bus.nvramWrites();
-    base.loggingWrites = be.loggingWrites();
-    base.dataWrites = bus.nvramWrites(WriteCategory::Data) +
-                      bus.nvramWrites(WriteCategory::PageCopy);
-    base.consolidationWrites =
-        bus.nvramWrites(WriteCategory::Consolidation);
-    base.checkpointWrites = bus.nvramWrites(WriteCategory::Checkpoint);
-    base.coherenceFlips = coh.flipMessages();
-    base.coherenceInvalidations = coh.invalidations();
-    base.coherenceShootdowns = coh.shootdownsDelivered();
-    base.coherenceMessages = coh.messages();
-    base.directoryLookups = coh.directoryLookups();
-    base.hopTraversalCycles = coh.hopTraversalCycles();
-    base.snoopFilterEvictions = coh.snoopFilterEvictions();
-    base.backInvalidations = coh.backInvalidations();
-    base.conflicts = machine.conflicts().stats();
+    RunResult base;
+    for (const Metric &metric : metricList()) {
+        if (metric.counter != nullptr) {
+            base.*std::get<std::uint64_t RunResult::*>(metric.source) =
+                metric.counter(exp);
+        }
+    }
     return base;
 }
 
 void
-finishRunMetrics(RunResult &res, Experiment &exp, const RunBaseline &base)
+finishRunMetrics(RunResult &res, Experiment &exp, const RunResult &base)
 {
+    for (const Metric &metric : metricList()) {
+        if (metric.counter != nullptr) {
+            const auto field =
+                std::get<std::uint64_t RunResult::*>(metric.source);
+            res.*field = metric.counter(exp) - base.*field;
+        }
+    }
     AtomicityBackend &be = *exp.backend;
-    Machine &machine = be.machine();
-    MemoryBus &bus = machine.bus();
-    const CoherenceModel &coh = machine.coherence();
-
     res.backend = be.name();
     res.workload = exp.workload->name();
-    res.committedTxs = be.committedTxs() - base.commits;
-    res.cycles = machine.maxClock() - base.clock;
-    res.nvramWrites = bus.nvramWrites() - base.nvramWrites;
-    res.loggingWrites = be.loggingWrites() - base.loggingWrites;
-    res.dataWrites = bus.nvramWrites(WriteCategory::Data) +
-                     bus.nvramWrites(WriteCategory::PageCopy) -
-                     base.dataWrites;
-    res.consolidationWrites =
-        bus.nvramWrites(WriteCategory::Consolidation) -
-        base.consolidationWrites;
-    res.checkpointWrites = bus.nvramWrites(WriteCategory::Checkpoint) -
-                           base.checkpointWrites;
-    res.journalWrites = res.loggingWrites - res.checkpointWrites;
-    res.coherenceFlips = coh.flipMessages() - base.coherenceFlips;
-    res.coherenceInvalidations =
-        coh.invalidations() - base.coherenceInvalidations;
-    res.coherenceShootdowns =
-        coh.shootdownsDelivered() - base.coherenceShootdowns;
-    res.coherenceMessages = coh.messages() - base.coherenceMessages;
-    res.directoryLookups = coh.directoryLookups() - base.directoryLookups;
-    res.hopTraversalCycles =
-        coh.hopTraversalCycles() - base.hopTraversalCycles;
-    res.snoopFilterEvictions =
-        coh.snoopFilterEvictions() - base.snoopFilterEvictions;
-    res.backInvalidations =
-        coh.backInvalidations() - base.backInvalidations;
-    const ConflictStats &conflicts = machine.conflicts().stats();
-    res.txAborts = conflicts.aborts - base.conflicts.aborts;
-    res.txRetries = conflicts.retries - base.conflicts.retries;
-    res.conflictsWriteWrite = conflicts.writeWriteConflicts -
-                              base.conflicts.writeWriteConflicts;
-    res.conflictsReadWrite = conflicts.readWriteConflicts -
-                             base.conflicts.readWriteConflicts;
-    res.backoffCycles =
-        conflicts.backoffCycles - base.conflicts.backoffCycles;
-
     const TxCharacterization &charz = be.characterization();
     res.avgLinesPerTx = charz.linesPerTx.mean();
     res.avgPagesPerTx = charz.pagesPerTx.mean();
@@ -135,7 +97,7 @@ runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores,
                "run uses more cores than the machine has");
 
     machine.syncClocks();
-    const RunBaseline base = captureRunBaseline(exp);
+    const RunResult base = captureRunBaseline(exp);
 
     RunResult res;
     res.coreBusyCycles.assign(num_cores, 0);

@@ -23,13 +23,16 @@
 #include <string>
 #include <vector>
 
-#include "core/conflict_manager.hh"
 #include "sim/system_builder.hh"
 
 namespace ssp
 {
 
-/** Metrics for one measured run (deltas over the post-setup baseline). */
+/**
+ * Metrics for one measured run (deltas over the post-setup baseline).
+ * Each metric member has one row in the metric list (sim/metrics.hh),
+ * which is what reads, rolls up and reports it.
+ */
 struct RunResult
 {
     /** Owned strings: results outlive the backend/workload objects the
@@ -92,20 +95,14 @@ struct RunResult
     double offeredLoad = 0;          ///< factor of closed-loop capacity
     /** @} */
 
-    /** @{ Fault-epoch tail latency (src/serve/ under injected faults):
-     *  completions inside a window around each injected crash are
-     *  binned separately, conditioning the tail on the fault.  All zero
-     *  when no fault fired. */
-    std::uint64_t faultEpochs = 0;    ///< injected crash windows
-    std::uint64_t faultEpochTxs = 0;  ///< completions inside them
-    std::uint64_t p99FaultEpochCycles = 0;
-    /** @} */
-
     /** Transactions per second at the simulated core frequency. */
     double tps() const;
 
     /** NVRAM writes per committed transaction. */
     double writesPerTx() const;
+
+    /** Simulated cycles per committed transaction. */
+    double cyclesPerTx() const;
 
     /**
      * Load imbalance: max over cores of busy cycles divided by the mean
@@ -125,37 +122,18 @@ enum class ScheduleMode
 };
 
 /**
- * Snapshot of every counter a run's metrics are deltas over, taken at
- * measurement start.  Shared by the closed-loop driver here and the
- * open-loop request server (src/serve/), so both fill RunResult through
- * the same arithmetic.
+ * The machine counters of @p exp at measurement start, each in the
+ * RunResult member its run delta goes to (sim/metrics.hh).  Shared by
+ * the closed-loop driver here, the open-loop request server
+ * (src/serve/) and the cluster driver, so all three fill RunResult
+ * through the same arithmetic.
  */
-struct RunBaseline
-{
-    Cycles clock = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t nvramWrites = 0;
-    std::uint64_t loggingWrites = 0;
-    std::uint64_t dataWrites = 0;
-    std::uint64_t consolidationWrites = 0;
-    std::uint64_t checkpointWrites = 0;
-    std::uint64_t coherenceFlips = 0;
-    std::uint64_t coherenceInvalidations = 0;
-    std::uint64_t coherenceShootdowns = 0;
-    std::uint64_t coherenceMessages = 0;
-    std::uint64_t directoryLookups = 0;
-    std::uint64_t hopTraversalCycles = 0;
-    std::uint64_t snoopFilterEvictions = 0;
-    std::uint64_t backInvalidations = 0;
-    ConflictStats conflicts{};
-};
+RunResult captureRunBaseline(Experiment &exp);
 
-/** Snapshot the current counter values of @p exp's machine/backend. */
-RunBaseline captureRunBaseline(Experiment &exp);
-
-/** Fill @p res's delta metrics from the current counters vs @p base. */
+/** Fill @p res's machine counters with their deltas over @p base, and
+ *  the names and write-set characterization of @p exp's run. */
 void finishRunMetrics(RunResult &res, Experiment &exp,
-                      const RunBaseline &base);
+                      const RunResult &base);
 
 /**
  * Driver instrumentation points.  beforeOp, when set, runs immediately

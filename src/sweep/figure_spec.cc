@@ -305,7 +305,7 @@ figureSpecs()
         {.name = "table45", .workloads = realWorkloads(), .cores = {4},
          .render = renderTable45},
         {.name = "chan", .machine = chanConfig, .sweeps = kAxisChannels,
-         .emits = kEmitChannels, .pinned = true,
+         .pinned = true,
          .workloads = microbenchmarks(), .channels = {1, 2, 4, 8}},
         // The smoke machine and transaction budget, so the (SPS, SSP, 1
         // core) cell is the smoke cell
@@ -317,7 +317,7 @@ figureSpecs()
         // The full paper workload scale on the big machine; 2000
         // transactions keep the 126-cell grid affordable.
         {.name = "scale64", .txs = 2000, .machine = bigConfig,
-         .sweeps = kAxisCores, .emits = kEmitPerCore, .pinned = true,
+         .sweeps = kAxisCores, .pinned = true,
          .workloads = scaleWorkloads(), .backends = scaleBackends(),
          .cores = {1, 2, 4, 8, 16, 32, 64}},
         // Every cell under the broadcast bus and the mesh directory.
@@ -325,8 +325,7 @@ figureSpecs()
         // affordable, then extended to 256; 1000 transactions still give
         // the contended cells thousands of coherence events.
         {.name = "scale256", .txs = 1000, .machine = meshConfig,
-         .maxCores = kMaxCores, .sweeps = kAxisCores,
-         .emits = kEmitCoherence | kEmitPerCore, .pinned = true,
+         .maxCores = kMaxCores, .sweeps = kAxisCores, .pinned = true,
          .workloads = scenarioWorkloads(), .backends = scaleBackends(),
          .cores = {1, 4, 16, 64, 128, 256},
          .coherence = {CoherenceMode::Broadcast, CoherenceMode::Directory}},
@@ -340,8 +339,7 @@ figureSpecs()
         // the scale c4 cells cycle for cycle
         // (ShardGrid.OneMachineCellsReplayTheCheckedInScaleCells).
         {.name = "shard", .txs = 400, .machine = smokeConfig,
-         .smallScale = true, .sweeps = kAxisMachines,
-         .emits = kEmitMachines, .pinned = true,
+         .smallScale = true, .sweeps = kAxisMachines, .pinned = true,
          .workloads = scenarioWorkloads(), .seedPlane = scaleWorkloads(),
          .backends = scaleBackends(), .cores = {4}, .machines = {1, 2, 4, 8},
          .crossFractions = {0, 0.1, 0.5}},
@@ -351,7 +349,7 @@ figureSpecs()
         // 20 is about one failure per 50 kcycles per machine.
         {.name = "fault", .txs = 400, .machine = smokeConfig,
          .smallScale = true, .sweeps = kAxisMachines | kAxisFaults,
-         .emits = kEmitMachines | kEmitFault, .pinned = true,
+         .pinned = true,
          .workloads = scenarioWorkloads(), .seedPlane = scaleWorkloads(),
          .backends = scaleBackends(), .cores = {4}, .machines = {1, 2, 4},
          .crossFractions = {0.1}, .faultRates = {0, 5, 20},

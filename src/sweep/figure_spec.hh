@@ -2,11 +2,10 @@
  * @file
  * The figure registry: one FigureSpec per sweep grid, holding everything
  * that differs between grids — machine, default transaction count, the
- * axes a caller may sweep and their default lists, the coordinates its
- * reports always carry, the cell generator and the paper tables it
- * renders.  buildFigureGrid, SweepCell::label, sweepReport and the sweep
- * CLI all read a grid's rules from here; no code outside the table
- * compares figure names.
+ * axes a caller may sweep and their default lists, the cell generator
+ * and the paper tables it renders.  buildFigureGrid, SweepCell::label
+ * and the sweep CLI all read a grid's rules from here; no code outside
+ * the table compares figure names.
  */
 
 #ifndef SSP_SWEEP_FIGURE_SPEC_HH
@@ -32,20 +31,6 @@ enum Axis : unsigned
     kAxisFaults = 1u << 4,   ///< faultRates and replicateModes
 };
 
-/**
- * Coordinates and metric groups a grid's labels and reports carry on
- * every cell.  Elsewhere each appears only where a cell departs from the
- * paper machine, which keeps the older reports byte-stable.
- */
-enum Emit : unsigned
-{
-    kEmitChannels = 1u << 0,  ///< nvram_channels
-    kEmitCoherence = 1u << 1, ///< coherence, coherence_messages
-    kEmitMachines = 1u << 2,  ///< machines ("/m" in the label)
-    kEmitFault = 1u << 3,     ///< fault_rate_tenths, replicated ("/f")
-    kEmitPerCore = 1u << 4,   ///< the multi-core metrics, at 1 core too
-};
-
 struct FigureSpec;
 
 /** Receives each generated cell, in unfiltered grid order. */
@@ -69,7 +54,6 @@ struct FigureSpec
     /** Largest core count the machine is provisioned for. */
     unsigned maxCores = 64;
     unsigned sweeps = 0; ///< Axis bits; any other axis option is fatal
-    unsigned emits = 0;  ///< Emit bits
     /**
      * Pin each cell's seed to its (workload, backend) position in
      * seedPlane x backends, so every axis point replays the identical

@@ -230,26 +230,26 @@ SweepCell::label() const
     if (coherenceMode == CoherenceMode::Directory)
         out += "/dir";
     const FigureSpec *grid = findFigureSpec(figure);
-    const unsigned emits = grid != nullptr ? grid->emits : 0;
-    // Cluster coordinates: every cluster-grid cell names its machine
-    // count (m1 included, so the fast-path cells are self-describing);
-    // the cross-shard fraction exists only where 2PC is possible, in
-    // percent for byte-stable labels ("x10").
-    if ((emits & kEmitMachines) != 0 || machines > 1)
+    const unsigned sweeps = grid != nullptr ? grid->sweeps : 0;
+    // Cluster coordinates: every cell of a grid that sweeps machines
+    // names its machine count (m1 included, so the fast-path cells are
+    // self-describing); the cross-shard fraction exists only where 2PC
+    // is possible, in percent ("x10").
+    if ((sweeps & kAxisMachines) != 0 || machines > 1)
         out += "/m" + std::to_string(machines);
     if (machines > 1)
         out += "/x" + std::to_string(
                    std::lround(crossShardFraction * 100));
-    // Fault coordinates, in tenths ("f50" = rate 5.0) for byte-stable
-    // labels; every fault-grid cell names its rate (f0 included) so the
+    // Fault coordinates, in tenths ("f50" = rate 5.0); every cell of a
+    // grid that sweeps fault rates names its rate (f0 included) so the
     // zero-fault baseline points are self-describing.
-    if ((emits & kEmitFault) != 0 || faultRate > 0)
+    if ((sweeps & kAxisFaults) != 0 || faultRate > 0)
         out += "/f" + std::to_string(std::lround(faultRate * 10));
     if (replicate)
         out += "/rep";
     if (offeredLoad > 0) {
-        // Loads are encoded in percent ("load120") — integers keep the
-        // label byte-stable regardless of float-formatting locale.
+        // Loads are encoded in percent ("load120"): integers keep the
+        // label independent of float formatting.
         out += std::string("/") + serve::arrivalKindName(arrival) +
                "/load" +
                std::to_string(std::lround(offeredLoad * 100));

@@ -10,8 +10,8 @@
 #include <thread>
 
 #include "serve/server.hh"
+#include "sim/metrics.hh"
 #include "sim/system_builder.hh"
-#include "sweep/figure_spec.hh"
 
 namespace ssp::sweep
 {
@@ -142,13 +142,15 @@ sweepReport(const std::string &figure,
             const std::vector<CellResult> &results)
 {
     Json doc = Json::object();
-    doc.set("schema", Json::str("ssp-bench-report-v1"));
+    doc.set("schema", Json::str("ssp-bench-report-v2"));
     doc.set("figure", Json::str(figure));
     doc.set("cell_count", Json::number(
         static_cast<std::uint64_t>(results.size())));
 
     Json cells = Json::array();
     for (const CellResult &r : results) {
+        // Every cell carries every coordinate and, when it ran, every
+        // metric of the list (sim/metrics.hh).
         Json c = Json::object();
         c.set("label", Json::str(r.cell.label()));
         c.set("backend", Json::str(backendKindName(r.cell.backend)));
@@ -159,54 +161,28 @@ sweepReport(const std::string &figure,
               Json::number(r.cell.nvramLatencyMultiplier));
         c.set("ssp_cache_fixed_latency",
               Json::number(r.cell.sspCacheFixedLatency));
-        // Each optional coordinate or metric group is emitted where the
-        // cell departs from the paper machine, and on every cell of a
-        // grid that always carries it (FigureSpec::emits), so the older
-        // reports stay byte-identical.
-        const FigureSpec *grid = findFigureSpec(r.cell.figure);
-        const unsigned emits = grid != nullptr ? grid->emits : 0;
-        if ((emits & kEmitChannels) != 0 || r.cell.nvramChannels != 1)
-            c.set("nvram_channels",
-                  Json::number(std::uint64_t{r.cell.nvramChannels}));
-        if (r.cell.nvramDevice != NvramDevice::PaperPcm)
-            c.set("nvram_device",
-                  Json::str(nvramDeviceName(r.cell.nvramDevice)));
-        if (r.cell.keyShards > 1)
-            c.set("key_shards",
-                  Json::number(std::uint64_t{r.cell.keyShards}));
-        if (r.cell.conflictMode != ConflictMode::FirstCommitterWins)
-            c.set("conflict_mode",
-                  Json::str(conflictModeName(r.cell.conflictMode)));
-        // Open-loop coordinates exist only on serve cells, so every
-        // closed-loop report stays byte-identical.
-        if (r.cell.offeredLoad > 0)
-            c.set("arrival",
-                  Json::str(serve::arrivalKindName(r.cell.arrival)));
-        const bool coherence_axis =
-            (emits & kEmitCoherence) != 0 ||
-            r.cell.coherenceMode != CoherenceMode::Broadcast;
-        if (coherence_axis) {
-            c.set("coherence",
-                  Json::str(coherenceModeName(r.cell.coherenceMode)));
-        }
-        // The cross-shard fraction exists only where 2PC can happen, so
-        // the 1-machine cells' entries mirror the scale grid's shape.
-        if ((emits & kEmitMachines) != 0 || r.cell.machines > 1)
-            c.set("machines",
-                  Json::number(std::uint64_t{r.cell.machines}));
-        if (r.cell.machines > 1)
-            c.set("cross_shard_pct",
-                  Json::number(static_cast<std::uint64_t>(std::lround(
-                      r.cell.crossShardFraction * 100))));
-        // Fault rates are emitted in integer tenths, like the label, so
-        // the document never depends on float formatting.
-        if ((emits & kEmitFault) != 0 || r.cell.faultRate > 0 ||
-            r.cell.replicate) {
-            c.set("fault_rate_tenths",
-                  Json::number(static_cast<std::uint64_t>(
-                      std::lround(r.cell.faultRate * 10))));
-            c.set("replicated", Json::boolean(r.cell.replicate));
-        }
+        c.set("nvram_channels",
+              Json::number(std::uint64_t{r.cell.nvramChannels}));
+        c.set("nvram_device",
+              Json::str(nvramDeviceName(r.cell.nvramDevice)));
+        c.set("key_shards", Json::number(std::uint64_t{r.cell.keyShards}));
+        c.set("conflict_mode",
+              Json::str(conflictModeName(r.cell.conflictMode)));
+        // The arrival process shapes only open-loop cells
+        // (offered_load > 0).
+        c.set("arrival", Json::str(serve::arrivalKindName(r.cell.arrival)));
+        c.set("coherence",
+              Json::str(coherenceModeName(r.cell.coherenceMode)));
+        c.set("machines", Json::number(std::uint64_t{r.cell.machines}));
+        // Percent and tenths, like the label, so the document never
+        // depends on float formatting.
+        c.set("cross_shard_pct",
+              Json::number(static_cast<std::uint64_t>(
+                  std::lround(r.cell.crossShardFraction * 100))));
+        c.set("fault_rate_tenths",
+              Json::number(static_cast<std::uint64_t>(
+                  std::lround(r.cell.faultRate * 10))));
+        c.set("replicated", Json::boolean(r.cell.replicate));
         // Seeds span the full 64-bit range, past the 2^53 integers a
         // JSON number can hold exactly — emit them as hex strings.
         char seed_hex[32];
@@ -214,151 +190,14 @@ sweepReport(const std::string &figure,
                       static_cast<unsigned long long>(r.cell.scale.seed));
         c.set("seed", Json::str(seed_hex));
         c.set("ok", Json::boolean(r.ok));
-        if (!r.ok) {
+        if (r.ok) {
+            Json m = Json::object();
+            for (const Metric &metric : metricList())
+                m.set(metric.name, metricValue(metric, r));
+            c.set("metrics", std::move(m));
+        } else {
             c.set("error", Json::str(r.error));
-            cells.push(std::move(c));
-            continue;
         }
-
-        Json m = Json::object();
-        m.set("committed_txs", Json::number(r.run.committedTxs));
-        m.set("cycles", Json::number(r.run.cycles));
-        m.set("tps", Json::number(r.run.tps()));
-        m.set("writes_per_tx", Json::number(r.run.writesPerTx()));
-        m.set("avg_cycles_per_tx",
-              Json::number(r.run.committedTxs > 0
-                               ? static_cast<double>(r.run.cycles) /
-                                     static_cast<double>(
-                                         r.run.committedTxs)
-                               : 0.0));
-        m.set("nvram_writes", Json::number(r.run.nvramWrites));
-        m.set("logging_writes", Json::number(r.run.loggingWrites));
-        m.set("data_writes", Json::number(r.run.dataWrites));
-        m.set("consolidation_writes",
-              Json::number(r.run.consolidationWrites));
-        m.set("checkpoint_writes", Json::number(r.run.checkpointWrites));
-        m.set("journal_writes", Json::number(r.run.journalWrites));
-        m.set("avg_lines_per_tx", Json::number(r.run.avgLinesPerTx));
-        m.set("avg_pages_per_tx", Json::number(r.run.avgPagesPerTx));
-        m.set("max_pages_per_tx", Json::number(r.run.maxPagesPerTx));
-        // Multi-core-only metrics are gated on the core count so every
-        // single-core report stays byte-identical to the 1-core model.
-        if (r.cell.cores > 1 || (emits & kEmitPerCore) != 0) {
-            Json busy = Json::array();
-            for (std::uint64_t v : r.run.coreBusyCycles)
-                busy.push(Json::number(v));
-            m.set("core_busy_cycles", std::move(busy));
-            Json per_core_txs = Json::array();
-            for (std::uint64_t v : r.run.coreTxs)
-                per_core_txs.push(Json::number(v));
-            m.set("core_txs", std::move(per_core_txs));
-            m.set("imbalance", Json::number(r.run.imbalance()));
-            m.set("coherence_flips", Json::number(r.run.coherenceFlips));
-            m.set("coherence_invalidations",
-                  Json::number(r.run.coherenceInvalidations));
-            m.set("coherence_shootdowns",
-                  Json::number(r.run.coherenceShootdowns));
-            // Interconnect traffic: the message count exists wherever
-            // the coherence coordinate does (it is the broadcast-vs-
-            // directory comparison axis); the directory-only counters
-            // exist iff the cell ran the directory model.
-            if (coherence_axis) {
-                m.set("coherence_messages",
-                      Json::number(r.run.coherenceMessages));
-            }
-            if (r.cell.coherenceMode == CoherenceMode::Directory) {
-                m.set("directory_lookups",
-                      Json::number(r.run.directoryLookups));
-                m.set("hop_traversal_cycles",
-                      Json::number(r.run.hopTraversalCycles));
-                m.set("snoop_filter_evictions",
-                      Json::number(r.run.snoopFilterEvictions));
-                m.set("back_invalidations",
-                      Json::number(r.run.backInvalidations));
-            }
-            m.set("tx_aborts", Json::number(r.run.txAborts));
-            m.set("tx_retries", Json::number(r.run.txRetries));
-            m.set("conflicts_write_write",
-                  Json::number(r.run.conflictsWriteWrite));
-            m.set("conflicts_read_write",
-                  Json::number(r.run.conflictsReadWrite));
-            m.set("backoff_cycles", Json::number(r.run.backoffCycles));
-        }
-        // 2PC and network metrics exist only where a network exists:
-        // multi-machine cells.  1-machine shard cells keep the exact
-        // single-machine metrics schema, so their metrics equal the
-        // scale grid's c4 cells byte for byte
-        // (SweepSchema.ShardCheckedInReportKeeps2pcSchemaAndScaleTwins).
-        if (r.cell.machines > 1) {
-            m.set("single_shard_txs",
-                  Json::number(r.shardTx.singleShardTxs));
-            m.set("cross_shard_txs",
-                  Json::number(r.shardTx.crossShardTxs));
-            m.set("prepare_round_trips",
-                  Json::number(r.shardTx.prepareRoundTrips));
-            m.set("cross_shard_aborts",
-                  Json::number(r.shardTx.crossShardAborts));
-            m.set("coordinator_stall_cycles",
-                  Json::number(r.shardTx.coordinatorStallCycles));
-            m.set("network_messages", Json::number(r.networkMessages));
-            m.set("network_cycles", Json::number(r.networkCycles));
-            Json shard_cycles = Json::array();
-            for (const RunResult &s : r.shardRuns)
-                shard_cycles.push(Json::number(s.cycles));
-            m.set("shard_cycles", std::move(shard_cycles));
-            Json shard_txs = Json::array();
-            for (const RunResult &s : r.shardRuns)
-                shard_txs.push(Json::number(s.committedTxs));
-            m.set("shard_committed_txs", std::move(shard_txs));
-        }
-        // Fault-harness metrics exist iff the cell could inject faults
-        // (rate > 0): a zero-rate cell ran the byte-identical reliable
-        // model and must not grow schema.  Replication metrics exist
-        // iff replication was on — including at rate 0, where shipping
-        // still prices every commit.
-        if (r.cell.faultRate > 0) {
-            m.set("injected_power_fails",
-                  Json::number(r.faultStats.powerFails));
-            m.set("coordinator_crashes",
-                  Json::number(r.faultStats.coordinatorCrashes));
-            m.set("participant_crashes",
-                  Json::number(r.faultStats.participantCrashes));
-            m.set("recoveries", Json::number(r.faultStats.recoveries));
-            m.set("failovers", Json::number(r.faultStats.failovers));
-            m.set("recovery_stall_cycles",
-                  Json::number(r.faultStats.recoveryStallCycles));
-            m.set("failover_stall_cycles",
-                  Json::number(r.faultStats.failoverStallCycles));
-            m.set("presumed_aborts",
-                  Json::number(r.faultStats.presumedAborts));
-            m.set("decision_records",
-                  Json::number(r.faultStats.decisionRecords));
-            m.set("messages_lost",
-                  Json::number(r.faultStats.messagesLost));
-            m.set("rpc_retries", Json::number(r.faultStats.rpcRetries));
-            m.set("rpc_timeout_stall_cycles",
-                  Json::number(r.faultStats.rpcTimeoutStallCycles));
-            m.set("committed_despite_faults",
-                  Json::number(r.faultStats.committedDespiteFaults));
-        }
-        if (r.cell.replicate) {
-            m.set("log_ship_messages",
-                  Json::number(r.faultStats.logShipMessages));
-            m.set("log_ship_cycles",
-                  Json::number(r.faultStats.logShipCycles));
-        }
-        // Tail-latency metrics exist only on open-loop serve cells —
-        // a closed-loop run has no queues, so no request ever waits.
-        if (r.cell.offeredLoad > 0) {
-            m.set("p50_cycles", Json::number(r.run.p50Cycles));
-            m.set("p99_cycles", Json::number(r.run.p99Cycles));
-            m.set("p999_cycles", Json::number(r.run.p999Cycles));
-            m.set("mean_queue_depth",
-                  Json::number(r.run.meanQueueDepth));
-            m.set("rejected_txs", Json::number(r.run.rejectedTxs));
-            m.set("offered_load", Json::number(r.run.offeredLoad));
-        }
-        c.set("metrics", std::move(m));
         cells.push(std::move(c));
     }
     doc.set("cells", std::move(cells));

@@ -31,9 +31,10 @@ struct CellResult
     RunResult run{};
     bool ok = false;
     std::string error; ///< exception text when !ok
-    /** Per-shard deltas; non-empty only on machines > 1 cells. */
+    /** Per-shard deltas; empty on cells the single-machine driver ran
+     *  (one machine, no fault harness). */
     std::vector<RunResult> shardRuns;
-    /** 2PC accounting; all zero unless machines > 1. */
+    /** 2PC accounting; all zero on the single-machine driver. */
     shard::ShardTxStats shardTx{};
     /** Cross-machine messages priced by the shard NetworkModel. */
     std::uint64_t networkMessages = 0;
@@ -63,9 +64,10 @@ std::vector<CellResult> runSweep(const std::vector<SweepCell> &cells,
                                  const CellCallback &on_cell = {});
 
 /**
- * Serialize sweep results as the BENCH_*.json report document:
- * schema/figure metadata plus one entry per cell with the cell's
- * coordinates and the measured metrics.  The document holds only
+ * Serialize sweep results as the BENCH_*.json report document
+ * (schema ssp-bench-report-v2): schema/figure metadata plus one entry
+ * per cell with every coordinate of the cell and, when it ran, every
+ * metric of the metric list (sim/metrics.hh).  The document holds only
  * simulated results, so checked-in reports are byte-identical across
  * runs and machines.
  */

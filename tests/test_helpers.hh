@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared test fixtures: a small machine configuration that keeps tests
- * fast, helpers for driving transactions by hand, and a loader and a
- * replay check for the checked-in BENCH_*.json reports.
+ * fast, helpers for driving transactions by hand, a whole-metric-list
+ * equality check, and a loader and a replay check for the checked-in
+ * BENCH_*.json reports.
  *
  * Include convention: test sources include this header as
  * "tests/test_helpers.hh", i.e. relative to the repository root.  The
@@ -32,6 +33,7 @@
 
 #include "core/config.hh"
 #include "core/ssp_system.hh"
+#include "sim/metrics.hh"
 #include "sim/report.hh"
 #include "sweep/sweep_runner.hh"
 
@@ -78,6 +80,33 @@ timed64(AtomicityBackend &be, CoreId core, Addr addr)
     std::uint64_t v = 0;
     be.load(core, addr, &v, sizeof(v));
     return v;
+}
+
+/**
+ * Require @p a and @p b to agree on every metric of the metric list
+ * (sim/metrics.hh) and on their design and workload names.
+ */
+inline void
+expectSameMetrics(const sweep::CellResult &a, const sweep::CellResult &b)
+{
+    EXPECT_EQ(a.run.backend, b.run.backend);
+    EXPECT_EQ(a.run.workload, b.run.workload);
+    for (const Metric &metric : metricList()) {
+        EXPECT_EQ(metricValue(metric, a).dump(),
+                  metricValue(metric, b).dump())
+            << metric.name;
+    }
+}
+
+/** As above, for two runs outside a sweep cell. */
+inline void
+expectSameMetrics(const RunResult &a, const RunResult &b)
+{
+    sweep::CellResult ca;
+    sweep::CellResult cb;
+    ca.run = a;
+    cb.run = b;
+    expectSameMetrics(ca, cb);
 }
 
 /**

@@ -136,15 +136,7 @@ TEST(Multicore, ScaleSweepDeterministicAcrossJobs)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_TRUE(serial[i].ok) << serial[i].error;
         ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
-        const RunResult &a = serial[i].run;
-        const RunResult &b = parallel[i].run;
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.nvramWrites, b.nvramWrites);
-        EXPECT_EQ(a.coreBusyCycles, b.coreBusyCycles);
-        EXPECT_EQ(a.coreTxs, b.coreTxs);
-        EXPECT_EQ(a.coherenceFlips, b.coherenceFlips);
-        EXPECT_EQ(a.coherenceInvalidations, b.coherenceInvalidations);
-        EXPECT_EQ(a.coherenceShootdowns, b.coherenceShootdowns);
+        expectSameMetrics(serial[i], parallel[i]);
     }
 }
 
@@ -233,17 +225,7 @@ TEST(Multicore, SingleCoreScaleCellBitIdenticalToSmokeCell)
     const auto scale_res = runSweep(scale_cells, 1);
     ASSERT_TRUE(smoke_res[0].ok);
     ASSERT_TRUE(scale_res[0].ok);
-    const RunResult &a = smoke_res[0].run;
-    const RunResult &b = scale_res[0].run;
-    EXPECT_EQ(a.committedTxs, b.committedTxs);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.nvramWrites, b.nvramWrites);
-    EXPECT_EQ(a.loggingWrites, b.loggingWrites);
-    EXPECT_EQ(a.dataWrites, b.dataWrites);
-    EXPECT_EQ(a.checkpointWrites, b.checkpointWrites);
-    EXPECT_EQ(a.journalWrites, b.journalWrites);
-    EXPECT_EQ(a.avgLinesPerTx, b.avgLinesPerTx);
-    EXPECT_EQ(a.avgPagesPerTx, b.avgPagesPerTx);
+    expectSameMetrics(smoke_res[0], scale_res[0]);
 }
 
 TEST(Multicore, L3VictimWritebackCarriesTheTxBit)

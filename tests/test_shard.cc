@@ -24,6 +24,8 @@ namespace ssp::shard::test
 namespace
 {
 
+using ssp::test::expectSameMetrics;
+
 /** The smoke/scale/shard machine at @p cores cores. */
 SspConfig
 shardConfig(unsigned cores)
@@ -40,26 +42,6 @@ shardScale(std::uint64_t seed = 42)
     scale.spsElements = 4096;
     scale.seed = seed;
     return scale;
-}
-
-void
-expectSameRun(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.committedTxs, b.committedTxs);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.nvramWrites, b.nvramWrites);
-    EXPECT_EQ(a.loggingWrites, b.loggingWrites);
-    EXPECT_EQ(a.dataWrites, b.dataWrites);
-    EXPECT_EQ(a.consolidationWrites, b.consolidationWrites);
-    EXPECT_EQ(a.checkpointWrites, b.checkpointWrites);
-    EXPECT_EQ(a.journalWrites, b.journalWrites);
-    EXPECT_EQ(a.txAborts, b.txAborts);
-    EXPECT_EQ(a.txRetries, b.txRetries);
-    EXPECT_EQ(a.avgLinesPerTx, b.avgLinesPerTx);
-    EXPECT_EQ(a.avgPagesPerTx, b.avgPagesPerTx);
-    EXPECT_EQ(a.maxPagesPerTx, b.maxPagesPerTx);
-    EXPECT_EQ(a.coreBusyCycles, b.coreBusyCycles);
-    EXPECT_EQ(a.coreTxs, b.coreTxs);
 }
 
 // ---- network model ---------------------------------------------------------
@@ -134,7 +116,7 @@ TEST(ShardDriver, OneMachineClusterMatchesTheSingleMachineDriver)
     const RunResult single_res = runExperiment(single, 200, 4);
 
     ASSERT_EQ(cluster_res.shards.size(), 1u);
-    expectSameRun(cluster_res.aggregate, single_res);
+    expectSameMetrics(cluster_res.aggregate, single_res);
     // No network, no 2PC state on the fast path.
     EXPECT_EQ(cluster_res.tx.crossShardTxs, 0u);
     EXPECT_EQ(cluster_res.networkMessages, 0u);
@@ -147,7 +129,7 @@ TEST(ShardGrid, OneMachineCellsReplayTheCheckedInScaleCells)
     // reproduce the checked-in BENCH_scale.json 4-core cell of the same
     // (backend, workload) bit for bit — same machine, same streams,
     // same driver.  This test reruns the cells; the ctest
-    // SweepSchema.ShardCheckedInReportKeeps2pcSchemaAndScaleTwins holds
+    // SweepSchema.ShardCheckedInReportPrices2pcAndKeepsScaleTwins holds
     // the checked-in BENCH_shard.json to the same identity.
     const Json scale = ssp::test::loadCheckedIn("BENCH_scale.json");
     std::map<std::string, const Json *> scale_cells;
@@ -199,7 +181,7 @@ TEST(ShardDriver, FractionZeroShardsMatchIndependentMachines)
         Experiment single = buildExperiment(
             BackendKind::UndoLog, WorkloadKind::Sps, shardConfig(4),
             shardScale(Cluster::shardSeed(42, m)));
-        expectSameRun(res.shards[m], runExperiment(single, 150, 4));
+        expectSameMetrics(res.shards[m], runExperiment(single, 150, 4));
     }
 }
 
@@ -328,7 +310,7 @@ TEST(ShardSweep, CellsAreDeterministicAcrossJobs)
               sweep::sweepReport("shard", parallel).dump(2));
 }
 
-TEST(ShardSweep, ReportEmits2pcMetricsOnlyOnMultiMachineCells)
+TEST(ShardSweep, Report2pcMetricsAreZeroOnOneMachine)
 {
     sweep::SweepGridOptions opts;
     opts.machines = {1, 2};
@@ -342,40 +324,31 @@ TEST(ShardSweep, ReportEmits2pcMetricsOnlyOnMultiMachineCells)
     ASSERT_EQ(report["cells"].size(), cells.size());
     for (std::size_t i = 0; i < report["cells"].size(); ++i) {
         const Json &c = report["cells"].at(i);
-        ASSERT_TRUE(c["ok"].asBool()) << c["label"].asString();
-        // Every shard cell names its machine count; the 2PC block
-        // exists iff a network exists.
+        const std::string label = c["label"].asString();
+        ASSERT_TRUE(c["ok"].asBool()) << label;
         const unsigned machines =
             static_cast<unsigned>(c["machines"].asUint());
         const Json &m = c["metrics"];
-        EXPECT_EQ(c.has("cross_shard_pct"), machines > 1);
-        EXPECT_EQ(m.has("single_shard_txs"), machines > 1);
-        EXPECT_EQ(m.has("cross_shard_txs"), machines > 1);
-        EXPECT_EQ(m.has("prepare_round_trips"), machines > 1);
-        EXPECT_EQ(m.has("cross_shard_aborts"), machines > 1);
-        EXPECT_EQ(m.has("network_messages"), machines > 1);
-        EXPECT_EQ(m.has("network_cycles"), machines > 1);
-        EXPECT_EQ(m.has("coordinator_stall_cycles"), machines > 1);
-        EXPECT_EQ(m.has("shard_cycles"), machines > 1);
-        EXPECT_EQ(m.has("shard_committed_txs"), machines > 1);
-        if (machines > 1) {
-            EXPECT_EQ(m["shard_cycles"].size(), machines);
-            EXPECT_EQ(m["shard_committed_txs"].size(), machines);
+        // One shard per machine; the 1-machine cells take the
+        // single-machine driver, which has no shards and no network.
+        EXPECT_EQ(m["shard_cycles"].size(), machines > 1 ? machines : 0)
+            << label;
+        EXPECT_EQ(m["shard_committed_txs"].size(), m["shard_cycles"].size())
+            << label;
+        if (machines == 1) {
+            EXPECT_EQ(c["cross_shard_pct"].asUint(), 0u) << label;
+            for (const char *f :
+                 {"single_shard_txs", "cross_shard_txs",
+                  "prepare_round_trips", "cross_shard_aborts",
+                  "network_messages", "network_cycles",
+                  "coordinator_stall_cycles"})
+                EXPECT_EQ(m[f].asUint(), 0u) << label << " " << f;
+        } else if (c["cross_shard_pct"].asUint() > 0) {
             // Cross-shard cells must actually exercise the network.
-            if (c["cross_shard_pct"].asUint() > 0) {
-                EXPECT_GT(m["cross_shard_txs"].asUint(), 0u);
-                EXPECT_GT(m["network_messages"].asUint(), 0u);
-            }
+            EXPECT_GT(m["cross_shard_txs"].asUint(), 0u) << label;
+            EXPECT_GT(m["network_messages"].asUint(), 0u) << label;
         }
     }
-
-    // Legacy grids carry neither the coordinate nor the metrics.
-    const auto smoke = sweep::runSweep(sweep::buildFigureGrid("smoke"), 1);
-    const Json smoke_report =
-        Json::parse(sweep::sweepReport("smoke", smoke).dump(2));
-    EXPECT_FALSE(smoke_report["cells"].at(0).has("machines"));
-    EXPECT_FALSE(
-        smoke_report["cells"].at(0)["metrics"].has("network_messages"));
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Sweep subsystem tests: grid construction, determinism of the parallel
- * runner (identical results for any worker count), JSON round-trip of
- * the emitted BENCH_*.json report, replays of checked-in grid cells,
- * and the sweep CLI's value parsers.
+ * runner (identical results for any worker count), the metric list,
+ * JSON round-trip of the emitted BENCH_*.json report, replays of
+ * checked-in grid cells, and the sweep CLI's value parsers.
  */
 
 #include <cmath>
@@ -16,10 +16,12 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/metrics.hh"
 #include "sweep/figure_spec.hh"
 #include "sweep/sweep_grid.hh"
 #include "sweep/sweep_runner.hh"
@@ -31,6 +33,7 @@ namespace
 {
 
 using ssp::test::expectReplaysCheckedIn;
+using ssp::test::expectSameMetrics;
 
 /** A tiny fig5 grid that keeps the suite fast on one core. */
 SweepGridOptions
@@ -44,24 +47,6 @@ tinyOptions()
     opts.scale.spsElements = 1024;
     opts.scale.seed = 7;
     return opts;
-}
-
-void
-expectSameRun(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.backend, b.backend);
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.committedTxs, b.committedTxs);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.nvramWrites, b.nvramWrites);
-    EXPECT_EQ(a.loggingWrites, b.loggingWrites);
-    EXPECT_EQ(a.dataWrites, b.dataWrites);
-    EXPECT_EQ(a.consolidationWrites, b.consolidationWrites);
-    EXPECT_EQ(a.checkpointWrites, b.checkpointWrites);
-    EXPECT_EQ(a.journalWrites, b.journalWrites);
-    EXPECT_EQ(a.avgLinesPerTx, b.avgLinesPerTx);
-    EXPECT_EQ(a.avgPagesPerTx, b.avgPagesPerTx);
-    EXPECT_EQ(a.maxPagesPerTx, b.maxPagesPerTx);
 }
 
 TEST(SweepGrid, KnownFiguresBuildNonEmptyGrids)
@@ -226,7 +211,7 @@ TEST(SweepRunner, ChanGridIsBitIdenticalForAnyJobCount)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_TRUE(serial[i].ok) << serial[i].error;
         ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
-        expectSameRun(serial[i].run, parallel[i].run);
+        expectSameMetrics(serial[i].run, parallel[i].run);
     }
     EXPECT_EQ(sweepReport("chan", serial).dump(2),
               sweepReport("chan", parallel).dump(2));
@@ -255,7 +240,7 @@ TEST(SweepRunner, ParallelRunIsBitIdenticalToSerial)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_TRUE(serial[i].ok) << serial[i].error;
         ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
-        expectSameRun(serial[i].run, parallel[i].run);
+        expectSameMetrics(serial[i].run, parallel[i].run);
     }
 
     // The strongest form of the guarantee: the emitted JSON documents
@@ -280,6 +265,22 @@ TEST(SweepRunner, FailingCellIsCapturedNotFatal)
     EXPECT_FALSE(results[0].error.empty());
 }
 
+TEST(MetricList, NamesAreUniqueAndCountersFillCounts)
+{
+    // A duplicate name would silently overwrite its twin in the same
+    // report object.  A counter row's delta lands in a count member.
+    std::set<std::string> names;
+    for (const Metric &metric : metricList()) {
+        EXPECT_TRUE(names.insert(metric.name).second) << metric.name;
+        if (metric.counter != nullptr) {
+            EXPECT_TRUE(std::holds_alternative<std::uint64_t RunResult::*>(
+                metric.source))
+                << metric.name;
+        }
+    }
+    EXPECT_EQ(names.size(), metricList().size());
+}
+
 TEST(SweepReport, JsonRoundTripsThroughputWritesAndLatency)
 {
     const auto cells = buildFigureGrid("fig5", tinyOptions());
@@ -288,7 +289,7 @@ TEST(SweepReport, JsonRoundTripsThroughputWritesAndLatency)
     const Json report = sweepReport("fig5", results);
     const Json parsed = Json::parse(report.dump(2));
 
-    EXPECT_EQ(parsed["schema"].asString(), "ssp-bench-report-v1");
+    EXPECT_EQ(parsed["schema"].asString(), "ssp-bench-report-v2");
     EXPECT_EQ(parsed["figure"].asString(), "fig5");
     ASSERT_EQ(parsed["cells"].size(), results.size());
 
@@ -485,7 +486,7 @@ TEST(SweepGrid, Scale64GridCoversTheBigMachineTo64Cores)
     EXPECT_EQ(cores, (std::set<unsigned>{1, 2, 4, 8, 16, 32, 64}));
 }
 
-TEST(SweepReport, Scale64EmitsPerCoreCountersAtEveryCoreCount)
+TEST(SweepReport, Scale64OneCoreCellsReportOneBusyCoreAndNoConflicts)
 {
     SweepGridOptions opts;
     opts.coreCounts = {1};
@@ -497,12 +498,16 @@ TEST(SweepReport, Scale64EmitsPerCoreCountersAtEveryCoreCount)
     const Json report = sweepReport("scale64", results);
     for (std::size_t i = 0; i < report["cells"].size(); ++i) {
         const Json &m = report["cells"].at(i)["metrics"];
-        // Unlike the older grids (whose single-core reports must stay
-        // byte-identical to the 1-core model), scale64 keeps one
-        // schema across the whole 1..64-core axis.
-        EXPECT_TRUE(m.has("core_busy_cycles"));
-        EXPECT_TRUE(m.has("coherence_flips"));
-        EXPECT_TRUE(m.has("tx_aborts"));
+        // One core is busy for the whole run, alone, and never
+        // conflicts.
+        ASSERT_EQ(m["core_busy_cycles"].size(), 1u);
+        EXPECT_EQ(m["core_busy_cycles"].at(0).asUint(),
+                  m["cycles"].asUint());
+        ASSERT_EQ(m["core_txs"].size(), 1u);
+        EXPECT_EQ(m["core_txs"].at(0).asUint(), 20u);
+        EXPECT_EQ(m["imbalance"].asDouble(), 1.0);
+        EXPECT_EQ(m["tx_aborts"].asUint(), 0u);
+        EXPECT_EQ(m["tx_retries"].asUint(), 0u);
     }
 }
 
@@ -625,11 +630,6 @@ TEST(SweepReport, QueueCellsCarryTailLatencyMetricsAndCoordinates)
     const Json &c = report["cells"].at(0);
     EXPECT_EQ(c["arrival"].asString(), "bursty");
     const Json &m = c["metrics"];
-    EXPECT_TRUE(m.has("p50_cycles"));
-    EXPECT_TRUE(m.has("p99_cycles"));
-    EXPECT_TRUE(m.has("p999_cycles"));
-    EXPECT_TRUE(m.has("mean_queue_depth"));
-    EXPECT_TRUE(m.has("rejected_txs"));
     EXPECT_EQ(m["offered_load"].asDouble(), 1.0);
     EXPECT_GT(m["p50_cycles"].asUint(), 0u);
     EXPECT_GE(m["p99_cycles"].asUint(), m["p50_cycles"].asUint());
@@ -637,14 +637,17 @@ TEST(SweepReport, QueueCellsCarryTailLatencyMetricsAndCoordinates)
     EXPECT_EQ(m["committed_txs"].asUint() + m["rejected_txs"].asUint(),
               120u);
 
-    // Closed-loop reports must not grow the serve fields.
+    // A closed-loop cell has no queue: nothing waits or is shed.
     const auto smoke_cells = buildFigureGrid("smoke");
     const auto smoke = runSweep(smoke_cells, 1);
     const Json smoke_report =
         Json::parse(sweepReport("smoke", smoke).dump(2));
-    EXPECT_FALSE(smoke_report["cells"].at(0).has("arrival"));
-    EXPECT_FALSE(
-        smoke_report["cells"].at(0)["metrics"].has("p99_cycles"));
+    const Json &closed = smoke_report["cells"].at(0)["metrics"];
+    for (const char *f : {"p50_cycles", "p99_cycles", "p999_cycles",
+                          "rejected_txs"})
+        EXPECT_EQ(closed[f].asUint(), 0u) << f;
+    EXPECT_EQ(closed["mean_queue_depth"].asDouble(), 0.0);
+    EXPECT_EQ(closed["offered_load"].asDouble(), 0.0);
 }
 
 TEST(SweepReplay, QueueSpsC4Load60CellsMatchCheckedInReport)
@@ -722,7 +725,7 @@ TEST(SweepGrid, Scale256PairsBroadcastAndDirectoryAtEveryCoreCount)
     EXPECT_EQ(labels.size(), cells.size());
 }
 
-TEST(SweepReport, Scale256EmitsDirectoryCountersOnlyInDirectoryMode)
+TEST(SweepReport, Scale256DirectoryCountersAreZeroUnderBroadcast)
 {
     SweepGridOptions opts;
     opts.coreCounts = {1};
@@ -735,28 +738,17 @@ TEST(SweepReport, Scale256EmitsDirectoryCountersOnlyInDirectoryMode)
         Json::parse(sweepReport("scale256", results).dump(2));
     for (std::size_t i = 0; i < report["cells"].size(); ++i) {
         const Json &c = report["cells"].at(i);
-        ASSERT_TRUE(c["ok"].asBool()) << c["label"].asString();
-        // Every scale256 cell names its interconnect and reports the
-        // message count — the broadcast-vs-directory comparison axis.
-        ASSERT_TRUE(c.has("coherence"));
-        const bool directory = c["coherence"].asString() == "directory";
+        const std::string label = c["label"].asString();
+        ASSERT_TRUE(c["ok"].asBool()) << label;
         const Json &m = c["metrics"];
-        EXPECT_TRUE(m.has("coherence_messages"));
-        // Directory-only counters exist iff the cell ran the directory.
-        EXPECT_EQ(m.has("directory_lookups"), directory);
-        EXPECT_EQ(m.has("hop_traversal_cycles"), directory);
-        EXPECT_EQ(m.has("snoop_filter_evictions"), directory);
-        EXPECT_EQ(m.has("back_invalidations"), directory);
+        // The broadcast bus has no directory, mesh or snoop filter.
+        if (c["coherence"].asString() == "directory")
+            continue;
+        for (const char *f : {"directory_lookups", "hop_traversal_cycles",
+                              "snoop_filter_evictions",
+                              "back_invalidations"})
+            EXPECT_EQ(m[f].asUint(), 0u) << label << " " << f;
     }
-
-    // Legacy broadcast grids carry neither the coordinate nor the
-    // counters, keeping their checked-in reports byte-identical.
-    const auto smoke = runSweep(buildFigureGrid("smoke"), 1);
-    const Json smoke_report =
-        Json::parse(sweepReport("smoke", smoke).dump(2));
-    EXPECT_FALSE(smoke_report["cells"].at(0).has("coherence"));
-    EXPECT_FALSE(
-        smoke_report["cells"].at(0)["metrics"].has("coherence_messages"));
 }
 
 TEST(SweepReplay, Scale256DirectoryCellsMatchCheckedInReport)
