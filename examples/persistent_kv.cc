@@ -5,7 +5,8 @@
  * Runs a memcached-like store over SSP, injects a power failure in the
  * middle of a SET burst, recovers, and verifies that the store is
  * exactly the committed prefix.  Then compares the same scenario on the
- * undo-logging baseline to show the write-traffic difference.
+ * undo-logging baseline to show the write-traffic difference.  Exits 1
+ * if either post-crash image fails verification.
  */
 
 #include <cstdio>
@@ -30,7 +31,14 @@ demoConfig()
     return cfg;
 }
 
-std::uint64_t
+/** Outcome of one crash scenario. */
+struct ScenarioResult
+{
+    bool ok;
+    std::uint64_t nvramWrites;
+};
+
+ScenarioResult
 runScenario(BackendKind kind)
 {
     auto be = makeBackend(kind, demoConfig());
@@ -60,7 +68,7 @@ runScenario(BackendKind kind)
                 static_cast<unsigned long long>(
                     be->machine().bus().nvramWrites()),
                 static_cast<unsigned long long>(be->loggingWrites()));
-    return be->machine().bus().nvramWrites();
+    return {ok, be->machine().bus().nvramWrites()};
 }
 
 } // namespace
@@ -71,11 +79,11 @@ main()
     setVerbose(false);
     std::printf("persistent KV cache: 2000 memslap-style ops, power "
                 "failure, recovery, verification\n");
-    const std::uint64_t ssp_writes = runScenario(BackendKind::Ssp);
-    const std::uint64_t undo_writes = runScenario(BackendKind::UndoLog);
+    const ScenarioResult ssp = runScenario(BackendKind::Ssp);
+    const ScenarioResult undo = runScenario(BackendKind::UndoLog);
     std::printf("SSP wrote %.1f%% less NVRAM than undo logging for the "
                 "same durable work\n",
-                100.0 * (1.0 - static_cast<double>(ssp_writes) /
-                                   static_cast<double>(undo_writes)));
-    return 0;
+                100.0 * (1.0 - static_cast<double>(ssp.nvramWrites) /
+                                   static_cast<double>(undo.nvramWrites)));
+    return ssp.ok && undo.ok ? 0 : 1;
 }

@@ -98,10 +98,9 @@ class CoherenceModel
     virtual ~CoherenceModel() = default;
 
     /**
-     * Price a flip-current-bit send for the sub-page holding @p line,
-     * whose dropped peer copies are @p peers (possibly empty — the
-     * flip must reach the extended TLBs even when nobody cached the
-     * lines).
+     * Price a flip-current-bit send for @p line, whose dropped peer
+     * copies are @p peers (possibly empty — the flip must reach the
+     * extended TLBs even when nobody cached the line).
      * @return Completion time for the sending core.
      */
     virtual Cycles flipCurrentBit(CoreId sender, Addr line,

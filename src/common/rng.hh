@@ -48,7 +48,7 @@ class Rng
  * The paper defines its zipfian microbenchmark workloads operationally:
  * "80% of the updates are applied to 15% of the keys".  Hotspot mode
  * reproduces exactly that.  A classical Zipf(theta) sampler is also
- * provided for the ablation benches.
+ * provided.
  */
 class ZipfGenerator
 {

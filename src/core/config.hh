@@ -31,11 +31,9 @@ struct SspConfig
 {
     // ---- machine ------------------------------------------------------
     unsigned numCores = 1;
-    unsigned tlbEntries = 64;      ///< Table 2: 64 DTLB entries
-    unsigned writeSetEntries = 64; ///< section 4.2/4.3 write-set buffer
-    Cycles pageWalkCycles = 60;    ///< mostly-cached radix walk
-    Cycles broadcastLatency = 16;  ///< flip-current-bit bus traversal
-    Cycles opCost = 2;             ///< non-memory work per simulated op
+    unsigned tlbEntries = 64;     ///< Table 2: 64 DTLB entries
+    Cycles broadcastLatency = 16; ///< flip-current-bit bus traversal
+    Cycles opCost = 2;            ///< non-memory work per simulated op
 
     HierarchyParams caches{};
 
@@ -58,8 +56,8 @@ struct SspConfig
     MemTimingParams dram = dramDevicePreset();
     MemTimingParams nvram = nvramDevicePreset(NvramDevice::PaperPcm);
 
-    /** Parallel channels per technology; 1 is the paper's channel pair. */
-    unsigned dramChannels = 1;
+    /** Parallel NVRAM channels; 1 is the paper's channel pair (DRAM
+     *  always has one channel). */
     unsigned nvramChannels = 1;
     /** Unit of the round-robin address interleave across channels. */
     InterleaveGranularity interleaveGranularity =
@@ -86,28 +84,6 @@ struct SspConfig
     unsigned sspCacheOverprovision = 64;
     std::uint64_t checkpointThresholdBytes = 64 * 1024;
     SspCacheLatencyParams sspCacheLatency{};
-
-    /**
-     * Sub-page tracking granularity in cache lines (section 4.3): 1 =
-     * 64-byte lines (64-bit bitmaps, the paper's base design); 4 =
-     * 256-byte sub-pages matching Optane's preferred persistence
-     * granularity, shrinking the bitmaps to 16 bits at the cost of
-     * 4-line copy-on-write and flush units.  Must divide 64.
-     */
-    unsigned subPageLines = 1;
-
-    /** When a page becomes inactive: consolidate immediately (the
-     *  paper's implementation) or defer until memory pressure (the
-     *  lazy policy the paper leaves as future work). */
-    enum class ConsolidationPolicy { Eager, Lazy };
-    ConsolidationPolicy consolidationPolicy = ConsolidationPolicy::Eager;
-    /** Lazy policy: drain the pending queue when the shadow pool drops
-     *  below this many free pages. */
-    std::uint64_t lazyLowWatermark = 64;
-
-    /** Exchange a slot's shadow page with a fresh pool page every N
-     *  consolidations (wear leveling, section 4.1.2); 0 disables. */
-    std::uint64_t wearRotatePeriod = 0;
 
     // ---- derived layout -------------------------------------------------
     std::uint64_t
@@ -163,10 +139,12 @@ struct SspConfig
     MemSystemParams
     memSystem() const
     {
+        // The volatile side of the paper's channel pair.
+        constexpr unsigned kDramChannels = 1;
         MemSystemParams p;
         p.dram = dram;
         p.nvram = effectiveNvram();
-        p.dramChannels = dramChannels;
+        p.dramChannels = kDramChannels;
         p.nvramChannels = nvramChannels;
         p.interleave = interleaveGranularity;
         return p;

@@ -37,7 +37,7 @@ class Machine
           // the perf cutover.
           caches_(cfg.numCores, cfg.caches, bus_,
                   cfg.coherence.mode == CoherenceMode::Directory),
-          pt_(cfg.pageWalkCycles, cfg.heapPages),
+          pt_(kPageWalkCycles, cfg.heapPages),
           coherence_(makeCoherenceModel(cfg.numCores, cfg.broadcastLatency,
                                         cfg.coherence)),
           conflicts_(cfg.numCores, cfg.conflicts),
@@ -138,6 +138,9 @@ class Machine
     }
 
   private:
+    /** A mostly-cached radix walk. */
+    static constexpr Cycles kPageWalkCycles = 60;
+
     SspConfig cfg_;
     PhysMem mem_;
     MemoryBus bus_;

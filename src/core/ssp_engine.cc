@@ -7,13 +7,17 @@
 namespace ssp
 {
 
-SspEngine::SspEngine(CoreId core, Machine &machine, MemController &mc)
-    : core_(core), machine_(machine), mc_(mc),
-      writeSet_(machine.cfg().writeSetEntries),
-      subPageLines_(machine.cfg().subPageLines)
+namespace
 {
-    ssp_assert(subPageLines_ > 0 && kLinesPerPage % subPageLines_ == 0,
-               "sub-page granularity must divide the page");
+
+/** Pages the per-core write-set buffer tracks (sections 4.2/4.3). */
+constexpr unsigned kWriteSetEntries = 64;
+
+} // namespace
+
+SspEngine::SspEngine(CoreId core, Machine &machine, MemController &mc)
+    : core_(core), machine_(machine), mc_(mc), writeSet_(kWriteSetEntries)
+{
 }
 
 void
@@ -62,7 +66,7 @@ Addr
 SspEngine::currentLineAddr(const SspCacheEntry &e, const Translation &tr,
                            unsigned li) const
 {
-    const Ppn ppn = e.current.test(bitOf(li)) ? tr.ppn1 : tr.ppn0;
+    const Ppn ppn = e.current.test(li) ? tr.ppn1 : tr.ppn0;
     return lineAddr(ppn, li);
 }
 
@@ -134,49 +138,36 @@ SspEngine::atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size)
         mc_.coreRef(tr.slot);
     }
 
-    const unsigned bit = bitOf(li);
-    if (!ws->updated.test(bit)) {
-        // First transactional write to this sub-page (Figure 4):
+    if (!ws->updated.test(li)) {
+        // First transactional write to this line (Figure 4):
         //  1) check the current bit, 2) fetch the committed copy into the
         //  cache, 3) re-tag it to the "other" page (line-level CoW without
         //  a data copy in NVRAM), 4) apply the store, 5) flip the current
-        //  bit and broadcast.  At sub-page granularity > 1 line, every
-        //  line of the sub-page is copied and re-tagged together.
+        //  bit and broadcast.
         ++stats_.firstWrites;
-        const bool cur = e.current.test(bit);
-        ssp_assert(cur == e.committed.test(bit),
+        const bool cur = e.current.test(li);
+        ssp_assert(cur == e.committed.test(li),
                    "line not in write set but current != committed");
-        const Ppn old_ppn = cur ? tr.ppn1 : tr.ppn0;
-        const Ppn new_ppn = cur ? tr.ppn0 : tr.ppn1;
-        // All lines of the sub-page live in old_ppn's page, so every
-        // coherence event below shares one home tile under the mesh
-        // directory; the flip itself is priced at the sub-page's first
-        // line.
-        const Addr flip_loc = lineAddr(old_ppn, bit * subPageLines_);
-        CoreBitmap peer_mask;
-        for (unsigned g = bit * subPageLines_;
-             g < (bit + 1) * subPageLines_; ++g) {
-            const Addr old_loc = lineAddr(old_ppn, g);
-            const Addr new_loc = lineAddr(new_ppn, g);
-            now = machine_.caches().read(core_, old_loc, now); // fetch
-            machine_.mem().copyLine(new_loc, old_loc); // in-cache CoW
-            machine_.caches().remapLine(core_, old_loc, new_loc, now);
-            // Peer copies of the remapped-away line are stale: they tag
-            // a physical location whose committed data just moved.  The
-            // flip broadcast shoots them down so they can never be
-            // written back to — or re-read at — the old PPN.
-            peer_mask |=
-                machine_.caches().invalidateLineRemote(core_, old_loc);
-            // The copies must be dirty so commit writes the whole
-            // sub-page to its new location.
-            machine_.caches().write(core_, new_loc, now);
-            machine_.caches().setTxBit(core_, new_loc, true);
-        }
-        mc_.flipCurrent(tr.slot, bit);
-        now = machine_.coherence().flipCurrentBit(core_, flip_loc,
-                                                  peer_mask, now);
-        machine_.chargeShootdown(core_, flip_loc, peer_mask);
-        ws->updated.set(bit);
+        const Addr old_loc = lineAddr(cur ? tr.ppn1 : tr.ppn0, li);
+        const Addr new_loc = lineAddr(cur ? tr.ppn0 : tr.ppn1, li);
+        now = machine_.caches().read(core_, old_loc, now); // fetch
+        machine_.mem().copyLine(new_loc, old_loc);         // in-cache CoW
+        machine_.caches().remapLine(core_, old_loc, new_loc, now);
+        // Peer copies of the remapped-away line are stale: they tag a
+        // physical location whose committed data just moved.  The flip
+        // broadcast shoots them down so they can never be written back
+        // to — or re-read at — the old PPN.
+        const CoreBitmap peer_mask =
+            machine_.caches().invalidateLineRemote(core_, old_loc);
+        // The copy must be dirty so commit writes the line to its new
+        // location.
+        machine_.caches().write(core_, new_loc, now);
+        machine_.caches().setTxBit(core_, new_loc, true);
+        mc_.flipCurrent(tr.slot, li);
+        now = machine_.coherence().flipCurrentBit(core_, old_loc, peer_mask,
+                                                  now);
+        machine_.chargeShootdown(core_, old_loc, peer_mask);
+        ws->updated.set(li);
     }
 
     const Addr loc = currentLineAddr(e, tr, li);
@@ -205,7 +196,7 @@ SspEngine::commit()
                        mc_.cache().entry(ws.slot).ppn1};
         const SspCacheEntry &e = mc_.cache().entry(ws.slot);
         for (unsigned li = 0; li < kLinesPerPage; ++li) {
-            if (!ws.updated.test(bitOf(li)))
+            if (!ws.updated.test(li))
                 continue;
             flushBatch_.push_back(currentLineAddr(e, tr, li));
         }
@@ -246,21 +237,17 @@ SspEngine::abort()
 
     for (const auto &ws : writeSet_.entries()) {
         SspCacheEntry &e = mc_.cache().entry(ws.slot);
-        for (unsigned bit = 0; bit < kLinesPerPage / subPageLines_;
-             ++bit) {
-            if (!ws.updated.test(bit))
+        for (unsigned li = 0; li < kLinesPerPage; ++li) {
+            if (!ws.updated.test(li))
                 continue;
-            // Discard the speculative lines and flip the current bit
+            // Discard the speculative line and flip the current bit
             // back to the committed side.
-            const Ppn spec_ppn = e.current.test(bit) ? e.ppn1 : e.ppn0;
-            for (unsigned g = bit * subPageLines_;
-                 g < (bit + 1) * subPageLines_; ++g) {
-                machine_.caches().invalidateLine(lineAddr(spec_ppn, g));
-            }
-            mc_.flipCurrent(ws.slot, bit);
-            now = machine_.coherence().flipCurrentBit(
-                core_, lineAddr(spec_ppn, bit * subPageLines_),
-                CoreBitmap{}, now);
+            const Addr spec_loc =
+                lineAddr(e.current.test(li) ? e.ppn1 : e.ppn0, li);
+            machine_.caches().invalidateLine(spec_loc);
+            mc_.flipCurrent(ws.slot, li);
+            now = machine_.coherence().flipCurrentBit(core_, spec_loc,
+                                                      CoreBitmap{}, now);
         }
         mc_.coreDeref(ws.slot);
     }

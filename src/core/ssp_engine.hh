@@ -84,9 +84,6 @@ class SspEngine
     /** Atomic store confined to one cache line. */
     void atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size);
 
-    /** Tracking-bit index for line @p li (sub-page granularity). */
-    unsigned bitOf(unsigned li) const { return li / subPageLines_; }
-
     /** Physical line address of line @p li per the current bitmap. */
     Addr currentLineAddr(const SspCacheEntry &e, const Translation &tr,
                          unsigned li) const;
@@ -99,7 +96,6 @@ class SspEngine
      *  hierarchy's batched flush.  Member so the allocation amortizes
      *  across transactions. */
     std::vector<Addr> flushBatch_;
-    unsigned subPageLines_;
     bool inTx_ = false;
     TxId tid_ = 0;
     EngineStats stats_;

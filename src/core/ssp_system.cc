@@ -31,11 +31,6 @@ SspSystem::SspSystem(const SspConfig &cfg)
     mcp.persistentCacheBase = cfg.journalBase() + mcp.journalBytes;
     mcp.persistentCacheBytes = pcache_bytes;
     mcp.latency = cfg.sspCacheLatency;
-    mcp.subPageLines = cfg.subPageLines;
-    mcp.lazyConsolidation =
-        cfg.consolidationPolicy == SspConfig::ConsolidationPolicy::Lazy;
-    mcp.lazyLowWatermark = cfg.lazyLowWatermark;
-    mcp.wearRotatePeriod = cfg.wearRotatePeriod;
     if (cfg.shadowPoolPages < mcp.sspCacheSlots) {
         ssp_fatal("shadow pool (%llu pages) smaller than the SSP cache "
                   "(%u slots); every slot needs an extra page",
@@ -107,12 +102,11 @@ SspSystem::storeRaw(Addr vaddr, const void *buf, std::uint64_t size)
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
         const Vpn vpn = pageOf(vaddr);
         const unsigned li = lineIndexInPage(vaddr);
-        const unsigned bit = li / machine_->cfg().subPageLines;
         Ppn ppn;
         SlotId sid = mc_->cache().findSlot(vpn);
         if (sid != kInvalidSlot) {
             const SspCacheEntry &e = mc_->cache().entry(sid);
-            ppn = e.committed.test(bit) ? e.ppn1 : e.ppn0;
+            ppn = e.committed.test(li) ? e.ppn1 : e.ppn0;
             ssp_assert(e.current == e.committed,
                        "storeRaw during an open transaction");
         } else {
@@ -135,12 +129,11 @@ SspSystem::loadRaw(Addr vaddr, void *buf, std::uint64_t size)
             std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
         const Vpn vpn = pageOf(vaddr);
         const unsigned li = lineIndexInPage(vaddr);
-        const unsigned bit = li / machine_->cfg().subPageLines;
         Ppn ppn;
         SlotId sid = mc_->cache().findSlot(vpn);
         if (sid != kInvalidSlot) {
             const SspCacheEntry &e = mc_->cache().entry(sid);
-            ppn = e.current.test(bit) ? e.ppn1 : e.ppn0;
+            ppn = e.current.test(li) ? e.ppn1 : e.ppn0;
         } else {
             ppn = machine_->pt().translate(vpn);
         }
@@ -157,12 +150,11 @@ SspSystem::committedLocation(Addr vaddr)
 {
     const Vpn vpn = pageOf(vaddr);
     const unsigned li = lineIndexInPage(vaddr);
-    const unsigned bit = li / machine_->cfg().subPageLines;
     SlotId sid = mc_->cache().findSlot(vpn);
     Ppn ppn;
     if (sid != kInvalidSlot) {
         const SspCacheEntry &e = mc_->cache().entry(sid);
-        ppn = e.committed.test(bit) ? e.ppn1 : e.ppn0;
+        ppn = e.committed.test(li) ? e.ppn1 : e.ppn0;
     } else {
         ppn = machine_->pt().translate(vpn);
     }

@@ -5,11 +5,10 @@
  * The directory coherence model prices every message by Manhattan hop
  * distance on a width x height tile grid: core c sits on tile c, and
  * each physical page has a home tile (page number modulo tile count)
- * whose directory tracks the page's lines.  Homing at page granularity
- * — not line granularity — keeps every line of one sub-page under a
- * single home node, so a flip-current-bit shootdown that accumulates
- * sharer copies across a sub-page's lines is one directory transaction,
- * matching how Machine::chargeShootdown charges each peer once.
+ * whose directory tracks the page's lines.  A flip-current-bit
+ * shootdown is one directory transaction at the home of the flipped
+ * line's page, matching how Machine::chargeShootdown charges each peer
+ * once.
  */
 
 #ifndef SSP_INTERCONNECT_MESH_HH

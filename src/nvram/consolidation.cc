@@ -6,10 +6,8 @@ namespace ssp
 {
 
 Consolidator::Consolidator(SspCache &cache, MetadataJournal &journal,
-                           PageTable &pt, MemoryBus &bus, FreePagePool &pool,
-                           unsigned sub_page_lines)
-    : cache_(cache), journal_(journal), pt_(pt), bus_(bus), pool_(pool),
-      subPageLines_(sub_page_lines)
+                           PageTable &pt, MemoryBus &bus)
+    : cache_(cache), journal_(journal), pt_(pt), bus_(bus)
 {
 }
 
@@ -32,8 +30,6 @@ Consolidator::consolidate(SlotId sid, Cycles now)
     e.consolidating = true;
 
     PhysMem &mem = bus_.mem();
-    const unsigned num_bits =
-        static_cast<unsigned>(kLinesPerPage / subPageLines_);
     const unsigned in_p1 = e.committed.popcount();
     Cycles done = now;
 
@@ -47,37 +43,31 @@ Consolidator::consolidate(SlotId sid, Cycles now)
         return res;
     }
 
-    const bool keep_p1 = in_p1 > num_bits / 2;
+    const bool keep_p1 = in_p1 > kLinesPerPage / 2;
     if (!keep_p1) {
-        // Minority lives in P1: copy those sub-pages into P0.
-        for (unsigned bit = 0; bit < num_bits; ++bit) {
-            if (!e.committed.test(bit))
+        // Minority lives in P1: copy those lines into P0.
+        for (unsigned li = 0; li < kLinesPerPage; ++li) {
+            if (!e.committed.test(li))
                 continue;
-            for (unsigned g = bit * subPageLines_;
-                 g < (bit + 1) * subPageLines_; ++g) {
-                mem.copyLine(lineAddr(e.ppn0, g), lineAddr(e.ppn1, g));
-                Cycles t = bus_.issueWrite(lineAddr(e.ppn0, g),
-                                           WriteCategory::Consolidation,
-                                           now, true);
-                done = std::max(done, t);
-                ++res.linesCopied;
-            }
+            mem.copyLine(lineAddr(e.ppn0, li), lineAddr(e.ppn1, li));
+            Cycles t = bus_.issueWrite(lineAddr(e.ppn0, li),
+                                       WriteCategory::Consolidation, now,
+                                       true);
+            done = std::max(done, t);
+            ++res.linesCopied;
         }
     } else {
-        // Minority lives in P0: copy those sub-pages into P1, then swap
-        // the page roles so the consolidated page becomes the new P0.
-        for (unsigned bit = 0; bit < num_bits; ++bit) {
-            if (e.committed.test(bit))
+        // Minority lives in P0: copy those lines into P1, then swap the
+        // page roles so the consolidated page becomes the new P0.
+        for (unsigned li = 0; li < kLinesPerPage; ++li) {
+            if (e.committed.test(li))
                 continue;
-            for (unsigned g = bit * subPageLines_;
-                 g < (bit + 1) * subPageLines_; ++g) {
-                mem.copyLine(lineAddr(e.ppn1, g), lineAddr(e.ppn0, g));
-                Cycles t = bus_.issueWrite(lineAddr(e.ppn1, g),
-                                           WriteCategory::Consolidation,
-                                           now, true);
-                done = std::max(done, t);
-                ++res.linesCopied;
-            }
+            mem.copyLine(lineAddr(e.ppn1, li), lineAddr(e.ppn0, li));
+            Cycles t = bus_.issueWrite(lineAddr(e.ppn1, li),
+                                       WriteCategory::Consolidation, now,
+                                       true);
+            done = std::max(done, t);
+            ++res.linesCopied;
         }
         std::swap(e.ppn0, e.ppn1);
         res.swapped = true;

@@ -10,22 +10,21 @@
  * PPN0, committed bitmap all-zero) and updates the page table.
  *
  * Consolidation is the only place SSP writes data twice, and it runs off
- * the critical path: an OS background thread drains a queue.  The model
- * charges the copies to NVRAM bandwidth (they occupy banks) but no core
- * stalls on them; a core that re-requests a page mid-consolidation waits
- * for the completion time recorded against the slot.
+ * the critical path: the controller consolidates a page eagerly, the
+ * moment it becomes inactive (section 3.4).  The model charges the
+ * copies to NVRAM bandwidth (they occupy banks) but no core stalls on
+ * them; a core that re-requests a page mid-consolidation is served
+ * from the controller's buffers.
  */
 
 #ifndef SSP_NVRAM_CONSOLIDATION_HH
 #define SSP_NVRAM_CONSOLIDATION_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/memory_bus.hh"
-#include "nvram/free_pages.hh"
 #include "nvram/journal.hh"
 #include "nvram/ssp_cache.hh"
 #include "vm/page_table.hh"
@@ -49,16 +48,12 @@ struct ConsolidationResult
 class Consolidator
 {
   public:
-    /**
-     * @param sub_page_lines Lines per tracking bit (section 4.3).
-     */
     Consolidator(SspCache &cache, MetadataJournal &journal, PageTable &pt,
-                 MemoryBus &bus, FreePagePool &pool,
-                 unsigned sub_page_lines = 1);
+                 MemoryBus &bus);
 
     /**
-     * Consolidate slot @p sid now (the eager policy the paper
-     * implements).  @pre the slot's TLB and core reference counts are 0.
+     * Consolidate slot @p sid now.
+     * @pre the slot's TLB and core reference counts are 0.
      */
     ConsolidationResult consolidate(SlotId sid, Cycles now);
 
@@ -70,8 +65,6 @@ class Consolidator
     MetadataJournal &journal_;
     PageTable &pt_;
     MemoryBus &bus_;
-    FreePagePool &pool_;
-    unsigned subPageLines_;
     std::uint64_t consolidations_ = 0;
     StatSummary copiedLines_;
 };

@@ -42,17 +42,4 @@ FreePagePool::release(Ppn ppn)
     free_.push_back(ppn);
 }
 
-Ppn
-FreePagePool::exchange(Ppn ppn)
-{
-    if (free_.empty())
-        return ppn; // nothing to rotate with
-    // Take from the front (least recently released) for wear leveling.
-    head_ %= free_.size();
-    Ppn fresh = free_[head_];
-    free_[head_] = ppn;
-    ++head_;
-    return fresh;
-}
-
 } // namespace ssp

@@ -7,8 +7,7 @@
  * 4.1.2, "Free Space Management").  The controller associates each SSP
  * cache slot with an extra physical page drawn from this pool; when a
  * consolidation swaps a page's roles, the slot's extra page is exchanged
- * for the retired original.  To mitigate uneven wear the pool supports
- * rotating a slot's page for a fresh one.
+ * for the retired original.
  */
 
 #ifndef SSP_NVRAM_FREE_PAGES_HH
@@ -48,12 +47,6 @@ class FreePagePool
     /** Return a page to the pool. */
     void release(Ppn ppn);
 
-    /**
-     * Wear rotation: return @p ppn and take a different page, preferring
-     * the least-recently-released one.
-     */
-    Ppn exchange(Ppn ppn);
-
     std::uint64_t available() const { return free_.size(); }
     std::uint64_t capacity() const { return capacity_; }
 
@@ -67,8 +60,7 @@ class FreePagePool
   private:
     Ppn basePpn_;
     std::uint64_t capacity_;
-    std::vector<Ppn> free_; // FIFO via index rotation
-    std::uint64_t head_ = 0;
+    std::vector<Ppn> free_; // LIFO: allocate takes the last release
 };
 
 } // namespace ssp

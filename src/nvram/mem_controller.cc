@@ -1,7 +1,8 @@
 #include "nvram/mem_controller.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -15,9 +16,7 @@ MemController::MemController(const MemControllerParams &params,
       journal_(bus, params.journalBase, params.journalBytes,
                params.checkpointThresholdBytes),
       pool_(params.shadowPoolBase, params.shadowPoolPages),
-      consolidator_(cache_, journal_, pt_, bus, pool_,
-                    params.subPageLines),
-      consolidateDoneAt_(params.sspCacheSlots, 0)
+      consolidator_(cache_, journal_, pt_, bus)
 {
     if (params_.persistentCacheBytes == 0) {
         params_.persistentCacheBase = params_.journalBase;
@@ -31,19 +30,7 @@ MemController::fetchEntry(Vpn vpn, Ppn ppn0, Cycles now)
 {
     MetadataFetchResult res;
     SlotId sid = cache_.findSlot(vpn);
-    if (sid != kInvalidSlot && pendingSet_.contains(sid)) {
-        // The page became active again before the background thread got
-        // to it: cancel the pending consolidation (the lazy policy's
-        // batching win).
-        pendingSet_.erase(sid);
-        std::erase(pending_, sid);
-        ++canceledConsolidations_;
-    }
     if (sid == kInvalidSlot) {
-        if (params_.lazyConsolidation &&
-            pool_.available() < params_.lazyLowWatermark) {
-            drainPending(now, false);
-        }
         SspCacheEntry displaced;
         sid = cache_.allocateSlot(vpn, &displaced);
         if (displaced.valid) {
@@ -62,8 +49,6 @@ MemController::fetchEntry(Vpn vpn, Ppn ppn0, Cycles now)
             quarantine_.emplace_back(displaced.ppn1,
                                      journal_.appendedBytes());
         }
-        if (sid >= consolidateDoneAt_.size())
-            consolidateDoneAt_.resize(sid + 1, 0);
         reclaimQuarantine(now);
         SspCacheEntry &e = cache_.entry(sid);
         e.ppn0 = ppn0;
@@ -108,44 +93,7 @@ MemController::maybeConsolidate(SlotId sid, Cycles now)
     // reference count) is not eligible (section 4.2).
     if (e.coreRefCount != 0 || e.tlbRefCount != 0)
         return;
-    if (params_.lazyConsolidation) {
-        // Defer: queue the page; it is consolidated only when the pool
-        // runs low — and canceled for free if it becomes active first.
-        if (pendingSet_.insert(sid).second)
-            pending_.push_back(sid);
-        if (pool_.available() < params_.lazyLowWatermark)
-            drainPending(now, false);
-        return;
-    }
-    consolidateNow(sid, now);
-}
-
-void
-MemController::consolidateNow(SlotId sid, Cycles now)
-{
-    auto res = consolidator_.consolidate(sid, now);
-    consolidateDoneAt_[sid] = res.doneAt;
-    if (params_.wearRotatePeriod != 0 &&
-        consolidator_.consolidations() % params_.wearRotatePeriod == 0) {
-        // Swap the now-idle shadow page for a fresh pool page.  The
-        // mapping change is journaled like a consolidation so recovery
-        // sees a consistent PPN1.
-        SspCacheEntry &e = cache_.entry(sid);
-        const Ppn fresh = pool_.exchange(e.ppn1);
-        if (fresh != e.ppn1) {
-            e.ppn1 = fresh;
-            ++wearRotations_;
-            JournalRecord rec;
-            rec.kind = JournalKind::Consolidate;
-            rec.tid = 0;
-            rec.sid = sid;
-            rec.vpn = e.vpn;
-            rec.ppn0 = e.ppn0;
-            rec.ppn1 = e.ppn1;
-            rec.committed = e.committed;
-            journal_.append(rec, now);
-        }
-    }
+    consolidator_.consolidate(sid, now);
 }
 
 void
@@ -163,28 +111,6 @@ MemController::reclaimQuarantine(Cycles now)
     while (!quarantine_.empty() && ripe(quarantine_.front())) {
         pool_.release(quarantine_.front().first);
         quarantine_.pop_front();
-    }
-}
-
-void
-MemController::drainPending(Cycles now, bool all)
-{
-    while (!pending_.empty() &&
-           (all || pool_.available() < params_.lazyLowWatermark)) {
-        SlotId sid = pending_.front();
-        pending_.pop_front();
-        pendingSet_.erase(sid);
-        SspCacheEntry &e = cache_.entry(sid);
-        if (!e.valid || e.tlbRefCount != 0 || e.coreRefCount != 0) {
-            // Became active (or died) while queued: nothing to do.
-            ++canceledConsolidations_;
-            continue;
-        }
-        if (e.committed.none()) {
-            ++canceledConsolidations_;
-            continue; // already consolidated
-        }
-        consolidateNow(sid, now);
     }
 }
 
@@ -310,9 +236,6 @@ MemController::powerFail()
 {
     cache_.powerFail();
     journal_.powerFail();
-    consolidateDoneAt_.assign(consolidateDoneAt_.size(), 0);
-    pending_.clear();
-    pendingSet_.clear();
     quarantine_.clear();
 }
 
@@ -357,8 +280,6 @@ MemController::recover()
             // The slot never made it into a checkpoint; the journal
             // record is its only durable trace.
             sid = cache_.allocateSlot(rec.vpn);
-            if (sid >= consolidateDoneAt_.size())
-                consolidateDoneAt_.resize(sid + 1, 0);
         }
         SspCacheEntry &e = cache_.entry(sid);
         e.ppn0 = rec.ppn0;

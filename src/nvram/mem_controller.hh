@@ -16,8 +16,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
-#include <vector>
+#include <utility>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -57,16 +56,6 @@ struct MemControllerParams
     std::uint64_t checkpointThresholdBytes = 256 * 1024;
     /** Latency model of the SSP cache. */
     SspCacheLatencyParams latency;
-    /** Lines per tracking bit (section 4.3 sub-pages). */
-    unsigned subPageLines = 1;
-    /** Defer consolidation until the pool runs low (future-work policy;
-     *  the paper's implementation is eager). */
-    bool lazyConsolidation = false;
-    /** Lazy policy: drain when the pool has fewer free pages. */
-    std::uint64_t lazyLowWatermark = 64;
-    /** Wear leveling: rotate a slot's shadow page every N
-     *  consolidations; 0 disables. */
-    std::uint64_t wearRotatePeriod = 0;
 };
 
 /** Result of a metadata fetch on a TLB miss. */
@@ -152,27 +141,10 @@ class MemController
 
     std::uint64_t checkpoints() const { return checkpoints_; }
     std::uint64_t metadataUpdates() const { return metadataUpdates_; }
-    /** Lazy policy: consolidations canceled because the page became
-     *  active again before the background thread reached it. */
-    std::uint64_t canceledConsolidations() const
-    {
-        return canceledConsolidations_;
-    }
-    /** Pages currently awaiting lazy consolidation. */
-    std::size_t pendingConsolidations() const { return pending_.size(); }
-    /** Shadow pages rotated for wear leveling. */
-    std::uint64_t wearRotations() const { return wearRotations_; }
 
   private:
-    /** Consolidate an inactive slot, or queue it (lazy policy). */
+    /** Consolidate a slot that has just become inactive. */
     void maybeConsolidate(SlotId sid, Cycles now);
-
-    /** Run one consolidation now, with wear rotation when due. */
-    void consolidateNow(SlotId sid, Cycles now);
-
-    /** Lazy policy: drain pending consolidations while the pool is low
-     *  (or fully, when @p all is set). */
-    void drainPending(Cycles now, bool all);
 
     /** Move quarantined pages whose Free records are durable into the
      *  pool; force a journal flush only when the pool is empty. */
@@ -188,8 +160,6 @@ class MemController
     TxId nextTid_ = 1;
     std::uint64_t checkpoints_ = 0;
     std::uint64_t metadataUpdates_ = 0;
-    std::uint64_t canceledConsolidations_ = 0;
-    std::uint64_t wearRotations_ = 0;
     /**
      * Shadow pages released by slot evictions, quarantined until the
      * journal watermark covers their Free record (so recovery can never
@@ -197,13 +167,6 @@ class MemController
      * (page, journal byte offset that must be durable).
      */
     std::deque<std::pair<Ppn, std::uint64_t>> quarantine_;
-
-    /** Lazy-consolidation FIFO of inactive slots. */
-    std::deque<SlotId> pending_;
-    /** Slots currently queued (for O(1) membership/cancellation). */
-    std::unordered_set<SlotId> pendingSet_;
-    /** Per-slot completion time of an in-flight consolidation. */
-    std::vector<Cycles> consolidateDoneAt_;
 };
 
 } // namespace ssp

@@ -47,10 +47,10 @@ const char *conflictModeName(ConflictMode mode);
 /** Printable coherence-model name ("broadcast" / "directory"). */
 const char *coherenceModeName(CoherenceMode mode);
 
-/** The Table 2 machine the paper grids and the ablation benches run. */
+/** The Table 2 machine the paper grids run. */
 SspConfig paperConfig(unsigned cores = 1);
 
-/** The paper grids' workload scale (and the ablation benches'). */
+/** The paper grids' workload scale. */
 WorkloadScale paperScale();
 
 /** Transactions measured per cell unless the grid overrides it. */

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hh"
 #include "core/recovery.hh"
 #include "core/ssp_system.hh"
 #include "tests/test_helpers.hh"
@@ -151,6 +156,35 @@ TEST_F(SspEngineTest, MultiPageTransactionIsAtomic)
     for (unsigned p = 0; p < 8; ++p)
         EXPECT_EQ(raw64(*sys, pageBase(10 + p)), 100u + p);
     EXPECT_EQ(sys->engine(0).stats().commits, 1u);
+}
+
+TEST_F(SspEngineTest, RandomCommitAbortMixMatchesOracle)
+{
+    // 50 transactions over ten pages, a fifth of them aborted: the
+    // committed image holds exactly the committed transactions' stores.
+    Rng rng(18);
+    std::map<Addr, std::uint64_t> oracle;
+    for (unsigned round = 0; round < 50; ++round) {
+        sys->begin(0);
+        std::vector<std::pair<Addr, std::uint64_t>> pending;
+        const unsigned writes = 1 + rng.nextBounded(8);
+        for (unsigned i = 0; i < writes; ++i) {
+            const Addr addr = pageBase(5 + rng.nextBounded(10)) +
+                              rng.nextBounded(64) * kLineSize;
+            const std::uint64_t v = rng.next();
+            sys->store(0, addr, &v, sizeof(v));
+            pending.emplace_back(addr, v);
+        }
+        if (rng.nextBool(0.2)) {
+            sys->abort(0);
+        } else {
+            sys->commit(0);
+            for (auto &[a, v] : pending)
+                oracle[a] = v;
+        }
+    }
+    for (auto &[a, v] : oracle)
+        EXPECT_EQ(raw64(*sys, a), v);
 }
 
 TEST_F(SspEngineTest, TransactionSeesOwnWritesAcrossLines)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Parameterized configuration sweeps: the SSP correctness properties
- * must hold across TLB sizes, cache geometries, sub-page granularities,
- * checkpoint thresholds, core counts, and consolidation policies.
+ * must hold across TLB sizes, cache geometries, checkpoint thresholds
+ * and core counts.
  * These are the property-style tests that catch interactions no single
  * fixed configuration would.
  */
@@ -28,9 +28,7 @@ namespace
 struct SweepPoint
 {
     unsigned tlbEntries;
-    unsigned subPageLines;
     unsigned cores;
-    bool lazy;
     std::uint64_t checkpointThreshold;
 };
 
@@ -38,10 +36,9 @@ std::string
 sweepName(const ::testing::TestParamInfo<SweepPoint> &info)
 {
     const SweepPoint &p = info.param;
-    return "tlb" + std::to_string(p.tlbEntries) + "_sub" +
-           std::to_string(p.subPageLines) + "_c" +
-           std::to_string(p.cores) + (p.lazy ? "_lazy" : "_eager") +
-           "_ckpt" + std::to_string(p.checkpointThreshold);
+    return "tlb" + std::to_string(p.tlbEntries) + "_c" +
+           std::to_string(p.cores) + "_ckpt" +
+           std::to_string(p.checkpointThreshold);
 }
 
 SspConfig
@@ -49,10 +46,6 @@ configFor(const SweepPoint &p)
 {
     SspConfig cfg = smallConfig(p.cores);
     cfg.tlbEntries = p.tlbEntries;
-    cfg.subPageLines = p.subPageLines;
-    cfg.consolidationPolicy =
-        p.lazy ? SspConfig::ConsolidationPolicy::Lazy
-               : SspConfig::ConsolidationPolicy::Eager;
     cfg.checkpointThresholdBytes = p.checkpointThreshold;
     cfg.shadowPoolPages =
         p.cores * p.tlbEntries + cfg.sspCacheOverprovision + 256;
@@ -67,7 +60,7 @@ TEST_P(SspSweepTest, OracleChurnCrashRecover)
 {
     SspSystem sys(configFor(GetParam()));
     const unsigned cores = GetParam().cores;
-    Rng rng(GetParam().tlbEntries * 131 + GetParam().subPageLines);
+    Rng rng(GetParam().tlbEntries * 131 + 1);
     std::map<Addr, std::uint64_t> oracle;
 
     for (unsigned round = 0; round < 3; ++round) {
@@ -115,17 +108,12 @@ sweepPoints()
 {
     std::vector<SweepPoint> points;
     for (unsigned tlb : {8u, 16u, 64u}) {
-        for (unsigned sub : {1u, 4u}) {
-            for (unsigned cores : {1u, 2u}) {
-                points.push_back({tlb, sub, cores, false, 16384});
-            }
-        }
+        for (unsigned cores : {1u, 2u})
+            points.push_back({tlb, cores, 16384});
     }
-    // Lazy policy and tiny checkpoint threshold corners.
-    points.push_back({16, 1, 1, true, 16384});
-    points.push_back({64, 4, 2, true, 16384});
-    points.push_back({64, 1, 1, false, 2048}); // checkpoint-heavy
-    points.push_back({8, 4, 1, true, 2048});
+    // Checkpoint-heavy corners: a tiny threshold at both TLB extremes.
+    points.push_back({64, 1, 2048});
+    points.push_back({8, 1, 2048});
     return points;
 }
 
@@ -164,31 +152,6 @@ TEST(SweepProperties, CheckpointThresholdBoundsJournal)
                   threshold + 4096)
             << "journal did not stay near its threshold";
     }
-}
-
-TEST(SweepProperties, CoarserSubPagesWriteMoreDataButLessMetadata)
-{
-    auto run = [](unsigned sub) {
-        SspConfig cfg = smallConfig();
-        cfg.subPageLines = sub;
-        SspSystem sys(cfg);
-        Rng rng(5);
-        for (unsigned i = 0; i < 500; ++i) {
-            txWrite64(sys, 0,
-                      pageBase(1 + rng.nextBounded(100)) +
-                          rng.nextBounded(64) * kLineSize,
-                      i);
-        }
-        return std::pair{sys.machine().bus().nvramWrites(
-                             WriteCategory::Data) +
-                             sys.machine().bus().nvramWrites(
-                                 WriteCategory::Consolidation),
-                         sys.machine().coherence().flipMessages()};
-    };
-    auto [fine_data, fine_flips] = run(1);
-    auto [coarse_data, coarse_flips] = run(4);
-    EXPECT_GT(coarse_data, fine_data);   // 4-line CoW/flush units
-    EXPECT_LE(coarse_flips, fine_flips); // fewer tracking bits
 }
 
 TEST(SweepProperties, ThroughputScalesWithCores)
