@@ -121,12 +121,6 @@ usage(int exit_code)
     std::fprintf(
         stderr,
         "\n"
-        "  --conflict-mode M  concurrent-conflict handling: fcw\n"
-        "                     (first-committer-wins, the default),\n"
-        "                     lazy (read-set-only validation), off\n"
-        "  --nvram-device D   NVRAM preset for every cell: paper-pcm,\n"
-        "                     stt-mram, flash, dram-only (default:\n"
-        "                     paper-pcm, the Table 2 device)\n"
         "  --jobs N           worker threads, 1..%u (default 1);\n"
         "                     results are bit-identical for any N\n"
         "  --txs N            transactions per cell, 1..%llu\n"
@@ -202,10 +196,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--arrival") {
             args.grid.arrival =
                 ssp::serve::parseArrivalKind(next_value(i));
-        } else if (arg == "--conflict-mode") {
-            args.grid.conflictMode = parseConflictMode(next_value(i));
-        } else if (arg == "--nvram-device") {
-            args.grid.nvramDevice = parseNvramDevice(next_value(i));
         } else if (arg == "--jobs") {
             // parseCount is fatal on anything but a plain integer in
             // range: "4x", "0" and "-1" exit 2 instead of running.

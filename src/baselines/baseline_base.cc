@@ -16,7 +16,7 @@ BaselineBase::begin(CoreId core)
     ssp_assert(!tx_[core].inTx, "nested failure-atomic sections");
     tx_[core].inTx = true;
     tx_[core].tid = nextTid_++;
-    machine_->clock(core) += machine_->cfg().opCost;
+    machine_->clock(core) += Machine::kOpCost;
     machine_->conflicts().beginTx(core, machine_->clock(core));
 }
 
@@ -56,7 +56,7 @@ BaselineBase::load(CoreId core, Addr vaddr, void *buf, std::uint64_t size)
         const Addr loc =
             lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr);
         now = machine_->caches().read(core, loc, now);
-        now += machine_->cfg().opCost;
+        now += Machine::kOpCost;
         if (!redirectLoad(core, lineBase(vaddr), lineOffset(vaddr), out,
                           in_line)) {
             machine_->mem().read(loc, out, in_line);

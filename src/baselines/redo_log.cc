@@ -92,7 +92,7 @@ RedoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
     // normal cache write, and the redo record streams out asynchronously
     // without stalling the store.
     now = machine_->caches().write(core, line_paddr, now);
-    now += machine_->cfg().opCost;
+    now += Machine::kOpCost;
 }
 
 void

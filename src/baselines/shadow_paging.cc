@@ -38,7 +38,7 @@ ShadowPagingBackend::load(CoreId core, Addr vaddr, void *buf,
         const Addr loc =
             lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr);
         now = machine_->caches().read(core, loc, now);
-        now += machine_->cfg().opCost;
+        now += Machine::kOpCost;
         machine_->mem().read(loc, out, in_line);
         machine_->conflicts().recordRead(core, vaddr);
         vaddr += in_line;
@@ -97,7 +97,7 @@ ShadowPagingBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
     const Addr loc = lineAddr(ppn, lineIndexInPage(vaddr));
     machine_->mem().write(loc + lineOffset(vaddr), buf, size);
     now = machine_->caches().write(core, loc, now);
-    now += machine_->cfg().opCost;
+    now += Machine::kOpCost;
     tx.lines.insert(lineBase(vaddr));
 }
 

@@ -74,7 +74,7 @@ UndoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
 
     machine_->mem().write(line_paddr + lineOffset(vaddr), buf, size);
     now = machine_->caches().write(core, line_paddr, now);
-    now += machine_->cfg().opCost;
+    now += Machine::kOpCost;
 }
 
 void

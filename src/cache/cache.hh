@@ -34,8 +34,7 @@ class SharerIndex;
 /** Geometry and latency of one cache level. */
 struct CacheParams
 {
-    /** Owned: params objects outlive whatever buffer named them (the
-     *  same dangling-pointer class MemTimingParams::name fixed). */
+    /** Owned: params objects outlive whatever buffer named them. */
     std::string name = "cache";
     std::uint64_t sizeBytes = 32 * 1024;
     /** Associativity, 1 to Cache::kMaxWays (16): a set's LRU order

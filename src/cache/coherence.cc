@@ -6,13 +6,11 @@ namespace ssp
 {
 
 std::unique_ptr<CoherenceModel>
-makeCoherenceModel(unsigned num_cores, Cycles broadcast_latency,
-                   const CoherenceParams &params)
+makeCoherenceModel(unsigned num_cores, const CoherenceParams &params)
 {
     if (params.mode == CoherenceMode::Directory)
         return std::make_unique<DirectoryCoherence>(num_cores, params);
-    return std::make_unique<BroadcastCoherence>(num_cores,
-                                                broadcast_latency);
+    return std::make_unique<BroadcastCoherence>(num_cores);
 }
 
 } // namespace ssp

@@ -17,7 +17,7 @@
  * Two implementations exist behind the CoherenceModel interface:
  *
  *  - BroadcastCoherence (default): the historical flat-cost snooping
- *    bus — every event costs the sender one fixed broadcastLatency and
+ *    bus — every event costs the sender one fixed bus traversal and
  *    reaches all numCores-1 peers, regardless of how many actually
  *    share the line.  All checked-in BENCH grids are priced by it.
  *  - DirectoryCoherence (src/interconnect/): a home-node directory on
@@ -52,17 +52,6 @@ enum class CoherenceMode
 struct CoherenceParams
 {
     CoherenceMode mode = CoherenceMode::Broadcast;
-
-    /** Mesh dimensions; 0 = derive a square-ish power-of-two grid
-     *  from the core count (16x16 at 256 cores). */
-    unsigned meshWidth = 0;
-    unsigned meshHeight = 0;
-
-    /** Cycles one message takes per mesh hop (link + router). */
-    Cycles hopCycles = 3;
-
-    /** Cycles one home-node directory lookup takes (SRAM tag array). */
-    Cycles directoryLookupCycles = 12;
 
     /**
      * Snoop-filter capacity per home tile in tracked lines; evicting a
@@ -248,13 +237,12 @@ class CoherenceModel
 class BroadcastCoherence final : public CoherenceModel
 {
   public:
-    /**
-     * @param num_cores Number of cores on the bus.
-     * @param broadcast_latency Cycles a broadcast adds to the sender
-     *        (piggy-backed on invalidations, so this is small).
-     */
-    BroadcastCoherence(unsigned num_cores, Cycles broadcast_latency)
-        : CoherenceModel(num_cores), broadcastLatency_(broadcast_latency)
+    /** Cycles a flip-current-bit or invalidation broadcast adds to the
+     *  sender (piggy-backed on invalidations, so this is small). */
+    static constexpr Cycles kLatency = 16;
+
+    explicit BroadcastCoherence(unsigned num_cores)
+        : CoherenceModel(num_cores)
     {
     }
 
@@ -269,7 +257,7 @@ class BroadcastCoherence final : public CoherenceModel
         if (numCores() <= 1)
             return now;
         countMessages(numCores() - 1);
-        return now + broadcastLatency_;
+        return now + kLatency;
     }
 
     Cycles
@@ -280,29 +268,22 @@ class BroadcastCoherence final : public CoherenceModel
         if (numCores() <= 1)
             return now;
         countMessages(numCores() - 1);
-        return now + broadcastLatency_;
+        return now + kLatency;
     }
 
     Cycles
     shootdownReceiverCost(CoreId, Addr) const override
     {
-        return broadcastLatency_;
+        return kLatency;
     }
-
-    Cycles broadcastLatency() const { return broadcastLatency_; }
-
-  private:
-    Cycles broadcastLatency_;
 };
 
 /**
  * Build the coherence model @p params selects: the flat BroadcastCoherence
- * bus (priced by @p broadcast_latency) or the mesh DirectoryCoherence
- * model from src/interconnect/.
+ * bus or the mesh DirectoryCoherence model from src/interconnect/.
  */
 std::unique_ptr<CoherenceModel>
-makeCoherenceModel(unsigned num_cores, Cycles broadcast_latency,
-                   const CoherenceParams &params);
+makeCoherenceModel(unsigned num_cores, const CoherenceParams &params);
 
 } // namespace ssp
 

@@ -67,8 +67,8 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-ZipfGenerator::ZipfGenerator(Kind kind, std::uint64_t n, std::uint64_t seed)
-    : kind_(kind), n_(n), rng_(seed)
+ZipfGenerator::ZipfGenerator(std::uint64_t n, std::uint64_t seed)
+    : n_(n), rng_(seed)
 {
     ssp_assert(n > 0);
 }
@@ -79,7 +79,7 @@ ZipfGenerator::hotspot(std::uint64_t n, double hot_frac, double hot_prob,
 {
     ssp_assert(hot_frac > 0 && hot_frac <= 1.0);
     ssp_assert(hot_prob >= 0 && hot_prob <= 1.0);
-    ZipfGenerator g(Kind::Hotspot, n, seed);
+    ZipfGenerator g(n, seed);
     g.hotCount_ = static_cast<std::uint64_t>(
         std::ceil(static_cast<double>(n) * hot_frac));
     if (g.hotCount_ == 0)
@@ -90,49 +90,19 @@ ZipfGenerator::hotspot(std::uint64_t n, double hot_frac, double hot_prob,
     return g;
 }
 
-ZipfGenerator
-ZipfGenerator::classic(std::uint64_t n, double theta, std::uint64_t seed)
-{
-    ssp_assert(theta > 0 && theta < 1.0);
-    ZipfGenerator g(Kind::Classic, n, seed);
-    g.theta_ = theta;
-    double zetan = 0;
-    for (std::uint64_t i = 1; i <= n; ++i)
-        zetan += 1.0 / std::pow(static_cast<double>(i), theta);
-    double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
-    g.zetan_ = zetan;
-    g.alpha_ = 1.0 / (1.0 - theta);
-    g.eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-             (1.0 - zeta2 / zetan);
-    return g;
-}
-
 std::uint64_t
 ZipfGenerator::next()
 {
-    if (kind_ == Kind::Hotspot) {
-        if (rng_.nextBool(hotProb_)) {
-            // Hot keys are spread over the key space (every 1/hot_frac-th
-            // key) so that hotness is not an artifact of allocation order.
-            std::uint64_t h = rng_.nextBounded(hotCount_);
-            std::uint64_t stride = n_ / hotCount_;
-            if (stride == 0)
-                stride = 1;
-            return (h * stride) % n_;
-        }
-        return rng_.nextBounded(n_);
+    if (rng_.nextBool(hotProb_)) {
+        // Hot keys are spread over the key space (every 1/hot_frac-th
+        // key) so that hotness is not an artifact of allocation order.
+        std::uint64_t h = rng_.nextBounded(hotCount_);
+        std::uint64_t stride = n_ / hotCount_;
+        if (stride == 0)
+            stride = 1;
+        return (h * stride) % n_;
     }
-    // Gray et al. "Quickly generating billion-record synthetic databases".
-    double u = rng_.nextDouble();
-    double uz = u * zetan_;
-    if (uz < 1.0)
-        return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
-        return 1;
-    auto v = static_cast<std::uint64_t>(
-        static_cast<double>(n_) *
-        std::pow(eta_ * u - eta_ + 1.0, alpha_));
-    return v >= n_ ? n_ - 1 : v;
+    return rng_.nextBounded(n_);
 }
 
 } // namespace ssp

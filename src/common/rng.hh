@@ -46,9 +46,8 @@ class Rng
  * Zipf-like sampler over [0, n).
  *
  * The paper defines its zipfian microbenchmark workloads operationally:
- * "80% of the updates are applied to 15% of the keys".  Hotspot mode
- * reproduces exactly that.  A classical Zipf(theta) sampler is also
- * provided.
+ * "80% of the updates are applied to 15% of the keys".  The hotspot
+ * distribution reproduces exactly that.
  */
 class ZipfGenerator
 {
@@ -58,31 +57,18 @@ class ZipfGenerator
     static ZipfGenerator hotspot(std::uint64_t n, double hot_frac,
                                  double hot_prob, std::uint64_t seed);
 
-    /** Classical Zipf with exponent @p theta in (0, 1). */
-    static ZipfGenerator classic(std::uint64_t n, double theta,
-                                 std::uint64_t seed);
-
     /** Draw the next key in [0, n). */
     std::uint64_t next();
 
     std::uint64_t n() const { return n_; }
 
   private:
-    enum class Kind { Hotspot, Classic };
+    ZipfGenerator(std::uint64_t n, std::uint64_t seed);
 
-    ZipfGenerator(Kind kind, std::uint64_t n, std::uint64_t seed);
-
-    Kind kind_;
     std::uint64_t n_;
     Rng rng_;
-    // Hotspot parameters.
     std::uint64_t hotCount_ = 0;
     double hotProb_ = 0;
-    // Classic Zipf parameters (Gray et al. rejection-free method).
-    double theta_ = 0;
-    double alpha_ = 0;
-    double zetan_ = 0;
-    double eta_ = 0;
 };
 
 } // namespace ssp

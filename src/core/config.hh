@@ -14,8 +14,6 @@
 
 #include "cache/hierarchy.hh"
 #include "common/types.hh"
-#include "core/conflict_manager.hh"
-#include "mem/device_presets.hh"
 #include "mem/mem_system.hh"
 #include "mem/timing_model.hh"
 #include "nvram/ssp_cache.hh"
@@ -23,45 +21,37 @@
 namespace ssp
 {
 
-// kCoreGHz / nsToCycles live in common/types.hh so the mem layer's
-// device presets can use them without depending on core/.
-
 /** Everything configurable about the simulated system. */
 struct SspConfig
 {
     // ---- machine ------------------------------------------------------
     unsigned numCores = 1;
-    unsigned tlbEntries = 64;     ///< Table 2: 64 DTLB entries
-    Cycles broadcastLatency = 16; ///< flip-current-bit bus traversal
-    Cycles opCost = 2;            ///< non-memory work per simulated op
+    unsigned tlbEntries = 64; ///< Table 2: 64 DTLB entries
 
     HierarchyParams caches{};
 
     /**
-     * Concurrent-transaction conflict handling (detection mode, abort
-     * penalty, retry backoff).  Only effective with numCores > 1; the
-     * single-core model has no overlapping windows by construction.
-     */
-    ConflictParams conflicts{};
-
-    /**
      * Coherence interconnect model: the default flat broadcast bus
-     * (every event costs broadcastLatency regardless of sharer count)
-     * or the 2D-mesh home-node directory (hop-scaled multicast to the
-     * actual sharers, capacity-limited snoop filter).  See
+     * (every event costs one fixed bus traversal regardless of sharer
+     * count) or the 2D-mesh home-node directory (hop-scaled multicast
+     * to the actual sharers, capacity-limited snoop filter).  See
      * cache/coherence.hh and interconnect/directory.hh.
      */
     CoherenceParams coherence{};
 
-    MemTimingParams dram = dramDevicePreset();
-    MemTimingParams nvram = nvramDevicePreset(NvramDevice::PaperPcm);
+    /** Table 2 DRAM: 64 banks, 1 KiB row buffers, 50 ns symmetric
+     *  access; writes enjoy the same row-buffer discount as reads. */
+    MemTimingParams dram{64, 1024, nsToCycles(50), nsToCycles(50),
+                         0.4, 0.4};
+    /** Table 2 PCM-like NVRAM: 50 ns reads, 200 ns writes; cell
+     *  programming dominates writes, so the row buffer gives no write
+     *  discount. */
+    MemTimingParams nvram{32, 2048, nsToCycles(50), nsToCycles(200),
+                          0.4, 1.0};
 
-    /** Parallel NVRAM channels; 1 is the paper's channel pair (DRAM
-     *  always has one channel). */
+    /** Parallel NVRAM channels, page-interleaved; 1 is the paper's
+     *  channel pair (DRAM always has one channel). */
     unsigned nvramChannels = 1;
-    /** Unit of the round-robin address interleave across channels. */
-    InterleaveGranularity interleaveGranularity =
-        InterleaveGranularity::Line;
 
     /**
      * Figure 8 sweep: when > 0, NVRAM read and write latency are both
@@ -78,10 +68,10 @@ struct SspConfig
     std::uint64_t dramPages = 4096;         ///< volatile region
 
     // ---- SSP specifics --------------------------------------------------
+    /** Overprovisioning factor O (section 4.1.2). */
+    static constexpr unsigned kSspCacheOverprovision = 64;
     /** SSP cache slots; 0 means "cores x TLB entries + overprovision". */
     unsigned sspCacheSlots = 0;
-    /** Overprovisioning factor O (section 4.1.2). */
-    unsigned sspCacheOverprovision = 64;
     std::uint64_t checkpointThresholdBytes = 64 * 1024;
     SspCacheLatencyParams sspCacheLatency{};
 
@@ -110,7 +100,7 @@ struct SspConfig
     {
         if (sspCacheSlots != 0)
             return sspCacheSlots;
-        return numCores * tlbEntries + sspCacheOverprovision;
+        return numCores * tlbEntries + kSspCacheOverprovision;
     }
 
     /** NVRAM timing after applying the Figure 8 multiplier. */
@@ -128,26 +118,11 @@ struct SspConfig
         return p;
     }
 
-    /** Replace the NVRAM timing with a named device preset. */
-    void
-    applyNvramDevice(NvramDevice device)
-    {
-        nvram = nvramDevicePreset(device);
-    }
-
     /** The full memory-system description the Machine builds from. */
     MemSystemParams
     memSystem() const
     {
-        // The volatile side of the paper's channel pair.
-        constexpr unsigned kDramChannels = 1;
-        MemSystemParams p;
-        p.dram = dram;
-        p.nvram = effectiveNvram();
-        p.dramChannels = kDramChannels;
-        p.nvramChannels = nvramChannels;
-        p.interleave = interleaveGranularity;
-        return p;
+        return MemSystemParams{dram, effectiveNvram(), nvramChannels};
     }
 };
 

@@ -7,10 +7,8 @@
 namespace ssp
 {
 
-ConflictManager::ConflictManager(unsigned num_cores,
-                                 const ConflictParams &params)
-    : params_(params), enabled_(params.enabled && num_cores > 1),
-      tx_(num_cores), liveRecords_(num_cores, 0)
+ConflictManager::ConflictManager(unsigned num_cores)
+    : enabled_(num_cores > 1), tx_(num_cores), liveRecords_(num_cores, 0)
 {
 }
 
@@ -85,10 +83,8 @@ ConflictManager::validate(CoreId core, Cycles now)
     // Only a live peer record can conflict (see liveRecords_), so a log
     // holding nothing but this core's own records skips the index.
     if (liveRecords_[core] < log_.size()) {
-        if (params_.validation == ConflictValidation::FirstCommitterWins) {
-            for (Addr line : tx.writes)
-                earliest_hit(line, best_ww);
-        }
+        for (Addr line : tx.writes)
+            earliest_hit(line, best_ww);
         for (Addr line : tx.reads)
             earliest_hit(line, best_rw);
     }
@@ -197,12 +193,12 @@ ConflictManager::retryPenalty(CoreId core, unsigned attempt)
     ssp_assert(attempt >= 1);
     (void)core;
     const unsigned doublings =
-        std::min(attempt - 1, params_.backoffCapDoublings);
-    const Cycles backoff = params_.backoffBase << doublings;
+        std::min(attempt - 1, kBackoffCapDoublings);
+    const Cycles backoff = kBackoffBase << doublings;
     ++stats_.aborts;
     ++stats_.retries;
     stats_.backoffCycles += backoff;
-    return params_.abortPenalty + backoff;
+    return kAbortPenalty + backoff;
 }
 
 void

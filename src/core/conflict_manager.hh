@@ -13,21 +13,18 @@
  * transaction validates at commit against every peer commit whose
  * completion time falls inside its own [begin, commit] window.
  *
- * The default policy is first-committer-wins: the earlier commit (in
+ * The policy is first-committer-wins: the earlier commit (in
  * simulated time; simulation order breaks ties) stands, and the
  * validating transaction aborts on any read-write or write-write
  * overlap, rolls back through its backend's abort machinery, and
- * re-executes after an exponential backoff.  The lazy-validation mode
- * only validates the read set — write-write overlaps are resolved by
- * commit order, as in lazy-versioning HTM designs where buffered
- * writes are published atomically at commit.
+ * re-executes after an exponential backoff.
  *
  * Every retry begins after the abort point, so a given logged commit
  * can conflict with a transaction at most once: the retry count per
  * operation is bounded by the number of overlapping peer commits, and
- * the simulation cannot livelock.  With one core (or detection
- * disabled) every call is a no-op, keeping single-core timing
- * bit-identical to the serialized model.
+ * the simulation cannot livelock.  Detection is on exactly when the
+ * machine has more than one core; with one core every call is a no-op,
+ * keeping single-core timing bit-identical to the serialized model.
  */
 
 #ifndef SSP_CORE_CONFLICT_MANAGER_HH
@@ -45,27 +42,6 @@
 namespace ssp
 {
 
-/** When a transaction checks for conflicts (see file comment). */
-enum class ConflictValidation
-{
-    FirstCommitterWins, ///< validate read + write sets at commit
-    Lazy,               ///< validate the read set only
-};
-
-/** Conflict-handling knobs (part of SspConfig). */
-struct ConflictParams
-{
-    /** Detect conflicts at all; single-core machines never do. */
-    bool enabled = true;
-    ConflictValidation validation = ConflictValidation::FirstCommitterWins;
-    /** Abort cost: pipeline flush + rollback handler dispatch. */
-    Cycles abortPenalty = 40;
-    /** First-retry backoff; doubles per consecutive abort. */
-    Cycles backoffBase = 64;
-    /** Cap on the backoff doublings (base << cap is the ceiling). */
-    unsigned backoffCapDoublings = 6;
-};
-
 /** Aggregate conflict accounting for one machine. */
 struct ConflictStats
 {
@@ -80,9 +56,16 @@ struct ConflictStats
 class ConflictManager
 {
   public:
-    ConflictManager(unsigned num_cores, const ConflictParams &params);
+    /** Abort cost: pipeline flush + rollback handler dispatch. */
+    static constexpr Cycles kAbortPenalty = 40;
+    /** First-retry backoff; doubles per consecutive abort. */
+    static constexpr Cycles kBackoffBase = 64;
+    /** Cap on the backoff doublings (base << cap is the ceiling). */
+    static constexpr unsigned kBackoffCapDoublings = 6;
 
-    /** True when conflicts are both requested and possible (> 1 core). */
+    explicit ConflictManager(unsigned num_cores);
+
+    /** True when conflicts are possible (more than one core). */
     bool enabled() const { return enabled_; }
 
     /** A transaction opened on @p core at simulated time @p now. */
@@ -108,13 +91,13 @@ class ConflictManager
 
     /**
      * Commit-time validation at simulated time @p now: false when a
-     * peer commit inside this transaction's window conflicts under the
-     * configured mode — the caller must abort, charge retryPenalty()
-     * and re-execute.  On success the transaction's commit point is
-     * fixed at @p now — the moment it wins first-committer arbitration
-     * and becomes irrevocable — so its published record is stamped
-     * here, not at the (possibly much later) durability ack: a design
-     * with a long commit flush must not hide its conflicts behind it.
+     * peer commit inside this transaction's window conflicts — the
+     * caller must abort, charge retryPenalty() and re-execute.  On
+     * success the transaction's commit point is fixed at @p now — the
+     * moment it wins first-committer arbitration and becomes
+     * irrevocable — so its published record is stamped here, not at
+     * the (possibly much later) durability ack: a design with a long
+     * commit flush must not hide its conflicts behind it.
      */
     bool validate(CoreId core, Cycles now);
 
@@ -142,15 +125,14 @@ class ConflictManager
     void reset();
 
     const ConflictStats &stats() const { return stats_; }
-    const ConflictParams &params() const { return params_; }
 
     /**
      * @{ 2PC prepare introspection (src/shard/): a transaction whose
      * last validate() succeeded is *prepared* — its commit point is
      * fixed at preparedAt() and commitTx will stamp the published
      * record there.  The shard coordinator reads these to anchor the
-     * prepare-vote timestamp; with conflict detection disabled (one
-     * core) validate() never fixes a point and prepared() stays false.
+     * prepare-vote timestamp; with conflict detection off (one core)
+     * validate() never fixes a point and prepared() stays false.
      */
     bool prepared(CoreId core) const { return tx_[core].validated; }
     Cycles preparedAt(CoreId core) const { return tx_[core].validatedAt; }
@@ -206,7 +188,6 @@ class ConflictManager
         CoreId core = 0;
     };
 
-    ConflictParams params_;
     bool enabled_;
     std::vector<TxState> tx_;
     /** Number of tx_ entries with active set: commitTx skips the

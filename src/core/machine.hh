@@ -38,9 +38,8 @@ class Machine
           caches_(cfg.numCores, cfg.caches, bus_,
                   cfg.coherence.mode == CoherenceMode::Directory),
           pt_(kPageWalkCycles, cfg.heapPages),
-          coherence_(makeCoherenceModel(cfg.numCores, cfg.broadcastLatency,
-                                        cfg.coherence)),
-          conflicts_(cfg.numCores, cfg.conflicts),
+          coherence_(makeCoherenceModel(cfg.numCores, cfg.coherence)),
+          conflicts_(cfg.numCores),
           clocks_(cfg.numCores, 0)
     {
         // The hierarchy's write path invalidates peer copies through the
@@ -60,6 +59,9 @@ class Machine
         for (std::uint64_t vpn = 0; vpn < cfg.heapPages; ++vpn)
             pt_.map(vpn, vpn);
     }
+
+    /** Non-memory work per simulated operation. */
+    static constexpr Cycles kOpCost = 2;
 
     const SspConfig &cfg() const { return cfg_; }
     PhysMem &mem() { return mem_; }

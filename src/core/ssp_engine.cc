@@ -27,7 +27,7 @@ SspEngine::begin()
     inTx_ = true;
     tid_ = mc_.beginTx();
     // ATOMIC_BEGIN acts as a full memory barrier.
-    machine_.clock(core_) += machine_.cfg().opCost;
+    machine_.clock(core_) += Machine::kOpCost;
     machine_.conflicts().beginTx(core_, machine_.clock(core_));
 }
 
@@ -84,7 +84,7 @@ SspEngine::load(Addr vaddr, void *buf, std::uint64_t size)
         const Addr loc = currentLineAddr(e, tr, li);
         const Cycles t0 = now;
         now = machine_.caches().read(core_, loc, now);
-        now += machine_.cfg().opCost;
+        now += Machine::kOpCost;
         stats_.loadCycles += now - t0;
         machine_.mem().read(loc + lineOffset(vaddr), out, in_line);
         machine_.conflicts().recordRead(core_, vaddr);
@@ -173,7 +173,7 @@ SspEngine::atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size)
     const Addr loc = currentLineAddr(e, tr, li);
     machine_.mem().write(loc + lineOffset(vaddr), buf, size);
     now = machine_.caches().write(core_, loc, now);
-    now += machine_.cfg().opCost;
+    now += Machine::kOpCost;
     stats_.storeCycles += now - store_t0;
     ++stats_.atomicStores;
 }

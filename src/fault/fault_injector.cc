@@ -35,7 +35,6 @@ FaultInjector::FaultInjector(shard::Cluster &cluster,
       replicate_(params.replicate), crossFraction_(cross_fraction),
       recoveryCost_(recoverInPlaceCycles(cluster.machine(0).cfg())),
       failoverCost_(failoverCycles(cluster.network().params())),
-      voteTimeout_(shard::NetworkFaultParams{}.timeout),
       armed_(cluster.machines()), hadFault_(cluster.machines(), false),
       firstFaultCommits_(cluster.machines(), 0)
 {
@@ -120,8 +119,8 @@ FaultInjector::failParticipant(unsigned peer, CoreId)
 Cycles
 FaultInjector::voteTimeout()
 {
-    stats_.rpcTimeoutStallCycles += voteTimeout_;
-    return voteTimeout_;
+    stats_.rpcTimeoutStallCycles += shard::kRpcTimeout;
+    return shard::kRpcTimeout;
 }
 
 void

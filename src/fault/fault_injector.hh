@@ -110,7 +110,6 @@ class FaultInjector : public shard::TxFaultHooks,
     double crossFraction_ = 0;
     Cycles recoveryCost_ = 0;
     Cycles failoverCost_ = 0;
-    Cycles voteTimeout_ = 0;
     std::vector<Armed> armed_;
     std::vector<bool> hadFault_;
     std::vector<std::uint64_t> firstFaultCommits_;

@@ -10,10 +10,7 @@ namespace ssp
 DirectoryCoherence::DirectoryCoherence(unsigned num_cores,
                                        const CoherenceParams &params)
     : CoherenceModel(num_cores),
-      mesh_(MeshGeometry::forCores(num_cores, params.meshWidth,
-                                   params.meshHeight)),
-      hopCycles_(params.hopCycles),
-      lookupCycles_(params.directoryLookupCycles),
+      mesh_(MeshGeometry::forCores(num_cores)),
       filterCapacity_(params.snoopFilterEntries), filters_(mesh_.tiles())
 {
 }
@@ -41,10 +38,9 @@ DirectoryCoherence::transact(CoreId sender, Addr line,
     // One request + one ack, plus an invalidation/ack pair per sharer —
     // against the broadcast model's unconditional numCores-1 fan-out.
     countMessages(2 + 2 * sharer_count);
-    hopTraversalCycles_ +=
-        hopCycles_ * (request_hops + sharer_hops);
-    return now + hopCycles_ * (request_hops + worst_sharer_hops) +
-           lookupCycles_;
+    hopTraversalCycles_ += kHopCycles * (request_hops + sharer_hops);
+    return now + kHopCycles * (request_hops + worst_sharer_hops) +
+           kLookupCycles;
 }
 
 Cycles
@@ -79,7 +75,7 @@ DirectoryCoherence::shootdownReceiverCost(CoreId receiver, Addr line) const
     // The receiver stalls for the invalidation's trip from the line's
     // home tile; a sharer co-located with the home processes it in the
     // directory pipeline itself.
-    return hopCycles_ *
+    return kHopCycles *
            mesh_.distance(mesh_.homeTile(line), mesh_.tileOf(receiver));
 }
 
@@ -141,7 +137,7 @@ DirectoryCoherence::drainMaintenance(Cycles now)
         });
         backInvals_ += dropped_count;
         countMessages(2 * dropped_count);
-        hopTraversalCycles_ += hopCycles_ * dropped_hops;
+        hopTraversalCycles_ += kHopCycles * dropped_hops;
     }
 }
 

@@ -44,6 +44,11 @@ class DirectoryCoherence final : public CoherenceModel,
                                  public SharerListener
 {
   public:
+    /** Cycles one message takes per mesh hop (link + router). */
+    static constexpr Cycles kHopCycles = 3;
+    /** Cycles one home-node directory lookup takes (SRAM tag array). */
+    static constexpr Cycles kLookupCycles = 12;
+
     DirectoryCoherence(unsigned num_cores, const CoherenceParams &params);
 
     // ---- CoherenceModel ------------------------------------------------
@@ -114,8 +119,6 @@ class DirectoryCoherence final : public CoherenceModel,
                     Cycles now);
 
     MeshGeometry mesh_;
-    Cycles hopCycles_;
-    Cycles lookupCycles_;
     unsigned filterCapacity_; ///< tracked lines per tile; 0 = unbounded
 
     std::vector<TileFilter> filters_;

@@ -29,28 +29,19 @@ struct MeshGeometry
     unsigned height = 1;
 
     /**
-     * Geometry for @p cores tiles.  Explicit dimensions are validated
-     * to cover the core count; width = height = 0 derives a square-ish
-     * power-of-two grid (2x2 at 4 cores, 8x8 at 64, 16x8 at 128,
-     * 16x16 at 256) — the shape real tiled parts use, and one that
-     * keeps the bisection growing with sqrt(cores).
+     * Geometry for @p cores tiles: a square-ish power-of-two grid (2x2
+     * at 4 cores, 8x8 at 64, 16x8 at 128, 16x16 at 256) — the shape
+     * real tiled parts use, and one that keeps the bisection growing
+     * with sqrt(cores).
      */
     static MeshGeometry
-    forCores(unsigned cores, unsigned width = 0, unsigned height = 0)
+    forCores(unsigned cores)
     {
         ssp_assert(cores >= 1 && cores <= kMaxCores,
                    "mesh supports 1..%u cores, got %u", kMaxCores, cores);
-        if (width == 0 && height == 0) {
-            const unsigned lg =
-                static_cast<unsigned>(std::bit_width(cores - 1));
-            width = 1u << ((lg + 1) / 2);
-            height = (cores + width - 1) / width;
-        }
-        ssp_assert(width >= 1 && height >= 1 &&
-                       width * height >= cores,
-                   "a %ux%u mesh cannot seat %u cores", width, height,
-                   cores);
-        return MeshGeometry{width, height};
+        const unsigned lg = static_cast<unsigned>(std::bit_width(cores - 1));
+        const unsigned width = 1u << ((lg + 1) / 2);
+        return MeshGeometry{width, (cores + width - 1) / width};
     }
 
     /** Number of tiles (and of directory home nodes). */

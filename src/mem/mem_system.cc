@@ -5,24 +5,9 @@
 namespace ssp
 {
 
-const char *
-interleaveGranularityName(InterleaveGranularity granularity)
-{
-    switch (granularity) {
-      case InterleaveGranularity::Line:
-        return "line";
-      case InterleaveGranularity::Page:
-        return "page";
-      default:
-        return "invalid";
-    }
-}
-
 MemChannelGroup::MemChannelGroup(const MemTimingParams &params,
-                                 unsigned channels,
-                                 InterleaveGranularity granularity)
-    : params_(params), granularity_(granularity),
-      granuleBytes_(interleaveGranuleBytes(granularity))
+                                 unsigned channels)
+    : params_(params)
 {
     ssp_assert(channels > 0, "a channel group needs at least one channel");
     channels_.reserve(channels);
@@ -34,34 +19,30 @@ MemChannelGroup::MemChannelGroup(const MemTimingParams &params,
 unsigned
 MemChannelGroup::channelOf(Addr addr) const
 {
-    return static_cast<unsigned>((addr / granuleBytes_) %
-                                 channels_.size());
+    return static_cast<unsigned>(pageOf(addr) % channels_.size());
 }
 
 Addr
 MemChannelGroup::channelLocalAddr(Addr addr) const
 {
-    // Fold the round-robin channel bits out: granule g of the global
-    // space becomes granule g/N of its channel, preserving the offset
-    // within the granule.  Identity for one channel, so single-channel
-    // timing is bit-identical to the bare MemTimingModel.
-    const std::uint64_t granule = addr / granuleBytes_;
-    return (granule / channels_.size()) * granuleBytes_ +
-           addr % granuleBytes_;
+    // Fold the round-robin channel bits out: page p of the global space
+    // becomes page p/N of its channel, preserving the offset within the
+    // page.  Identity for one channel, so single-channel timing is
+    // bit-identical to the bare MemTimingModel.
+    return pageBase(pageOf(addr) / channels_.size()) + pageOffset(addr);
 }
 
 Cycles
 MemChannelGroup::access(Addr addr, bool is_write, Cycles now,
                         bool background)
 {
-    // Hot path: derive channel and local address from one granule
-    // quotient instead of re-dividing in channelOf/channelLocalAddr.
-    const std::uint64_t granule = addr / granuleBytes_;
+    // Hot path: derive channel and local address from one page number
+    // instead of re-dividing in channelOf/channelLocalAddr.
+    const Ppn page = pageOf(addr);
     const std::size_t n = channels_.size();
-    const std::size_t idx = granule % n;
+    const std::size_t idx = page % n;
     MemTimingModel &ch = channels_[idx];
-    const Addr local =
-        (granule / n) * granuleBytes_ + addr % granuleBytes_;
+    const Addr local = pageBase(page / n) + pageOffset(addr);
     if (background || is_write)
         return ch.access(local, is_write, now, background);
     // Foreground reads arbitrate the channel's command/data bus: each

@@ -5,13 +5,14 @@
  *
  * The paper's evaluation runs on a single DRAM/NVRAM channel pair; this
  * layer generalizes each side of that pair into a MemChannelGroup that
- * interleaves line addresses across N identically-parameterized channels
- * (MemTimingModel instances).  Interleaving is line- or page-granular:
- * consecutive granules rotate round-robin across channels, and each
- * channel sees a compacted channel-local address space so its bank/row
- * geometry behaves as if the channel owned a contiguous memory of its
- * own.  With one channel the group is bit-identical to the bare timing
- * model — the paper's Figure 5–9 configurations are untouched.
+ * interleaves pages across N identically-parameterized channels
+ * (MemTimingModel instances): consecutive 4 KiB pages rotate
+ * round-robin across channels, so each page's row locality stays inside
+ * one channel, and each channel sees a compacted channel-local address
+ * space so its bank/row geometry behaves as if the channel owned a
+ * contiguous memory of its own.  With one channel the group is
+ * bit-identical to the bare timing model — the paper's Figure 5–9
+ * configurations are untouched.
  *
  * The group also arbitrates each channel's command/data bus for
  * foreground reads: concurrent cores queue on the channel instead of
@@ -29,29 +30,10 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "mem/device_presets.hh"
 #include "mem/timing_model.hh"
 
 namespace ssp
 {
-
-/** Unit of the round-robin address interleave across channels. */
-enum class InterleaveGranularity : unsigned
-{
-    Line = 0, ///< consecutive 64 B lines rotate across channels
-    Page,     ///< consecutive 4 KiB pages rotate across channels
-};
-
-/** Printable name of an interleave granularity ("line", "page"). */
-const char *interleaveGranularityName(InterleaveGranularity granularity);
-
-/** Interleave granule size in bytes. */
-constexpr std::uint64_t
-interleaveGranuleBytes(InterleaveGranularity granularity)
-{
-    return granularity == InterleaveGranularity::Page ? kPageSize
-                                                      : kLineSize;
-}
 
 /**
  * N parallel channels of one memory technology behind a single access
@@ -60,15 +42,14 @@ interleaveGranuleBytes(InterleaveGranularity granularity)
  * Every channel is an independent MemTimingModel (its own banks, row
  * buffers and foreground write bus), so requests to different channels
  * never queue behind each other.  channelOf() picks the channel from
- * the granule index; channelLocalAddr() folds the channel bits out of
+ * the page number; channelLocalAddr() folds the channel bits out of
  * the address so each channel's bank/row mapping operates on its own
  * dense address space.  Both are the identity for one channel.
  */
 class MemChannelGroup
 {
   public:
-    MemChannelGroup(const MemTimingParams &params, unsigned channels,
-                    InterleaveGranularity granularity);
+    MemChannelGroup(const MemTimingParams &params, unsigned channels);
 
     /**
      * Issue a line-sized access; routes to the owning channel.  Same
@@ -79,7 +60,7 @@ class MemChannelGroup
     Cycles access(Addr addr, bool is_write, Cycles now,
                   bool background = false);
 
-    /** Channel owning @p addr under the configured interleave. */
+    /** Channel owning @p addr's page. */
     unsigned channelOf(Addr addr) const;
 
     /** @p addr folded into the owning channel's dense address space. */
@@ -96,7 +77,6 @@ class MemChannelGroup
     }
 
     const MemTimingParams &params() const { return params_; }
-    InterleaveGranularity granularity() const { return granularity_; }
 
     // Aggregate traffic stats, summed over channels.
     std::uint64_t rowHits() const;
@@ -117,25 +97,21 @@ class MemChannelGroup
     static constexpr Cycles kReadBurstCycles = 24;
 
     MemTimingParams params_;
-    InterleaveGranularity granularity_;
-    std::uint64_t granuleBytes_;
     std::vector<MemTimingModel> channels_;
     /** Per-channel busy-until time of the foreground read bus. */
     std::vector<Cycles> readBusFreeAt_;
 };
 
 /**
- * Full description of the machine's memory system: one channel group
- * per technology plus the shared interleave granularity.  SspConfig
- * produces this via SspConfig::memSystem(); MemoryBus consumes it.
+ * Full description of the machine's memory system: one DRAM channel and
+ * a group of NVRAM channels.  SspConfig produces this via
+ * SspConfig::memSystem(); MemoryBus consumes it.
  */
 struct MemSystemParams
 {
     MemTimingParams dram{};
     MemTimingParams nvram{};
-    unsigned dramChannels = 1;
     unsigned nvramChannels = 1;
-    InterleaveGranularity interleave = InterleaveGranularity::Line;
 };
 
 } // namespace ssp

@@ -32,15 +32,13 @@ writeCategoryName(WriteCategory cat)
 
 MemoryBus::MemoryBus(PhysMem &mem, const MemSystemParams &params)
     : mem_(mem),
-      dram_(params.dram, params.dramChannels, params.interleave),
-      nvram_(params.nvram, params.nvramChannels, params.interleave)
+      dram_(params.dram, 1), nvram_(params.nvram, params.nvramChannels)
 {
 }
 
 MemoryBus::MemoryBus(PhysMem &mem, const MemTimingParams &dram_params,
                      const MemTimingParams &nvram_params)
-    : MemoryBus(mem, MemSystemParams{dram_params, nvram_params, 1, 1,
-                                     InterleaveGranularity::Line})
+    : MemoryBus(mem, MemSystemParams{dram_params, nvram_params, 1})
 {
 }
 

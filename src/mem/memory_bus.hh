@@ -45,7 +45,8 @@ const char *writeCategoryName(WriteCategory cat);
 
 /**
  * The memory system of the simulated machine: one channel group per
- * technology (DRAM, NVRAM), each with N interleaved channels.
+ * technology — a single DRAM channel and N page-interleaved NVRAM
+ * channels.
  *
  * All timing flows through issueRead()/issueWrite(); the caller decides
  * whether to stall on the returned completion time (critical path) or to

@@ -13,7 +13,6 @@
 #define SSP_MEM_TIMING_MODEL_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -25,10 +24,6 @@ namespace ssp
 /** Static timing parameters of one memory technology. */
 struct MemTimingParams
 {
-    /** Human-readable name used in stats ("dram", "nvram").  An owned
-     *  string: configs built dynamically (device presets, sweeps) must
-     *  not leave dangling pointers behind. */
-    std::string name = "mem";
     /** Number of banks on the (single) channel. */
     unsigned banks = 32;
     /** Row-buffer size in bytes. */

@@ -26,9 +26,9 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     // this core count) so the offered load can be expressed as a factor
     // of what the cell can actually sustain.  The calibration phase also
     // warms caches/TLBs, like the setup phase does for closed-loop runs.
-    std::uint64_t calib_txs = params.calibrationTxs;
-    if (calib_txs == 0)
-        calib_txs = std::max<std::uint64_t>(200, num_requests / 5);
+    constexpr std::uint64_t kMinCalibrationTxs = 200;
+    const std::uint64_t calib_txs =
+        std::max<std::uint64_t>(kMinCalibrationTxs, num_requests / 5);
     const RunResult calib =
         runExperiment(exp, calib_txs, num_cores, ScheduleMode::EventDriven);
     ssp_assert(calib.committedTxs > 0 && calib.cycles > 0,

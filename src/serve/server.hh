@@ -42,9 +42,6 @@ struct ServeParams
     double offeredLoad = 0.6;
     /** Per-core queue bound; arrivals beyond it are shed. */
     unsigned queueDepth = 64;
-    /** Closed-loop transactions used to measure capacity; 0 derives
-     *  max(200, num_requests / 5). */
-    std::uint64_t calibrationTxs = 0;
     /** Seed of the arrival process RNG stream (independent of the
      *  workload's key stream). */
     std::uint64_t seed = 1;

@@ -42,6 +42,13 @@ inline constexpr std::uint64_t kPrepareBytes = 256;
 inline constexpr std::uint64_t kVoteBytes = 64;
 inline constexpr std::uint64_t kDecisionBytes = 64;
 
+/** Extra delay bound: delayed messages add a uniform draw from
+ *  [1, kMaxExtraDelay] cycles on top of messageCost. */
+inline constexpr Cycles kMaxExtraDelay = 2500;
+/** Sender timeout before the first resend (4x the one-way latency);
+ *  backoff doubles it per retry, capped at 8x. */
+inline constexpr Cycles kRpcTimeout = 20000;
+
 /**
  * Unreliability knobs for the fault harness.  All zero (the default)
  * means every message is delivered exactly once at messageCost — the
@@ -53,12 +60,6 @@ struct NetworkFaultParams
     double lossRate = 0;
     /** Per-delivery probability of an extra queueing delay. */
     double delayRate = 0;
-    /** Extra delay bound: delayed messages add a uniform draw from
-     *  [1, maxExtraDelay] cycles on top of messageCost. */
-    Cycles maxExtraDelay = 2500;
-    /** Sender timeout before the first resend (4x the one-way
-     *  latency); backoff doubles it per retry, capped at 8x. */
-    Cycles timeout = 20000;
     /** Forced delivery after this many drops of one message — the
      *  model's way of saying retransmission eventually wins. */
     unsigned maxRetries = 16;
@@ -132,8 +133,7 @@ class NetworkModel
             if (u < faults_.lossRate && attempt < faults_.maxRetries) {
                 // Dropped: the sender waits out its timeout (doubled
                 // per retry, capped at 8x) and retransmits.
-                const Cycles wait = faults_.timeout
-                                    << std::min(attempt, 3u);
+                const Cycles wait = kRpcTimeout << std::min(attempt, 3u);
                 total += wait;
                 timeoutStall_ += wait;
                 ++lost_;
@@ -142,9 +142,8 @@ class NetworkModel
             }
             total += messageCost(src, dst, bytes);
             if (u >= faults_.lossRate &&
-                u < faults_.lossRate + faults_.delayRate &&
-                faults_.maxExtraDelay > 0) {
-                total += 1 + faultRng_.nextBounded(faults_.maxExtraDelay);
+                u < faults_.lossRate + faults_.delayRate) {
+                total += 1 + faultRng_.nextBounded(kMaxExtraDelay);
             }
             return total;
         }

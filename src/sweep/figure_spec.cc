@@ -35,16 +35,6 @@ paperScale()
 namespace
 {
 
-/** The paper machine with page-granular channel interleaving, which
- *  keeps each page's row locality inside one channel (the chan grid). */
-SspConfig
-chanConfig(unsigned cores)
-{
-    SspConfig cfg = paperConfig(cores);
-    cfg.interleaveGranularity = InterleaveGranularity::Page;
-    return cfg;
-}
-
 /** Small machine for the smoke grid and the grids that replay its
  *  streams (mirrors the test config). */
 SspConfig
@@ -304,8 +294,7 @@ figureSpecs()
         // Tables 4 and 5: the real workloads, four clients.
         {.name = "table45", .workloads = realWorkloads(), .cores = {4},
          .render = renderTable45},
-        {.name = "chan", .machine = chanConfig, .sweeps = kAxisChannels,
-         .pinned = true,
+        {.name = "chan", .sweeps = kAxisChannels, .pinned = true,
          .workloads = microbenchmarks(), .channels = {1, 2, 4, 8}},
         // The smoke machine and transaction budget, so the (SPS, SSP, 1
         // core) cell is the smoke cell

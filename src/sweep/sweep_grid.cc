@@ -11,33 +11,6 @@
 namespace ssp::sweep
 {
 
-ConflictMode
-parseConflictMode(const std::string &name)
-{
-    if (name == "fcw")
-        return ConflictMode::FirstCommitterWins;
-    if (name == "lazy")
-        return ConflictMode::Lazy;
-    if (name == "off")
-        return ConflictMode::Off;
-    ssp_fatal("unknown conflict mode '%s' (expected fcw, lazy or off)",
-              name.c_str());
-}
-
-const char *
-conflictModeName(ConflictMode mode)
-{
-    switch (mode) {
-      case ConflictMode::FirstCommitterWins:
-        return "fcw";
-      case ConflictMode::Lazy:
-        return "lazy";
-      case ConflictMode::Off:
-        return "off";
-    }
-    ssp_panic("unreachable conflict mode");
-}
-
 const char *
 coherenceModeName(CoherenceMode mode)
 {
@@ -196,14 +169,8 @@ SweepCell::config() const
     cfg.nvramLatencyMultiplier = nvramLatencyMultiplier;
     if (sspCacheFixedLatency != 0)
         cfg.sspCacheLatency.fixedLatency = sspCacheFixedLatency;
-    if (nvramDevice != NvramDevice::PaperPcm)
-        cfg.applyNvramDevice(nvramDevice);
     if (nvramChannels != 1)
         cfg.nvramChannels = nvramChannels;
-    if (conflictMode == ConflictMode::Off)
-        cfg.conflicts.enabled = false;
-    else if (conflictMode == ConflictMode::Lazy)
-        cfg.conflicts.validation = ConflictValidation::Lazy;
     cfg.coherence.mode = coherenceMode;
     return cfg;
 }
@@ -221,12 +188,8 @@ SweepCell::label() const
         out += "/sspcache-" + std::to_string(sspCacheFixedLatency);
     if (nvramChannels != 1)
         out += "/ch" + std::to_string(nvramChannels);
-    if (nvramDevice != NvramDevice::PaperPcm)
-        out += std::string("/") + nvramDeviceName(nvramDevice);
     if (keyShards > 1)
         out += "/p" + std::to_string(keyShards);
-    if (conflictMode != ConflictMode::FirstCommitterWins)
-        out += std::string("/cc-") + conflictModeName(conflictMode);
     if (coherenceMode == CoherenceMode::Directory)
         out += "/dir";
     const FigureSpec *grid = findFigureSpec(figure);
@@ -357,8 +320,6 @@ buildFigureGrid(const std::string &figure, const SweepGridOptions &opts)
         cell.figure = figure;
         cell.scale = opts.scale;
         cell.scale.keyShards = cell.keyShards;
-        cell.nvramDevice = opts.nvramDevice;
-        cell.conflictMode = opts.conflictMode;
         cell.arrival = opts.arrival;
         if (grid.smallScale) {
             // Keep the cells proportionate to their tiny machine (and

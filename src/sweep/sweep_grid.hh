@@ -26,24 +26,6 @@
 namespace ssp::sweep
 {
 
-/**
- * Conflict handling applied to every cell of a grid: the default
- * first-committer-wins validation, the lazy read-set-only mode, or no
- * detection at all (the pre-conflict serialized timing model).
- */
-enum class ConflictMode
-{
-    FirstCommitterWins,
-    Lazy,
-    Off,
-};
-
-/** Parse "fcw" / "lazy" / "off"; fatal on anything else. */
-ConflictMode parseConflictMode(const std::string &name);
-
-/** Printable conflict-mode name (the parse inverse). */
-const char *conflictModeName(ConflictMode mode);
-
 /** Printable coherence-model name ("broadcast" / "directory"). */
 const char *coherenceModeName(CoherenceMode mode);
 
@@ -71,12 +53,8 @@ struct SweepCell
     Cycles sspCacheFixedLatency = 0;
     /** chan-grid knob: parallel NVRAM channels (1 = paper machine). */
     unsigned nvramChannels = 1;
-    /** NVRAM technology preset; PaperPcm is the paper's Table 2 device. */
-    NvramDevice nvramDevice = NvramDevice::PaperPcm;
     /** scale-grid knob: per-core key shards (1 = shared key space). */
     unsigned keyShards = 1;
-    /** Conflict handling; non-default modes tag the label and report. */
-    ConflictMode conflictMode = ConflictMode::FirstCommitterWins;
     /** queue-grid knob: offered load as a factor of measured closed-loop
      *  capacity; 0 = closed loop (every non-queue grid). */
     double offeredLoad = 0;
@@ -155,10 +133,6 @@ struct SweepGridOptions
     std::vector<double> faultRates{};
     /** Replication modes (fault). */
     std::vector<bool> replicateModes{};
-    /** NVRAM device preset applied to every cell of the grid. */
-    NvramDevice nvramDevice = NvramDevice::PaperPcm;
-    /** Conflict handling applied to every cell of the grid. */
-    ConflictMode conflictMode = ConflictMode::FirstCommitterWins;
 };
 
 /** Grid names understood by buildFigureGrid, in presentation order. */

@@ -163,11 +163,7 @@ sweepReport(const std::string &figure,
               Json::number(r.cell.sspCacheFixedLatency));
         c.set("nvram_channels",
               Json::number(std::uint64_t{r.cell.nvramChannels}));
-        c.set("nvram_device",
-              Json::str(nvramDeviceName(r.cell.nvramDevice)));
         c.set("key_shards", Json::number(std::uint64_t{r.cell.keyShards}));
-        c.set("conflict_mode",
-              Json::str(conflictModeName(r.cell.conflictMode)));
         // The arrival process shapes only open-loop cells
         // (offered_load > 0).
         c.set("arrival", Json::str(serve::arrivalKindName(r.cell.arrival)));

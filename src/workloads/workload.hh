@@ -104,7 +104,7 @@ class Workload
      * Allocations made by an aborted attempt leak address space only —
      * the allocator is volatile host metadata (see PersistAlloc).
      *
-     * With one core (or detection disabled) validation always passes
+     * With one core validation always passes
      * and this is exactly the old begin/body/commit sequence.
      */
     template <typename BodyFn>

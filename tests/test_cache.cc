@@ -128,8 +128,8 @@ class HierarchyTest : public ::testing::Test
   protected:
     HierarchyTest()
         : mem(64, 16),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+          bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
+              MemTimingParams{4, 1024, 200, 800, 0.4}),
           hier(2, smallHierParams(), bus)
     {
     }
@@ -210,8 +210,8 @@ class SharerIndexTest : public ::testing::Test
 
     SharerIndexTest()
         : mem(64, 16),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+          bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
+              MemTimingParams{4, 1024, 200, 800, 0.4}),
           hier(kCores, smallHierParams(), bus)
     {
     }
@@ -246,8 +246,8 @@ TEST_F(SharerIndexTest, IndexedOnlyAboveTheCutover)
 {
     EXPECT_TRUE(hier.sharerIndexed());
     PhysMem m2(64, 16);
-    MemoryBus b2(m2, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-                 MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4});
+    MemoryBus b2(m2, MemTimingParams{4, 1024, 100, 100, 0.4},
+                 MemTimingParams{4, 1024, 200, 800, 0.4});
     CacheHierarchy small(CacheHierarchy::kSharerIndexMinCores - 1,
                          smallHierParams(), b2);
     EXPECT_FALSE(small.sharerIndexed());

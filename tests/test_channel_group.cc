@@ -1,15 +1,15 @@
 /**
  * @file
- * Unit tests for the MemSystem layer: channel interleaving, per-channel
+ * Unit tests for the MemSystem layer: page interleaving, per-channel
  * row-buffer and bank behavior, background/foreground write isolation,
- * device presets, and end-to-end channel scaling through a real backend.
+ * the Table 2 default timing, and end-to-end channel scaling through a
+ * real backend.
  */
 
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
-#include "mem/device_presets.hh"
 #include "mem/mem_system.hh"
 #include "mem/memory_bus.hh"
 #include "mem/phys_mem.hh"
@@ -25,14 +25,14 @@ namespace
 MemTimingParams
 testParams()
 {
-    return MemTimingParams{"test", 4, 1024, 100, 400, 0.4, 1.0};
+    return MemTimingParams{4, 1024, 100, 400, 0.4, 1.0};
 }
 
 TEST(MemChannelGroup, SingleChannelBitIdenticalToTimingModel)
 {
     const MemTimingParams p = testParams();
     MemTimingModel model(p);
-    MemChannelGroup group(p, 1, InterleaveGranularity::Line);
+    MemChannelGroup group(p, 1);
 
     // A deterministic pseudo-random mix of reads/writes, foreground and
     // background, exercising bank queues and the read/write buses.
@@ -65,7 +65,7 @@ TEST(MemChannelGroup, SingleChannelBitIdenticalToTimingModel)
 TEST(MemChannelGroup, ConcurrentForegroundReadsArbitrateTheChannelBus)
 {
     const MemTimingParams p = testParams();
-    MemChannelGroup group(p, 1, InterleaveGranularity::Line);
+    MemChannelGroup group(p, 1);
     // Two same-cycle reads to different banks are bank-parallel in the
     // array but queue for one burst slot each on the channel bus —
     // concurrent cores no longer overlap for free.
@@ -75,29 +75,14 @@ TEST(MemChannelGroup, ConcurrentForegroundReadsArbitrateTheChannelBus)
     EXPECT_EQ(t2, 124u); // one 24-cycle burst slot behind the first
 
     // Background reads drain in idle slots and skip the arbitration.
-    MemChannelGroup quiet(p, 1, InterleaveGranularity::Line);
+    MemChannelGroup quiet(p, 1);
     EXPECT_EQ(quiet.access(0, false, 0, true), 100u);
     EXPECT_EQ(quiet.access(1024, false, 0, true), 100u);
 }
 
-TEST(MemChannelGroup, LineInterleaveMapping)
-{
-    MemChannelGroup group(testParams(), 4, InterleaveGranularity::Line);
-    // Consecutive lines rotate across the four channels.
-    EXPECT_EQ(group.channelOf(0 * kLineSize), 0u);
-    EXPECT_EQ(group.channelOf(1 * kLineSize), 1u);
-    EXPECT_EQ(group.channelOf(2 * kLineSize), 2u);
-    EXPECT_EQ(group.channelOf(3 * kLineSize), 3u);
-    EXPECT_EQ(group.channelOf(4 * kLineSize), 0u);
-    // The channel-local space is dense: line 4 is the owning channel's
-    // line 1, and the offset within the line is preserved.
-    EXPECT_EQ(group.channelLocalAddr(4 * kLineSize), kLineSize);
-    EXPECT_EQ(group.channelLocalAddr(4 * kLineSize + 17), kLineSize + 17);
-}
-
 TEST(MemChannelGroup, PageInterleaveMapping)
 {
-    MemChannelGroup group(testParams(), 2, InterleaveGranularity::Page);
+    MemChannelGroup group(testParams(), 2);
     // A whole page lives on one channel; pages alternate.
     for (Addr off = 0; off < kPageSize; off += kLineSize) {
         EXPECT_EQ(group.channelOf(off), 0u);
@@ -111,26 +96,28 @@ TEST(MemChannelGroup, PageInterleaveMapping)
 
 TEST(MemChannelGroup, ChannelsOperateInParallel)
 {
-    // Two lines that collide on one channel (same bank, same issue time)
-    // complete independently once they land on different channels.
+    // Two pages that collide on one channel (same bank, same issue
+    // time) complete independently once they land on different
+    // channels.
     const MemTimingParams p = testParams();
-    MemChannelGroup one(p, 1, InterleaveGranularity::Line);
+    MemChannelGroup one(p, 1);
     const Cycles a1 = one.access(0, false, 0);
-    const Cycles a2 = one.access(kLineSize, false, 0);
+    const Cycles a2 = one.access(kPageSize, false, 0);
     EXPECT_EQ(a1, 100u);
-    // Same 1 KiB row buffer on the single channel: queues behind a1.
+    // Bank 0 on the single channel (4 banks x 1 KiB rows): queues
+    // behind a1.
     EXPECT_GT(a2, a1);
 
-    MemChannelGroup two(p, 2, InterleaveGranularity::Line);
+    MemChannelGroup two(p, 2);
     EXPECT_EQ(two.access(0, false, 0), 100u);
-    EXPECT_EQ(two.access(kLineSize, false, 0), 100u);
+    EXPECT_EQ(two.access(kPageSize, false, 0), 100u);
 }
 
 TEST(MemChannelGroup, PerChannelRowBufferHitMiss)
 {
-    // Page interleave: each channel keeps its own open rows, so row
-    // locality inside a page survives multi-channel operation.
-    MemChannelGroup group(testParams(), 2, InterleaveGranularity::Page);
+    // Each channel keeps its own open rows, so row locality inside a
+    // page survives multi-channel operation.
+    MemChannelGroup group(testParams(), 2);
     const Cycles t1 = group.access(0, false, 0); // ch0: row miss
     EXPECT_EQ(t1, 100u);
     const Cycles t2 = group.access(kLineSize, false, t1); // ch0: row hit
@@ -149,11 +136,10 @@ TEST(MemChannelGroup, PerChannelRowBufferHitMiss)
 TEST(MemChannelGroup, BankConflictQueuesWithinChannel)
 {
     // 4 banks x 1 KiB rows: channel-local addresses 0 and 4 KiB share
-    // bank 0.  Under page interleave with 2 channels, global pages 0
-    // and 2 both live on channel 0 at local pages 0 and 1 — the second
-    // access must queue behind the first, and the conflict must not
-    // leak onto channel 1.
-    MemChannelGroup group(testParams(), 2, InterleaveGranularity::Page);
+    // bank 0.  With 2 channels, global pages 0 and 2 both live on
+    // channel 0 at local pages 0 and 1 — the second access must queue
+    // behind the first, and the conflict must not leak onto channel 1.
+    MemChannelGroup group(testParams(), 2);
     const Cycles t1 = group.access(0, false, 0);
     const Cycles t2 = group.access(2 * kPageSize, false, 0);
     EXPECT_EQ(t1, 100u);
@@ -166,20 +152,25 @@ TEST(MemChannelGroup, BackgroundWritesDoNotBlockForeground)
     // Background traffic (consolidation, checkpoints) may not occupy a
     // bank or a write-bus slot on any channel.
     const MemTimingParams p = testParams();
-    MemChannelGroup quiet(p, 2, InterleaveGranularity::Line);
-    MemChannelGroup busy(p, 2, InterleaveGranularity::Line);
-    for (Addr line = 0; line < 64; ++line)
+    MemChannelGroup quiet(p, 2);
+    MemChannelGroup busy(p, 2);
+    // Two pages' worth of lines: pages 0 and 1, one per channel.
+    const Addr lines_per_page = kPageSize / kLineSize;
+    for (Addr line = 0; line < 2 * lines_per_page; ++line)
         busy.access(line * kLineSize, true, 0, true);
 
     // Foreground timing is identical with and without the background
     // barrage, on both channels.
-    for (Addr line = 0; line < 8; ++line) {
-        EXPECT_EQ(quiet.access(line * kLineSize, true, 5000),
-                  busy.access(line * kLineSize, true, 5000))
-            << "line " << line;
+    for (Addr page = 0; page < 2; ++page) {
+        for (Addr line = 0; line < 8; ++line) {
+            const Addr addr = page * kPageSize + line * kLineSize;
+            EXPECT_EQ(quiet.access(addr, true, 5000),
+                      busy.access(addr, true, 5000))
+                << "page " << page << " line " << line;
+        }
     }
     // ... while the background writes were still billed in the stats.
-    EXPECT_EQ(busy.writes(), 64u + 8u);
+    EXPECT_EQ(busy.writes(), 2 * lines_per_page + 16u);
 }
 
 TEST(MemChannelGroup, WriteBurstsSplitAcrossChannels)
@@ -189,11 +180,10 @@ TEST(MemChannelGroup, WriteBurstsSplitAcrossChannels)
     // batch completion time is monotone non-increasing in channels.
     const MemTimingParams p = testParams();
     auto batch_done = [&p](unsigned channels) {
-        MemChannelGroup g(p, channels, InterleaveGranularity::Line);
+        MemChannelGroup g(p, channels);
         Cycles done = 0;
-        for (Addr line = 0; line < 16; ++line)
-            done = std::max(done,
-                            g.access(line * kLineSize, true, 0));
+        for (Addr page = 0; page < 16; ++page)
+            done = std::max(done, g.access(page * kPageSize, true, 0));
         return done;
     };
     const Cycles d1 = batch_done(1);
@@ -206,23 +196,22 @@ TEST(MemChannelGroup, WriteBurstsSplitAcrossChannels)
 
 TEST(MemChannelGroup, ResetClearsEveryChannel)
 {
-    MemChannelGroup group(testParams(), 2, InterleaveGranularity::Line);
+    MemChannelGroup group(testParams(), 2);
     group.access(0, false, 0);
-    group.access(kLineSize, false, 0);
+    group.access(kPageSize, false, 0);
     group.reset();
     // Bank state forgotten: the same accesses are cold misses again.
     EXPECT_EQ(group.access(0, false, 0), 100u);
-    EXPECT_EQ(group.access(kLineSize, false, 0), 100u);
+    EXPECT_EQ(group.access(kPageSize, false, 0), 100u);
 }
 
 TEST(MemoryBus, MultiChannelRoutingKeepsCategoryAccounting)
 {
     PhysMem mem(8, 8);
     MemSystemParams params;
-    params.dram = MemTimingParams{"dram", 4, 1024, 100, 100, 0.4, 0.4};
-    params.nvram = MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4, 1.0};
+    params.dram = MemTimingParams{4, 1024, 100, 100, 0.4, 0.4};
+    params.nvram = MemTimingParams{4, 1024, 200, 800, 0.4, 1.0};
     params.nvramChannels = 4;
-    params.interleave = InterleaveGranularity::Line;
     MemoryBus bus(mem, params);
 
     EXPECT_EQ(bus.nvramGroup().channelCount(), 4u);
@@ -242,44 +231,21 @@ TEST(MemoryBus, MultiChannelRoutingKeepsCategoryAccounting)
     EXPECT_EQ(bus.nvramGroup().writes(), 2u);
 }
 
-TEST(DevicePresets, PaperPcmIsTheConfigDefault)
+TEST(MemSystem, DefaultTimingIsTable2)
 {
+    // Table 2 at 3.7 GHz: PCM-like NVRAM reads in 50 ns (185 cycles)
+    // and writes in 200 ns (740); DRAM is 50 ns both ways.  Row hits
+    // discount NVRAM reads only, DRAM reads and writes alike.
     const SspConfig cfg;
-    const MemTimingParams preset = nvramDevicePreset(NvramDevice::PaperPcm);
-    EXPECT_EQ(cfg.nvram.name, preset.name);
-    EXPECT_EQ(cfg.nvram.banks, preset.banks);
-    EXPECT_EQ(cfg.nvram.readLatency, nsToCycles(50));
-    EXPECT_EQ(cfg.nvram.writeLatency, nsToCycles(200));
-    EXPECT_EQ(cfg.dram.readLatency, dramDevicePreset().readLatency);
-}
-
-TEST(DevicePresets, DramOnlyTimesNvramLikeDram)
-{
-    const MemTimingParams dram = dramDevicePreset();
-    const MemTimingParams p = nvramDevicePreset(NvramDevice::DramOnly);
-    EXPECT_EQ(p.readLatency, dram.readLatency);
-    EXPECT_EQ(p.writeLatency, dram.writeLatency);
-    EXPECT_EQ(p.writeHitFraction, dram.writeHitFraction);
-}
-
-TEST(DevicePresets, NamesRoundTripAndUnknownIsFatal)
-{
-    for (NvramDevice d : knownNvramDevices())
-        EXPECT_EQ(parseNvramDevice(nvramDeviceName(d)), d);
-    EXPECT_THROW(parseNvramDevice("optane-9000"), std::runtime_error);
-}
-
-TEST(DevicePresets, OrderingFastToSlow)
-{
-    const Cycles stt =
-        nvramDevicePreset(NvramDevice::SttMramFast).writeLatency;
-    const Cycles pcm =
-        nvramDevicePreset(NvramDevice::PaperPcm).writeLatency;
-    const Cycles flash =
-        nvramDevicePreset(NvramDevice::FlashSlow).writeLatency;
-    EXPECT_LT(nvramDevicePreset(NvramDevice::DramOnly).writeLatency, pcm);
-    EXPECT_LT(stt, pcm);
-    EXPECT_LT(pcm, flash);
+    EXPECT_EQ(cfg.nvram.readLatency, 185u);
+    EXPECT_EQ(cfg.nvram.writeLatency, 740u);
+    EXPECT_EQ(cfg.nvram.banks, 32u);
+    EXPECT_EQ(cfg.nvram.writeHitFraction, 1.0);
+    EXPECT_EQ(cfg.dram.readLatency, 185u);
+    EXPECT_EQ(cfg.dram.writeLatency, 185u);
+    EXPECT_EQ(cfg.dram.banks, 64u);
+    EXPECT_EQ(cfg.dram.writeHitFraction, 0.4);
+    EXPECT_EQ(cfg.nvramChannels, 1u);
 }
 
 /** End-to-end: run one workload cell at a given NVRAM channel count. */
@@ -288,7 +254,6 @@ runChannelCell(WorkloadKind workload, unsigned channels)
 {
     SspConfig cfg = ssp::test::smallConfig();
     cfg.nvramChannels = channels;
-    cfg.interleaveGranularity = InterleaveGranularity::Page;
     WorkloadScale scale;
     scale.keySpace = 512;
     scale.spsElements = 2048;

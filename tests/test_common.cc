@@ -184,17 +184,6 @@ TEST(Zipf, HotspotConcentratesAccesses)
     EXPECT_NEAR(hot_share, 0.80 + 0.20 * 0.15, 0.03);
 }
 
-TEST(Zipf, ClassicSkewsTowardsLowRanks)
-{
-    auto gen = ZipfGenerator::classic(1000, 0.9, 7);
-    std::uint64_t low = 0;
-    const int draws = 50000;
-    for (int i = 0; i < draws; ++i)
-        low += (gen.next() < 100) ? 1 : 0;
-    // Rank 0-99 must dominate under theta=0.9.
-    EXPECT_GT(static_cast<double>(low) / draws, 0.5);
-}
-
 TEST(Zipf, AllKeysInRange)
 {
     auto gen = ZipfGenerator::hotspot(37, 0.15, 0.8, 1);

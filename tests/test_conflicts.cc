@@ -1,13 +1,14 @@
 /**
  * @file
  * Concurrent-transaction conflict handling: first-committer-wins
- * window semantics, write-write vs read-write classification, the lazy
- * validation mode, rollback of conflicting transactions through each
+ * window semantics, write-write vs read-write classification, rollback
+ * of conflicting transactions through each
  * backend's abort machinery, retry accounting in RunResult, sweep
  * determinism across worker counts, and single-core bit-identity
  * against the checked-in smoke report.
  */
 
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -105,7 +106,7 @@ TEST(LineSet, MoveLeavesSourceEmptyAndReusable)
 
 TEST(ConflictManager, WriteWriteConflictInsideTheWindow)
 {
-    ConflictManager cm(2, ConflictParams{});
+    ConflictManager cm(2);
     const Addr x = lineAddr(3, 0);
 
     cm.beginTx(1, 0); // core 1 opens its window at cycle 0
@@ -125,7 +126,7 @@ TEST(ConflictManager, WriteWriteConflictInsideTheWindow)
 
 TEST(ConflictManager, ReadWriteConflictInsideTheWindow)
 {
-    ConflictManager cm(2, ConflictParams{});
+    ConflictManager cm(2);
     const Addr x = lineAddr(3, 0);
 
     cm.beginTx(1, 0);
@@ -143,7 +144,7 @@ TEST(ConflictManager, ReadWriteConflictInsideTheWindow)
 
 TEST(ConflictManager, CommitBeforeTheWindowDoesNotConflict)
 {
-    ConflictManager cm(2, ConflictParams{});
+    ConflictManager cm(2);
     const Addr x = lineAddr(3, 0);
 
     cm.beginTx(0, 0);
@@ -158,7 +159,7 @@ TEST(ConflictManager, CommitBeforeTheWindowDoesNotConflict)
 
 TEST(ConflictManager, LaterCommitLosesToTheEarlierValidator)
 {
-    ConflictManager cm(2, ConflictParams{});
+    ConflictManager cm(2);
     const Addr x = lineAddr(3, 0);
 
     cm.beginTx(1, 0);
@@ -173,38 +174,9 @@ TEST(ConflictManager, LaterCommitLosesToTheEarlierValidator)
     EXPECT_TRUE(cm.validate(1, 20));
 }
 
-TEST(ConflictManager, LazyModeIgnoresWriteWriteOverlap)
-{
-    ConflictParams params;
-    params.validation = ConflictValidation::Lazy;
-    ConflictManager cm(2, params);
-    const Addr x = lineAddr(3, 0);
-    const Addr y = lineAddr(4, 0);
-
-    cm.beginTx(1, 0);
-    cm.recordWrite(1, x); // blind write: no read of x
-
-    cm.beginTx(0, 0);
-    cm.recordWrite(0, x);
-    cm.commitTx(0, 10, 0);
-
-    // Write-write resolves by commit order under lazy versioning.
-    EXPECT_TRUE(cm.validate(1, 20));
-
-    // A read of the peer-written line still aborts.
-    cm.commitTx(1, 20, 0);
-    cm.beginTx(1, 20);
-    cm.recordRead(1, y);
-    cm.beginTx(0, 20);
-    cm.recordWrite(0, y);
-    cm.commitTx(0, 30, 0);
-    EXPECT_FALSE(cm.validate(1, 40));
-    EXPECT_EQ(cm.stats().readWriteConflicts, 1u);
-}
-
 TEST(ConflictManager, DisabledOnASingleCore)
 {
-    ConflictManager cm(1, ConflictParams{});
+    ConflictManager cm(1);
     EXPECT_FALSE(cm.enabled());
     cm.beginTx(0, 0);
     cm.recordWrite(0, lineAddr(3, 0));
@@ -216,24 +188,25 @@ TEST(ConflictManager, DisabledOnASingleCore)
 
 TEST(ConflictManager, RetryPenaltyBacksOffExponentiallyWithACap)
 {
-    ConflictParams params;
-    params.abortPenalty = 10;
-    params.backoffBase = 4;
-    params.backoffCapDoublings = 2;
-    ConflictManager cm(2, params);
-
-    EXPECT_EQ(cm.retryPenalty(0, 1), 10u + 4u);
-    EXPECT_EQ(cm.retryPenalty(0, 2), 10u + 8u);
-    EXPECT_EQ(cm.retryPenalty(0, 3), 10u + 16u);
-    EXPECT_EQ(cm.retryPenalty(0, 4), 10u + 16u); // capped
-    EXPECT_EQ(cm.stats().aborts, 4u);
-    EXPECT_EQ(cm.stats().retries, 4u);
-    EXPECT_EQ(cm.stats().backoffCycles, 4u + 8u + 16u + 16u);
+    // 40-cycle abort penalty plus a 64-cycle backoff that doubles per
+    // consecutive abort, up to six doublings (4096 cycles).
+    ConflictManager cm(2);
+    Cycles backoff_total = 0;
+    for (unsigned attempt = 1; attempt <= 9; ++attempt) {
+        const Cycles backoff = Cycles{64} << std::min(attempt - 1, 6u);
+        EXPECT_EQ(cm.retryPenalty(0, attempt), 40u + backoff)
+            << "attempt " << attempt;
+        backoff_total += backoff;
+    }
+    EXPECT_EQ(backoff_total, 64u * (1 + 2 + 4 + 8 + 16 + 32) + 3 * 4096u);
+    EXPECT_EQ(cm.stats().aborts, 9u);
+    EXPECT_EQ(cm.stats().retries, 9u);
+    EXPECT_EQ(cm.stats().backoffCycles, backoff_total);
 }
 
 TEST(ConflictManager, CommitLogIsPrunedBelowEveryReachableWindow)
 {
-    ConflictManager cm(2, ConflictParams{});
+    ConflictManager cm(2);
     cm.beginTx(0, 0);
     cm.recordWrite(0, lineAddr(3, 0));
     cm.commitTx(0, 10, 0); // min core clock 0: record must stay
@@ -249,7 +222,7 @@ TEST(ConflictManager, CommitLogIsPrunedBelowEveryReachableWindow)
 
 TEST(ConflictManager, AbortClearsTheInFlightFootprint)
 {
-    ConflictManager cm(2, ConflictParams{});
+    ConflictManager cm(2);
     cm.beginTx(0, 0);
     cm.recordRead(0, lineAddr(3, 0));
     cm.recordWrite(0, lineAddr(4, 0));
@@ -267,7 +240,7 @@ TEST(ConflictManager, IdlePeersPinThePruneFloor)
     // A single-core setup phase on a multi-core machine: only core 0
     // runs, the idle peers' clocks stay at 0, so nothing can be pruned
     // — a peer may still begin below any of these commit points.
-    ConflictManager cm(4, ConflictParams{});
+    ConflictManager cm(4);
     const Addr shared = lineAddr(7, 0);
     for (Cycles i = 0; i < 1000; ++i) {
         cm.beginTx(0, i * 10);
@@ -407,13 +380,12 @@ TEST(ConflictRollback, SspWriteSetMirrorsTheTxBitTaggedLines)
 
 /** A contended 2-core Zipf cell that deterministically conflicts. */
 RunResult
-contendedRun(sweep::ConflictMode mode)
+contendedRun()
 {
     SweepGridOptions opts;
     opts.coreCounts = {2};
     opts.backends = {BackendKind::UndoLog};
     opts.workloads = {WorkloadKind::BTreeZipf};
-    opts.conflictMode = mode;
     const auto cells = buildFigureGrid("scale", opts);
     const auto results = runSweep(cells, 1);
     EXPECT_EQ(results.size(), 1u);
@@ -423,8 +395,7 @@ contendedRun(sweep::ConflictMode mode)
 
 TEST(ConflictEndToEnd, ZipfContentionProducesAbortsAndRetries)
 {
-    const RunResult run = contendedRun(
-        sweep::ConflictMode::FirstCommitterWins);
+    const RunResult run = contendedRun();
     EXPECT_GT(run.txAborts, 0u);
     EXPECT_EQ(run.txRetries, run.txAborts);
     EXPECT_EQ(run.conflictsWriteWrite + run.conflictsReadWrite,
@@ -433,30 +404,6 @@ TEST(ConflictEndToEnd, ZipfContentionProducesAbortsAndRetries)
     // Every transaction still commits exactly once.
     EXPECT_EQ(run.committedTxs, 400u);
     EXPECT_EQ(run.backend, std::string("UNDO-LOG"));
-}
-
-TEST(ConflictEndToEnd, DisablingDetectionRemovesAbortsOnly)
-{
-    const RunResult off = contendedRun(sweep::ConflictMode::Off);
-    EXPECT_EQ(off.txAborts, 0u);
-    EXPECT_EQ(off.backoffCycles, 0u);
-    EXPECT_EQ(off.committedTxs, 400u);
-
-    // The functional work is identical; only abort/retry timing is
-    // added by detection.
-    const RunResult fcw = contendedRun(
-        sweep::ConflictMode::FirstCommitterWins);
-    EXPECT_EQ(fcw.committedTxs, off.committedTxs);
-    EXPECT_GE(fcw.cycles, off.cycles);
-}
-
-TEST(ConflictEndToEnd, LazyValidationAbortsAtMostAsOftenAsEager)
-{
-    const RunResult fcw = contendedRun(
-        sweep::ConflictMode::FirstCommitterWins);
-    const RunResult lazy = contendedRun(sweep::ConflictMode::Lazy);
-    EXPECT_LE(lazy.txAborts, fcw.txAborts);
-    EXPECT_EQ(lazy.conflictsWriteWrite, 0u);
 }
 
 TEST(ConflictEndToEnd, ContendedRunStaysFunctionallyCorrect)

@@ -154,14 +154,6 @@ TEST(Mesh, ManhattanDistanceAndPageGranularHomes)
     }
 }
 
-TEST(Mesh, ExplicitDimensionsMustSeatTheCores)
-{
-    const MeshGeometry m = MeshGeometry::forCores(4, 2, 2);
-    EXPECT_EQ(m.width, 2u);
-    EXPECT_EQ(m.height, 2u);
-    EXPECT_THROW(MeshGeometry::forCores(5, 2, 2), std::logic_error);
-}
-
 // ---- directory cost model -------------------------------------------------
 
 CoherenceParams
@@ -187,8 +179,9 @@ TEST(DirectoryCost, SingleCoreEventsAreFree)
 
 TEST(DirectoryCost, PricesRequestLookupAndFarthestSharer)
 {
-    const CoherenceParams p = directoryParams();
-    DirectoryCoherence dir(16, p); // 4x4 mesh
+    DirectoryCoherence dir(16, directoryParams()); // 4x4 mesh
+    constexpr Cycles hop = DirectoryCoherence::kHopCycles;
+    constexpr Cycles lookup = DirectoryCoherence::kLookupCycles;
     // Home of page 10 is tile 10 = (2,2); sender 0 = (0,0) is 4 hops
     // away, sharer 15 = (3,3) is 2 hops from the home.  Every hop is
     // traversed twice (request/ack, invalidation/ack).
@@ -198,22 +191,19 @@ TEST(DirectoryCost, PricesRequestLookupAndFarthestSharer)
 
     const Cycles done =
         dir.invalidate(0, line, CoreBitmap::ofCore(15), 500);
-    EXPECT_EQ(done, 500 + p.hopCycles * (request_hops + sharer_hops) +
-                        p.directoryLookupCycles);
+    EXPECT_EQ(done, 500 + hop * (request_hops + sharer_hops) + lookup);
     EXPECT_EQ(dir.directoryLookups(), 1u);
     // One request/ack pair plus one invalidation/ack pair.
     EXPECT_EQ(dir.messages(), 4u);
-    EXPECT_EQ(dir.hopTraversalCycles(),
-              p.hopCycles * (request_hops + sharer_hops));
+    EXPECT_EQ(dir.hopTraversalCycles(), hop * (request_hops + sharer_hops));
 
     // A flip with no cached peers still crosses to the home and back.
     const Cycles flip_done = dir.flipCurrentBit(0, line, CoreBitmap{}, 500);
-    EXPECT_EQ(flip_done,
-              500 + p.hopCycles * request_hops + p.directoryLookupCycles);
+    EXPECT_EQ(flip_done, 500 + hop * request_hops + lookup);
 
     // Receiver charge scales with the home -> sharer distance; a sharer
     // co-located with the home pays nothing extra.
-    EXPECT_EQ(dir.shootdownReceiverCost(15, line), p.hopCycles * 2);
+    EXPECT_EQ(dir.shootdownReceiverCost(15, line), hop * 2);
     EXPECT_EQ(dir.shootdownReceiverCost(10, line), 0u);
 }
 
@@ -239,8 +229,8 @@ class SnoopFilterTest : public ::testing::Test
     explicit SnoopFilterTest(unsigned filter_entries = 1,
                              unsigned cores = kCores)
         : mem(64, 16),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+          bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
+              MemTimingParams{4, 1024, 200, 800, 0.4}),
           hier(cores, smallParams(), bus, /*force_sharer_index*/ true),
           dir(cores, directoryParams(filter_entries))
     {
@@ -365,7 +355,7 @@ TEST_F(SnoopFilterMixTest, NoMaintenanceIsPendingAfterAnyHierarchyCall)
     // back-invalidation still queued.  Mixed calls over lines that
     // overflow the 8-entry filters must each leave the queue empty.
     // The broadcast bus never queues anything.
-    EXPECT_FALSE(BroadcastCoherence(4, 10).maintenancePending());
+    EXPECT_FALSE(BroadcastCoherence(4).maintenancePending());
     Rng rng(2024);
     std::vector<Addr> lines;
     for (unsigned i = 0; i < 48; ++i)
@@ -432,8 +422,8 @@ expectMasksMatchBruteForce(unsigned cores, unsigned steps,
                            std::uint64_t seed)
 {
     PhysMem mem(64, 16);
-    MemoryBus bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-                  MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4});
+    MemoryBus bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
+                  MemTimingParams{4, 1024, 200, 800, 0.4});
     HierarchyParams params;
     params.l1 = CacheParams{"l1", 1024, 2, 4};
     params.l2 = CacheParams{"l2", 4096, 4, 6};

@@ -9,8 +9,9 @@
  *    report entry to equal its checked-in entry byte for byte;
  *  - SweepSchema.* check the checked-in files themselves: each grid
  *    matches its definition, every cell carries every coordinate and
- *    every metric of the list (zero where it cannot apply), and the
- *    twin identities between grids hold on whole metrics objects.
+ *    every metric of the list (zero where it cannot apply), every cell
+ *    obeys the conservation laws between its metrics, and the twin
+ *    identities between grids hold on whole metrics objects.
  *
  * The replays take seconds, so the suite carries the ctest label
  * "replay"; the sanitizer builds run `ctest -LE replay`.
@@ -168,8 +169,7 @@ TEST(SweepSchema, EveryCellCarriesEveryMetric)
     const std::vector<std::string> coordinates = {
         "label", "backend", "workload", "cores", "txs",
         "nvram_latency_multiplier", "ssp_cache_fixed_latency",
-        "nvram_channels", "nvram_device", "key_shards", "conflict_mode",
-        "arrival", "coherence", "machines", "cross_shard_pct",
+        "nvram_channels", "key_shards", "arrival", "coherence", "machines", "cross_shard_pct",
         "fault_rate_tenths", "replicated", "seed", "ok", "metrics"};
     std::vector<std::string> metrics;
     for (const Metric &metric : metricList())
@@ -257,6 +257,64 @@ TEST(SweepSchema, EveryCellCarriesEveryMetric)
     EXPECT_GT(unarmed, 0u);
     EXPECT_GT(unreplicated, 0u);
     EXPECT_GT(closed_loop, 0u);
+}
+
+TEST(SweepSchema, ConservationLaws)
+{
+    // Identities every cell of every checked-in grid must satisfy,
+    // whatever it ran: the write categories partition the NVRAM
+    // writes, the per-core commits add up, the derived per-transaction
+    // cycles are the quotient they claim to be, every retry follows an
+    // abort, and the latency percentiles are ordered.
+    std::size_t cells = 0, cross_shard_cells = 0;
+    for (const std::string figure :
+         {"smoke", "fig5", "chan", "scale", "scale64", "scale256",
+          "queue", "shard", "fault"}) {
+        SCOPED_TRACE(figure);
+        const Json doc = loadCheckedIn("BENCH_" + figure + ".json");
+        for (std::size_t i = 0; i < doc["cells"].size(); ++i) {
+            const Json &c = doc["cells"].at(i);
+            const std::string label = c["label"].asString();
+            const Json &m = c["metrics"];
+            auto u = [&](const char *f) { return m[f].asUint(); };
+            ++cells;
+            EXPECT_EQ(u("nvram_writes"), u("data_writes") +
+                                             u("logging_writes") +
+                                             u("consolidation_writes"))
+                << label;
+            const std::uint64_t committed = u("committed_txs");
+            ASSERT_GT(committed, 0u) << label;
+            const double cycles = m["cycles"].asDouble();
+            EXPECT_NEAR(m["avg_cycles_per_tx"].asDouble() *
+                            static_cast<double>(committed),
+                        cycles, 1e-12 * cycles)
+                << label;
+            EXPECT_LE(u("tx_retries"), u("tx_aborts")) << label;
+            EXPECT_LE(u("p50_cycles"), u("p99_cycles")) << label;
+            EXPECT_LE(u("p99_cycles"), u("p999_cycles")) << label;
+
+            const bool cluster = c["machines"].asUint() > 1 ||
+                                 c["fault_rate_tenths"].asUint() > 0 ||
+                                 c["replicated"].asBool();
+            if (!cluster) {
+                std::uint64_t core_txs = 0;
+                for (std::size_t k = 0; k < m["core_txs"].size(); ++k)
+                    core_txs += m["core_txs"].at(k).asUint();
+                EXPECT_EQ(committed, core_txs) << label;
+                continue;
+            }
+            // The shard rollup sums each participant's commit, so a
+            // cross-shard transaction counts once per participant (two
+            // here) rather than once per client transaction.
+            const std::uint64_t cross = u("cross_shard_txs");
+            if (cross > 0)
+                ++cross_shard_cells;
+            EXPECT_EQ(committed, u("single_shard_txs") + 2 * cross)
+                << label;
+        }
+    }
+    EXPECT_GT(cells, 0u);
+    EXPECT_GT(cross_shard_cells, 0u);
 }
 
 TEST(SweepSchema, SmokeCheckedInCellEqualsTheScaleC1Cell)

@@ -22,8 +22,8 @@ class JournalTest : public ::testing::Test
   protected:
     JournalTest()
         : mem(64, 4),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+          bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
+              MemTimingParams{4, 1024, 200, 800, 0.4}),
           journal(bus, 0, 16 * kPageSize, 8 * kPageSize)
     {
     }
@@ -149,8 +149,8 @@ class PersistLogTest : public ::testing::Test
   protected:
     PersistLogTest()
         : mem(64, 4),
-          bus(mem, MemTimingParams{"dram", 4, 1024, 100, 100, 0.4},
-              MemTimingParams{"nvram", 4, 1024, 200, 800, 0.4}),
+          bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
+              MemTimingParams{4, 1024, 200, 800, 0.4}),
           log(bus, 0, 16 * kPageSize, WriteCategory::UndoLog)
     {
     }

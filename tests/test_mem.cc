@@ -144,8 +144,8 @@ TEST(TimingModel, WritesSlowerThanReads)
 TEST(MemoryBus, RoutesByRegionAndCounts)
 {
     PhysMem mem(8, 8);
-    MemTimingParams dram{"dram", 4, 1024, 100, 100, 0.4};
-    MemTimingParams nvram{"nvram", 4, 1024, 200, 800, 0.4};
+    MemTimingParams dram{4, 1024, 100, 100, 0.4};
+    MemTimingParams nvram{4, 1024, 200, 800, 0.4};
     MemoryBus bus(mem, dram, nvram);
 
     bus.issueRead(0, 0);                                   // NVRAM
@@ -163,7 +163,7 @@ TEST(MemoryBus, RoutesByRegionAndCounts)
 TEST(MemoryBus, ResetStatsKeepsTiming)
 {
     PhysMem mem(8, 2);
-    MemTimingParams p{"x", 4, 1024, 100, 100, 0.4};
+    MemTimingParams p{4, 1024, 100, 100, 0.4};
     MemoryBus bus(mem, p, p);
     bus.issueWrite(0, WriteCategory::Data, 0);
     bus.resetStats();

@@ -96,7 +96,7 @@ TEST(Multicore, WriteInvalidatesPeerCopiesAndCountsMessages)
     EXPECT_EQ(m.coherence().invalidations(), 1u);
     EXPECT_EQ(m.coherence().invalidationsSent(0), 1u);
     EXPECT_EQ(m.coherence().messagesReceived(1), 1u);
-    EXPECT_GE(done, noisy_start + m.cfg().broadcastLatency);
+    EXPECT_GE(done, noisy_start + BroadcastCoherence::kLatency);
 }
 
 TEST(Multicore, PartialRoundsLeaveClocksSynced)

@@ -37,8 +37,7 @@ TEST(Config, EffectiveSlotsFollowPaperFormula)
     SspConfig cfg;
     cfg.numCores = 4;
     cfg.tlbEntries = 64;
-    cfg.sspCacheOverprovision = 32;
-    EXPECT_EQ(cfg.effectiveSspSlots(), 4u * 64 + 32);
+    EXPECT_EQ(cfg.effectiveSspSlots(), 4u * 64 + 64); // O = 64
     cfg.sspCacheSlots = 100; // explicit override wins
     EXPECT_EQ(cfg.effectiveSspSlots(), 100u);
 }

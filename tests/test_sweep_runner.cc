@@ -143,7 +143,6 @@ TEST(SweepGrid, ChanGridSweepsChannelCounts)
         EXPECT_TRUE(cell.nvramChannels == 1 || cell.nvramChannels == 16);
         const SspConfig cfg = cell.config();
         EXPECT_EQ(cfg.nvramChannels, cell.nvramChannels);
-        EXPECT_EQ(cfg.interleaveGranularity, InterleaveGranularity::Page);
     }
 }
 
@@ -177,22 +176,6 @@ TEST(SweepGrid, AxisGridsPinOneSeedPerWorkloadAndBackend)
     for (const SweepCell &cell : cells) {
         EXPECT_EQ(cell.scale.seed,
                   seeds["scale64"].at(Key{cell.backend, cell.workload}));
-    }
-}
-
-TEST(SweepGrid, DevicePresetAppliesToEveryCell)
-{
-    SweepGridOptions opts = tinyOptions();
-    opts.nvramDevice = NvramDevice::SttMramFast;
-    const auto cells = buildFigureGrid("fig5", opts);
-    ASSERT_FALSE(cells.empty());
-    const MemTimingParams preset =
-        nvramDevicePreset(NvramDevice::SttMramFast);
-    for (const SweepCell &cell : cells) {
-        const SspConfig cfg = cell.config();
-        EXPECT_EQ(cfg.nvram.name, preset.name);
-        EXPECT_EQ(cfg.nvram.writeLatency, preset.writeLatency);
-        EXPECT_NE(cell.label().find("stt-mram"), std::string::npos);
     }
 }
 

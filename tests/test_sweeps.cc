@@ -48,7 +48,7 @@ configFor(const SweepPoint &p)
     cfg.tlbEntries = p.tlbEntries;
     cfg.checkpointThresholdBytes = p.checkpointThreshold;
     cfg.shadowPoolPages =
-        p.cores * p.tlbEntries + cfg.sspCacheOverprovision + 256;
+        p.cores * p.tlbEntries + SspConfig::kSspCacheOverprovision + 256;
     return cfg;
 }
 
@@ -128,7 +128,8 @@ TEST(SweepProperties, SmallerTlbMeansMoreConsolidation)
     for (unsigned tlb : {8u, 32u, 128u}) {
         SspConfig cfg = smallConfig();
         cfg.tlbEntries = tlb;
-        cfg.shadowPoolPages = tlb + cfg.sspCacheOverprovision + 256;
+        cfg.shadowPoolPages =
+            tlb + SspConfig::kSspCacheOverprovision + 256;
         SspSystem sys(cfg);
         // Round-robin writes over 160 pages.
         for (unsigned i = 0; i < 800; ++i)
@@ -160,8 +161,8 @@ TEST(SweepProperties, ThroughputScalesWithCores)
     // same total work in less simulated time than 1 core.
     auto run = [](unsigned cores) {
         SspConfig cfg = smallConfig(cores);
-        cfg.shadowPoolPages =
-            cores * cfg.tlbEntries + cfg.sspCacheOverprovision + 256;
+        cfg.shadowPoolPages = cores * cfg.tlbEntries +
+                              SspConfig::kSspCacheOverprovision + 256;
         SspSystem sys(cfg);
         for (unsigned i = 0; i < 400; ++i) {
             const CoreId c = i % cores;
