@@ -1,6 +1,6 @@
 #include "cache/cache.hh"
 
-#include <bit>
+#include <algorithm>
 
 #include "cache/sharer_index.hh"
 
@@ -167,20 +167,15 @@ Cache::invalidateAll()
     // arrays' untouched pages unmapped across simulated power failures.
     // Recency words are left as they are: every way is invalid, so
     // each is filled, and thereby touched, before it can be a victim.
-    for (std::uint64_t w = 0; w < filledSets_.size(); ++w) {
-        for (std::uint64_t bits = filledSets_[w]; bits != 0;
-             bits &= bits - 1) {
-            const std::uint64_t base =
-                (w * 64 + std::countr_zero(bits)) * params_.ways;
-            for (std::uint64_t i = base; i < base + params_.ways; ++i) {
-                if ((tags_[i] & kValidBit) == 0)
-                    continue;
-                notifyRemove(tags_[i] & kTagMask);
-                tags_[i] = 0;
-            }
+    forEachFilledSet([&](std::uint64_t base) {
+        for (std::uint64_t i = base; i < base + params_.ways; ++i) {
+            if ((tags_[i] & kValidBit) == 0)
+                continue;
+            notifyRemove(tags_[i] & kTagMask);
+            tags_[i] = 0;
         }
-        filledSets_[w] = 0;
-    }
+    });
+    std::fill(filledSets_.begin(), filledSets_.end(), 0);
 }
 
 std::uint64_t

@@ -210,6 +210,23 @@ class Cache
      */
     void invalidateAll();
 
+    /**
+     * Call @p fn(line) for every valid line, in ascending slot order.
+     * Like invalidateAll(), it visits only the sets filled since the
+     * last invalidateAll(), so an idle cache's arrays stay untouched.
+     */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        forEachFilledSet([&](std::uint64_t base) {
+            for (std::uint64_t i = base; i < base + params_.ways; ++i) {
+                if ((tags_[i] & kValidBit) != 0)
+                    fn(tags_[i] & kTagMask);
+            }
+        });
+    }
+
     Cycles latency() const { return params_.latency; }
     const CacheParams &params() const { return params_; }
 
@@ -272,6 +289,19 @@ class Cache
             }
         }
         return kNoLine;
+    }
+
+    /** Call @p fn(first slot) for every set marked in filledSets_, in
+     *  ascending order. */
+    template <typename Fn>
+    void
+    forEachFilledSet(Fn &&fn) const
+    {
+        for (std::uint64_t w = 0; w < filledSets_.size(); ++w) {
+            for (std::uint64_t bits = filledSets_[w]; bits != 0;
+                 bits &= bits - 1)
+                fn((w * 64 + std::countr_zero(bits)) * params_.ways);
+        }
     }
 
     /** Victim way in @p set: first invalid way, else the LRU way. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <unordered_set>
 
 #include "common/logging.hh"
 
@@ -20,14 +21,21 @@ CacheHierarchy::CacheHierarchy(unsigned num_cores,
     for (unsigned i = 0; i < num_cores; ++i) {
         l1s_.push_back(std::make_unique<Cache>(params.l1));
         l2s_.push_back(std::make_unique<Cache>(params.l2));
-        // Small machines never consult the index; skip the bookkeeping
-        // entirely so their fills stay hash-free.
-        if (indexed_) {
-            l1s_.back()->attachSharerIndex(&sharers_, i, SharerIndex::kL1);
-            l2s_.back()->attachSharerIndex(&sharers_, i, SharerIndex::kL2);
-        }
     }
+    // Small machines never consult the index; skip the bookkeeping
+    // entirely so their fills stay hash-free.
+    if (indexed_)
+        linkSharerIndex(&sharers_);
     l3_ = std::make_unique<Cache>(params.l3);
+}
+
+void
+CacheHierarchy::linkSharerIndex(SharerIndex *index)
+{
+    for (CoreId c = 0; c < numCores(); ++c) {
+        l1s_[c]->attachSharerIndex(index, c, SharerIndex::kL1);
+        l2s_[c]->attachSharerIndex(index, c, SharerIndex::kL2);
+    }
 }
 
 void
@@ -77,6 +85,7 @@ CacheHierarchy::handleVictim(CoreId core, unsigned level,
 Cycles
 CacheHierarchy::fillBelowL1(CoreId core, Addr line, Cycles now, Cycles done)
 {
+    ssp_assert_dbg(!setup_ || core == 0, "setup runs on core 0 alone");
     Cache &l2 = *l2s_[core];
     auto r2 = l2.access(line, false);
     done += l2.latency();
@@ -187,7 +196,12 @@ void
 CacheHierarchy::invalidateLine(Addr addr)
 {
     const Addr line = lineBase(addr);
-    if (indexed_) {
+    if (setup_) {
+        // Idle peers hold nothing (beginSetup), and the index may be
+        // detached.
+        l1s_[0]->invalidate(line);
+        l2s_[0]->invalidate(line);
+    } else if (indexed_) {
         sharers_.sharers(line).forEachSet([&](CoreId c) {
             l1s_[c]->invalidate(line);
             l2s_[c]->invalidate(line);
@@ -204,7 +218,8 @@ CacheHierarchy::invalidateLine(Addr addr)
 CoreBitmap
 CacheHierarchy::invalidateLineRemote(CoreId sender, Addr addr)
 {
-    if (numCores() <= 1)
+    // A setup phase runs on core 0 while every peer cache is empty.
+    if (numCores() <= 1 || setup_)
         return CoreBitmap{};
     const Addr line = lineBase(addr);
     if (!indexed_) {
@@ -311,6 +326,77 @@ CacheHierarchy::invalidateAll()
     l3_->invalidateAll();
     ssp_assert_dbg(!indexed_ || sharers_.trackedLines() == 0,
                    "sharer index must drain with the caches");
+}
+
+void
+CacheHierarchy::beginSetup()
+{
+    ssp_assert(!setup_, "setup phases do not nest");
+    ssp_assert_dbg(peersIdle(), "a setup phase needs idle peer caches");
+    setup_ = true;
+    peerInvalidation_ = false;
+    if (indexed_ && !sharers_.listened()) {
+        linkSharerIndex(nullptr);
+        indexDetached_ = true;
+    }
+}
+
+void
+CacheHierarchy::endSetup()
+{
+    ssp_assert(setup_, "no setup phase to close");
+    setup_ = false;
+    peerInvalidation_ = coherence_ != nullptr && numCores() > 1;
+    if (indexDetached_) {
+        // Only core 0 filled anything, and idle peers walk empty
+        // filled-set bitmaps: their tag arrays stay untouched.
+        sharers_.clear();
+        linkSharerIndex(&sharers_);
+        for (CoreId c = 0; c < numCores(); ++c) {
+            l1s_[c]->forEachLine([&](Addr line) {
+                sharers_.add(c, SharerIndex::kL1, line);
+            });
+            l2s_[c]->forEachLine([&](Addr line) {
+                sharers_.add(c, SharerIndex::kL2, line);
+            });
+        }
+        indexDetached_ = false;
+    }
+    ssp_assert_dbg(!indexed_ || sharerIndexExact(),
+                   "sharer index diverged from the caches over setup");
+}
+
+bool
+CacheHierarchy::peersIdle() const
+{
+    bool held = false;
+    for (CoreId c = 1; c < numCores(); ++c) {
+        l1s_[c]->forEachLine([&](Addr) { held = true; });
+        l2s_[c]->forEachLine([&](Addr) { held = true; });
+    }
+    return !held;
+}
+
+bool
+CacheHierarchy::sharerIndexExact() const
+{
+    std::unordered_set<Addr> held;
+    bool exact = true;
+    auto check = [&](Addr line) {
+        if (!held.insert(line).second)
+            return;
+        CoreBitmap probed;
+        for (CoreId c = 0; c < numCores(); ++c) {
+            if (l1s_[c]->probe(line) || l2s_[c]->probe(line))
+                probed.set(c);
+        }
+        exact = exact && probed == sharers_.sharers(line);
+    };
+    for (CoreId c = 0; c < numCores(); ++c) {
+        l1s_[c]->forEachLine(check);
+        l2s_[c]->forEachLine(check);
+    }
+    return exact && held.size() == sharers_.trackedLines();
 }
 
 } // namespace ssp

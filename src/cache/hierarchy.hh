@@ -181,6 +181,21 @@ class CacheHierarchy
     /** Simulated power failure: all volatile cache state disappears. */
     void invalidateAll();
 
+    /**
+     * Open a setup phase (Machine::SetupPhase): only core 0 runs and
+     * every peer's private caches are empty, so writes skip peer
+     * invalidation, invalidateLineRemote() finds no peer, and
+     * invalidateLine() probes core 0 and the L3 only.  Under broadcast
+     * coherence the private caches also stop feeding the sharer index
+     * until endSetup(); the directory's snoop filter mirrors every
+     * fill, and its order is timing, so there the index stays live.
+     */
+    void beginSetup();
+
+    /** Close the setup phase, rebuilding a detached sharer index from
+     *  the private caches' filled sets. */
+    void endSetup();
+
     Cache &l1(CoreId core) { return *l1s_[core]; }
     Cache &l2(CoreId core) { return *l2s_[core]; }
     Cache &l3() { return *l3_; }
@@ -208,6 +223,19 @@ class CacheHierarchy
     const SharerIndex &sharerIndex() const { return sharers_; }
 
   private:
+    /** Point every private cache at @p index (nullptr detaches). */
+    void linkSharerIndex(SharerIndex *index);
+
+    /** True when no core but core 0 holds a line in its L1 or L2. */
+    bool peersIdle() const;
+
+    /**
+     * Brute-force check of the sharer index: every line held in some
+     * core's L1 or L2 maps to exactly the cores whose tag probes find
+     * it, and the index tracks no other line.
+     */
+    bool sharerIndexExact() const;
+
     /** Handle a dirty victim evicted from level @p level (0=L1, 1=L2). */
     void handleVictim(CoreId core, unsigned level,
                       const CacheAccessResult &res, Cycles now);
@@ -264,6 +292,10 @@ class CacheHierarchy
      *  is attached and the machine has more than one core. */
     bool peerInvalidation_ = false;
     bool indexed_ = false;
+    /** A setup phase is open (beginSetup()). */
+    bool setup_ = false;
+    /** The private caches stopped feeding sharers_ for the setup. */
+    bool indexDetached_ = false;
     SharerIndex sharers_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::vector<std::unique_ptr<Cache>> l2s_;

@@ -65,6 +65,9 @@ class SharerIndex
     /** Attach the transition observer (the directory snoop filter). */
     void attachListener(SharerListener *listener) { listener_ = listener; }
 
+    /** True when a transition observer is attached. */
+    bool listened() const { return listener_ != nullptr; }
+
     /** Core @p core's level-@p level cache gained @p line. */
     void
     add(CoreId core, unsigned level, Addr line)

@@ -8,8 +8,22 @@ namespace ssp
 {
 
 ConflictManager::ConflictManager(unsigned num_cores)
-    : enabled_(num_cores > 1), tx_(num_cores), liveRecords_(num_cores, 0)
+    : detects_(num_cores > 1), enabled_(detects_), tx_(num_cores)
 {
+}
+
+void
+ConflictManager::beginSetup()
+{
+    ssp_assert(openTxs_ == 0, "setup phase opened inside a transaction");
+    enabled_ = false;
+}
+
+void
+ConflictManager::endSetup(Cycles horizon)
+{
+    enabled_ = detects_;
+    beginFloor_ = horizon + 1;
 }
 
 void
@@ -17,6 +31,11 @@ ConflictManager::beginTx(CoreId core, Cycles now)
 {
     if (!enabled_)
         return;
+    ssp_assert(now >= beginFloor_,
+               "core %u begins a transaction at cycle %llu, at or below "
+               "the setup horizon %llu: run a clock barrier after setup",
+               core, static_cast<unsigned long long>(now),
+               static_cast<unsigned long long>(beginFloor_ - 1));
     TxState &tx = tx_[core];
     ssp_assert(!tx.active, "conflict tracking already open on this core");
     tx.active = true;
@@ -80,14 +99,10 @@ ConflictManager::validate(CoreId core, Cycles now)
                 best = std::min(best, lo->seq);
         }
     };
-    // Only a live peer record can conflict (see liveRecords_), so a log
-    // holding nothing but this core's own records skips the index.
-    if (liveRecords_[core] < log_.size()) {
-        for (Addr line : tx.writes)
-            earliest_hit(line, best_ww);
-        for (Addr line : tx.reads)
-            earliest_hit(line, best_rw);
-    }
+    for (Addr line : tx.writes)
+        earliest_hit(line, best_ww);
+    for (Addr line : tx.reads)
+        earliest_hit(line, best_rw);
     if (best_ww != ~std::uint64_t{0} || best_rw != ~std::uint64_t{0}) {
         // Within one record the scan tested write-write before
         // read-write, so a tie classifies as write-write.
@@ -127,10 +142,8 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
                 floor = std::min(floor, t.beginCycle);
         }
     }
-    while (!log_.empty() && log_.front().commitCycle <= floor) {
-        --liveRecords_[log_.front().core];
+    while (!log_.empty() && log_.front().commitCycle <= floor)
         log_.pop_front();
-    }
     // The log drains completely at every round boundary (the barrier
     // advances the floor past the previous round's commit points), so
     // this is where the posting index resets instead of growing
@@ -162,7 +175,6 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
             const auto [word, bit] = bloomBit(line);
             postingBloom_[word] |= bit;
         }
-        ++liveRecords_[rec.core];
         log_.push_back(std::move(rec));
     }
 }
@@ -207,7 +219,6 @@ ConflictManager::reset()
     for (auto &tx : tx_)
         closeTx(tx);
     log_.clear();
-    std::fill(liveRecords_.begin(), liveRecords_.end(), 0);
     postings_.clear();
     postingBloom_.fill(0);
 }

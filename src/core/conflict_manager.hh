@@ -25,6 +25,14 @@
  * the simulation cannot livelock.  Detection is on exactly when the
  * machine has more than one core; with one core every call is a no-op,
  * keeping single-core timing bit-identical to the serialized model.
+ *
+ * A setup phase (Machine::SetupPhase) turns detection off as well: the
+ * prefill runs on core 0 while every peer is idle, so nothing it would
+ * record could ever be validated against.  Closing the phase sets a
+ * horizon, core 0's clock, and every later transaction must begin
+ * above it (each driver's clock barrier guarantees this); a
+ * transaction that begins at or below it could have overlapped a
+ * setup commit that was never logged, so beginTx refuses it.
  */
 
 #ifndef SSP_CORE_CONFLICT_MANAGER_HH
@@ -65,10 +73,26 @@ class ConflictManager
 
     explicit ConflictManager(unsigned num_cores);
 
-    /** True when conflicts are possible (more than one core). */
+    /** True when conflicts are possible: more than one core, and no
+     *  setup phase open. */
     bool enabled() const { return enabled_; }
 
-    /** A transaction opened on @p core at simulated time @p now. */
+    /** Open a setup phase: record, validate and publish nothing until
+     *  endSetup(), exactly as on one core.  No transaction may be open. */
+    void beginSetup();
+
+    /**
+     * Close the setup phase: detection resumes, and every later
+     * transaction must begin above @p horizon (core 0's clock, the
+     * latest point a setup commit could carry).
+     */
+    void endSetup(Cycles horizon);
+
+    /**
+     * A transaction opened on @p core at simulated time @p now.  Throws
+     * (std::logic_error) when @p now is at or below the horizon of the
+     * last setup phase: the caller skipped the clock barrier.
+     */
     void beginTx(CoreId core, Cycles now);
 
     /** Record a transactional load of the line containing @p vaddr.
@@ -188,21 +212,18 @@ class ConflictManager
         CoreId core = 0;
     };
 
+    /** The machine has more than one core. */
+    const bool detects_;
+    /** detects_, and no setup phase open. */
     bool enabled_;
+    /** Lowest cycle a transaction may begin at: one above the last
+     *  setup horizon, 0 before the first setup. */
+    Cycles beginFloor_ = 0;
     std::vector<TxState> tx_;
     /** Number of tx_ entries with active set: commitTx skips the
      *  open-begin scan of the prune floor when no transaction is open. */
     unsigned openTxs_ = 0;
     std::deque<CommitRecord> log_;
-    /**
-     * Live log_ records per publishing core.  When every live record is
-     * the validator's own, validate has nothing to find: own postings
-     * never conflict, and postings of pruned records fail the window
-     * test.  This is the case throughout single-core setup phases, where
-     * idle peers at clock 0 pin the prune floor and the log grows to one
-     * record per setup transaction.
-     */
-    std::vector<std::size_t> liveRecords_;
     /**
      * Inverted index over log_: line address -> postings of every
      * published write of that line, sorted by commit point so a

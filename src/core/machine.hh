@@ -126,6 +126,42 @@ class Machine
         });
     }
 
+    /**
+     * Scoped setup phase.  Workload::setup() opens one on its first
+     * line: the prefill runs on core 0 while every peer is idle at
+     * clock 0, so the multi-core bookkeeping it would pay for can
+     * never be observed.  While the phase is open the ConflictManager
+     * records nothing and the caches skip peer invalidation (and,
+     * under broadcast coherence, the sharer index).  Closing it
+     * rebuilds the index and resumes conflict detection with core 0's
+     * clock as the horizon every later transaction must begin above.
+     * Simulated timing is unchanged; on one core the phase changes
+     * nothing at all.
+     */
+    class SetupPhase
+    {
+      public:
+        explicit SetupPhase(Machine &machine) : machine_(machine)
+        {
+            machine_.conflicts_.beginSetup();
+            machine_.caches_.beginSetup();
+        }
+
+        /** Closing may throw (the Debug build's sharer-index
+         *  cross-check); the failure leaves setup() like any other. */
+        ~SetupPhase() noexcept(false)
+        {
+            machine_.caches_.endSetup();
+            machine_.conflicts_.endSetup(machine_.clocks_[0]);
+        }
+
+        SetupPhase(const SetupPhase &) = delete;
+        SetupPhase &operator=(const SetupPhase &) = delete;
+
+      private:
+        Machine &machine_;
+    };
+
     /** Volatile state lost on power failure (caches, TLBs, DRAM). */
     void
     powerFail()

@@ -2,7 +2,7 @@
  * @file
  * Builds a complete experiment: a backend (one of the four designs), an
  * allocator over its persistent heap, and a workload — then runs the
- * setup phase and zeroes the measurement baseline.
+ * setup phase.
  */
 
 #ifndef SSP_SIM_SYSTEM_BUILDER_HH
@@ -23,20 +23,12 @@ struct Experiment
     std::unique_ptr<AtomicityBackend> backend;
     std::unique_ptr<PersistAlloc> alloc;
     std::unique_ptr<Workload> workload;
-
-    /** Measurement baselines captured after setup. */
-    Cycles baseCycles = 0;
-    std::uint64_t baseNvramWrites = 0;
-    std::uint64_t baseLoggingWrites = 0;
-    std::uint64_t baseDataWrites = 0;
-    std::uint64_t baseConsolidationWrites = 0;
-    std::uint64_t baseCheckpointWrites = 0;
-    std::uint64_t baseCommits = 0;
 };
 
 /**
- * Construct backend + allocator + workload, run Workload::setup(), and
- * capture the measurement baseline.
+ * Construct backend + allocator + workload and run Workload::setup().
+ * The drivers capture their measurement baseline when the run starts
+ * (captureRunBaseline in sim/driver.hh).
  */
 Experiment buildExperiment(BackendKind backend_kind,
                            WorkloadKind workload_kind, const SspConfig &cfg,

@@ -25,6 +25,7 @@ BTreeWorkload::newNode(CoreId c, bool leaf)
 void
 BTreeWorkload::setup()
 {
+    const Machine::SetupPhase phase(backend().machine());
     rootAddr_ = alloc_.allocate(sizeof(std::uint64_t), 8);
     const std::uint64_t zero = 0;
     backend().storeRaw(rootAddr_, &zero, sizeof(zero));

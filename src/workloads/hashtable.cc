@@ -47,6 +47,7 @@ HashWorkload::bucketAddr(std::uint64_t key) const
 void
 HashWorkload::setup()
 {
+    const Machine::SetupPhase phase(backend().machine());
     table_ = alloc_.allocate(buckets_ * sizeof(std::uint64_t), kLineSize);
     const std::uint64_t zero = 0;
     for (std::uint64_t b = 0; b < buckets_; ++b) {

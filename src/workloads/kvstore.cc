@@ -43,6 +43,7 @@ KvStoreWorkload::bucketAddr(std::uint64_t key) const
 void
 KvStoreWorkload::setup()
 {
+    const Machine::SetupPhase phase(backend().machine());
     table_ =
         alloc_.allocate(params_.buckets * sizeof(std::uint64_t), kLineSize);
     lruHeadAddr_ = alloc_.allocate(sizeof(std::uint64_t), 8);

@@ -21,6 +21,7 @@ SpsWorkload::elemAddr(std::uint64_t idx) const
 void
 SpsWorkload::setup()
 {
+    const Machine::SetupPhase phase(backend().machine());
     base_ = alloc_.allocate(numElements_ * sizeof(std::uint64_t),
                             kLineSize);
     reference_.resize(numElements_);

@@ -49,6 +49,7 @@ VacationWorkload::custBucket(std::uint64_t id) const
 void
 VacationWorkload::setup()
 {
+    const Machine::SetupPhase phase(backend().machine());
     const std::uint64_t zero = 0;
     for (unsigned t = 0; t < 3; ++t) {
         tables_[t] = alloc_.allocate(

@@ -60,8 +60,14 @@ class Workload
     virtual const char *name() const = 0;
 
     /**
-     * Populate the initial state (runs as ordinary transactions on
-     * core 0; the driver resets measurement counters afterwards).
+     * Populate the initial state as ordinary transactions on core 0.
+     * Every override opens a Machine::SetupPhase on its first line:
+     * the peers are idle, so the prefill logs no conflicts and skips
+     * peer coherence.  Closing the phase sets a horizon at core 0's
+     * clock, and every later transaction must begin above it — the
+     * clock barrier (Machine::syncClocks) each driver runs before the
+     * first operation guarantees that.  Drivers measure their run as
+     * deltas over the counters setup leaves.
      */
     virtual void setup() = 0;
 

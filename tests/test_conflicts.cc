@@ -237,9 +237,9 @@ TEST(ConflictManager, AbortClearsTheInFlightFootprint)
 
 TEST(ConflictManager, IdlePeersPinThePruneFloor)
 {
-    // A single-core setup phase on a multi-core machine: only core 0
-    // runs, the idle peers' clocks stay at 0, so nothing can be pruned
-    // — a peer may still begin below any of these commit points.
+    // Only core 0 runs on a multi-core machine: the idle peers' clocks
+    // stay at 0, so nothing can be pruned — a peer may still begin
+    // below any of these commit points.
     ConflictManager cm(4);
     const Addr shared = lineAddr(7, 0);
     for (Cycles i = 0; i < 1000; ++i) {

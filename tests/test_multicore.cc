@@ -6,9 +6,14 @@
  * runner, contention monotonicity on a Zipf-shared workload, the
  * TX-bit-aware categorization of L3 victim write-backs, and the
  * replay of contended scale cells against the checked-in report (the
- * sharer-index/hot-path work must not move a simulated cycle).
+ * sharer-index/hot-path work must not move a simulated cycle), and
+ * the setup phase: an exact sharer index and an empty commit log after
+ * the prefill, conflict detection after the barrier, and the horizon.
  */
 
+#include <set>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -277,6 +282,121 @@ TEST(Multicore, ContendedZipfCellsMatchTheCheckedInScaleReport)
     for (const CellResult &r : results)
         aborts += r.run.txAborts;
     EXPECT_GT(aborts, 0u);
+}
+
+// ---- setup phase ----------------------------------------------------------
+
+/** A 16-core machine big enough for a BTree-Zipf prefill, with an L1
+ *  small enough that the prefill leaves lines in core 0's L2 alone. */
+SspConfig
+setupConfig(CoherenceMode mode)
+{
+    SspConfig cfg = smallConfig(16);
+    cfg.heapPages = 2048;
+    cfg.shadowPoolPages = 2048;
+    cfg.coherence.mode = mode;
+    cfg.caches.l1 = CacheParams{"l1d", 2 * 1024, 8, 4};
+    return cfg;
+}
+
+Experiment
+buildSetupExperiment(BackendKind backend, CoherenceMode mode)
+{
+    WorkloadScale scale;
+    scale.keySpace = 512;
+    scale.seed = 5;
+    return buildExperiment(backend, WorkloadKind::BTreeZipf,
+                           setupConfig(mode), scale);
+}
+
+/** Probe every line any core's L1 or L2 holds on every core: the
+ *  sharer index must name exactly the cores that hold it, and track no
+ *  other line. */
+void
+expectIndexMatchesProbes(Machine &m)
+{
+    CacheHierarchy &hier = m.caches();
+    ASSERT_TRUE(hier.sharerIndexed());
+    std::set<Addr> held;
+    for (CoreId c = 0; c < hier.numCores(); ++c) {
+        for (Cache *cache : {&hier.l1(c), &hier.l2(c)}) {
+            std::uint64_t lines = 0;
+            cache->forEachLine([&](Addr line) {
+                held.insert(line);
+                ++lines;
+            });
+            // The filled-set walk misses no valid slot.
+            ASSERT_EQ(lines, cache->validLines()) << "core " << c;
+        }
+    }
+    // Some lines live in core 0's L2 alone, so both levels are checked.
+    EXPECT_GT(held.size(), hier.l1(0).validLines());
+    for (Addr line : held) {
+        CoreBitmap probed;
+        for (CoreId c = 0; c < hier.numCores(); ++c) {
+            if (hier.l1(c).probe(line) || hier.l2(c).probe(line))
+                probed.set(c);
+        }
+        ASSERT_EQ(hier.sharerIndex().sharers(line), probed)
+            << "line 0x" << std::hex << line;
+    }
+    EXPECT_EQ(hier.sharerIndex().trackedLines(), held.size());
+}
+
+TEST(SetupPhase, LeavesAnExactSharerIndexAndAnEmptyLog)
+{
+    for (CoherenceMode mode :
+         {CoherenceMode::Broadcast, CoherenceMode::Directory}) {
+        for (BackendKind backend : {BackendKind::Ssp, BackendKind::UndoLog,
+                                    BackendKind::RedoLog}) {
+            SCOPED_TRACE(std::string(backendKindName(backend)) +
+                         (mode == CoherenceMode::Directory ? " directory"
+                                                           : " broadcast"));
+            Experiment exp = buildSetupExperiment(backend, mode);
+            Machine &m = exp.backend->machine();
+            // The prefill ran on core 0 alone and logged nothing.
+            EXPECT_GT(m.clock(0), 0u);
+            EXPECT_EQ(m.clock(1), 0u);
+            EXPECT_EQ(m.conflicts().logSize(), 0u);
+            EXPECT_TRUE(m.conflicts().enabled());
+            expectIndexMatchesProbes(m);
+        }
+    }
+}
+
+TEST(SetupPhase, ConflictsStillAbortAfterTheBarrier)
+{
+    for (CoherenceMode mode :
+         {CoherenceMode::Broadcast, CoherenceMode::Directory}) {
+        Experiment exp = buildSetupExperiment(BackendKind::Ssp, mode);
+        AtomicityBackend &be = *exp.backend;
+        Machine &m = be.machine();
+        ConflictManager &cm = m.conflicts();
+        m.syncClocks();
+        const Addr addr = exp.alloc->allocate(sizeof(std::uint64_t), 8);
+
+        be.begin(1); // core 1's window opens first
+        txWrite64(be, 0, addr, 2); // core 0 commits inside it
+        std::uint64_t v = 3;
+        be.store(1, addr, &v, sizeof(v));
+        EXPECT_FALSE(cm.validate(1, m.maxClock()));
+        EXPECT_EQ(cm.stats().writeWriteConflicts, 1u);
+        be.abort(1);
+        EXPECT_EQ(raw64(be, addr), 2u);
+    }
+}
+
+TEST(SetupPhase, PeerBeginAtOrBelowTheHorizonThrows)
+{
+    Experiment exp =
+        buildSetupExperiment(BackendKind::Ssp, CoherenceMode::Broadcast);
+    Machine &m = exp.backend->machine();
+    ConflictManager &cm = m.conflicts();
+    const Cycles horizon = m.clock(0);
+    // No barrier: core 1's clock is still 0, below every setup commit.
+    EXPECT_THROW(exp.backend->begin(1), std::logic_error);
+    EXPECT_THROW(cm.beginTx(2, horizon), std::logic_error);
+    EXPECT_NO_THROW(cm.beginTx(3, horizon + 1));
 }
 
 } // namespace

@@ -100,14 +100,15 @@ TEST(Driver, MetricsAreDeltasOverSetup)
     auto exp = buildExperiment(BackendKind::Ssp, WorkloadKind::HashRand,
                                cfg, scale);
     // Setup already committed transactions and wrote NVRAM...
-    EXPECT_GT(exp.baseCommits, 0u);
-    EXPECT_GT(exp.baseNvramWrites, 0u);
+    const RunResult base = captureRunBaseline(exp);
+    EXPECT_GT(base.committedTxs, 0u);
+    EXPECT_GT(base.nvramWrites, 0u);
     // ...but the run result reports only the measured phase.
     RunResult res = runExperiment(exp, 50, 1);
     EXPECT_EQ(res.committedTxs, 50u);
     EXPECT_GT(res.cycles, 0u);
     EXPECT_GT(res.nvramWrites, 0u);
-    EXPECT_LT(res.nvramWrites, exp.baseNvramWrites);
+    EXPECT_LT(res.nvramWrites, base.nvramWrites);
 }
 
 TEST(Driver, TpsMatchesCyclesAndFrequency)
