@@ -10,20 +10,19 @@ namespace ssp
 {
 
 CacheHierarchy::CacheHierarchy(unsigned num_cores,
-                               const HierarchyParams &params, MemoryBus &bus,
-                               bool force_sharer_index)
+                               const HierarchyParams &params, MemoryBus &bus)
     : params_(params), bus_(bus)
 {
     ssp_assert(num_cores > 0);
     ssp_assert(num_cores <= kMaxCores,
                "sharer bitmaps hold at most %u cores", kMaxCores);
-    indexed_ = force_sharer_index || num_cores >= kSharerIndexMinCores;
     for (unsigned i = 0; i < num_cores; ++i) {
         l1s_.push_back(std::make_unique<Cache>(params.l1));
         l2s_.push_back(std::make_unique<Cache>(params.l2));
     }
-    // Small machines never consult the index; skip the bookkeeping
-    // entirely so their fills stay hash-free.
+    // A one-core machine has no peer to look up; unless a listener
+    // attaches later, its fills stay hash-free.
+    indexed_ = num_cores > 1;
     if (indexed_)
         linkSharerIndex(&sharers_);
     l3_ = std::make_unique<Cache>(params.l3);
@@ -47,9 +46,13 @@ CacheHierarchy::attachCoherence(CoherenceModel *model)
     if (model == nullptr)
         return;
     if (SharerListener *listener = model->sharerListener()) {
-        ssp_assert(indexed_,
-                   "a coherence model with a sharer listener needs the "
-                   "sharer index (force_sharer_index)");
+        if (!indexed_) {
+            ssp_assert_dbg(l1s_[0]->validLines() == 0 &&
+                               l2s_[0]->validLines() == 0,
+                           "the sharer index must link before any fill");
+            indexed_ = true;
+            linkSharerIndex(&sharers_);
+        }
         sharers_.attachListener(listener);
     }
     if (model->needsMaintenance())
@@ -130,27 +133,8 @@ CacheHierarchy::invalidatePeersOnWrite(CoreId core, Addr line, Cycles done)
 {
     // Peer copies are clean (only the lock holder dirties a page
     // mid-transaction and commit cleans its lines), so dropping
-    // without write-back loses nothing.
-    if (!indexed_) {
-        // Small machine: brute-force probe of every peer's L1+L2.
-        CoreBitmap peers;
-        for (CoreId c = 0; c < numCores(); ++c) {
-            if (c == core)
-                continue;
-            const bool in_l1 = l1s_[c]->invalidate(line);
-            const bool in_l2 = l2s_[c]->invalidate(line);
-            if (in_l1 || in_l2) {
-                peers.set(c);
-                coherence_->deliverInvalidation(c);
-            }
-        }
-        return peers.any()
-                   ? coherence_->invalidate(core, line, peers, done)
-                   : done;
-    }
-    // The sharer index gives the exact peer set, so only actual holders
-    // are probed — the same peers the full tag scan used to find, hence
-    // the same messages and the same charged cycles.
+    // without write-back loses nothing.  The sharer index gives the
+    // exact peer set, so only actual holders are probed.
     CoreBitmap peers = sharers_.sharers(line);
     peers.reset(core);
     if (peers.none())
@@ -196,21 +180,16 @@ void
 CacheHierarchy::invalidateLine(Addr addr)
 {
     const Addr line = lineBase(addr);
-    if (setup_) {
-        // Idle peers hold nothing (beginSetup), and the index may be
-        // detached.
+    if (setup_ || !indexed_) {
+        // Idle peers hold nothing (beginSetup) and the index may be
+        // detached; an unindexed machine has core 0 alone.
         l1s_[0]->invalidate(line);
         l2s_[0]->invalidate(line);
-    } else if (indexed_) {
+    } else {
         sharers_.sharers(line).forEachSet([&](CoreId c) {
             l1s_[c]->invalidate(line);
             l2s_[c]->invalidate(line);
         });
-    } else {
-        for (auto &l1 : l1s_)
-            l1->invalidate(line);
-        for (auto &l2 : l2s_)
-            l2->invalidate(line);
     }
     l3_->invalidate(line);
 }
@@ -222,18 +201,6 @@ CacheHierarchy::invalidateLineRemote(CoreId sender, Addr addr)
     if (numCores() <= 1 || setup_)
         return CoreBitmap{};
     const Addr line = lineBase(addr);
-    if (!indexed_) {
-        CoreBitmap peers;
-        for (CoreId c = 0; c < numCores(); ++c) {
-            if (c == sender)
-                continue;
-            const bool in_l1 = l1s_[c]->invalidate(line);
-            const bool in_l2 = l2s_[c]->invalidate(line);
-            if (in_l1 || in_l2)
-                peers.set(c);
-        }
-        return peers;
-    }
     CoreBitmap peers = sharers_.sharers(line);
     peers.reset(sender);
     peers.forEachSet([&](CoreId c) {

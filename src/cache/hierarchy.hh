@@ -45,24 +45,21 @@ struct HierarchyParams
 class CacheHierarchy
 {
   public:
-    /**
-     * @param force_sharer_index Maintain the sharer index even below
-     *        kSharerIndexMinCores — the directory coherence model's
-     *        snoop filter is fed by it, so directory-mode machines
-     *        need it at every core count.
-     */
+    /** A hierarchy with more than one core maintains the sharer index
+     *  from the start (see sharerIndexed()). */
     CacheHierarchy(unsigned num_cores, const HierarchyParams &params,
-                   MemoryBus &bus, bool force_sharer_index = false);
+                   MemoryBus &bus);
 
     /**
-     * Attach the coherence model (done by Machine after construction).
-     * With a model attached, write() invalidates peer-cached copies and
-     * charges the sender one coherence event when any existed; without
-     * one the hierarchy times every access in isolation (standalone
-     * tests).  A model with a sharer listener (the directory snoop
-     * filter) is wired into the sharer index here, and its deferred
-     * maintenance is drained after every timed access that fills a
-     * line.
+     * Attach the coherence model (done by Machine after construction,
+     * before any access).  With a model attached, write() invalidates
+     * peer-cached copies and charges the sender one coherence event
+     * when any existed; without one the hierarchy times every access in
+     * isolation (standalone tests).  A model with a sharer listener
+     * (the directory snoop filter) is wired into the sharer index here
+     * — linking the index first on a one-core machine — and its
+     * deferred maintenance is drained after every timed access that
+     * fills a line.
      */
     void attachCoherence(CoherenceModel *model);
 
@@ -202,16 +199,12 @@ class CacheHierarchy
     unsigned numCores() const { return static_cast<unsigned>(l1s_.size()); }
 
     /**
-     * Smallest core count whose hierarchy maintains the sharer index:
-     * below this, brute-force peer probes touch so few tag arrays that
-     * the index's per-fill bookkeeping costs more than it saves.  The
-     * cutover is invisible in simulated time — both paths find exactly
-     * the same peer set (tests/test_multicore.cc checks the index
-     * against brute-force probes).
+     * True when this hierarchy maintains the sharer index: exactly when
+     * something can read it — the machine has peers to find, or the
+     * attached coherence model listens to it (the directory, at any
+     * core count).  A one-core broadcast machine skips the per-fill
+     * bookkeeping; nothing there ever asks for a peer.
      */
-    static constexpr unsigned kSharerIndexMinCores = 5;
-
-    /** True when this hierarchy maintains the sharer index. */
     bool sharerIndexed() const { return indexed_; }
 
     /**
@@ -241,9 +234,10 @@ class CacheHierarchy
                       const CacheAccessResult &res, Cycles now);
 
     /**
-     * MESI-style write invalidation: drop peer copies of @p line and,
-     * when any existed, charge the sender one coherence event on top
-     * of @p done.  Called only when peerInvalidation_.
+     * MESI-style write invalidation: drop the peer copies the sharer
+     * index names and, when any existed, charge the sender one
+     * coherence event on top of @p done.  Called only when
+     * peerInvalidation_ (which implies the index).
      */
     Cycles invalidatePeersOnWrite(CoreId core, Addr line, Cycles done);
 

@@ -12,9 +12,9 @@
  *
  * The index is exact, not conservative: an out-of-sync bit would not
  * just cost time, it would change which peers are charged coherence
- * traffic.  tests/test_multicore.cc cross-checks the mask against
+ * traffic.  tests/test_cache.cc cross-checks the mask against
  * brute-force tag probes after randomized access/invalidate/remap/
- * power-failure sequences.
+ * power-failure sequences at 2, 3, 4 and 8 cores.
  *
  * This per-line bitmap is also the directory coherence model's sharer
  * vector (src/interconnect/): a directory charges by sharer count,

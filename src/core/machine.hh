@@ -32,11 +32,7 @@ class Machine
     explicit Machine(const SspConfig &cfg)
         : cfg_(cfg), mem_(cfg.nvramPages(), cfg.dramPages),
           bus_(mem_, cfg.memSystem()),
-          // Directory mode needs the sharer index (its directory state
-          // and snoop-filter feed) at every core count, not just past
-          // the perf cutover.
-          caches_(cfg.numCores, cfg.caches, bus_,
-                  cfg.coherence.mode == CoherenceMode::Directory),
+          caches_(cfg.numCores, cfg.caches, bus_),
           pt_(kPageWalkCycles, cfg.heapPages),
           coherence_(makeCoherenceModel(cfg.numCores, cfg.coherence)),
           conflicts_(cfg.numCores),
@@ -44,9 +40,11 @@ class Machine
     {
         // The hierarchy's write path invalidates peer copies through the
         // coherence model (MESI-style); standalone hierarchies time in
-        // isolation.  The directory model's snoop filter is wired to the
-        // sharer index inside attachCoherence, and its forced filter
-        // evictions drop live copies through backInvalidateLine.
+        // isolation.  The hierarchy keeps its sharer index whenever the
+        // machine has peers; attachCoherence also links it for the
+        // directory model's snoop filter, which feeds on it at every
+        // core count, and whose forced filter evictions drop live
+        // copies through backInvalidateLine.
         caches_.attachCoherence(coherence_.get());
         coherence_->attachBackInvalidator([this](Addr line, Cycles now) {
             return caches_.backInvalidateLine(line, now);

@@ -1,6 +1,5 @@
 #include "nvram/mem_controller.hh"
 
-#include <algorithm>
 #include <unordered_set>
 #include <vector>
 
@@ -18,11 +17,8 @@ MemController::MemController(const MemControllerParams &params,
       pool_(params.shadowPoolBase, params.shadowPoolPages),
       consolidator_(cache_, journal_, pt_, bus)
 {
-    if (params_.persistentCacheBytes == 0) {
-        params_.persistentCacheBase = params_.journalBase;
-        params_.persistentCacheBytes =
-            std::max<std::uint64_t>(params_.journalBytes, kLineSize);
-    }
+    ssp_assert(params_.persistentCacheBytes > 0,
+               "the persistent SSP-cache area must not be empty");
 }
 
 MetadataFetchResult

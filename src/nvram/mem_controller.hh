@@ -47,8 +47,7 @@ struct MemControllerParams
      * NVRAM area holding the persistent SSP-cache slot lines that
      * checkpoints write.  Must not overlap the journal proper, or
      * checkpoint traffic would alias journal-append lines on the
-     * bank/channel layout.  persistentCacheBytes == 0 falls back to
-     * overlaying the journal area (direct-constructed unit tests).
+     * bank/channel layout.
      */
     Addr persistentCacheBase = 0;
     std::uint64_t persistentCacheBytes = 0;

@@ -26,16 +26,29 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     // this core count) so the offered load can be expressed as a factor
     // of what the cell can actually sustain.  The calibration phase also
     // warms caches/TLBs, like the setup phase does for closed-loop runs.
+    // It has no barriers: each step runs the core with the lowest
+    // (clock, core id).
     constexpr std::uint64_t kMinCalibrationTxs = 200;
     const std::uint64_t calib_txs =
         std::max<std::uint64_t>(kMinCalibrationTxs, num_requests / 5);
-    const RunResult calib =
-        runExperiment(exp, calib_txs, num_cores, ScheduleMode::EventDriven);
-    ssp_assert(calib.committedTxs > 0 && calib.cycles > 0,
+    machine.syncClocks();
+    const Cycles calib_start = machine.maxClock();
+    const std::uint64_t calib_base = be.committedTxs();
+    for (std::uint64_t i = 0; i < calib_txs; ++i) {
+        CoreId next = 0;
+        for (CoreId c = 1; c < num_cores; ++c) {
+            if (machine.clock(c) < machine.clock(next))
+                next = c;
+        }
+        exp.workload->runOp(next);
+    }
+    const Cycles calib_cycles = machine.maxClock() - calib_start;
+    const std::uint64_t calib_commits = be.committedTxs() - calib_base;
+    ssp_assert(calib_commits > 0 && calib_cycles > 0,
                "calibration phase measured no throughput");
     const double mean_interval =
-        static_cast<double>(calib.cycles) /
-        (static_cast<double>(calib.committedTxs) * params.offeredLoad);
+        static_cast<double>(calib_cycles) /
+        (static_cast<double>(calib_commits) * params.offeredLoad);
 
     // Measured phase starts from a barrier, like every closed-loop run.
     machine.syncClocks();

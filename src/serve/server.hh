@@ -15,7 +15,7 @@
  *
  * Offered load is specified as a factor of the machine's *measured*
  * closed-loop capacity: a short closed-loop calibration phase runs
- * first (event-driven, same core count), and the arrival rate is set to
+ * first (lowest clock first, same core count), and the arrival rate is set to
  * load x calibrated throughput.  Load 1.2 therefore always means "20%
  * past what this backend/workload/core-count can sustain", regardless
  * of how fast the cell happens to be.

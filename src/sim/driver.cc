@@ -1,7 +1,5 @@
 #include "sim/driver.hh"
 
-#include <queue>
-#include <utility>
 #include <variant>
 
 #include "common/logging.hh"
@@ -88,8 +86,7 @@ finishRunMetrics(RunResult &res, Experiment &exp, const RunResult &base)
 }
 
 RunResult
-runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores,
-              ScheduleMode mode, const RunHooks &hooks)
+runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores)
 {
     AtomicityBackend &be = *exp.backend;
     Machine &machine = be.machine();
@@ -103,65 +100,26 @@ runExperiment(Experiment &exp, std::uint64_t num_txs, unsigned num_cores,
     res.coreBusyCycles.assign(num_cores, 0);
     res.coreTxs.assign(num_cores, 0);
 
-    auto run_one = [&](CoreId core) {
+    for (std::uint64_t i = 0; i < num_txs; ++i) {
+        const CoreId core = static_cast<CoreId>(i % num_cores);
         const Cycles op_start = machine.clock(core);
         exp.workload->runOp(core);
         res.coreBusyCycles[core] += machine.clock(core) - op_start;
         ++res.coreTxs[core];
-    };
-
-    if (mode == ScheduleMode::Rounds) {
-        for (std::uint64_t i = 0; i < num_txs; ++i) {
-            const CoreId core = static_cast<CoreId>(i % num_cores);
-            if (hooks.beforeOp)
-                hooks.beforeOp(i);
-            run_one(core);
-            // Bulk-synchronous rounds: re-align core clocks after each
-            // round-robin cycle so shared-resource timing (bus, banks)
-            // is not distorted by simulation-order clock skew.
-            if (num_cores > 1 && core == num_cores - 1)
-                machine.syncClocks();
-        }
-        // A final partial round (num_txs % num_cores != 0) must not
-        // leave core clocks skewed relative to the bulk-synchronous
-        // model — the run ends on the same barrier every full round
-        // ends on.
-        if (num_cores > 1)
+        // Bulk-synchronous rounds: re-align core clocks after each
+        // round-robin cycle so shared-resource timing (bus, banks) is
+        // not distorted by simulation-order clock skew.
+        if (num_cores > 1 && core == num_cores - 1)
             machine.syncClocks();
-        for (unsigned c = 0; c < num_cores; ++c) {
-            ssp_assert(machine.clock(c) == machine.maxClock(),
-                       "core clocks skewed after the final barrier");
-        }
-    } else {
-        // Event-driven: always dispatch the core with the lowest clock
-        // (ties to the lowest core id, so the order is deterministic).
-        // Heap keys can go stale — peer invalidations and shootdown
-        // charges advance *other* cores' clocks mid-op — so a popped
-        // entry whose key no longer matches the core's clock is
-        // re-pushed with the corrected key instead of dispatched.
-        // Clocks only move forward, so the loop terminates.
-        using HeapEntry = std::pair<Cycles, CoreId>;
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<HeapEntry>>
-            ready;
-        for (unsigned c = 0; c < num_cores; ++c)
-            ready.emplace(machine.clock(c), c);
-        for (std::uint64_t i = 0; i < num_txs; ++i) {
-            for (;;) {
-                const auto [when, core] = ready.top();
-                if (when != machine.clock(core)) {
-                    ready.pop();
-                    ready.emplace(machine.clock(core), core);
-                    continue;
-                }
-                ready.pop();
-                if (hooks.beforeOp)
-                    hooks.beforeOp(i);
-                run_one(core);
-                ready.emplace(machine.clock(core), core);
-                break;
-            }
-        }
+    }
+    // A final partial round (num_txs % num_cores != 0) must not leave
+    // core clocks skewed relative to the bulk-synchronous model — the
+    // run ends on the same barrier every full round ends on.
+    if (num_cores > 1)
+        machine.syncClocks();
+    for (unsigned c = 0; c < num_cores; ++c) {
+        ssp_assert(machine.clock(c) == machine.maxClock(),
+                   "core clocks skewed after the final barrier");
     }
 
     finishRunMetrics(res, exp, base);

@@ -5,21 +5,17 @@
  * conflicting work, as the paper assumes), and collects the metrics the
  * figures plot.
  *
- * Two core schedulers are provided.  ScheduleMode::Rounds is the
- * original bulk-synchronous model: cores take transactions round-robin
- * and re-align their clocks on a barrier after every round, so the five
- * checked-in closed-loop grids stay byte-identical.
- * ScheduleMode::EventDriven dispatches whichever core's clock is lowest
- * (a min-heap of (next-free-cycle, core), ties broken by core id) with
- * no barriers — the scheduler the open-loop request server (src/serve/)
- * is built on.
+ * The schedule is bulk-synchronous: cores take transactions
+ * round-robin and re-align their clocks on a barrier after every
+ * round.  The open-loop request server (src/serve/) dispatches on its
+ * own, lowest clock first, and uses this file's baseline and delta
+ * helpers to fill the same RunResult.
  */
 
 #ifndef SSP_SIM_DRIVER_HH
 #define SSP_SIM_DRIVER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -111,16 +107,6 @@ struct RunResult
     double imbalance() const;
 };
 
-/** How the driver interleaves the simulated cores. */
-enum class ScheduleMode
-{
-    /** Round-robin with a clock barrier per round (the original
-     *  bulk-synchronous model; checked-in grids depend on it). */
-    Rounds,
-    /** Dispatch the core with the lowest clock next; no barriers. */
-    EventDriven,
-};
-
 /**
  * The machine counters of @p exp at measurement start, each in the
  * RunResult member its run delta goes to (sim/metrics.hh).  Shared by
@@ -136,26 +122,14 @@ void finishRunMetrics(RunResult &res, Experiment &exp,
                       const RunResult &base);
 
 /**
- * Driver instrumentation points.  beforeOp, when set, runs immediately
- * before each dispatched operation with the operation's slot index —
- * the hook the fault harness uses to fire scheduled crashes at
- * deterministic positions in the dispatch order (never mid-operation).
- */
-struct RunHooks
-{
-    std::function<void(std::uint64_t op_index)> beforeOp;
-};
-
-/**
- * Run @p num_txs operations on @p exp, interleaving @p num_cores cores
- * under @p mode.  Core clocks are synchronized at the start; wall time
- * is max core time.  The run executes serially on the calling thread;
- * host parallelism lives one level up, across cells (sweep::runSweep).
+ * Run @p num_txs operations on @p exp, round-robin over @p num_cores
+ * cores with a clock barrier after every round.  Core clocks are
+ * synchronized at the start; wall time is max core time.  The run
+ * executes serially on the calling thread; host parallelism lives one
+ * level up, across cells (sweep::runSweep).
  */
 RunResult runExperiment(Experiment &exp, std::uint64_t num_txs,
-                        unsigned num_cores,
-                        ScheduleMode mode = ScheduleMode::Rounds,
-                        const RunHooks &hooks = {});
+                        unsigned num_cores);
 
 } // namespace ssp
 

@@ -54,8 +54,9 @@ HashWorkload::setup()
         backend().storeRaw(table_ + b * sizeof(std::uint64_t), &zero,
                            sizeof(zero));
     }
-    // Pre-populate half of the key space through regular transactions so
-    // the measured phase sees a steady-state mix of inserts and deletes.
+    // Prefill with keySpace/2 upsert-or-delete transactions (see
+    // Workload::setup()) so the measured phase sees a steady-state mix
+    // of inserts and deletes.
     const std::uint64_t prefill = keys_.keySpace() / 2;
     for (std::uint64_t i = 0; i < prefill; ++i)
         upsertOrDelete(0, keys_.next());

@@ -68,6 +68,14 @@ class Workload
      * clock barrier (Machine::syncClocks) each driver runs before the
      * first operation guarantees that.  Drivers measure their run as
      * deltas over the counters setup leaves.
+     *
+     * The B-tree, RB-tree and hash prefills draw keySpace/2 keys from
+     * the workload's generator and run each through upsertOrDelete,
+     * the operation runOp measures: a key drawn a second time is
+     * deleted again.  The structure therefore holds fewer than
+     * keySpace/2 keys — at keySpace 4096, 1274 in the B-tree after the
+     * Rand prefill and 638 after the Zipf one.  How full it should be
+     * belongs with matching Table 3's write sets (ROADMAP.md item 5).
      */
     virtual void setup() = 0;
 

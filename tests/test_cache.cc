@@ -203,16 +203,16 @@ TEST_F(HierarchyTest, InvalidateAllDropsEverything)
 
 // ---- sharer index ---------------------------------------------------------
 
-class SharerIndexTest : public ::testing::Test
+/** Every multi-core hierarchy is indexed; the parameter is its core
+ *  count. */
+class SharerIndexTest : public ::testing::TestWithParam<unsigned>
 {
   protected:
-    static constexpr unsigned kCores = 8; // >= kSharerIndexMinCores
-
     SharerIndexTest()
-        : mem(64, 16),
+        : cores(GetParam()), mem(64, 16),
           bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
               MemTimingParams{4, 1024, 200, 800, 0.4}),
-          hier(kCores, smallHierParams(), bus)
+          hier(cores, smallHierParams(), bus)
     {
     }
 
@@ -221,7 +221,7 @@ class SharerIndexTest : public ::testing::Test
     probeMask(Addr line) const
     {
         CoreBitmap mask;
-        for (CoreId c = 0; c < kCores; ++c) {
+        for (CoreId c = 0; c < cores; ++c) {
             if (hier.l1(c).probe(line) || hier.l2(c).probe(line))
                 mask.set(c);
         }
@@ -237,32 +237,25 @@ class SharerIndexTest : public ::testing::Test
         }
     }
 
+    const unsigned cores;
     PhysMem mem;
     MemoryBus bus;
     mutable CacheHierarchy hier;
 };
 
-TEST_F(SharerIndexTest, IndexedOnlyAboveTheCutover)
+TEST_P(SharerIndexTest, TracksAccessInsertInvalidateRemap)
 {
-    EXPECT_TRUE(hier.sharerIndexed());
-    PhysMem m2(64, 16);
-    MemoryBus b2(m2, MemTimingParams{4, 1024, 100, 100, 0.4},
-                 MemTimingParams{4, 1024, 200, 800, 0.4});
-    CacheHierarchy small(CacheHierarchy::kSharerIndexMinCores - 1,
-                         smallHierParams(), b2);
-    EXPECT_FALSE(small.sharerIndexed());
-}
-
-TEST_F(SharerIndexTest, TracksAccessInsertInvalidateRemap)
-{
+    ASSERT_TRUE(hier.sharerIndexed());
     const Addr a = 0x1000, b = 0x2000;
+    const CoreId last = static_cast<CoreId>(cores - 1);
     hier.read(0, a, 0);
-    hier.read(3, a, 0);
+    hier.read(last, a, 0);
     expectIndexConsistent({a});
-    const CoreBitmap both = CoreBitmap::fromMask(0b1001u);
-    EXPECT_EQ(hier.sharerIndex().sharers(a) & both, both);
+    CoreBitmap both = CoreBitmap::ofCore(last);
+    both.set(0);
+    EXPECT_EQ(hier.sharerIndex().sharers(a), both);
 
-    hier.remapLine(3, a, b, 10);
+    hier.remapLine(last, a, b, 10);
     expectIndexConsistent({a, b});
 
     hier.invalidateLine(a);
@@ -272,7 +265,7 @@ TEST_F(SharerIndexTest, TracksAccessInsertInvalidateRemap)
     EXPECT_TRUE(hier.sharerIndex().sharers(b).none());
 }
 
-TEST_F(SharerIndexTest, RandomizedOpsKeepMaskExact)
+TEST_P(SharerIndexTest, RandomizedOpsKeepMaskExact)
 {
     // The index must stay bit-exact through every mutation path the
     // hierarchy has: timed reads/writes (fills + LRU evictions), the
@@ -284,8 +277,7 @@ TEST_F(SharerIndexTest, RandomizedOpsKeepMaskExact)
     for (unsigned i = 0; i < 48; ++i)
         lines.push_back(i * kLineSize * 3); // collide across a few sets
     for (unsigned step = 0; step < 4000; ++step) {
-        const CoreId core =
-            static_cast<CoreId>(rng.nextBounded(kCores));
+        const CoreId core = static_cast<CoreId>(rng.nextBounded(cores));
         const Addr line = lines[rng.nextBounded(lines.size())];
         switch (rng.nextBounded(6)) {
           case 0:
@@ -318,6 +310,9 @@ TEST_F(SharerIndexTest, RandomizedOpsKeepMaskExact)
     hier.invalidateAll();
     EXPECT_EQ(hier.sharerIndex().trackedLines(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(CoreCounts, SharerIndexTest,
+                         ::testing::Values(2u, 3u, 4u, 8u));
 
 // ---- Cache vs. a naive reference model ----------------------------------
 

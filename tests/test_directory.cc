@@ -231,7 +231,7 @@ class SnoopFilterTest : public ::testing::Test
         : mem(64, 16),
           bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
               MemTimingParams{4, 1024, 200, 800, 0.4}),
-          hier(cores, smallParams(), bus, /*force_sharer_index*/ true),
+          hier(cores, smallParams(), bus),
           dir(cores, directoryParams(filter_entries))
     {
         hier.attachCoherence(&dir);
@@ -530,8 +530,7 @@ TEST(DirectoryMachine, CowRemapShootdownDropsPeerStaleLines)
     // the message, and subsequent reads see the remapped line.
     SspSystem sys(directoryConfig(2));
     // Directory machines keep the sharer index at any core count (the
-    // snoop filter is fed by it); 2 cores is below the broadcast
-    // machines' cutover.
+    // snoop filter is fed by it).
     EXPECT_TRUE(sys.machine().caches().sharerIndexed());
 
     const Addr addr = pageBase(1) + 8;

@@ -507,38 +507,17 @@ TEST(FaultInjector, WindowKindsDegradeToPowerFailWithoutPeers)
     EXPECT_EQ(inj.stats().participantCrashes, 0u);
 }
 
-// ---- driver hooks ----------------------------------------------------------
+// ---- crash between runs ----------------------------------------------------
 
-TEST(RunHooks, BeforeOpFiresOncePerSlotInBothSchedulers)
-{
-    for (ScheduleMode mode :
-         {ScheduleMode::Rounds, ScheduleMode::EventDriven}) {
-        Experiment exp = buildExperiment(
-            BackendKind::Ssp, WorkloadKind::Sps, faultConfig(2),
-            faultScale());
-        std::uint64_t calls = 0;
-        RunHooks hooks;
-        hooks.beforeOp = [&](std::uint64_t) { ++calls; };
-        const RunResult res = runExperiment(exp, 120, 2, mode, hooks);
-        EXPECT_EQ(calls, 120u);
-        EXPECT_EQ(res.committedTxs, 120u);
-    }
-}
-
-TEST(RunHooks, MidRunCrashBetweenOpsKeepsEveryCommit)
+TEST(Driver, CrashBetweenRunsKeepsEveryCommit)
 {
     Experiment exp = buildExperiment(BackendKind::Ssp, WorkloadKind::Sps,
                                      faultConfig(2), faultScale());
-    RunHooks hooks;
-    hooks.beforeOp = [&](std::uint64_t i) {
-        if (i == 50) {
-            exp.backend->crash();
-            exp.backend->recover();
-        }
-    };
-    const RunResult res =
-        runExperiment(exp, 120, 2, ScheduleMode::Rounds, hooks);
-    EXPECT_EQ(res.committedTxs, 120u);
+    const RunResult before = runExperiment(exp, 50, 2);
+    exp.backend->crash();
+    exp.backend->recover();
+    const RunResult after = runExperiment(exp, 70, 2);
+    EXPECT_EQ(before.committedTxs + after.committedTxs, 120u);
     EXPECT_TRUE(exp.workload->verify());
 }
 

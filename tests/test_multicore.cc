@@ -14,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -286,12 +287,12 @@ TEST(Multicore, ContendedZipfCellsMatchTheCheckedInScaleReport)
 
 // ---- setup phase ----------------------------------------------------------
 
-/** A 16-core machine big enough for a BTree-Zipf prefill, with an L1
- *  small enough that the prefill leaves lines in core 0's L2 alone. */
+/** A machine big enough for a BTree-Zipf prefill, with an L1 small
+ *  enough that the prefill leaves lines in core 0's L2 alone. */
 SspConfig
-setupConfig(CoherenceMode mode)
+setupConfig(CoherenceMode mode, unsigned cores)
 {
-    SspConfig cfg = smallConfig(16);
+    SspConfig cfg = smallConfig(cores);
     cfg.heapPages = 2048;
     cfg.shadowPoolPages = 2048;
     cfg.coherence.mode = mode;
@@ -300,13 +301,14 @@ setupConfig(CoherenceMode mode)
 }
 
 Experiment
-buildSetupExperiment(BackendKind backend, CoherenceMode mode)
+buildSetupExperiment(BackendKind backend, CoherenceMode mode,
+                     unsigned cores = 16)
 {
     WorkloadScale scale;
     scale.keySpace = 512;
     scale.seed = 5;
     return buildExperiment(backend, WorkloadKind::BTreeZipf,
-                           setupConfig(mode), scale);
+                           setupConfig(mode, cores), scale);
 }
 
 /** Probe every line any core's L1 or L2 holds on every core: the
@@ -343,16 +345,57 @@ expectIndexMatchesProbes(Machine &m)
     EXPECT_EQ(hier.sharerIndex().trackedLines(), held.size());
 }
 
+TEST(SharerIndex, KeptIffTheMachineHasPeersOrAListener)
+{
+    // The hierarchy keeps the index exactly when something can read
+    // it: peers to find, or the directory's snoop filter, which feeds
+    // on it at every core count.
+    struct Case
+    {
+        unsigned cores;
+        CoherenceMode mode;
+        bool indexed;
+    };
+    const Case cases[] = {
+        {1, CoherenceMode::Broadcast, false},
+        {1, CoherenceMode::Directory, true},
+        {2, CoherenceMode::Broadcast, true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::to_string(c.cores) +
+                     (c.mode == CoherenceMode::Directory ? " directory"
+                                                         : " broadcast"));
+        SspConfig cfg = smallConfig(c.cores);
+        cfg.coherence.mode = c.mode;
+        Machine m(cfg);
+        CacheHierarchy &hier = m.caches();
+        EXPECT_EQ(hier.sharerIndexed(), c.indexed);
+        // An indexed hierarchy tracks its very first fill.
+        const Addr line = pageBase(1);
+        hier.read(0, line, 0);
+        EXPECT_EQ(hier.sharerIndex().trackedLines(), c.indexed ? 1u : 0u);
+        if (c.indexed) {
+            EXPECT_EQ(hier.sharerIndex().sharers(line),
+                      CoreBitmap::ofCore(0));
+        }
+    }
+}
+
 TEST(SetupPhase, LeavesAnExactSharerIndexAndAnEmptyLog)
 {
-    for (CoherenceMode mode :
-         {CoherenceMode::Broadcast, CoherenceMode::Directory}) {
+    const std::pair<CoherenceMode, unsigned> machines[] = {
+        {CoherenceMode::Broadcast, 16},
+        {CoherenceMode::Directory, 16},
+        {CoherenceMode::Broadcast, 4},
+    };
+    for (const auto &[mode, cores] : machines) {
         for (BackendKind backend : {BackendKind::Ssp, BackendKind::UndoLog,
                                     BackendKind::RedoLog}) {
             SCOPED_TRACE(std::string(backendKindName(backend)) +
-                         (mode == CoherenceMode::Directory ? " directory"
-                                                           : " broadcast"));
-            Experiment exp = buildSetupExperiment(backend, mode);
+                         (mode == CoherenceMode::Directory ? " directory "
+                                                           : " broadcast ") +
+                         std::to_string(cores) + " cores");
+            Experiment exp = buildSetupExperiment(backend, mode, cores);
             Machine &m = exp.backend->machine();
             // The prefill ran on core 0 alone and logged nothing.
             EXPECT_GT(m.clock(0), 0u);

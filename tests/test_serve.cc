@@ -3,8 +3,7 @@
  * Request-serving subsystem tests: histogram bucket math and exact-rank
  * percentiles, arrival-process determinism and long-run rates, the
  * open-loop server's accounting invariants and overload behavior, and
- * the event-driven scheduler's equivalence/replay guarantees against
- * the bulk-synchronous rounds model.
+ * the bulk-synchronous driver's replay of checked-in scale cells.
  */
 
 #include <stdexcept>
@@ -228,31 +227,12 @@ TEST(ServeExperiment, AdmissionControlShedsAtFullQueues)
     EXPECT_EQ(res.committedTxs + res.rejectedTxs, 300u);
 }
 
-// ---- scheduler equivalence and replay --------------------------------------
-
-TEST(Scheduler, EventDrivenMatchesRoundsOnOneCore)
-{
-    // With one core there are no barriers to skip and no peers to
-    // outrun: the two schedulers must be cycle-identical.
-    Experiment a = smallServeExperiment(1);
-    Experiment b = smallServeExperiment(1);
-    const RunResult rounds =
-        runExperiment(a, 200, 1, ScheduleMode::Rounds);
-    const RunResult event =
-        runExperiment(b, 200, 1, ScheduleMode::EventDriven);
-    EXPECT_EQ(rounds.cycles, event.cycles);
-    EXPECT_EQ(rounds.committedTxs, event.committedTxs);
-    EXPECT_EQ(rounds.nvramWrites, event.nvramWrites);
-    EXPECT_EQ(rounds.loggingWrites, event.loggingWrites);
-    EXPECT_EQ(rounds.coreBusyCycles, event.coreBusyCycles);
-}
+// ---- driver replay ---------------------------------------------------------
 
 TEST(Scheduler, RoundsModeReplaysTheCheckedInScaleCells)
 {
-    // The scheduler refactor's bit-identity bar: explicitly requesting
-    // ScheduleMode::Rounds through the driver must reproduce the
-    // checked-in BENCH_scale.json contended 4-core cells exactly — the
-    // rounds model is an API option now, not just the default path.
+    // The driver's bulk-synchronous rounds must reproduce the
+    // checked-in BENCH_scale.json contended 4-core cells exactly.
     const Json checked_in = ssp::test::loadCheckedIn("BENCH_scale.json");
 
     SweepGridOptions opts;
@@ -265,8 +245,7 @@ TEST(Scheduler, RoundsModeReplaysTheCheckedInScaleCells)
     for (const SweepCell &cell : cells) {
         Experiment exp = buildExperiment(cell.backend, cell.workload,
                                          cell.config(), cell.scale);
-        const RunResult run = runExperiment(exp, cell.txs, cell.cores,
-                                            ScheduleMode::Rounds);
+        const RunResult run = runExperiment(exp, cell.txs, cell.cores);
         for (std::size_t j = 0; j < checked_in["cells"].size(); ++j) {
             const Json &want = checked_in["cells"].at(j);
             if (want["label"].asString() != cell.label())
