@@ -27,12 +27,10 @@ BaselineBase::inTx(CoreId core) const
 }
 
 Ppn
-BaselineBase::translate(CoreId core, Vpn vpn)
+BaselineBase::translateMiss(CoreId core, Vpn vpn)
 {
     Cycles &now = machine_->clock(core);
     Tlb &tlb = machine_->tlb(core);
-    if (TlbEntry *hit = tlb.lookup(vpn))
-        return hit->ppn0;
     tlb.countMiss();
     now = machine_->pt().walk(now);
     Ppn ppn = machine_->pt().translate(vpn);

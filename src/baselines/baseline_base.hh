@@ -65,9 +65,18 @@ class BaselineBase : public AtomicityBackend
   protected:
     /**
      * Timed translation through the TLB (page walk on a miss); baselines
-     * have no SSP metadata to fetch.
+     * have no SSP metadata to fetch.  The hit is inline.
      */
-    Ppn translate(CoreId core, Vpn vpn);
+    Ppn
+    translate(CoreId core, Vpn vpn)
+    {
+        if (const TlbEntry *hit = machine_->tlb(core).lookup(vpn))
+            return hit->ppn0;
+        return translateMiss(core, vpn);
+    }
+
+    /** translate() after a TLB miss: walk, then fill the TLB. */
+    Ppn translateMiss(CoreId core, Vpn vpn);
 
     /**
      * Where a load should read line @p line_vaddr from.  The redo

@@ -140,7 +140,10 @@ ShadowPagingBackend::commit(CoreId core)
         const Ppn old = machine_->pt().translate(vpn);
         machine_->pt().map(vpn, ppn);
         pool_.release(old);
-        machine_->tlb(core).evict(vpn); // translation changed
+        // The translation changed for every core, not only this one
+        // (the shootdown's cycles are not modelled).
+        for (CoreId c = 0; c < cfg().numCores; ++c)
+            machine_->tlb(c).evict(vpn);
     }
     // Bound the mapping journal (a real system would checkpoint).
     mapJournal_->truncate();

@@ -32,16 +32,13 @@ SspEngine::begin()
 }
 
 Translation
-SspEngine::translate(Vpn vpn)
+SspEngine::translateMiss(Vpn vpn)
 {
     Cycles &now = machine_.clock(core_);
     Tlb &tlb = machine_.tlb(core_);
 
-    if (TlbEntry *hit = tlb.lookup(vpn))
-        return Translation{hit->slot, hit->ppn0, hit->ppn1};
-
-    // TLB miss: page walk, then fetch the SSP metadata (using the walked
-    // PPN0 as index), then fill the TLB.
+    // Page walk, then fetch the SSP metadata (using the walked PPN0 as
+    // index), then fill the TLB.
     tlb.countMiss();
     ++stats_.tlbMisses;
     now = machine_.pt().walk(now);

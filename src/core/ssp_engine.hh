@@ -78,8 +78,18 @@ class SspEngine
     void reset();
 
   private:
-    /** Translate @p vpn, filling the TLB on a miss. */
-    Translation translate(Vpn vpn);
+    /** Translate @p vpn, filling the TLB on a miss.  The hit is
+     *  inline: every load and store translates. */
+    Translation
+    translate(Vpn vpn)
+    {
+        if (const TlbEntry *hit = machine_.tlb(core_).lookup(vpn))
+            return Translation{hit->slot, hit->ppn0, hit->ppn1};
+        return translateMiss(vpn);
+    }
+
+    /** translate() after a TLB miss. */
+    Translation translateMiss(Vpn vpn);
 
     /** Atomic store confined to one cache line. */
     void atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size);

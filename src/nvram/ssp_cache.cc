@@ -84,20 +84,6 @@ SspCache::freeSlot(SlotId sid)
     freeSlots_.push_back(sid);
 }
 
-SspCacheEntry &
-SspCache::entry(SlotId sid)
-{
-    ssp_assert(sid < slots_.size(), "slot id %u out of range", sid);
-    return slots_[sid];
-}
-
-const SspCacheEntry &
-SspCache::entry(SlotId sid) const
-{
-    ssp_assert(sid < slots_.size(), "slot id %u out of range", sid);
-    return slots_[sid];
-}
-
 void
 SspCache::touchHot(SlotId sid)
 {

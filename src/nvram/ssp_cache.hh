@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/bitmap64.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace ssp
@@ -105,8 +106,21 @@ class SspCache
     /** Free a slot (after eviction of a consolidated page). */
     void freeSlot(SlotId sid);
 
-    SspCacheEntry &entry(SlotId sid);
-    const SspCacheEntry &entry(SlotId sid) const;
+    /** Slot @p sid.  Inline, and bounds-checked in Debug builds only:
+     *  the ids come from the TLB, the write set or this cache. */
+    SspCacheEntry &
+    entry(SlotId sid)
+    {
+        ssp_assert_dbg(sid < slots_.size(), "slot id %u out of range", sid);
+        return slots_[sid];
+    }
+
+    const SspCacheEntry &
+    entry(SlotId sid) const
+    {
+        ssp_assert_dbg(sid < slots_.size(), "slot id %u out of range", sid);
+        return slots_[sid];
+    }
 
     /**
      * Timed access to a slot's metadata: models the L3-partition hot set.

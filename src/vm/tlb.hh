@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/bitmap64.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace ssp
@@ -53,6 +54,17 @@ struct TlbEntry
  * The caller (the engine) performs the fill on a miss and passes the
  * fetched metadata to insert(); insert() reports the displaced victim so
  * the controller's TLB reference count can be maintained.
+ *
+ * Nothing scans the entries.  Three structures over the entry indices
+ * answer exactly what a linear scan would:
+ *  - a vpn index: kBuckets chains, linked through a 16-bit next index,
+ *    holding every valid entry and nothing else;
+ *  - the LRU list: the valid entries, doubly linked from the most to
+ *    the least recently used, so the tail is the entry with the
+ *    smallest lru stamp (every stamp is taken by moving to the front);
+ *  - a bitmap of invalid entries, so insert() still fills the
+ *    lowest-numbered invalid entry before it evicts anything.
+ * Debug builds check each miss and each victim against the scan.
  */
 class Tlb
 {
@@ -60,21 +72,28 @@ class Tlb
     explicit Tlb(unsigned num_entries);
 
     /** Look up @p vpn; updates LRU on hit.  Inline: every simulated
-     *  access translates, and the hinted hit needs no call. */
+     *  access translates, and a hit needs no call. */
     TlbEntry *
     lookup(Vpn vpn)
     {
         const unsigned idx = find(vpn);
-        if (idx == kNoEntry)
+        if (idx == kNil) {
+            ssp_assert_dbg(scan(vpn) == kNil, "TLB index lost a vpn");
             return nullptr;
+        }
         TlbEntry &entry = entries_[idx];
         entry.lru = ++lruClock_;
         ++hits_;
+        if (idx != mru_) {
+            unlinkLru(idx);
+            pushMru(idx);
+        }
         return &entry;
     }
 
     /**
-     * Insert a new translation, evicting the LRU entry if full.
+     * Insert a translation for a vpn the TLB does not hold, into the
+     * lowest-numbered invalid entry, else over the LRU entry.
      * @return The displaced valid entry, if any.
      */
     std::optional<TlbEntry> insert(const TlbEntry &entry);
@@ -85,7 +104,8 @@ class Tlb
      */
     std::optional<TlbEntry> evict(Vpn vpn);
 
-    /** All valid entries, in no particular order (for flush paths). */
+    /** All valid entries in entry order.  Only tests read it, to
+     *  compare layouts with a reference. */
     std::vector<TlbEntry> validEntries() const;
 
     /** Drop everything (power failure / full shootdown). */
@@ -100,49 +120,75 @@ class Tlb
     void countMiss() { ++misses_; }
 
   private:
-    /** Hint-table size: a power of two, 4x the Table 2 TLB, so the
-     *  pages of a clustered working set rarely share a slot. */
-    static constexpr unsigned kHintSlots = 256;
-    /** "Not present" from find(). */
-    static constexpr unsigned kNoEntry = ~0u;
+    /** vpn-index chains: a power of two, 4x the Table 2 TLB, so the
+     *  pages of a clustered working set rarely share a chain. */
+    static constexpr unsigned kBuckets = 256;
+    /** End of a chain or list; also find()'s "not present". */
+    static constexpr std::uint16_t kNil = 0xFFFF;
 
-    /**
-     * Index of @p vpn's valid entry, or kNoEntry; no LRU/counter side
-     * effects.  Expected O(1): the hinted entry is checked first (see
-     * hints_).  Valid entries hold distinct vpns (insert() runs only
-     * after a miss), so the hint and the scan cannot disagree on the
-     * match.
-     */
-    unsigned
-    find(Vpn vpn)
+    /** An entry's links: its vpn chain and its LRU neighbours. */
+    struct Links
     {
-        const unsigned hint = hints_[hintOf(vpn)];
-        const TlbEntry &hinted = entries_[hint];
-        if (hinted.valid && hinted.vpn == vpn)
-            return hint;
-        return scan(vpn);
-    }
+        std::uint16_t chain = kNil;
+        std::uint16_t newer = kNil;
+        std::uint16_t older = kNil;
+    };
 
-    /** find()'s fallback: the full scan, re-pointing the hint on a hit. */
-    unsigned scan(Vpn vpn);
+    /** Index of @p vpn's valid entry, or kNil; no side effects. */
+    unsigned
+    find(Vpn vpn) const
+    {
+        unsigned idx = buckets_[bucketOf(vpn)];
+        while (idx != kNil && entries_[idx].vpn != vpn)
+            idx = links_[idx].chain;
+        return idx;
+    }
 
     static unsigned
-    hintOf(Vpn vpn)
+    bucketOf(Vpn vpn)
     {
-        return static_cast<unsigned>(vpn & (kHintSlots - 1));
+        return static_cast<unsigned>(vpn & (kBuckets - 1));
     }
+
+    void
+    unlinkLru(unsigned idx)
+    {
+        const Links &l = links_[idx];
+        (l.newer == kNil ? mru_ : links_[l.newer].older) = l.older;
+        (l.older == kNil ? lru_ : links_[l.older].newer) = l.newer;
+    }
+
+    void
+    pushMru(unsigned idx)
+    {
+        links_[idx].newer = kNil;
+        links_[idx].older = mru_;
+        (mru_ == kNil ? lru_ : links_[mru_].newer) =
+            static_cast<std::uint16_t>(idx);
+        mru_ = static_cast<std::uint16_t>(idx);
+    }
+
+    /** Take valid entry @p idx out of the index and the LRU list. */
+    void unlink(unsigned idx);
+
+    /** The entry insert() fills: the lowest invalid one, else the LRU. */
+    unsigned victim() const;
+
+    /** Brute-force find() and victim(), for the Debug cross-checks. */
+    unsigned scan(Vpn vpn) const;
+    unsigned scanVictim() const;
 
     unsigned capacity_;
     std::vector<TlbEntry> entries_;
-    /**
-     * vpn-indexed lookup hint: hints_[hintOf(vpn)] is the entry that
-     * last held a vpn hashing there, always an index into entries_
-     * (which never reallocates).  It is only a guess — the entry is
-     * re-verified on use and the full scan is the fallback — so
-     * eviction, flush and colliding vpns need no bookkeeping, and
-     * lookups answer exactly what the fully-associative scan would.
-     */
-    std::array<unsigned, kHintSlots> hints_{};
+    std::vector<Links> links_;
+    /** Chain heads of the vpn index. */
+    std::array<std::uint16_t, kBuckets> buckets_{};
+    /** Most and least recently used valid entries. */
+    std::uint16_t mru_ = kNil;
+    std::uint16_t lru_ = kNil;
+    /** Bit i of word i / 64 is set while entry i is invalid. */
+    std::vector<std::uint64_t> invalid_;
+    unsigned numInvalid_ = 0;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -220,6 +220,18 @@ TEST(Shadow, MappingSwitchesToShadowPage)
     EXPECT_EQ(raw64(be, pageBase(6)), 9u);
 }
 
+TEST(Shadow, PeerCoreSeesTheCommittedMapping)
+{
+    // A commit remaps the page, so every core's cached translation of
+    // it is stale, not only the committing core's.
+    ShadowPagingBackend be(smallConfig(2));
+    txWrite64(be, 0, pageBase(6), 1);
+    EXPECT_EQ(timed64(be, 1, pageBase(6)), 1u); // core 1 caches the vpn
+    txWrite64(be, 0, pageBase(6), 2);
+    EXPECT_EQ(raw64(be, pageBase(6)), 2u);
+    EXPECT_EQ(timed64(be, 1, pageBase(6)), 2u);
+}
+
 TEST(Shadow, RepeatedTxsRecyclePages)
 {
     ShadowPagingBackend be(smallConfig());

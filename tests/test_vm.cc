@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -243,56 +245,104 @@ expectSameDisplaced(const std::optional<TlbEntry> &got,
         expectSameEntry(*got, *want, step);
 }
 
-TEST(Tlb, MatchesALinearScanTrueLruReference)
+/** Drive @p tlb and @p ref the engine's way for one vpn: lookup, and on
+ *  a miss count it and fill (insert only ever sees an absent vpn). */
+void
+lookupOrFill(Tlb &tlb, RefTlb &ref, Vpn vpn, unsigned step)
 {
-    // The lookup hint must be invisible: same hits, same victims, same
-    // slot layout as the scan.  The vpn pool holds four groups of
-    // vpns that agree in their low 12 bits, so they collide in any
-    // low-bit hint table, and it is larger than the TLB so LRU
-    // eviction runs constantly.
-    constexpr unsigned kEntries = 64;
-    Tlb tlb(kEntries);
-    RefTlb ref(kEntries);
+    TlbEntry *got = tlb.lookup(vpn);
+    TlbEntry *want = ref.lookup(vpn);
+    ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+    if (want != nullptr) {
+        expectSameEntry(*got, *want, step);
+        return;
+    }
+    tlb.countMiss();
+    TlbEntry fill = entry(vpn, 1000 + step, step % 7);
+    fill.ppn1 = 2000 + step;
+    expectSameDisplaced(tlb.insert(fill), ref.insert(fill), step);
+}
+
+void
+expectSameState(const Tlb &tlb, const RefTlb &ref, unsigned step)
+{
+    ASSERT_EQ(tlb.hits(), ref.hits_) << "step " << step;
+    ASSERT_EQ(tlb.misses(), ref.misses_) << "step " << step;
+    ASSERT_EQ(tlb.evictions(), ref.evictions_) << "step " << step;
+}
+
+void
+expectSameLayout(const Tlb &tlb, const RefTlb &ref, unsigned step)
+{
+    const auto got = tlb.validEntries();
+    const auto want = ref.validEntries();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSameEntry(got[i], want[i], step);
+}
+
+class TlbGeometry : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(TlbGeometry, MatchesALinearScanTrueLruReference)
+{
+    // The vpn index, LRU list and invalid bitmap must be invisible:
+    // same hits, same victims, same slot layout as the scan.  The vpn
+    // pool holds four groups of vpns that agree in their low 12 bits,
+    // so they share a chain of any low-bit index, and it is larger
+    // than the TLB so LRU eviction runs constantly.  The capacities
+    // straddle the bitmap's 64-entry words.
+    const unsigned entries = GetParam();
+    Tlb tlb(entries);
+    RefTlb ref(entries);
     std::vector<Vpn> pool;
     for (Vpn low : {Vpn{0}, Vpn{1}, Vpn{7}, Vpn{255}}) {
-        for (Vpn k = 0; k < 40; ++k)
+        for (Vpn k = 0; k < std::max(40u, entries); ++k)
             pool.push_back(low + (k << 12));
     }
     Rng rng(2024);
-    for (unsigned step = 0; step < 40000; ++step) {
+    unsigned step = 0;
+    for (; step < 40000; ++step) {
         const Vpn vpn = pool[rng.nextBounded(pool.size())];
         const std::uint64_t op = rng.nextBounded(100);
         if (op < 85) {
-            // The engine's sequence: lookup, and on a miss count it
-            // and fill (insert only ever sees an absent vpn).
-            TlbEntry *got = tlb.lookup(vpn);
-            TlbEntry *want = ref.lookup(vpn);
-            ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
-            if (want != nullptr) {
-                expectSameEntry(*got, *want, step);
-                continue;
-            }
-            tlb.countMiss();
-            TlbEntry fill = entry(vpn, 1000 + step, step % 7);
-            fill.ppn1 = 2000 + step;
-            expectSameDisplaced(tlb.insert(fill), ref.insert(fill), step);
+            lookupOrFill(tlb, ref, vpn, step);
+            if (HasFatalFailure())
+                return;
         } else if (op < 99) {
             expectSameDisplaced(tlb.evict(vpn), ref.evict(vpn), step);
         } else {
             tlb.flushAll();
             ref.flushAll();
         }
-        ASSERT_EQ(tlb.hits(), ref.hits_) << "step " << step;
-        ASSERT_EQ(tlb.misses(), ref.misses_) << "step " << step;
-        ASSERT_EQ(tlb.evictions(), ref.evictions_) << "step " << step;
-        if (step % 256 == 0) {
-            const auto got = tlb.validEntries();
-            const auto want = ref.validEntries();
-            ASSERT_EQ(got.size(), want.size()) << "step " << step;
-            for (std::size_t i = 0; i < got.size(); ++i)
-                expectSameEntry(got[i], want[i], step);
-        }
+        expectSameState(tlb, ref, step);
+        if (step % 256 == 0)
+            expectSameLayout(tlb, ref, step);
+        if (HasFatalFailure())
+            return;
     }
+
+    // Flush, then refill every entry and one more: the refill takes
+    // the entries in order, and the extra vpn evicts the first.
+    tlb.flushAll();
+    ref.flushAll();
+    for (unsigned i = 0; i <= entries; ++i, ++step) {
+        lookupOrFill(tlb, ref, pool[i], step);
+        expectSameState(tlb, ref, step);
+        expectSameLayout(tlb, ref, step);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(tlb.validEntries().size(), entries);
+    EXPECT_EQ(tlb.lookup(pool[0]), nullptr);
+    EXPECT_NE(tlb.lookup(pool[entries]), nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(Tlb, TlbGeometry,
+                         ::testing::Values(1u, 2u, 3u, 63u, 64u, 65u, 130u),
+                         [](const auto &info) {
+                             return "entries" + std::to_string(info.param);
+                         });
 
 } // namespace
