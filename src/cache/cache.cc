@@ -1,11 +1,103 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <cstdlib>
+#include <vector>
 
 #include "cache/sharer_index.hh"
 
 namespace ssp
 {
+
+namespace
+{
+
+/** Set once the calling thread's pool is gone; a cache destroyed after
+ *  that (during thread exit) frees its arrays itself. */
+thread_local bool poolDestroyed = false;
+
+/**
+ * The calling thread's retired tag and recency arrays, all zero, in
+ * separate piles per geometry: an array is handed out only to a cache
+ * of the geometry and kind that made it, never to one that merely
+ * needs the same length.  Freed at thread exit.
+ */
+class ArrayPool
+{
+  public:
+    ArrayPool() = default;
+    ArrayPool(const ArrayPool &) = delete;
+    ArrayPool &operator=(const ArrayPool &) = delete;
+    ~ArrayPool()
+    {
+        for (Shelf &shelf : shelves_) {
+            for (auto *pile : {&shelf.tags, &shelf.recency}) {
+                for (std::uint64_t *p : *pile)
+                    std::free(p);
+            }
+        }
+        poolDestroyed = true;
+    }
+
+    /** A zero array for @p sets x @p ways tags (@p tags) or recency
+     *  words. */
+    std::uint64_t *
+    take(std::uint64_t sets, unsigned ways, bool tags)
+    {
+        const std::uint64_t len = tags ? sets * ways : sets;
+        std::vector<std::uint64_t *> &pile = shelf(sets, ways, tags);
+        if (pile.empty()) {
+            auto *p = static_cast<std::uint64_t *>(
+                std::calloc(len, sizeof(std::uint64_t)));
+            ssp_assert(p != nullptr);
+            return p;
+        }
+        std::uint64_t *p = pile.back();
+        pile.pop_back();
+        ++recycled;
+        ssp_assert_dbg(std::all_of(p, p + len,
+                                   [](std::uint64_t w) { return w == 0; }),
+                       "recycled cache array is not all zero");
+        return p;
+    }
+
+    /** Keep the all-zero array @p p that take() handed out. */
+    void
+    give(std::uint64_t sets, unsigned ways, bool tags, std::uint64_t *p)
+    {
+        shelf(sets, ways, tags).push_back(p);
+    }
+
+    /** Arrays take() returned from a pile. */
+    std::uint64_t recycled = 0;
+
+  private:
+    struct Shelf
+    {
+        std::uint64_t sets;
+        unsigned ways;
+        std::vector<std::uint64_t *> tags;
+        std::vector<std::uint64_t *> recency;
+    };
+
+    std::vector<std::uint64_t *> &
+    shelf(std::uint64_t sets, unsigned ways, bool tags)
+    {
+        auto it = std::find_if(shelves_.begin(), shelves_.end(),
+                               [&](const Shelf &s) {
+                                   return s.sets == sets && s.ways == ways;
+                               });
+        if (it == shelves_.end())
+            it = shelves_.insert(shelves_.end(), Shelf{sets, ways, {}, {}});
+        return tags ? it->tags : it->recency;
+    }
+
+    std::vector<Shelf> shelves_;
+};
+
+thread_local ArrayPool pool;
+
+} // namespace
 
 Cache::Cache(const CacheParams &params) : params_(params)
 {
@@ -21,18 +113,32 @@ Cache::Cache(const CacheParams &params) : params_(params)
     ssp_assert(numSets_ > 0);
     setsPow2_ = (numSets_ & (numSets_ - 1)) == 0;
     numLines_ = num_lines;
-    // calloc: all-zero tag words are valid==false, and the OS hands back
-    // lazily-mapped zero pages — a 96 MiB L3's tag array costs nothing
-    // until its sets are actually filled (every sweep cell builds a
-    // fresh machine, so eager zeroing was measurable per-cell setup).
-    // An all-zero recency word is the identity order (see the class
-    // comment).
-    tags_.reset(static_cast<std::uint64_t *>(
-        std::calloc(num_lines, sizeof(std::uint64_t))));
-    recency_.reset(static_cast<std::uint64_t *>(
-        std::calloc(numSets_, sizeof(std::uint64_t))));
-    ssp_assert(tags_ != nullptr && recency_ != nullptr);
+    // Both arrays come all zero: an all-zero tag word is invalid and an
+    // all-zero recency word is the identity order (see the class
+    // comment).  A recycled array is already resident; a fresh calloc
+    // of a big one maps zero pages lazily, so a 96 MiB L3's tag array
+    // costs only the sets that lines actually land in.
+    tags_ = pool.take(numSets_, params.ways, true);
+    recency_ = pool.take(numSets_, params.ways, false);
     filledSets_.assign((numSets_ + 63) / 64, 0);
+}
+
+Cache::~Cache()
+{
+    clearFilledSets();
+    if (poolDestroyed) {
+        std::free(tags_);
+        std::free(recency_);
+        return;
+    }
+    pool.give(numSets_, params_.ways, true, tags_);
+    pool.give(numSets_, params_.ways, false, recency_);
+}
+
+std::uint64_t
+Cache::recycledArrays()
+{
+    return pool.recycled;
 }
 
 unsigned
@@ -136,7 +242,7 @@ Cache::invalidate(Addr line_addr)
     const std::uint64_t idx = findIdx(line_addr);
     if (idx != kNoLine) {
         notifyRemove(line_addr);
-        tags_[idx] &= kTagMask;
+        tags_[idx] = 0;
         return true;
     }
     return false;
@@ -152,7 +258,7 @@ Cache::remap(Addr old_addr, Addr new_addr)
     const bool dirty = (tags_[idx] & kDirtyBit) != 0;
     const bool tx = (tags_[idx] & kTxFlagBit) != 0;
     notifyRemove(old_addr);
-    tags_[idx] &= kTagMask;
+    tags_[idx] = 0;
     res = insert(new_addr, dirty, tx);
     res.hit = true; // signals "old line was present and moved"
     return res;
@@ -161,19 +267,21 @@ Cache::remap(Addr old_addr, Addr new_addr)
 void
 Cache::invalidateAll()
 {
-    // Visit only sets marked by fillVictim(), in ascending slot order as
-    // a full scan would, so the sharer index sees the same removals.
-    // Untouched sets are never read, which keeps the calloc-backed
-    // arrays' untouched pages unmapped across simulated power failures.
-    // Recency words are left as they are: every way is invalid, so
-    // each is filled, and thereby touched, before it can be a victim.
-    forEachFilledSet([&](std::uint64_t base) {
-        for (std::uint64_t i = base; i < base + params_.ways; ++i) {
-            if ((tags_[i] & kValidBit) == 0)
-                continue;
-            notifyRemove(tags_[i] & kTagMask);
-            tags_[i] = 0;
-        }
+    // forEachLine() visits the lines in ascending slot order, as a
+    // full scan would, so the sharer index sees the same removals.
+    if (sharers_ != nullptr)
+        forEachLine([&](Addr line) { notifyRemove(line); });
+    clearFilledSets();
+}
+
+void
+Cache::clearFilledSets()
+{
+    // Untouched sets are never read, which keeps a lazily mapped
+    // array's untouched pages unmapped.
+    forEachFilledSet([&](std::uint64_t set) {
+        std::fill_n(tags_ + set * params_.ways, params_.ways, 0);
+        recency_[set] = 0;
     });
     std::fill(filledSets_.begin(), filledSets_.end(), 0);
 }

@@ -18,8 +18,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,19 +67,30 @@ struct CacheAccessResult
  * used: the recency word holds that order as a permutation of way
  * numbers, one 4-bit nibble each, most recently used in nibble 0 (so at
  * most kMaxWays = 16 ways).  It is stored XOR kIdentityOrder, the
- * permutation 0, 1, ..., 15, so the calloc'd all-zero word is a valid
- * order.  The victim is the first invalid way, else the order's last
- * nibble, the least recently used way — exactly what per-line
- * timestamps would pick: an invalid way always wins, and every fill
- * touches its way, so once all ways are valid the order ranks each by
- * its last use.  Replacement state is 8 bytes per set rather than per
- * line.
+ * permutation 0, 1, ..., 15, so an all-zero word is a valid order.
+ * The victim is the first invalid way, else the order's last nibble,
+ * the least recently used way — exactly what per-line timestamps
+ * would pick: an invalid way always wins, and every fill touches its
+ * way, so once all ways are valid the order ranks each by its last
+ * use.  Replacement state is 8 bytes per set rather than per line.
  *
  * Every lookup first tries a hint naming the last slot found or
  * filled, with the full tag-and-valid compare, and only then scans the
  * set.  That is exact: a valid line lives in exactly one slot, so a
  * hinted slot holding it is that slot.  Consecutive accesses often
  * repeat a line, and then the lookup costs one compare.
+ *
+ * Both arrays start all zero, and a retired cache hands them back that
+ * way: a word outside the sets marked in filledSets_ is always zero,
+ * so the destructor zeroes just the filled sets and returns the arrays
+ * to a per-thread pool keyed by geometry.  The next cache of that
+ * geometry on the thread takes them instead of calling calloc.  Every
+ * sweep cell builds a fresh machine, and a recycled array is memory
+ * that is already resident and needs no zeroing beyond what the last
+ * machine touched.  A calloc'd array that the first machine freed
+ * would instead come back from the heap, zeroed in full (glibc's
+ * mmap threshold rises to the size of the largest mapping freed), and
+ * the freed copies would stay resident between machines.
  */
 class Cache
 {
@@ -91,6 +100,15 @@ class Cache
     static constexpr unsigned kMaxWays = 16;
 
     explicit Cache(const CacheParams &params);
+    /** Zeroes the filled sets and returns both arrays to the calling
+     *  thread's pool. */
+    ~Cache();
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
+    /** Arrays (tag and recency arrays each count one) that caches built
+     *  on the calling thread took from its pool instead of calloc. */
+    static std::uint64_t recycledArrays();
 
     /**
      * Register this cache as core @p core's level-@p level private
@@ -184,7 +202,8 @@ class Cache
     /** TX bit of a present line; false if absent. */
     bool txBit(Addr line_addr) const;
 
-    /** Drop a line (no write-back); returns true if it was present. */
+    /** Drop a line (no write-back), zeroing its whole tag word;
+     *  returns true if it was present. */
     bool invalidate(Addr line_addr);
 
     /**
@@ -205,8 +224,11 @@ class Cache
     CacheAccessResult insert(Addr line_addr, bool dirty, bool tx);
 
     /**
-     * Drop everything (simulated power failure).  Costs the sets filled
-     * since the last call, not the whole array.
+     * Drop everything (simulated power failure): zero the tags and the
+     * recency word of every set filled since the last call, which is
+     * all it costs.  Zeroing the recency word is exact: every way is
+     * then invalid, so each is filled, and thereby touched, before it
+     * can be a victim.
      */
     void invalidateAll();
 
@@ -219,7 +241,8 @@ class Cache
     void
     forEachLine(Fn &&fn) const
     {
-        forEachFilledSet([&](std::uint64_t base) {
+        forEachFilledSet([&](std::uint64_t set) {
+            const std::uint64_t base = set * params_.ways;
             for (std::uint64_t i = base; i < base + params_.ways; ++i) {
                 if ((tags_[i] & kValidBit) != 0)
                     fn(tags_[i] & kTagMask);
@@ -241,9 +264,7 @@ class Cache
     /**
      * Packed tag word: the 64-byte-aligned line address ORed with the
      * state flags in the low bits.  All-zero is the invalid/reset
-     * state, so the backing array can be calloc'd: a big L3's tag
-     * array then costs address space, not a touched page per set,
-     * until lines actually land in it.
+     * state, and the only invalid one: dropping a line zeroes its word.
      */
     static constexpr std::uint64_t kValidBit = 1;
     static constexpr std::uint64_t kDirtyBit = 2;
@@ -291,7 +312,7 @@ class Cache
         return kNoLine;
     }
 
-    /** Call @p fn(first slot) for every set marked in filledSets_, in
+    /** Call @p fn(set) for every set marked in filledSets_, in
      *  ascending order. */
     template <typename Fn>
     void
@@ -300,9 +321,12 @@ class Cache
         for (std::uint64_t w = 0; w < filledSets_.size(); ++w) {
             for (std::uint64_t bits = filledSets_[w]; bits != 0;
                  bits &= bits - 1)
-                fn((w * 64 + std::countr_zero(bits)) * params_.ways);
+                fn(w * 64 + std::countr_zero(bits));
         }
     }
+    /** Zero the tags and recency word of every filled set and unmark
+     *  them all, leaving both arrays all zero. */
+    void clearFilledSets();
 
     /** Victim way in @p set: first invalid way, else the LRU way. */
     unsigned victimIn(std::uint64_t set) const;
@@ -343,10 +367,11 @@ class Cache
     /** numSets_ is a power of two, so setOf() can mask. */
     bool setsPow2_;
     std::uint64_t numLines_;
-    /** numLines_ packed tag words, set-major; calloc'd (see above). */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> tags_;
-    /** numSets_ recency words, stored XOR kIdentityOrder; calloc'd. */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> recency_;
+    /** numLines_ packed tag words, set-major; recycled or calloc'd
+     *  (see the class comment). */
+    std::uint64_t *tags_ = nullptr;
+    /** numSets_ recency words, stored XOR kIdentityOrder; likewise. */
+    std::uint64_t *recency_ = nullptr;
     /** Index of the last slot found or filled, with its set and way;
      *  any in-range slot is safe, since findIdx() re-verifies it in
      *  full. */
@@ -354,8 +379,9 @@ class Cache
     mutable std::uint64_t hintSet_ = 0;
     mutable unsigned hintWay_ = 0;
     /** One bit per set: some way was filled since the last
-     *  invalidateAll().  Only fillVictim() makes a slot valid, so an
-     *  unmarked set holds no valid line. */
+     *  invalidateAll().  Only fillVictim() makes a slot valid, and
+     *  only a valid line's tag or set is ever written, so an unmarked
+     *  set's tag and recency words are all zero. */
     std::vector<std::uint64_t> filledSets_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -621,43 +622,87 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
     EXPECT_EQ(cache.validLines(), ref.validLines());
 }
 
+/**
+ * runCacheDifferential twice over, the second time on the arrays the
+ * first cache retired with lines still valid: the pool must hand them
+ * back as clean as calloc's, or stale tags and recency words show up
+ * as hits and victims the reference never had.
+ */
+void
+runFreshThenRecycled(std::uint64_t size_bytes, unsigned ways,
+                     std::uint64_t seed)
+{
+    runCacheDifferential(size_bytes, ways, seed);
+    const std::uint64_t recycled = Cache::recycledArrays();
+    runCacheDifferential(size_bytes, ways, seed);
+    EXPECT_EQ(Cache::recycledArrays(), recycled + 2)
+        << "the rerun did not take both retired arrays";
+}
+
 // One geometry per way count the recency word packs differently:
 // direct-mapped (a single nibble, never reordered), 2, 4, 8, 12 (not a
 // power of two, so the LRU nibble sits mid-word) and 16 (every nibble).
+// Each runs on fresh arrays, then again on the recycled ones.
 
 TEST(CacheGeometry, DirectMappedMatchesTheReference)
 {
-    runCacheDifferential(4 * 1024, 1, 4); // 64 sets
+    runFreshThenRecycled(4 * 1024, 1, 4); // 64 sets
 }
 
 TEST(CacheGeometry, TwoWayMatchesTheReference)
 {
-    runCacheDifferential(8 * 1024, 2, 5); // 64 sets
+    runFreshThenRecycled(8 * 1024, 2, 5); // 64 sets
 }
 
 TEST(CacheGeometry, FourWayMatchesTheReference)
 {
-    runCacheDifferential(16 * 1024, 4, 6); // 64 sets
+    runFreshThenRecycled(16 * 1024, 4, 6); // 64 sets
 }
 
 TEST(CacheGeometry, PowerOfTwoSetsMatchTheReference)
 {
-    runCacheDifferential(32 * 1024, 8, 1); // 64 sets (L1)
+    runFreshThenRecycled(32 * 1024, 8, 1); // 64 sets (L1)
 }
 
 TEST(CacheGeometry, TwelveWayMatchesTheReference)
 {
-    runCacheDifferential(3ull << 20, 12, 7); // 4,096 sets
+    runFreshThenRecycled(3ull << 20, 12, 7); // 4,096 sets
 }
 
 TEST(CacheGeometry, TwelveMiBL3MatchesTheReference)
 {
-    runCacheDifferential(12ull << 20, 16, 2); // 12,288 sets
+    runFreshThenRecycled(12ull << 20, 16, 2); // 12,288 sets
 }
 
 TEST(CacheGeometry, NinetySixMiBL3MatchesTheReference)
 {
-    runCacheDifferential(96ull << 20, 16, 3); // 98,304 sets
+    runFreshThenRecycled(96ull << 20, 16, 3); // 98,304 sets
+}
+
+TEST(CacheRecycling, EachThreadRecyclesOnlyItsOwnGeometry)
+{
+    const std::uint64_t main_recycled = Cache::recycledArrays();
+    // A new thread starts with an empty pool of its own.
+    std::thread([] {
+        EXPECT_EQ(Cache::recycledArrays(), 0u);
+        const CacheParams l2{"l2", 256 * 1024, 8, 6}; // 512 sets
+        {
+            Cache c(l2);
+            for (Addr a = 0; a < 2048 * kLineSize; a += kLineSize)
+                c.access(a, true);
+        }
+        // An L1's 512 tag words are exactly as long as the retired
+        // L2's recency array, but it is another geometry: fresh arrays.
+        {
+            Cache c(CacheParams{"l1", 32 * 1024, 8, 4});
+            EXPECT_EQ(Cache::recycledArrays(), 0u);
+        }
+        Cache c(l2);
+        EXPECT_EQ(Cache::recycledArrays(), 2u);
+        EXPECT_EQ(c.validLines(), 0u);
+        EXPECT_FALSE(c.access(0, false).hit);
+    }).join();
+    EXPECT_EQ(Cache::recycledArrays(), main_recycled);
 }
 
 TEST(CacheGeometry, MoreThanSixteenWaysIsFatal)

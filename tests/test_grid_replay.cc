@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hh"
 #include "sim/metrics.hh"
 #include "sweep/sweep_grid.hh"
 #include "sweep/sweep_runner.hh"
@@ -84,6 +85,27 @@ TEST(GridReplay, Scale64Cores1_4_16MatchCheckedInReport)
     SweepGridOptions opts;
     opts.coreCounts = {1, 4, 16};
     expectReplaysCheckedIn("scale64", opts, 54);
+}
+
+TEST(GridReplay, Scale64Cores16_4_16OnOneThreadMatchCheckedInReport)
+{
+    // Every machine after the first builds its caches from arrays an
+    // earlier one retired.  The 4-core cells take four of the sixteen
+    // cores' L1 and L2 arrays, and the second 16-core pass takes all
+    // sixteen back, four of them last used by the smaller machine.
+    // One worker, so every cell recycles on this thread, in order.
+    std::vector<SweepCell> cells;
+    for (unsigned cores : {16u, 4u, 16u}) {
+        SweepGridOptions opts;
+        opts.coreCounts = {cores};
+        opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashRand};
+        const auto part = buildFigureGrid("scale64", opts);
+        ASSERT_EQ(part.size(), 6u);
+        cells.insert(cells.end(), part.begin(), part.end());
+    }
+    const std::uint64_t recycled = Cache::recycledArrays();
+    expectReplaysCheckedIn("scale64", cells, 1);
+    EXPECT_GT(Cache::recycledArrays(), recycled);
 }
 
 TEST(GridReplay, QueueC4Load60MatchesCheckedInReport)

@@ -128,13 +128,14 @@ loadCheckedIn(const std::string &name)
 /**
  * Rerun @p cells of @p figure and require every cell's report entry to
  * equal, byte for byte, the same-label entry of the checked-in
- * BENCH_<figure>.json.  Cells run on one worker per host CPU; results
- * are bit-identical for any worker count.  Returns the results so a
- * caller can assert more about them.
+ * BENCH_<figure>.json.  Cells run on @p jobs workers, 0 meaning one
+ * per host CPU; results are bit-identical for any worker count.
+ * Returns the results so a caller can assert more about them.
  */
 inline std::vector<sweep::CellResult>
 expectReplaysCheckedIn(const std::string &figure,
-                       const std::vector<sweep::SweepCell> &cells)
+                       const std::vector<sweep::SweepCell> &cells,
+                       unsigned jobs = 0)
 {
     const Json checked_in = loadCheckedIn("BENCH_" + figure + ".json");
     std::map<std::string, const Json *> want;
@@ -142,8 +143,9 @@ expectReplaysCheckedIn(const std::string &figure,
         const Json &c = checked_in["cells"].at(i);
         want[c["label"].asString()] = &c;
     }
-    std::vector<sweep::CellResult> results = sweep::runSweep(
-        cells, std::max(1u, std::thread::hardware_concurrency()));
+    if (jobs == 0)
+        jobs = std::max(1u, std::thread::hardware_concurrency());
+    std::vector<sweep::CellResult> results = sweep::runSweep(cells, jobs);
     const Json report = sweep::sweepReport(figure, results);
     for (std::size_t i = 0; i < results.size(); ++i) {
         const Json &got = report["cells"].at(i);
