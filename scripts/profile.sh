@@ -7,8 +7,8 @@
 # Builds a -g (otherwise Release) ssp_perf from bench/perf into
 # build-prof/ (override with PROFILE_BUILD_DIR), runs PASSES passes
 # (default 4) of WORKLOAD under the LD_PRELOAD SIGPROF sampler in
-# scripts/sigprof_sampler.c (one sample per SSP_PROF_PERIOD_US of CPU
-# time, default 200 us), and prints per-function, per-inline-frame and
+# scripts/sigprof_sampler.c (one sample per millisecond of CPU time),
+# and prints the top 30 rows of per-function, per-inline-frame and
 # per-shared-object sample tables (scripts/profile_report.py).  Samples
 # in libc are attributed to their caller.  The raw samples stay in
 # build-prof/profile-WORKLOAD.txt, next to the run's JSON output.

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Tables from the samples scripts/sigprof_sampler.c wrote.
 
-Usage: profile_report.py EXECUTABLE SAMPLES [TOP]
+Usage: profile_report.py EXECUTABLE SAMPLES
 
 SAMPLES holds one "rip stackword" hex pair per line; SAMPLES.maps is the
-sampled process's /proc/self/maps.  Prints three tables of sample counts:
+sampled process's /proc/self/maps.  Prints the TOP rows of three tables
+of sample counts:
 
   - per function: the out-of-line function a sample's RIP is in;
   - per inline frame: the innermost function inlined at that RIP;
@@ -23,6 +24,8 @@ import subprocess
 import sys
 
 ET_EXEC = 2
+# Rows printed per table.
+TOP = 30
 
 
 def read_maps(path):
@@ -98,11 +101,10 @@ def print_table(title, counts, total, top):
 
 
 def main():
-    if len(sys.argv) not in (3, 4):
+    if len(sys.argv) != 3:
         sys.exit(__doc__)
     executable = os.path.realpath(sys.argv[1])
     samples_path = sys.argv[2]
-    top = int(sys.argv[3]) if len(sys.argv) == 4 else 30
     maps, bias = read_maps(samples_path + ".maps")
     with open(samples_path) as f:
         samples = [tuple(int(x, 16) for x in line.split()) for line in f]
@@ -145,9 +147,9 @@ def main():
         per_inline[chain[0] + tag] += 1
 
     total = len(samples)
-    print_table("Per function", per_function, total, top)
-    print_table("Per inline frame", per_inline, total, top)
-    print_table("Per shared object", per_object, total, top)
+    print_table("Per function", per_function, total, TOP)
+    print_table("Per inline frame", per_inline, total, TOP)
+    print_table("Per shared object", per_object, total, TOP)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
  * A SIGPROF sampling profiler, loaded with LD_PRELOAD by
  * scripts/profile.sh.
  *
- * Every SSP_PROF_PERIOD_US microseconds of process CPU time (default
- * 200) ITIMER_PROF raises SIGPROF, and the handler records two words:
+ * Every PERIOD_US microseconds of process CPU time ITIMER_PROF raises
+ * SIGPROF, and the handler records two words:
  * the interrupted RIP and the word at the interrupted stack pointer.
  * When the sample lands in a leaf function, such as a memset that
  * calloc tail-called, that word is the return address into its caller,
@@ -32,6 +32,9 @@
 #endif
 
 #define MAX_SAMPLES (1u << 20)
+/* The kernel delivers ITIMER_PROF at most once per tick, so a shorter
+ * period would not sample any more often. */
+#define PERIOD_US 1000
 
 static uint64_t (*samples)[2];
 static unsigned long next_sample;
@@ -73,11 +76,9 @@ sampler_start(void)
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    const char *period = getenv("SSP_PROF_PERIOD_US");
-    const long us = period != NULL ? atol(period) : 200;
     struct itimerval it;
-    it.it_interval.tv_sec = us / 1000000;
-    it.it_interval.tv_usec = us % 1000000;
+    it.it_interval.tv_sec = 0;
+    it.it_interval.tv_usec = PERIOD_US;
     it.it_value = it.it_interval;
     setitimer(ITIMER_PROF, &it, NULL);
 }

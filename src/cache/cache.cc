@@ -17,10 +17,9 @@ namespace
 thread_local bool poolDestroyed = false;
 
 /**
- * The calling thread's retired tag and recency arrays, all zero, in
- * separate piles per geometry: an array is handed out only to a cache
- * of the geometry and kind that made it, never to one that merely
- * needs the same length.  Freed at thread exit.
+ * The calling thread's retired array blocks (a cache's tags followed
+ * by its recency words), all zero, in one pile per geometry.  Freed at
+ * thread exit.
  */
 class ArrayPool
 {
@@ -30,69 +29,65 @@ class ArrayPool
     ArrayPool &operator=(const ArrayPool &) = delete;
     ~ArrayPool()
     {
-        for (Shelf &shelf : shelves_) {
-            for (auto *pile : {&shelf.tags, &shelf.recency}) {
-                for (std::uint64_t *p : *pile)
-                    std::free(p);
-            }
+        for (Pile &pile : piles_) {
+            for (std::uint64_t *p : pile.blocks)
+                std::free(p);
         }
         poolDestroyed = true;
     }
 
-    /** A zero array for @p sets x @p ways tags (@p tags) or recency
-     *  words. */
+    /** An all-zero block of @p sets x (@p ways + 1) words. */
     std::uint64_t *
-    take(std::uint64_t sets, unsigned ways, bool tags)
+    take(std::uint64_t sets, unsigned ways)
     {
-        const std::uint64_t len = tags ? sets * ways : sets;
-        std::vector<std::uint64_t *> &pile = shelf(sets, ways, tags);
-        if (pile.empty()) {
+        const std::uint64_t len = sets * (ways + 1);
+        std::vector<std::uint64_t *> &blocks = pile(sets, ways);
+        if (blocks.empty()) {
             auto *p = static_cast<std::uint64_t *>(
                 std::calloc(len, sizeof(std::uint64_t)));
             ssp_assert(p != nullptr);
             return p;
         }
-        std::uint64_t *p = pile.back();
-        pile.pop_back();
+        std::uint64_t *p = blocks.back();
+        blocks.pop_back();
         ++recycled;
         ssp_assert_dbg(std::all_of(p, p + len,
                                    [](std::uint64_t w) { return w == 0; }),
-                       "recycled cache array is not all zero");
+                       "recycled cache block is not all zero");
         return p;
     }
 
-    /** Keep the all-zero array @p p that take() handed out. */
+    /** Keep the all-zero block @p p that take() handed out. */
     void
-    give(std::uint64_t sets, unsigned ways, bool tags, std::uint64_t *p)
+    give(std::uint64_t sets, unsigned ways, std::uint64_t *p)
     {
-        shelf(sets, ways, tags).push_back(p);
+        pile(sets, ways).push_back(p);
     }
 
-    /** Arrays take() returned from a pile. */
+    /** Blocks take() returned from a pile. */
     std::uint64_t recycled = 0;
 
   private:
-    struct Shelf
+    struct Pile
     {
         std::uint64_t sets;
         unsigned ways;
-        std::vector<std::uint64_t *> tags;
-        std::vector<std::uint64_t *> recency;
+        std::vector<std::uint64_t *> blocks;
     };
 
     std::vector<std::uint64_t *> &
-    shelf(std::uint64_t sets, unsigned ways, bool tags)
+    pile(std::uint64_t sets, unsigned ways)
     {
-        auto it = std::find_if(shelves_.begin(), shelves_.end(),
-                               [&](const Shelf &s) {
-                                   return s.sets == sets && s.ways == ways;
+        auto it = std::find_if(piles_.begin(), piles_.end(),
+                               [&](const Pile &p) {
+                                   return p.sets == sets && p.ways == ways;
                                });
-        if (it == shelves_.end())
-            it = shelves_.insert(shelves_.end(), Shelf{sets, ways, {}, {}});
-        return tags ? it->tags : it->recency;
+        if (it == piles_.end())
+            it = piles_.insert(piles_.end(), Pile{sets, ways, {}});
+        return it->blocks;
     }
 
-    std::vector<Shelf> shelves_;
+    std::vector<Pile> piles_;
 };
 
 thread_local ArrayPool pool;
@@ -113,30 +108,28 @@ Cache::Cache(const CacheParams &params) : params_(params)
     ssp_assert(numSets_ > 0);
     setsPow2_ = (numSets_ & (numSets_ - 1)) == 0;
     numLines_ = num_lines;
-    // Both arrays come all zero: an all-zero tag word is invalid and an
-    // all-zero recency word is the identity order (see the class
-    // comment).  A recycled array is already resident; a fresh calloc
-    // of a big one maps zero pages lazily, so a 96 MiB L3's tag array
-    // costs only the sets that lines actually land in.
-    tags_ = pool.take(numSets_, params.ways, true);
-    recency_ = pool.take(numSets_, params.ways, false);
+    // One all-zero block holds the tags, then the recency words: an
+    // all-zero tag word is invalid and an all-zero recency word is the
+    // identity order (see the class comment).  A recycled block is
+    // already resident; a fresh calloc of a big one maps zero pages
+    // lazily, so a 96 MiB L3's tags cost only the sets that lines
+    // actually land in.
+    tags_ = pool.take(numSets_, params.ways);
+    recency_ = tags_ + numLines_;
     filledSets_.assign((numSets_ + 63) / 64, 0);
 }
 
 Cache::~Cache()
 {
     clearFilledSets();
-    if (poolDestroyed) {
+    if (poolDestroyed)
         std::free(tags_);
-        std::free(recency_);
-        return;
-    }
-    pool.give(numSets_, params_.ways, true, tags_);
-    pool.give(numSets_, params_.ways, false, recency_);
+    else
+        pool.give(numSets_, params_.ways, tags_);
 }
 
 std::uint64_t
-Cache::recycledArrays()
+Cache::recycledBlocks()
 {
     return pool.recycled;
 }

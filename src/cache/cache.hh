@@ -80,17 +80,18 @@ struct CacheAccessResult
  * hinted slot holding it is that slot.  Consecutive accesses often
  * repeat a line, and then the lookup costs one compare.
  *
- * Both arrays start all zero, and a retired cache hands them back that
+ * Both arrays live in one block, the tags followed by the recency
+ * words.  It starts all zero, and a retired cache hands it back that
  * way: a word outside the sets marked in filledSets_ is always zero,
- * so the destructor zeroes just the filled sets and returns the arrays
+ * so the destructor zeroes just the filled sets and returns the block
  * to a per-thread pool keyed by geometry.  The next cache of that
- * geometry on the thread takes them instead of calling calloc.  Every
- * sweep cell builds a fresh machine, and a recycled array is memory
- * that is already resident and needs no zeroing beyond what the last
- * machine touched.  A calloc'd array that the first machine freed
- * would instead come back from the heap, zeroed in full (glibc's
- * mmap threshold rises to the size of the largest mapping freed), and
- * the freed copies would stay resident between machines.
+ * geometry on the thread takes it instead of calling calloc.  Every
+ * machine builds fresh caches, and a recycled block is memory that is
+ * already resident and needs no zeroing beyond what the last machine
+ * touched.  A calloc'd block that an earlier machine freed would
+ * instead come back from the heap, zeroed in full (glibc's mmap
+ * threshold rises to the size of the largest mapping freed), and the
+ * freed copies would stay resident between machines.
  */
 class Cache
 {
@@ -100,15 +101,15 @@ class Cache
     static constexpr unsigned kMaxWays = 16;
 
     explicit Cache(const CacheParams &params);
-    /** Zeroes the filled sets and returns both arrays to the calling
+    /** Zeroes the filled sets and returns the block to the calling
      *  thread's pool. */
     ~Cache();
     Cache(const Cache &) = delete;
     Cache &operator=(const Cache &) = delete;
 
-    /** Arrays (tag and recency arrays each count one) that caches built
-     *  on the calling thread took from its pool instead of calloc. */
-    static std::uint64_t recycledArrays();
+    /** Blocks that caches built on the calling thread took from its
+     *  pool instead of calloc. */
+    static std::uint64_t recycledBlocks();
 
     /**
      * Register this cache as core @p core's level-@p level private
@@ -367,10 +368,11 @@ class Cache
     /** numSets_ is a power of two, so setOf() can mask. */
     bool setsPow2_;
     std::uint64_t numLines_;
-    /** numLines_ packed tag words, set-major; recycled or calloc'd
-     *  (see the class comment). */
+    /** numLines_ packed tag words, set-major, at the start of a
+     *  recycled or calloc'd block (see the class comment). */
     std::uint64_t *tags_ = nullptr;
-    /** numSets_ recency words, stored XOR kIdentityOrder; likewise. */
+    /** numSets_ recency words, stored XOR kIdentityOrder, right after
+     *  the tags in the same block. */
     std::uint64_t *recency_ = nullptr;
     /** Index of the last slot found or filled, with its set and way;
      *  any in-range slot is safe, since findIdx() re-verifies it in

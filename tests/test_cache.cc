@@ -623,8 +623,8 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
 }
 
 /**
- * runCacheDifferential twice over, the second time on the arrays the
- * first cache retired with lines still valid: the pool must hand them
+ * runCacheDifferential twice over, the second time on the block the
+ * first cache retired with lines still valid: the pool must hand it
  * back as clean as calloc's, or stale tags and recency words show up
  * as hits and victims the reference never had.
  */
@@ -633,10 +633,10 @@ runFreshThenRecycled(std::uint64_t size_bytes, unsigned ways,
                      std::uint64_t seed)
 {
     runCacheDifferential(size_bytes, ways, seed);
-    const std::uint64_t recycled = Cache::recycledArrays();
+    const std::uint64_t recycled = Cache::recycledBlocks();
     runCacheDifferential(size_bytes, ways, seed);
-    EXPECT_EQ(Cache::recycledArrays(), recycled + 2)
-        << "the rerun did not take both retired arrays";
+    EXPECT_EQ(Cache::recycledBlocks(), recycled + 1)
+        << "the rerun did not take the retired block";
 }
 
 // One geometry per way count the recency word packs differently:
@@ -681,28 +681,27 @@ TEST(CacheGeometry, NinetySixMiBL3MatchesTheReference)
 
 TEST(CacheRecycling, EachThreadRecyclesOnlyItsOwnGeometry)
 {
-    const std::uint64_t main_recycled = Cache::recycledArrays();
+    const std::uint64_t main_recycled = Cache::recycledBlocks();
     // A new thread starts with an empty pool of its own.
     std::thread([] {
-        EXPECT_EQ(Cache::recycledArrays(), 0u);
+        EXPECT_EQ(Cache::recycledBlocks(), 0u);
         const CacheParams l2{"l2", 256 * 1024, 8, 6}; // 512 sets
         {
             Cache c(l2);
             for (Addr a = 0; a < 2048 * kLineSize; a += kLineSize)
                 c.access(a, true);
         }
-        // An L1's 512 tag words are exactly as long as the retired
-        // L2's recency array, but it is another geometry: fresh arrays.
+        // Another geometry gets a fresh block.
         {
             Cache c(CacheParams{"l1", 32 * 1024, 8, 4});
-            EXPECT_EQ(Cache::recycledArrays(), 0u);
+            EXPECT_EQ(Cache::recycledBlocks(), 0u);
         }
         Cache c(l2);
-        EXPECT_EQ(Cache::recycledArrays(), 2u);
+        EXPECT_EQ(Cache::recycledBlocks(), 1u);
         EXPECT_EQ(c.validLines(), 0u);
         EXPECT_FALSE(c.access(0, false).hit);
     }).join();
-    EXPECT_EQ(Cache::recycledArrays(), main_recycled);
+    EXPECT_EQ(Cache::recycledBlocks(), main_recycled);
 }
 
 TEST(CacheGeometry, MoreThanSixteenWaysIsFatal)

@@ -89,9 +89,9 @@ TEST(GridReplay, Scale64Cores1_4_16MatchCheckedInReport)
 
 TEST(GridReplay, Scale64Cores16_4_16OnOneThreadMatchCheckedInReport)
 {
-    // Every machine after the first builds its caches from arrays an
+    // Every machine after the first builds its caches from blocks an
     // earlier one retired.  The 4-core cells take four of the sixteen
-    // cores' L1 and L2 arrays, and the second 16-core pass takes all
+    // cores' L1 and L2 blocks, and the second 16-core pass takes all
     // sixteen back, four of them last used by the smaller machine.
     // One worker, so every cell recycles on this thread, in order.
     std::vector<SweepCell> cells;
@@ -103,9 +103,9 @@ TEST(GridReplay, Scale64Cores16_4_16OnOneThreadMatchCheckedInReport)
         ASSERT_EQ(part.size(), 6u);
         cells.insert(cells.end(), part.begin(), part.end());
     }
-    const std::uint64_t recycled = Cache::recycledArrays();
+    const std::uint64_t recycled = Cache::recycledBlocks();
     expectReplaysCheckedIn("scale64", cells, 1);
-    EXPECT_GT(Cache::recycledArrays(), recycled);
+    EXPECT_GT(Cache::recycledBlocks(), recycled);
 }
 
 TEST(GridReplay, QueueC4Load60MatchesCheckedInReport)
