@@ -217,4 +217,95 @@ TEST_F(PersistLogTest, PowerFailKeepsDurablePrefix)
         EXPECT_EQ(r.tid, 1u);
 }
 
+// ---- Timing each log owner relies on ----------------------------------
+
+class LogTimingTest : public ::testing::Test
+{
+  protected:
+    LogTimingTest()
+        : mem(64, 4), bus(mem, kDram, kNvram), ref(mem, kDram, kNvram),
+          redo(bus, 0, 16 * kPageSize, WriteCategory::RedoLog),
+          undo(bus, 0, 16 * kPageSize, WriteCategory::UndoLog, true),
+          journal(bus, 0, 16 * kPageSize, 8 * kPageSize)
+    {
+    }
+
+    static LogRecord
+    dataRec(TxId tid, Addr addr)
+    {
+        LogRecord rec;
+        rec.kind = LogRecord::Kind::Data;
+        rec.tid = tid;
+        rec.addr = addr;
+        return rec;
+    }
+
+    static JournalRecord
+    journalRec(JournalKind kind)
+    {
+        JournalRecord rec;
+        rec.kind = kind;
+        rec.tid = 1;
+        return rec;
+    }
+
+    static constexpr MemTimingParams kDram{4, 1024, 100, 100, 0.4};
+    static constexpr MemTimingParams kNvram{4, 1024, 200, 800, 0.4};
+
+    PhysMem mem;
+    MemoryBus bus;
+    /** Idle twin of bus: replays by hand what a log should have issued. */
+    MemoryBus ref;
+    PersistLog redo;
+    PersistLog undo;
+    MetadataJournal journal;
+};
+
+TEST_F(LogTimingTest, RedoStreamedLineDelaysLaterAccessToItsBank)
+{
+    // An 80-byte record fills line 0, which streams as a foreground
+    // write: it occupies bank 0 and the channel's write bus.
+    EXPECT_EQ(redo.append(dataRec(1, 0x40), 0, false), 0u);
+    ref.issueWrite(0, WriteCategory::RedoLog, 0);
+    const Cycles read_done = bus.issueRead(kLineSize * 2, 0);
+    EXPECT_EQ(read_done, ref.issueRead(kLineSize * 2, 0));
+    MemoryBus idle(mem, kDram, kNvram);
+    EXPECT_GT(read_done, idle.issueRead(kLineSize * 2, 0));
+}
+
+TEST_F(LogTimingTest, JournalStreamedLineLeavesItsBankFree)
+{
+    // Two 40-byte records fill line 0, which drains from the log
+    // buffer in the background: the bank stays free for the core.
+    journal.append(journalRec(JournalKind::Update), 0);
+    journal.append(journalRec(JournalKind::Update), 0);
+    EXPECT_EQ(journal.persistedBytes(), kLineSize);
+    EXPECT_EQ(bus.nvramWrites(WriteCategory::MetaJournal), 1u);
+    EXPECT_EQ(bus.issueRead(kLineSize * 2, 0),
+              ref.issueRead(kLineSize * 2, 0));
+}
+
+TEST_F(LogTimingTest, JournalFlushOfLineAlignedHeadReturnsNow)
+{
+    // Eight 8-byte commit markers end exactly on a line boundary: the
+    // line streamed out during the last append, so a flush has nothing
+    // pending and does not wait for that line's write.
+    for (int i = 0; i < 8; ++i)
+        journal.append(journalRec(JournalKind::Commit), 0);
+    EXPECT_EQ(journal.persistedBytes(), kLineSize);
+    EXPECT_EQ(journal.flush(100), 100u);
+    EXPECT_EQ(bus.nvramWrites(WriteCategory::MetaJournal), 1u);
+}
+
+TEST_F(LogTimingTest, UndoSyncAppendReturnsCompletionOfItsLastLine)
+{
+    // An 80-byte record padded to two lines: both are foreground
+    // writes, and the append returns when the second one completes.
+    const Cycles done = undo.append(dataRec(1, 0x40), 0, true);
+    ref.issueWrite(0, WriteCategory::UndoLog, 0);
+    EXPECT_EQ(done, ref.issueWrite(kLineSize, WriteCategory::UndoLog, 0));
+    EXPECT_EQ(undo.persistedBytes(), 2 * kLineSize);
+    EXPECT_EQ(bus.nvramWrites(WriteCategory::UndoLog), 2u);
+}
+
 } // namespace
