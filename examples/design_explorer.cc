@@ -8,27 +8,30 @@
  *
  * Workload names follow the paper's Table 3 ("BTree-Rand",
  * "RBTree-Zipf", "Hash-Rand", "SPS", "Memcached", "Vacation", ...).
+ * txs is a plain integer in 1..10^9; a bad workload name or count
+ * exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "common/logging.hh"
 #include "sim/driver.hh"
 #include "sim/report.hh"
 #include "sim/system_builder.hh"
+#include "sweep/sweep_grid.hh"
 
 using namespace ssp;
 
 int
 main(int argc, char **argv)
-{
+try {
     setVerbose(false);
     const std::string workload_name =
         argc > 1 ? argv[1] : "BTree-Rand";
     const std::uint64_t txs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4000;
+        argc > 2 ? sweep::parseCount("txs", argv[2], 1'000'000'000) : 4000;
 
     const WorkloadKind workload = parseWorkloadKind(workload_name);
     SspConfig cfg;
@@ -56,9 +59,7 @@ main(int argc, char **argv)
         }
         table.addRow(
             {res.backend, fmtDouble(res.tps() / 1000.0, 1),
-             fmtDouble(static_cast<double>(res.cycles) /
-                           static_cast<double>(res.committedTxs),
-                       0),
+             fmtDouble(res.cyclesPerTx(), 0),
              fmtDouble(res.writesPerTx(), 1),
              fmtDouble(static_cast<double>(res.loggingWrites) /
                            static_cast<double>(res.committedTxs),
@@ -70,4 +71,8 @@ main(int argc, char **argv)
     std::printf("\n(all four designs produced functionally identical "
                 "persistent images)\n");
     return 0;
+} catch (const std::exception &e) {
+    // ssp_fatal (a bad workload name or txs count) throws.
+    std::fprintf(stderr, "design_explorer: %s\n", e.what());
+    return 2;
 }

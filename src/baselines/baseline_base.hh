@@ -3,12 +3,14 @@
  * Shared infrastructure for the logging baselines and the shadow-paging
  * ablation: TLB-timed address translation over the identity-mapped
  * persistent heap, per-core transaction bookkeeping (write set of lines
- * and pages), and the common crash plumbing.
+ * and pages), the record type of their logs, and the common crash
+ * plumbing.
  */
 
 #ifndef SSP_BASELINES_BASELINE_BASE_HH
 #define SSP_BASELINES_BASELINE_BASE_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -16,9 +18,41 @@
 #include "core/config.hh"
 #include "core/line_set.hh"
 #include "core/machine.hh"
+#include "mem/persist_log.hh"
 
 namespace ssp
 {
+
+/** One record of a baseline's log. */
+struct LogRecord
+{
+    enum class Kind : std::uint8_t
+    {
+        Data,   ///< address + one cache line of (old or new) data
+        Commit, ///< transaction commit marker
+        Map,    ///< page-mapping change (shadow paging)
+    };
+
+    Kind kind = Kind::Data;
+    TxId tid = 0;
+    Addr addr = 0;            ///< target line address (Data) / vpn (Map)
+    Ppn mapPpn = kInvalidPpn; ///< new mapping (Map records)
+    /** Line payload (Data records only); inline, so logging a line
+     *  allocates nothing. */
+    std::array<std::uint8_t, kLineSize> data{};
+
+    /** Serialized size: 16-byte header plus the payload (Data only). */
+    std::uint64_t
+    sizeBytes() const
+    {
+        if (kind == Kind::Commit)
+            return 8;
+        return kind == Kind::Data ? 16 + kLineSize : 16;
+    }
+};
+
+/** The undo, redo and shadow-paging mapping logs. */
+using BaselineLog = PersistLog<LogRecord>;
 
 /** Per-core transaction state common to all baselines. */
 struct BaselineTxState

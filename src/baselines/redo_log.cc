@@ -18,14 +18,14 @@ RedoLogBackend::RedoLogBackend(const SspConfig &cfg)
                "log area too small for %u staggered per-core regions; "
                "raise logPages",
                cfg.numCores);
+    logs_.reserve(cfg.numCores);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         // Stagger per-core regions across banks (see UndoLogBackend).
         const Addr base =
             cfg.logBase() + c * per_core + c * cfg.nvram.rowBufferBytes;
-        logs_.push_back(std::make_unique<PersistLog>(
-            machine_->bus(), base,
-            per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
-            WriteCategory::RedoLog));
+        logs_.emplace_back(machine_->bus(), base,
+                           per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
+                           WriteCategory::RedoLog, LogMode::Streamed);
     }
 }
 
@@ -115,15 +115,15 @@ RedoLogBackend::commitPhase1(CoreId core)
         rec.tid = tx.tid;
         rec.addr = lineAddr(ppn, lineIndexInPage(line_vaddr));
         rec.data = image;
-        logs_[core]->append(std::move(rec), now, false);
+        logs_[core].append(rec, now);
     }
     LogRecord marker;
     marker.kind = LogRecord::Kind::Commit;
     marker.tid = tx.tid;
-    logs_[core]->append(std::move(marker), now, false);
+    logs_[core].append(marker, now);
     // Commit is acknowledged when the log (including the marker) is
     // durable — this is the only persistence stall in DHTM's pipeline.
-    now = logs_[core]->flush(now);
+    now = logs_[core].flush(now);
     phase1Done_[core] = true;
 }
 
@@ -145,7 +145,7 @@ RedoLogBackend::commitPhase2(CoreId core)
         machine_->caches().flushLine(core, loc, WriteCategory::Data, now,
                                      true);
     }
-    logs_[core]->truncate();
+    logs_[core].truncate();
     writeBuf_[core].clear();
     phase1Done_[core] = false;
 
@@ -175,7 +175,7 @@ RedoLogBackend::abort(CoreId core)
             lineAddr(ppn, lineIndexInPage(line_vaddr)));
     }
     writeBuf_[core].clear();
-    logs_[core]->truncate();
+    logs_[core].truncate();
     machine_->conflicts().abortTx(core);
     tx_[core].clear();
 }
@@ -186,7 +186,7 @@ RedoLogBackend::onCrash()
     for (auto &buf : writeBuf_)
         buf.clear();
     for (auto &log : logs_)
-        log->powerFail();
+        log.powerFail();
     std::fill(phase1Done_.begin(), phase1Done_.end(), false);
 }
 
@@ -194,7 +194,7 @@ void
 RedoLogBackend::recover()
 {
     for (auto &log : logs_) {
-        auto records = log->persistedRecords();
+        auto records = log.persistedRecords();
         std::unordered_set<TxId> committed;
         for (const auto &rec : records) {
             if (rec.kind == LogRecord::Kind::Commit)
@@ -209,7 +209,7 @@ RedoLogBackend::recover()
             }
             machine_->mem().write(rec.addr, rec.data.data(), kLineSize);
         }
-        log->truncate();
+        log.truncate();
     }
 }
 

@@ -18,12 +18,10 @@
 #define SSP_BASELINES_REDO_LOG_HH
 
 #include <array>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "baselines/baseline_base.hh"
-#include "baselines/persist_log.hh"
 
 namespace ssp
 {
@@ -52,7 +50,7 @@ class RedoLogBackend : public BaselineBase
     /** Test hook: the in-place apply half of commit. */
     void commitPhase2(CoreId core);
 
-    PersistLog &log(CoreId core) { return *logs_[core]; }
+    BaselineLog &log(CoreId core) { return logs_[core]; }
 
   protected:
     void onCrash() override;
@@ -69,7 +67,7 @@ class RedoLogBackend : public BaselineBase
     std::vector<std::unordered_map<Addr, LineImage>> writeBuf_;
     /** Cores that completed phase 1 but not yet phase 2. */
     std::vector<bool> phase1Done_;
-    std::vector<std::unique_ptr<PersistLog>> logs_;
+    std::vector<BaselineLog> logs_;
 };
 
 } // namespace ssp

@@ -9,11 +9,10 @@ namespace ssp
 
 ShadowPagingBackend::ShadowPagingBackend(const SspConfig &cfg)
     : BaselineBase(cfg), shadow_(cfg.numCores),
+      mapJournal_(machine_->bus(), cfg.logBase(), cfg.logBytes(),
+                  WriteCategory::MetaJournal, LogMode::Streamed),
       pool_(cfg.shadowPoolBase(), cfg.shadowPoolPages)
 {
-    mapJournal_ = std::make_unique<PersistLog>(
-        machine_->bus(), cfg.logBase(), cfg.logBytes(),
-        WriteCategory::MetaJournal);
 }
 
 Ppn
@@ -127,13 +126,13 @@ ShadowPagingBackend::commit(CoreId core)
         rec.tid = tx.tid;
         rec.addr = vpn;
         rec.mapPpn = ppn;
-        mapJournal_->append(std::move(rec), flushed, false);
+        mapJournal_.append(rec, flushed);
     }
     LogRecord marker;
     marker.kind = LogRecord::Kind::Commit;
     marker.tid = tx.tid;
-    mapJournal_->append(std::move(marker), flushed, false);
-    now = mapJournal_->flush(flushed);
+    mapJournal_.append(marker, flushed);
+    now = mapJournal_.flush(flushed);
 
     // Apply the mapping switches; old pages return to the pool.
     for (const auto &[vpn, ppn] : shadow_[core]) {
@@ -146,7 +145,7 @@ ShadowPagingBackend::commit(CoreId core)
             machine_->tlb(c).evict(vpn);
     }
     // Bound the mapping journal (a real system would checkpoint).
-    mapJournal_->truncate();
+    mapJournal_.truncate();
 
     shadow_[core].clear();
     machine_->conflicts().commitTx(core, now, machine_->minClock());
@@ -173,7 +172,7 @@ ShadowPagingBackend::onCrash()
 {
     for (auto &s : shadow_)
         s.clear();
-    mapJournal_->powerFail();
+    mapJournal_.powerFail();
     // Shadow pages allocated by in-flight transactions leak back into
     // the pool on recovery (the pool is rebuilt from the page table).
 }
@@ -181,7 +180,7 @@ ShadowPagingBackend::onCrash()
 void
 ShadowPagingBackend::recover()
 {
-    auto records = mapJournal_->persistedRecords();
+    auto records = mapJournal_.persistedRecords();
     std::unordered_set<TxId> committed;
     for (const auto &rec : records) {
         if (rec.kind == LogRecord::Kind::Commit)
@@ -194,7 +193,7 @@ ShadowPagingBackend::recover()
         }
         machine_->pt().map(rec.addr, rec.mapPpn);
     }
-    mapJournal_->truncate();
+    mapJournal_.truncate();
 
     // Rebuild the pool: reserved-range pages plus retired heap pages —
     // everything below the pool end that the page table does not map.

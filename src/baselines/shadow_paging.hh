@@ -16,12 +16,10 @@
 #ifndef SSP_BASELINES_SHADOW_PAGING_HH
 #define SSP_BASELINES_SHADOW_PAGING_HH
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "baselines/baseline_base.hh"
-#include "baselines/persist_log.hh"
 #include "nvram/free_pages.hh"
 
 namespace ssp
@@ -56,7 +54,7 @@ class ShadowPagingBackend : public BaselineBase
     /** Per-core: vpn -> shadow ppn for pages touched by the open tx. */
     std::vector<std::unordered_map<Vpn, Ppn>> shadow_;
     /** Mapping journal (shared; one per-commit flush). */
-    std::unique_ptr<PersistLog> mapJournal_;
+    BaselineLog mapJournal_;
     FreePagePool pool_;
 };
 

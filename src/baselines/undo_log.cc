@@ -14,18 +14,17 @@ UndoLogBackend::UndoLogBackend(const SspConfig &cfg) : BaselineBase(cfg)
                "log area too small for %u staggered per-core regions; "
                "raise logPages",
                cfg.numCores);
+    logs_.reserve(cfg.numCores);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         // Per-core log regions are staggered by one row so they map to
         // different NVRAM banks (a real controller interleaves them).
         const Addr base =
             cfg.logBase() + c * per_core + c * cfg.nvram.rowBufferBytes;
         // Synchronous undo logging: every entry persists by itself
-        // before the data store may proceed, so entries are line-padded
-        // (no packing across entries).
-        logs_.push_back(std::make_unique<PersistLog>(
-            machine_->bus(), base,
-            per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
-            WriteCategory::UndoLog, true));
+        // before the data store may proceed.
+        logs_.emplace_back(machine_->bus(), base,
+                           per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
+                           WriteCategory::UndoLog, LogMode::Synchronous);
     }
 }
 
@@ -67,7 +66,7 @@ UndoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
         rec.addr = line_paddr;
         now = machine_->caches().read(core, line_paddr, now);
         machine_->mem().read(line_paddr, rec.data.data(), kLineSize);
-        now = logs_[core]->append(std::move(rec), now, true);
+        now = logs_[core].append(rec, now);
         tx.lines.insert(line_vaddr);
         tx.pages.insert(pageOf(vaddr));
     }
@@ -100,8 +99,8 @@ UndoLogBackend::commit(CoreId core)
     LogRecord marker;
     marker.kind = LogRecord::Kind::Commit;
     marker.tid = tx.tid;
-    now = logs_[core]->append(std::move(marker), flushed, true);
-    logs_[core]->truncate();
+    now = logs_[core].append(marker, flushed);
+    logs_[core].truncate();
 
     machine_->conflicts().commitTx(core, now, machine_->minClock());
     noteCommit(core);
@@ -113,19 +112,19 @@ UndoLogBackend::abort(CoreId core)
 {
     ssp_assert(tx_[core].inTx, "abort outside a transaction");
     // Roll back in place from the (fully persisted) undo records.
-    rollback(*logs_[core]);
+    rollback(logs_[core]);
     for (Addr line_vaddr : tx_[core].lines) {
         const Ppn ppn = machine_->pt().translate(pageOf(line_vaddr));
         machine_->caches().invalidateLine(
             lineAddr(ppn, lineIndexInPage(line_vaddr)));
     }
-    logs_[core]->truncate();
+    logs_[core].truncate();
     machine_->conflicts().abortTx(core);
     tx_[core].clear();
 }
 
 void
-UndoLogBackend::rollback(PersistLog &log)
+UndoLogBackend::rollback(BaselineLog &log)
 {
     auto records = log.persistedRecords();
     // Newest-first restore of old values.
@@ -142,15 +141,15 @@ UndoLogBackend::recover()
     // Any log content at recovery belongs to an unfinished transaction
     // (committed transactions truncate their log): roll it back.
     for (auto &log : logs_) {
-        auto records = log->persistedRecords();
+        auto records = log.persistedRecords();
         bool committed = false;
         for (const auto &rec : records) {
             if (rec.kind == LogRecord::Kind::Commit)
                 committed = true;
         }
         if (!committed)
-            rollback(*log);
-        log->truncate();
+            rollback(log);
+        log.truncate();
     }
 }
 

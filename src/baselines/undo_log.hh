@@ -16,11 +16,9 @@
 #ifndef SSP_BASELINES_UNDO_LOG_HH
 #define SSP_BASELINES_UNDO_LOG_HH
 
-#include <memory>
 #include <vector>
 
 #include "baselines/baseline_base.hh"
-#include "baselines/persist_log.hh"
 
 namespace ssp
 {
@@ -39,7 +37,7 @@ class UndoLogBackend : public BaselineBase
     void recover() override;
     std::uint64_t loggingWrites() const override;
 
-    PersistLog &log(CoreId core) { return *logs_[core]; }
+    BaselineLog &log(CoreId core) { return logs_[core]; }
 
   protected:
     void onCrash() override {}
@@ -49,9 +47,9 @@ class UndoLogBackend : public BaselineBase
                    std::uint64_t size);
 
     /** Functional rollback of one core's unfinished transaction. */
-    void rollback(PersistLog &log);
+    void rollback(BaselineLog &log);
 
-    std::vector<std::unique_ptr<PersistLog>> logs_;
+    std::vector<BaselineLog> logs_;
 };
 
 } // namespace ssp

@@ -18,20 +18,19 @@
  * (section 4.1.2) applies persisted records to the persistent SSP cache
  * and truncates the journal.
  *
- * Crash model: everything up to persistedBytes() survives a power
- * failure; the rest of the buffer is lost.
+ * The journal is a PersistLog (mem/persist_log.hh): its records pack,
+ * and full lines drain from the log buffer in the background.  The
+ * memory controller owns the checkpoint threshold.
  */
 
 #ifndef SSP_NVRAM_JOURNAL_HH
 #define SSP_NVRAM_JOURNAL_HH
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "common/bitmap64.hh"
 #include "common/types.hh"
-#include "mem/memory_bus.hh"
+#include "mem/persist_log.hh"
 
 namespace ssp
 {
@@ -63,90 +62,18 @@ struct JournalRecord
     Ppn ppn1 = kInvalidPpn;
     Bitmap64 committed;
 
-    /** Serialized size in bytes (per-kind; commit markers are 8 bytes). */
-    std::uint64_t sizeBytes() const;
+    /** Serialized size in bytes: a commit marker is its TID and kind
+     *  tag padded to 8 bytes; every other kind is kind+SID (8) + TID
+     *  (8) + VPN/PPN0/PPN1 packed (16) + committed bitmap (8). */
+    std::uint64_t
+    sizeBytes() const
+    {
+        return kind == JournalKind::Commit ? 8 : 40;
+    }
 };
 
-/**
- * The journal: an append-only record stream with a persistence watermark.
- *
- * Functionally the records are kept structured (the simulator never needs
- * the raw encoding), but sizes and line-granular write-back behave
- * byte-accurately so the NVRAM write counts in Figure 6/7 are faithful.
- */
-class MetadataJournal
-{
-  public:
-    /**
-     * @param bus Memory bus used to issue journal write-backs.
-     * @param base_addr NVRAM byte address of the journal area.
-     * @param capacity_bytes Size of the journal area.
-     * @param checkpoint_threshold Persisted bytes that trigger a
-     *        checkpoint request (bounds recovery time).
-     */
-    MetadataJournal(MemoryBus &bus, Addr base_addr,
-                    std::uint64_t capacity_bytes,
-                    std::uint64_t checkpoint_threshold);
-
-    /** Append a record to the log buffer (volatile until flushed).
-     *  Full log-buffer lines are streamed to NVRAM as they fill. */
-    void append(const JournalRecord &rec, Cycles now);
-
-    /**
-     * Persist the buffer up to and including the last appended record.
-     * @return Completion time of the last line write (commit stall).
-     */
-    Cycles flush(Cycles now);
-
-    /** True when a checkpoint should run (journal grew past threshold). */
-    bool needsCheckpoint() const;
-
-    /**
-     * Records that survive a crash right now: every record fully
-     * contained in a persisted line, in append order.
-     */
-    std::vector<JournalRecord> persistedRecords() const;
-
-    /** All records including unpersisted ones (for checkpointing). */
-    const std::deque<JournalRecord> &allRecords() const { return records_; }
-
-    /**
-     * Truncate after a checkpoint: drop every record and reset the head
-     * to the start of the journal area (the checkpoint already captured
-     * their effects).
-     */
-    void truncate();
-
-    /** Simulated power failure: unpersisted tail is lost. */
-    void powerFail();
-
-    std::uint64_t appendedBytes() const { return headBytes_; }
-    std::uint64_t persistedBytes() const { return persistedBytes_; }
-    std::uint64_t flushes() const { return flushes_; }
-    std::uint64_t lineWrites() const { return lineWrites_; }
-
-  private:
-    /** Persist whole lines up to byte offset @p upto. */
-    Cycles persistUpTo(std::uint64_t upto, Cycles now, bool force_partial);
-
-    MemoryBus &bus_;
-    Addr baseAddr_;
-    std::uint64_t capacityBytes_;
-    std::uint64_t checkpointThreshold_;
-
-    std::deque<JournalRecord> records_;
-    std::vector<std::uint64_t> recordEnds_; // byte offset after record i
-    std::uint64_t headBytes_ = 0;           // append cursor
-    std::uint64_t persistedBytes_ = 0;      // durable watermark
-    /** Next line index not yet written to the NVRAM array: the tail
-     *  line write-combines in the controller's persistent write queue
-     *  (ADR domain), so each journal line hits the array exactly once. */
-    std::uint64_t countedLines_ = 0;
-    /** Completion time of background-streamed journal lines. */
-    Cycles streamDoneAt_ = 0;
-    std::uint64_t flushes_ = 0;
-    std::uint64_t lineWrites_ = 0;
-};
+/** The journal: a background-streamed persistent log of JournalRecords. */
+using MetadataJournal = PersistLog<JournalRecord>;
 
 } // namespace ssp
 

@@ -13,12 +13,14 @@ MemController::MemController(const MemControllerParams &params,
     : params_(params), bus_(bus), pt_(pt),
       cache_(params.sspCacheSlots, params.latency),
       journal_(bus, params.journalBase, params.journalBytes,
-               params.checkpointThresholdBytes),
+               WriteCategory::MetaJournal, LogMode::BackgroundStreamed),
       pool_(params.shadowPoolBase, params.shadowPoolPages),
       consolidator_(cache_, journal_, pt_, bus)
 {
     ssp_assert(params_.persistentCacheBytes > 0,
                "the persistent SSP-cache area must not be empty");
+    ssp_assert(params_.checkpointThresholdBytes <= params_.journalBytes,
+               "checkpoint threshold beyond journal capacity");
 }
 
 MetadataFetchResult
@@ -172,7 +174,8 @@ MemController::commitTx(TxId tid, Cycles now)
     rec.tid = tid;
     journal_.append(rec, now);
     Cycles done = journal_.flush(now);
-    if (journal_.needsCheckpoint())
+    // Checkpointing bounds the journal, and with it recovery time.
+    if (journal_.appendedBytes() >= params_.checkpointThresholdBytes)
         checkpoint(done);
     return done;
 }

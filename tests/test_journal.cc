@@ -1,16 +1,19 @@
 /**
  * @file
- * Unit tests for the metadata journal and the generic persistent log:
- * line-granular durability watermarks, commit-marker semantics,
- * checkpoint thresholds, power-failure truncation.
+ * Unit tests for the persistent log as the metadata journal and as the
+ * baselines' undo/redo logs: line-granular durability watermarks,
+ * commit-marker semantics, truncation, power-failure truncation, and
+ * the timing each log mode gives its owner.
  */
 
 #include <gtest/gtest.h>
 
-#include "baselines/persist_log.hh"
+#include "baselines/baseline_base.hh"
 #include "mem/memory_bus.hh"
 #include "mem/phys_mem.hh"
 #include "nvram/journal.hh"
+#include "nvram/mem_controller.hh"
+#include "vm/page_table.hh"
 
 using namespace ssp;
 
@@ -24,7 +27,8 @@ class JournalTest : public ::testing::Test
         : mem(64, 4),
           bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
               MemTimingParams{4, 1024, 200, 800, 0.4}),
-          journal(bus, 0, 16 * kPageSize, 8 * kPageSize)
+          journal(bus, 0, 16 * kPageSize, WriteCategory::MetaJournal,
+                  LogMode::BackgroundStreamed)
     {
     }
 
@@ -101,25 +105,27 @@ TEST_F(JournalTest, PowerFailDropsUnpersistedTail)
     EXPECT_EQ(recs[0].tid, 1u);
 }
 
-TEST_F(JournalTest, CheckpointThreshold)
+TEST_F(JournalTest, AppendedBytesCountsUntilTruncate)
 {
-    EXPECT_FALSE(journal.needsCheckpoint());
+    // The controller checkpoints on appendedBytes(); records pack.
     const std::uint64_t target = 8 * kPageSize;
     std::uint64_t appended = 0;
     TxId tid = 1;
     while (appended < target) {
         journal.append(update(tid++, 0, 1), 0);
         appended += 40;
+        ASSERT_EQ(journal.appendedBytes(), appended);
     }
-    EXPECT_TRUE(journal.needsCheckpoint());
     journal.truncate();
-    EXPECT_FALSE(journal.needsCheckpoint());
     EXPECT_EQ(journal.appendedBytes(), 0u);
+    EXPECT_EQ(journal.persistedBytes(), 0u);
+    EXPECT_TRUE(journal.allRecords().empty());
 }
 
 TEST_F(JournalTest, OverflowIsFatal)
 {
-    MetadataJournal tiny(bus, 0, 4 * kLineSize, 4 * kLineSize);
+    MetadataJournal tiny(bus, 0, 4 * kLineSize, WriteCategory::MetaJournal,
+                         LogMode::BackgroundStreamed);
     tiny.append(update(1, 0, 1), 0);
     tiny.append(update(1, 1, 1), 0);
     tiny.append(update(1, 2, 1), 0);
@@ -142,7 +148,31 @@ TEST_F(JournalTest, RecordOrderPreserved)
     EXPECT_EQ(recs[10].kind, JournalKind::Commit);
 }
 
-// ---- PersistLog (the baselines' log) ----------------------------------
+TEST(ControllerCheckpoint, RunsWhenTheJournalReachesTheThreshold)
+{
+    PhysMem mem(64, 4);
+    MemoryBus bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
+                  MemTimingParams{4, 1024, 200, 800, 0.4});
+    PageTable pt(0);
+    MemControllerParams params;
+    params.shadowPoolBase = 32;
+    params.shadowPoolPages = 16;
+    params.journalBytes = 16 * kLineSize;
+    params.persistentCacheBase = kPageSize;
+    params.persistentCacheBytes = kPageSize;
+    params.checkpointThresholdBytes = 2 * kLineSize;
+    MemController mc(params, bus, pt);
+    // Each commit appends one 8-byte marker: the 16th reaches 128 bytes.
+    for (int i = 0; i < 15; ++i)
+        mc.commitTx(mc.beginTx(), 0);
+    EXPECT_EQ(mc.checkpoints(), 0u);
+    EXPECT_EQ(mc.journal().appendedBytes(), 15 * 8u);
+    mc.commitTx(mc.beginTx(), 0);
+    EXPECT_EQ(mc.checkpoints(), 1u);
+    EXPECT_EQ(mc.journal().appendedBytes(), 0u);
+}
+
+// ---- The baselines' logs -----------------------------------------------
 
 class PersistLogTest : public ::testing::Test
 {
@@ -151,7 +181,10 @@ class PersistLogTest : public ::testing::Test
         : mem(64, 4),
           bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
               MemTimingParams{4, 1024, 200, 800, 0.4}),
-          log(bus, 0, 16 * kPageSize, WriteCategory::UndoLog)
+          undo(bus, 0, 16 * kPageSize, WriteCategory::UndoLog,
+               LogMode::Synchronous),
+          redo(bus, 16 * kPageSize, 16 * kPageSize, WriteCategory::RedoLog,
+               LogMode::Streamed)
     {
     }
 
@@ -168,25 +201,26 @@ class PersistLogTest : public ::testing::Test
 
     PhysMem mem;
     MemoryBus bus;
-    PersistLog log;
+    BaselineLog undo;
+    BaselineLog redo;
 };
 
 TEST_F(PersistLogTest, SynchronousAppendIsDurableImmediately)
 {
-    const Cycles done = log.append(dataRec(1, 0x40), 0, true);
+    const Cycles done = undo.append(dataRec(1, 0x40), 0);
     EXPECT_GT(done, 0u);
-    EXPECT_EQ(log.persistedRecords().size(), 1u);
+    EXPECT_EQ(undo.persistedRecords().size(), 1u);
     // An 80-byte record spans two lines.
-    EXPECT_EQ(log.lineWrites(), 2u);
+    EXPECT_EQ(undo.lineWrites(), 2u);
 }
 
 TEST_F(PersistLogTest, AsyncAppendDoesNotStall)
 {
-    const Cycles done = log.append(dataRec(1, 0x40), 500, false);
+    const Cycles done = redo.append(dataRec(1, 0x40), 500);
     EXPECT_EQ(done, 500u); // no stall for the caller
-    EXPECT_TRUE(log.persistedRecords().size() <= 1);
-    log.flush(500);
-    EXPECT_EQ(log.persistedRecords().size(), 1u);
+    EXPECT_TRUE(redo.persistedRecords().size() <= 1);
+    redo.flush(500);
+    EXPECT_EQ(redo.persistedRecords().size(), 1u);
 }
 
 TEST_F(PersistLogTest, CommitMarkerSize)
@@ -198,19 +232,20 @@ TEST_F(PersistLogTest, CommitMarkerSize)
 
 TEST_F(PersistLogTest, TruncateResets)
 {
-    log.append(dataRec(1, 0), 0, true);
-    log.truncate();
-    EXPECT_EQ(log.appendedBytes(), 0u);
-    EXPECT_EQ(log.persistedBytes(), 0u);
-    EXPECT_TRUE(log.persistedRecords().empty());
+    undo.append(dataRec(1, 0), 0);
+    undo.truncate();
+    EXPECT_EQ(undo.appendedBytes(), 0u);
+    EXPECT_EQ(undo.persistedBytes(), 0u);
+    EXPECT_TRUE(undo.persistedRecords().empty());
 }
 
 TEST_F(PersistLogTest, PowerFailKeepsDurablePrefix)
 {
-    log.append(dataRec(1, 0x40), 0, true);
-    log.append(dataRec(2, 0x80), 0, false); // tail, not yet durable
-    log.powerFail();
-    auto recs = log.persistedRecords();
+    redo.append(dataRec(1, 0x40), 0);
+    redo.flush(0);
+    redo.append(dataRec(2, 0x80), 0); // tail, not yet durable
+    redo.powerFail();
+    auto recs = redo.persistedRecords();
     // Record 2 may be partially covered by record 1's line flushes; it
     // must NOT survive unless fully persisted.
     for (const auto &r : recs)
@@ -224,9 +259,12 @@ class LogTimingTest : public ::testing::Test
   protected:
     LogTimingTest()
         : mem(64, 4), bus(mem, kDram, kNvram), ref(mem, kDram, kNvram),
-          redo(bus, 0, 16 * kPageSize, WriteCategory::RedoLog),
-          undo(bus, 0, 16 * kPageSize, WriteCategory::UndoLog, true),
-          journal(bus, 0, 16 * kPageSize, 8 * kPageSize)
+          redo(bus, 0, 16 * kPageSize, WriteCategory::RedoLog,
+               LogMode::Streamed),
+          undo(bus, 0, 16 * kPageSize, WriteCategory::UndoLog,
+               LogMode::Synchronous),
+          journal(bus, 0, 16 * kPageSize, WriteCategory::MetaJournal,
+                  LogMode::BackgroundStreamed)
     {
     }
 
@@ -256,8 +294,8 @@ class LogTimingTest : public ::testing::Test
     MemoryBus bus;
     /** Idle twin of bus: replays by hand what a log should have issued. */
     MemoryBus ref;
-    PersistLog redo;
-    PersistLog undo;
+    BaselineLog redo;
+    BaselineLog undo;
     MetadataJournal journal;
 };
 
@@ -265,7 +303,7 @@ TEST_F(LogTimingTest, RedoStreamedLineDelaysLaterAccessToItsBank)
 {
     // An 80-byte record fills line 0, which streams as a foreground
     // write: it occupies bank 0 and the channel's write bus.
-    EXPECT_EQ(redo.append(dataRec(1, 0x40), 0, false), 0u);
+    EXPECT_EQ(redo.append(dataRec(1, 0x40), 0), 0u);
     ref.issueWrite(0, WriteCategory::RedoLog, 0);
     const Cycles read_done = bus.issueRead(kLineSize * 2, 0);
     EXPECT_EQ(read_done, ref.issueRead(kLineSize * 2, 0));
@@ -301,7 +339,7 @@ TEST_F(LogTimingTest, UndoSyncAppendReturnsCompletionOfItsLastLine)
 {
     // An 80-byte record padded to two lines: both are foreground
     // writes, and the append returns when the second one completes.
-    const Cycles done = undo.append(dataRec(1, 0x40), 0, true);
+    const Cycles done = undo.append(dataRec(1, 0x40), 0);
     ref.issueWrite(0, WriteCategory::UndoLog, 0);
     EXPECT_EQ(done, ref.issueWrite(kLineSize, WriteCategory::UndoLog, 0));
     EXPECT_EQ(undo.persistedBytes(), 2 * kLineSize);
