@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 #
 # Full local CI pipeline: configure, build and run the test suite.  The
-# suite includes the checked-in grid gate (test_grid_replay), so this
-# writes nothing outside the build directory.
+# suite includes the checked-in grid gate (test_grid_replay); the
+# non-sanitizer path then regenerates all nine checked-in grids with
+# scripts/regen_grids.sh and requires them byte-identical, as CI's
+# gcc-release leg does.  Nothing is written outside the build directory
+# except regen_grids.sh's own mktemp directory, removed on exit.
 #
 # Usage: scripts/check.sh [--lint] [--tsan | --asan] [build-dir]
 #        (default build-dir: build, build-tsan or build-asan)
@@ -84,5 +87,8 @@ if [ -n "$sanitizer" ]; then
     exit 0
 fi
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+
+echo "== grid regeneration =="
+"$repo_root/scripts/regen_grids.sh" "$build_dir/sweep_main" "$jobs"
 
 echo "OK"

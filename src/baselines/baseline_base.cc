@@ -45,62 +45,36 @@ BaselineBase::translateMiss(CoreId core, Vpn vpn)
 void
 BaselineBase::load(CoreId core, Addr vaddr, void *buf, std::uint64_t size)
 {
-    auto *out = static_cast<std::uint8_t *>(buf);
+    ssp_assert(fitsInLine(vaddr, size));
     Cycles &now = machine_->clock(core);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Ppn ppn = translate(core, pageOf(vaddr));
-        const Addr loc =
-            lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr);
-        now = machine_->caches().read(core, loc, now);
-        now += Machine::kOpCost;
-        if (!redirectLoad(core, lineBase(vaddr), lineOffset(vaddr), out,
-                          in_line)) {
-            machine_->mem().read(loc, out, in_line);
-        }
-        machine_->conflicts().recordRead(core, vaddr);
-        vaddr += in_line;
-        out += in_line;
-        size -= in_line;
-    }
+    const Ppn ppn = translate(core, pageOf(vaddr));
+    const Addr loc = lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr);
+    now = machine_->caches().read(core, loc, now);
+    now += Machine::kOpCost;
+    if (!redirectLoad(core, lineBase(vaddr), lineOffset(vaddr), buf, size))
+        machine_->mem().read(loc, buf, size);
+    machine_->conflicts().recordRead(core, vaddr);
 }
 
 void
 BaselineBase::storeRaw(Addr vaddr, const void *buf, std::uint64_t size)
 {
     // Identity-style setup store: write through the page table mapping.
-    const auto *in = static_cast<const std::uint8_t *>(buf);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Ppn ppn = machine_->pt().translate(pageOf(vaddr));
-        machine_->mem().write(
-            lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr), in,
-            in_line);
-        vaddr += in_line;
-        in += in_line;
-        size -= in_line;
-    }
+    ssp_assert(fitsInLine(vaddr, size));
+    const Ppn ppn = machine_->pt().translate(pageOf(vaddr));
+    machine_->mem().write(
+        lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr), buf, size);
 }
 
 void
 BaselineBase::loadRaw(Addr vaddr, void *buf, std::uint64_t size)
 {
-    auto *out = static_cast<std::uint8_t *>(buf);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Ppn ppn = machine_->pt().translate(pageOf(vaddr));
-        if (!redirectLoad(0, lineBase(vaddr), lineOffset(vaddr), out,
-                          in_line)) {
-            machine_->mem().read(
-                lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr),
-                out, in_line);
-        }
-        vaddr += in_line;
-        out += in_line;
-        size -= in_line;
+    ssp_assert(fitsInLine(vaddr, size));
+    const Ppn ppn = machine_->pt().translate(pageOf(vaddr));
+    if (!redirectLoad(0, lineBase(vaddr), lineOffset(vaddr), buf, size)) {
+        machine_->mem().read(
+            lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr), buf,
+            size);
     }
 }
 

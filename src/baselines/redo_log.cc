@@ -50,21 +50,6 @@ void
 RedoLogBackend::store(CoreId core, Addr vaddr, const void *buf,
                       std::uint64_t size)
 {
-    const auto *in = static_cast<const std::uint8_t *>(buf);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        storeLine(core, vaddr, in, in_line);
-        vaddr += in_line;
-        in += in_line;
-        size -= in_line;
-    }
-}
-
-void
-RedoLogBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
-                          std::uint64_t size)
-{
     ssp_assert(tx_[core].inTx, "atomic store outside a transaction");
     ssp_assert(fitsInLine(vaddr, size));
     Cycles &now = machine_->clock(core);

@@ -60,9 +60,6 @@ class RedoLogBackend : public BaselineBase
   private:
     using LineImage = std::array<std::uint8_t, kLineSize>;
 
-    void storeLine(CoreId core, Addr vaddr, const void *buf,
-                   std::uint64_t size);
-
     /** Per-core speculative write buffer: line vaddr -> new contents. */
     std::vector<std::unordered_map<Addr, LineImage>> writeBuf_;
     /** Cores that completed phase 1 but not yet phase 2. */

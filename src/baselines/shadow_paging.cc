@@ -28,42 +28,19 @@ void
 ShadowPagingBackend::load(CoreId core, Addr vaddr, void *buf,
                           std::uint64_t size)
 {
-    auto *out = static_cast<std::uint8_t *>(buf);
+    ssp_assert(fitsInLine(vaddr, size));
     Cycles &now = machine_->clock(core);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Ppn ppn = activePpn(core, pageOf(vaddr));
-        const Addr loc =
-            lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr);
-        now = machine_->caches().read(core, loc, now);
-        now += Machine::kOpCost;
-        machine_->mem().read(loc, out, in_line);
-        machine_->conflicts().recordRead(core, vaddr);
-        vaddr += in_line;
-        out += in_line;
-        size -= in_line;
-    }
+    const Ppn ppn = activePpn(core, pageOf(vaddr));
+    const Addr loc = lineAddr(ppn, lineIndexInPage(vaddr)) + lineOffset(vaddr);
+    now = machine_->caches().read(core, loc, now);
+    now += Machine::kOpCost;
+    machine_->mem().read(loc, buf, size);
+    machine_->conflicts().recordRead(core, vaddr);
 }
 
 void
 ShadowPagingBackend::store(CoreId core, Addr vaddr, const void *buf,
                            std::uint64_t size)
-{
-    const auto *in = static_cast<const std::uint8_t *>(buf);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        storeLine(core, vaddr, in, in_line);
-        vaddr += in_line;
-        in += in_line;
-        size -= in_line;
-    }
-}
-
-void
-ShadowPagingBackend::storeLine(CoreId core, Addr vaddr, const void *buf,
-                               std::uint64_t size)
 {
     ssp_assert(tx_[core].inTx, "atomic store outside a transaction");
     ssp_assert(fitsInLine(vaddr, size));

@@ -45,9 +45,6 @@ class ShadowPagingBackend : public BaselineBase
     void onCrash() override;
 
   private:
-    void storeLine(CoreId core, Addr vaddr, const void *buf,
-                   std::uint64_t size);
-
     /** Shadow page for a touched vpn, or the committed translation. */
     Ppn activePpn(CoreId core, Vpn vpn);
 

@@ -43,9 +43,6 @@ class UndoLogBackend : public BaselineBase
     void onCrash() override {}
 
   private:
-    void storeLine(CoreId core, Addr vaddr, const void *buf,
-                   std::uint64_t size);
-
     /** Functional rollback of one core's unfinished transaction. */
     void rollback(BaselineLog &log);
 

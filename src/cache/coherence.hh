@@ -79,8 +79,8 @@ class CoherenceModel
     using BackInvalidateFn = std::function<CoreBitmap(Addr line, Cycles now)>;
 
     explicit CoherenceModel(unsigned num_cores)
-        : numCores_(num_cores), flipsSent_(num_cores, 0),
-          invalidationsSent_(num_cores, 0), messagesReceived_(num_cores, 0)
+        : numCores_(num_cores), invalidationsSent_(num_cores, 0),
+          messagesReceived_(num_cores, 0)
     {
     }
 
@@ -156,20 +156,12 @@ class CoherenceModel
     deliverInvalidation(CoreId receiver)
     {
         ++messagesReceived_[receiver];
-        ++invalidationsDelivered_;
     }
 
     std::uint64_t flipMessages() const { return flipMessages_; }
     std::uint64_t invalidations() const { return invalidations_; }
     /** Flip-broadcast shootdowns that found and dropped a peer copy. */
     std::uint64_t shootdownsDelivered() const { return shootdownsDelivered_; }
-    /** Write invalidations that found and dropped a peer copy. */
-    std::uint64_t
-    invalidationsDelivered() const
-    {
-        return invalidationsDelivered_;
-    }
-    std::uint64_t flipsSent(CoreId core) const { return flipsSent_[core]; }
     std::uint64_t
     invalidationsSent(CoreId core) const
     {
@@ -197,13 +189,8 @@ class CoherenceModel
     /** @} */
 
   protected:
-    /** Count one flip-current-bit send from @p sender. */
-    void
-    countFlip(CoreId sender)
-    {
-        ++flipMessages_;
-        ++flipsSent_[sender];
-    }
+    /** Count one flip-current-bit send. */
+    void countFlip() { ++flipMessages_; }
 
     /** Count one write-invalidation send from @p sender. */
     void
@@ -221,9 +208,7 @@ class CoherenceModel
     std::uint64_t flipMessages_ = 0;
     std::uint64_t invalidations_ = 0;
     std::uint64_t shootdownsDelivered_ = 0;
-    std::uint64_t invalidationsDelivered_ = 0;
     std::uint64_t messages_ = 0;
-    std::vector<std::uint64_t> flipsSent_;
     std::vector<std::uint64_t> invalidationsSent_;
     std::vector<std::uint64_t> messagesReceived_;
 };
@@ -247,10 +232,10 @@ class BroadcastCoherence final : public CoherenceModel
     }
 
     Cycles
-    flipCurrentBit(CoreId sender, Addr, const CoreBitmap &,
+    flipCurrentBit(CoreId, Addr, const CoreBitmap &,
                    Cycles now) override
     {
-        countFlip(sender);
+        countFlip();
         // With a single core there is nobody to notify; the paper's
         // mechanism piggybacks on invalidations, costing the sender the
         // bus traversal only when other cores exist.

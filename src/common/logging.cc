@@ -30,6 +30,13 @@ vformat(const char *fmt, va_list ap)
     return out;
 }
 
+/** " (file:line)": where a panic or failed assertion fired. */
+std::string
+where(const char *file, int line)
+{
+    return " (" + std::string(file) + ":" + std::to_string(line) + ")";
+}
+
 } // namespace
 
 void
@@ -44,6 +51,11 @@ verbose()
     return g_verbose;
 }
 
+// The three error paths only throw: whoever catches the exception (a
+// CLI's main, a sweep cell, a test) decides whether and how to print
+// it, so no message reaches stderr twice.  Uncaught, the exception
+// still terminates the process with its text.
+
 void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {
@@ -51,32 +63,26 @@ panicImpl(const char *file, int line, const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::fflush(stderr);
-    // Throwing (rather than abort()) lets the test suite exercise panic
-    // paths; uncaught it still terminates the process.
-    throw std::logic_error("panic: " + msg);
+    throw std::logic_error("panic: " + msg + where(file, line));
 }
 
 void
-fatalImpl(const char *file, int line, const char *fmt, ...)
+fatalImpl(const char * /*file*/, int /*line*/, const char *fmt, ...)
 {
+    // A user-facing error (bad option, impossible configuration): the
+    // message names the problem, not the source line that found it.
     va_list ap;
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::fflush(stderr);
     throw std::runtime_error("fatal: " + msg);
 }
 
 void
 assertFailImpl(const char *file, int line, const char *cond)
 {
-    std::fprintf(stderr, "panic: assertion '%s' failed (%s:%d)\n", cond,
-                 file, line);
-    std::fflush(stderr);
-    throw std::logic_error(std::string("assertion failed: ") + cond);
+    throw std::logic_error(std::string("assertion failed: ") + cond +
+                           where(file, line));
 }
 
 void
@@ -87,11 +93,8 @@ assertFailImpl(const char *file, int line, const char *cond, const char *fmt,
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    std::fprintf(stderr, "panic: assertion '%s' failed%s%s (%s:%d)\n", cond,
-                 msg.empty() ? "" : ": ", msg.c_str(), file, line);
-    std::fflush(stderr);
     throw std::logic_error(std::string("assertion failed: ") + cond +
-                           (msg.empty() ? "" : (": " + msg)));
+                           (msg.empty() ? "" : ": " + msg) + where(file, line));
 }
 
 void

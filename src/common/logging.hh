@@ -2,10 +2,15 @@
  * @file
  * Error and status reporting in the gem5 idiom.
  *
- * panic()  — an internal invariant was violated (simulator bug); aborts.
- * fatal()  — the user asked for something impossible (bad config); exits.
+ * panic()  — an internal invariant was violated (simulator bug); throws
+ *            std::logic_error "panic: <msg> (file:line)".
+ * fatal()  — the user asked for something impossible (bad config); throws
+ *            std::runtime_error "fatal: <msg>".
  * warn()   — something is off but the simulation can continue.
  * inform() — status messages.
+ *
+ * panic, fatal and failed assertions print nothing themselves: the
+ * catcher (a CLI's main, a sweep cell, a test) reports what() once.
  */
 
 #ifndef SSP_COMMON_LOGGING_HH
@@ -43,7 +48,9 @@ bool verbose();
 #define ssp_inform(...) ::ssp::informImpl(__VA_ARGS__)
 
 /**
- * Assert an internal invariant; compiled into all build types.
+ * Assert an internal invariant; compiled into all build types.  A
+ * failure throws std::logic_error "assertion failed: <cond>[: <msg>]
+ * (file:line)".
  * The optional message must start with a string literal:
  *   ssp_assert(x < n, "x=%u out of range", x);
  *

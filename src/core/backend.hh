@@ -11,6 +11,12 @@
  * ATOMIC_BEGIN / ATOMIC_STORE / ATOMIC_END, plus loads, a raw
  * (non-failure-atomic) store for heap initialization, and crash/recover
  * hooks for the fault-injection tests.
+ *
+ * Functional accesses are line-granular: every load, store, loadRaw
+ * and storeRaw covers a non-empty span inside one cache line, the unit
+ * SSP's bitmaps track and the undo/redo logs record.  Each backend
+ * checks it (a line-crossing span throws std::logic_error in every
+ * build type).  TxHeap::loadBytes/storeBytes split wider spans.
  */
 
 #ifndef SSP_CORE_BACKEND_HH
@@ -69,23 +75,26 @@ class AtomicityBackend
     /** True while a failure-atomic section is open on @p core. */
     virtual bool inTx(CoreId core) const = 0;
 
-    /** Timed load of @p size bytes at persistent virtual address. */
+    /** Timed load of @p size bytes at persistent virtual address;
+     *  the span stays within one cache line. */
     virtual void load(CoreId core, Addr vaddr, void *buf,
                       std::uint64_t size) = 0;
 
-    /** ATOMIC_STORE: timed failure-atomic store; must be inside a tx. */
+    /** ATOMIC_STORE: timed failure-atomic store within one cache
+     *  line; must be inside a tx. */
     virtual void store(CoreId core, Addr vaddr, const void *buf,
                        std::uint64_t size) = 0;
 
     /**
      * Non-failure-atomic initialization store (untimed, used to build
      * the initial heap image before measurement; the image is treated
-     * as the first committed state).
+     * as the first committed state).  One cache line per call.
      */
     virtual void storeRaw(Addr vaddr, const void *buf,
                           std::uint64_t size) = 0;
 
-    /** Untimed functional read (verification paths). */
+    /** Untimed functional read within one cache line (verification
+     *  paths). */
     virtual void loadRaw(Addr vaddr, void *buf, std::uint64_t size) = 0;
 
     /** Simulated power failure: all volatile state disappears. */

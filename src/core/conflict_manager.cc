@@ -125,10 +125,8 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
     TxState &tx = tx_[core];
     ssp_assert(tx.active, "conflict-tracking commit without a begin");
 
-    CommitRecord rec;
-    rec.core = core;
-    rec.commitCycle = tx.validated ? tx.validatedAt : now;
-    rec.writes = std::move(tx.writes);
+    const Cycles commit_cycle = tx.validated ? tx.validatedAt : now;
+    const LineSet writes = std::move(tx.writes);
     closeTx(tx);
 
     // Prune: a future transaction on any core begins no earlier than
@@ -142,7 +140,7 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
                 floor = std::min(floor, t.beginCycle);
         }
     }
-    while (!log_.empty() && log_.front().commitCycle <= floor)
+    while (!log_.empty() && log_.front() <= floor)
         log_.pop_front();
     // The log drains completely at every round boundary (the barrier
     // advances the floor past the previous round's commit points), so
@@ -157,25 +155,24 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
     // Publish.  A record already at or below the floor is unreachable
     // by any future window; the pre-index code path reached the same
     // end state by pushing it and immediately pruning it.
-    if (!rec.writes.empty() &&
-        !(log_.empty() && rec.commitCycle <= floor)) {
+    if (!writes.empty() && !(log_.empty() && commit_cycle <= floor)) {
         const std::uint64_t seq = nextSeq_++;
-        for (Addr line : rec.writes) {
+        for (Addr line : writes) {
             std::vector<Posting> &vec = postings_[line];
             // Keep each line's postings sorted by commit point so
             // validation can binary-search its window.  Commit points
             // interleave across cores mid-round, so this is a real
             // sorted insert, not an append.
             auto at = std::upper_bound(
-                vec.begin(), vec.end(), rec.commitCycle,
+                vec.begin(), vec.end(), commit_cycle,
                 [](Cycles c, const Posting &p) {
                     return c < p.commitCycle;
                 });
-            vec.insert(at, Posting{rec.commitCycle, seq, rec.core});
+            vec.insert(at, Posting{commit_cycle, seq, core});
             const auto [word, bit] = bloomBit(line);
             postingBloom_[word] |= bit;
         }
-        log_.push_back(std::move(rec));
+        log_.push_back(commit_cycle);
     }
 }
 

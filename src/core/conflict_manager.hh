@@ -151,16 +151,14 @@ class ConflictManager
     const ConflictStats &stats() const { return stats_; }
 
     /**
-     * @{ 2PC prepare introspection (src/shard/): a transaction whose
-     * last validate() succeeded is *prepared* — its commit point is
-     * fixed at preparedAt() and commitTx will stamp the published
-     * record there.  The shard coordinator reads these to anchor the
-     * prepare-vote timestamp; with conflict detection off (one core)
-     * validate() never fixes a point and prepared() stays false.
+     * 2PC prepare introspection (src/shard/): a transaction whose last
+     * validate() succeeded is *prepared* — its commit point is fixed at
+     * preparedAt() and commitTx will stamp the published record there.
+     * The shard coordinator reads it to anchor the prepare-vote
+     * timestamp; with conflict detection off (one core) validate()
+     * never fixes a point.
      */
-    bool prepared(CoreId core) const { return tx_[core].validated; }
     Cycles preparedAt(CoreId core) const { return tx_[core].validatedAt; }
-    /** @} */
 
     /** Introspection (tests): in-flight set sizes and log depth. */
     bool inTx(CoreId core) const { return tx_[core].active; }
@@ -186,14 +184,6 @@ class ConflictManager
         /** Line-aligned vaddrs; LineSet keeps the hot record/validate
          *  path allocation- and hash-free for Table 3-sized sets. */
         LineSet reads;
-        LineSet writes;
-    };
-
-    /** One committed transaction's published write set. */
-    struct CommitRecord
-    {
-        CoreId core = 0;
-        Cycles commitCycle = 0;
         LineSet writes;
     };
 
@@ -223,7 +213,13 @@ class ConflictManager
     /** Number of tx_ entries with active set: commitTx skips the
      *  open-begin scan of the prune floor when no transaction is open. */
     unsigned openTxs_ = 0;
-    std::deque<CommitRecord> log_;
+    /**
+     * Commit points of the published records, in log order: the prune
+     * loop pops them off the front, and the log's emptiness is what
+     * resets the posting index.  The written lines themselves live
+     * only in postings_.
+     */
+    std::deque<Cycles> log_;
     /**
      * Inverted index over log_: line address -> postings of every
      * published write of that line, sorted by commit point so a

@@ -70,47 +70,24 @@ SspEngine::currentLineAddr(const SspCacheEntry &e, const Translation &tr,
 void
 SspEngine::load(Addr vaddr, void *buf, std::uint64_t size)
 {
-    auto *out = static_cast<std::uint8_t *>(buf);
     Cycles &now = machine_.clock(core_);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        Translation tr = translate(pageOf(vaddr));
-        const SspCacheEntry &e = mc_.cache().entry(tr.slot);
-        const unsigned li = lineIndexInPage(vaddr);
-        const Addr loc = currentLineAddr(e, tr, li);
-        const Cycles t0 = now;
-        now = machine_.caches().read(core_, loc, now);
-        now += Machine::kOpCost;
-        stats_.loadCycles += now - t0;
-        machine_.mem().read(loc + lineOffset(vaddr), out, in_line);
-        machine_.conflicts().recordRead(core_, vaddr);
-        ++stats_.loads;
-        vaddr += in_line;
-        out += in_line;
-        size -= in_line;
-    }
+    Translation tr = translate(pageOf(vaddr));
+    const SspCacheEntry &e = mc_.cache().entry(tr.slot);
+    const unsigned li = lineIndexInPage(vaddr);
+    const Addr loc = currentLineAddr(e, tr, li);
+    const Cycles t0 = now;
+    now = machine_.caches().read(core_, loc, now);
+    now += Machine::kOpCost;
+    stats_.loadCycles += now - t0;
+    machine_.mem().read(loc + lineOffset(vaddr), buf, size);
+    machine_.conflicts().recordRead(core_, vaddr);
+    ++stats_.loads;
 }
 
 void
 SspEngine::atomicStore(Addr vaddr, const void *buf, std::uint64_t size)
 {
-    const auto *in = static_cast<const std::uint8_t *>(buf);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        atomicStoreLine(vaddr, in, in_line);
-        vaddr += in_line;
-        in += in_line;
-        size -= in_line;
-    }
-}
-
-void
-SspEngine::atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size)
-{
     ssp_assert(inTx_, "ATOMIC_STORE outside a failure-atomic section");
-    ssp_assert(fitsInLine(vaddr, size));
 
     Cycles &now = machine_.clock(core_);
     const Cycles store_t0 = now;

@@ -58,10 +58,12 @@ class SspEngine
     /** ATOMIC_BEGIN (full memory barrier; assigns the TID). */
     void begin();
 
-    /** ATOMIC_STORE of @p size bytes; splits across lines/pages. */
+    /** ATOMIC_STORE of @p size bytes within one cache line (the
+     *  caller, SspSystem::store, checks the span). */
     void atomicStore(Addr vaddr, const void *buf, std::uint64_t size);
 
-    /** Timed load; sees the transaction's own speculative writes. */
+    /** Timed load within one cache line (checked by SspSystem::load);
+     *  sees the transaction's own speculative writes. */
     void load(Addr vaddr, void *buf, std::uint64_t size);
 
     /** ATOMIC_END: flush write set, journal metadata, ack. */
@@ -90,9 +92,6 @@ class SspEngine
 
     /** translate() after a TLB miss. */
     Translation translateMiss(Vpn vpn);
-
-    /** Atomic store confined to one cache line. */
-    void atomicStoreLine(Addr vaddr, const void *buf, std::uint64_t size);
 
     /** Physical line address of line @p li per the current bitmap. */
     Addr currentLineAddr(const SspCacheEntry &e, const Translation &tr,

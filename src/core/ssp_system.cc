@@ -45,14 +45,6 @@ SspSystem::SspSystem(const SspConfig &cfg)
 }
 
 void
-SspSystem::mapHeapPage(Vpn vpn, Ppn ppn)
-{
-    ssp_assert(ppn < machine_->cfg().heapPages,
-               "heap page outside the heap region");
-    machine_->pt().map(vpn, ppn);
-}
-
-void
 SspSystem::begin(CoreId core)
 {
     engines_[core]->begin();
@@ -82,6 +74,7 @@ SspSystem::inTx(CoreId core) const
 void
 SspSystem::load(CoreId core, Addr vaddr, void *buf, std::uint64_t size)
 {
+    ssp_assert(fitsInLine(vaddr, size));
     engines_[core]->load(vaddr, buf, size);
 }
 
@@ -89,6 +82,7 @@ void
 SspSystem::store(CoreId core, Addr vaddr, const void *buf,
                  std::uint64_t size)
 {
+    ssp_assert(fitsInLine(vaddr, size));
     engines_[core]->atomicStore(vaddr, buf, size);
 }
 
@@ -96,53 +90,37 @@ void
 SspSystem::storeRaw(Addr vaddr, const void *buf, std::uint64_t size)
 {
     // Initialization path: write directly to the committed location.
-    auto *in = static_cast<const std::uint8_t *>(buf);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Vpn vpn = pageOf(vaddr);
-        const unsigned li = lineIndexInPage(vaddr);
-        Ppn ppn;
-        SlotId sid = mc_->cache().findSlot(vpn);
-        if (sid != kInvalidSlot) {
-            const SspCacheEntry &e = mc_->cache().entry(sid);
-            ppn = e.committed.test(li) ? e.ppn1 : e.ppn0;
-            ssp_assert(e.current == e.committed,
-                       "storeRaw during an open transaction");
-        } else {
-            ppn = machine_->pt().translate(vpn);
-        }
-        machine_->mem().write(lineAddr(ppn, li) + lineOffset(vaddr), in,
-                              in_line);
-        vaddr += in_line;
-        in += in_line;
-        size -= in_line;
+    ssp_assert(fitsInLine(vaddr, size));
+    const Vpn vpn = pageOf(vaddr);
+    const unsigned li = lineIndexInPage(vaddr);
+    Ppn ppn;
+    SlotId sid = mc_->cache().findSlot(vpn);
+    if (sid != kInvalidSlot) {
+        const SspCacheEntry &e = mc_->cache().entry(sid);
+        ppn = e.committed.test(li) ? e.ppn1 : e.ppn0;
+        ssp_assert(e.current == e.committed,
+                   "storeRaw during an open transaction");
+    } else {
+        ppn = machine_->pt().translate(vpn);
     }
+    machine_->mem().write(lineAddr(ppn, li) + lineOffset(vaddr), buf, size);
 }
 
 void
 SspSystem::loadRaw(Addr vaddr, void *buf, std::uint64_t size)
 {
-    auto *out = static_cast<std::uint8_t *>(buf);
-    while (size > 0) {
-        const std::uint64_t in_line =
-            std::min<std::uint64_t>(size, kLineSize - lineOffset(vaddr));
-        const Vpn vpn = pageOf(vaddr);
-        const unsigned li = lineIndexInPage(vaddr);
-        Ppn ppn;
-        SlotId sid = mc_->cache().findSlot(vpn);
-        if (sid != kInvalidSlot) {
-            const SspCacheEntry &e = mc_->cache().entry(sid);
-            ppn = e.current.test(li) ? e.ppn1 : e.ppn0;
-        } else {
-            ppn = machine_->pt().translate(vpn);
-        }
-        machine_->mem().read(lineAddr(ppn, li) + lineOffset(vaddr), out,
-                             in_line);
-        vaddr += in_line;
-        out += in_line;
-        size -= in_line;
+    ssp_assert(fitsInLine(vaddr, size));
+    const Vpn vpn = pageOf(vaddr);
+    const unsigned li = lineIndexInPage(vaddr);
+    Ppn ppn;
+    SlotId sid = mc_->cache().findSlot(vpn);
+    if (sid != kInvalidSlot) {
+        const SspCacheEntry &e = mc_->cache().entry(sid);
+        ppn = e.current.test(li) ? e.ppn1 : e.ppn0;
+    } else {
+        ppn = machine_->pt().translate(vpn);
     }
+    machine_->mem().read(lineAddr(ppn, li) + lineOffset(vaddr), buf, size);
 }
 
 Addr

@@ -29,9 +29,6 @@ class SspSystem : public AtomicityBackend
   public:
     explicit SspSystem(const SspConfig &cfg);
 
-    /** Map a persistent virtual page (identity-mapped heap setup). */
-    void mapHeapPage(Vpn vpn, Ppn ppn);
-
     // AtomicityBackend ----------------------------------------------------
     const char *name() const override { return "SSP"; }
     void begin(CoreId core) override;

@@ -47,7 +47,7 @@ Cycles
 DirectoryCoherence::flipCurrentBit(CoreId sender, Addr line,
                                    const CoreBitmap &peers, Cycles now)
 {
-    countFlip(sender);
+    countFlip();
     // Single-core machines have no peers and no mesh to cross; keep
     // parity with the broadcast model's free single-core flips.
     if (numCores() <= 1)

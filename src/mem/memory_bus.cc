@@ -49,7 +49,6 @@ MemoryBus::issueRead(Addr line_addr, Cycles now)
         ++nvramReads_;
         return nvram_.access(line_addr, false, now);
     }
-    ++dramReads_;
     return dram_.access(line_addr, false, now);
 }
 
@@ -79,7 +78,6 @@ MemoryBus::resetStats()
 {
     nvramWriteCount_.fill(0);
     nvramReads_ = 0;
-    dramReads_ = 0;
     dramWrites_ = 0;
 }
 

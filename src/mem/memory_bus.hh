@@ -85,7 +85,6 @@ class MemoryBus
     }
 
     std::uint64_t nvramReads() const { return nvramReads_; }
-    std::uint64_t dramReads() const { return dramReads_; }
     std::uint64_t dramWrites() const { return dramWrites_; }
 
     MemChannelGroup &dramGroup() { return dram_; }
@@ -108,7 +107,6 @@ class MemoryBus
                static_cast<unsigned>(WriteCategory::NumCategories)>
         nvramWriteCount_{};
     std::uint64_t nvramReads_ = 0;
-    std::uint64_t dramReads_ = 0;
     std::uint64_t dramWrites_ = 0;
 };
 

@@ -111,13 +111,4 @@ PhysMem::snapshotNvram() const
     return snap;
 }
 
-std::uint64_t
-PhysMem::allocatedPages() const
-{
-    std::uint64_t n = 0;
-    for (const auto &page : pages_)
-        n += page != nullptr ? 1 : 0;
-    return n;
-}
-
 } // namespace ssp

@@ -96,9 +96,6 @@ class PhysMem
     /** Deep copy of the NVRAM region (for the crash-test oracle). */
     std::unordered_map<Ppn, std::vector<std::uint8_t>> snapshotNvram() const;
 
-    /** Pages currently backed by host memory (for tests). */
-    std::uint64_t allocatedPages() const;
-
   private:
     void readSlow(Addr addr, void *buf, std::uint64_t size) const;
     void writeSlow(Addr addr, const void *buf, std::uint64_t size);

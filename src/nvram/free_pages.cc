@@ -6,7 +6,7 @@ namespace ssp
 {
 
 FreePagePool::FreePagePool(Ppn base_ppn, std::uint64_t num_pages)
-    : basePpn_(base_ppn), capacity_(num_pages)
+    : capacity_(num_pages)
 {
     ssp_assert(num_pages > 0);
     free_.reserve(num_pages);

@@ -50,15 +50,7 @@ class FreePagePool
     std::uint64_t available() const { return free_.size(); }
     std::uint64_t capacity() const { return capacity_; }
 
-    /** True if @p ppn lies inside the reserved range. */
-    bool
-    inRange(Ppn ppn) const
-    {
-        return ppn >= basePpn_ && ppn < basePpn_ + capacity_;
-    }
-
   private:
-    Ppn basePpn_;
     std::uint64_t capacity_;
     std::vector<Ppn> free_; // LIFO: allocate takes the last release
 };

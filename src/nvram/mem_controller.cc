@@ -144,7 +144,6 @@ Cycles
 MemController::metadataUpdate(TxId tid, SlotId sid, Bitmap64 updated,
                               Cycles now)
 {
-    ++metadataUpdates_;
     SspCacheEntry &e = cache_.entry(sid);
     ssp_assert(e.valid);
 
@@ -178,12 +177,6 @@ MemController::commitTx(TxId tid, Cycles now)
     if (journal_.appendedBytes() >= params_.checkpointThresholdBytes)
         checkpoint(done);
     return done;
-}
-
-Cycles
-MemController::accessSlot(SlotId sid, Cycles now)
-{
-    return cache_.access(sid, now);
 }
 
 void

@@ -113,9 +113,6 @@ class MemController
     /** Allocate a fresh transaction ID. */
     TxId beginTx() { return nextTid_++; }
 
-    /** Timed read of a slot's metadata (SSP-cache latency model). */
-    Cycles accessSlot(SlotId sid, Cycles now);
-
     /**
      * Checkpoint now: capture the final durable state of every slot the
      * journal touched into the persistent SSP cache, then truncate.
@@ -139,7 +136,6 @@ class MemController
     FreePagePool &pool() { return pool_; }
 
     std::uint64_t checkpoints() const { return checkpoints_; }
-    std::uint64_t metadataUpdates() const { return metadataUpdates_; }
 
   private:
     /** Consolidate a slot that has just become inactive. */
@@ -158,7 +154,6 @@ class MemController
     Consolidator consolidator_;
     TxId nextTid_ = 1;
     std::uint64_t checkpoints_ = 0;
-    std::uint64_t metadataUpdates_ = 0;
     /**
      * Shadow pages released by slot evictions, quarantined until the
      * journal watermark covers their Free record (so recovery can never

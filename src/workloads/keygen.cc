@@ -5,16 +5,6 @@
 namespace ssp
 {
 
-KeyDist
-parseKeyDist(const std::string &name)
-{
-    if (name == "rand" || name == "Rand" || name == "uniform")
-        return KeyDist::Uniform;
-    if (name == "zipf" || name == "Zipf")
-        return KeyDist::Zipf;
-    ssp_fatal("unknown key distribution '%s'", name.c_str());
-}
-
 KeyGenerator::KeyGenerator(KeyDist dist, std::uint64_t key_space,
                            std::uint64_t seed)
     : dist_(dist), keySpace_(key_space), uniform_(seed)

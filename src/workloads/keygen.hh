@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/rng.hh"
 
@@ -24,9 +23,6 @@ enum class KeyDist
     Uniform, ///< "-Rand"
     Zipf,    ///< "-Zipf" (80/15 hotspot, per the paper's definition)
 };
-
-/** Parse "rand"/"zipf". */
-KeyDist parseKeyDist(const std::string &name);
 
 /** Draws keys from [0, key_space) under a distribution. */
 class KeyGenerator

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "baselines/backend_factory.hh"
 #include "baselines/redo_log.hh"
 #include "baselines/shadow_paging.hh"
 #include "baselines/undo_log.hh"
 #include "tests/test_helpers.hh"
+#include "workloads/tx_heap.hh"
 
 using namespace ssp;
 using namespace ssp::test;
@@ -89,15 +92,43 @@ TEST_P(BackendConformanceTest, CommittedTxSurvivesCrash)
 
 TEST_P(BackendConformanceTest, MultiLineStoreSplits)
 {
+    // Backends take one line per access; TxHeap splits wider spans.
+    TxHeap heap(*be);
     std::uint8_t buf[200];
     for (unsigned i = 0; i < sizeof(buf); ++i)
         buf[i] = static_cast<std::uint8_t>(i ^ 0x5a);
     be->begin(0);
-    be->store(0, 0x7020, buf, sizeof(buf)); // unaligned, spans 4 lines
+    heap.storeBytes(0, 0x7020, buf, sizeof(buf)); // unaligned, 4 lines
+    std::uint8_t seen[200] = {};
+    heap.loadBytes(0, 0x7020, seen, sizeof(seen)); // the tx's own writes
     be->commit(0);
+    EXPECT_EQ(std::memcmp(buf, seen, sizeof(buf)), 0);
     std::uint8_t out[200] = {};
-    be->loadRaw(0x7020, out, sizeof(out));
+    heap.loadBytes(0, 0x7020, out, sizeof(out));
     EXPECT_EQ(std::memcmp(buf, out, sizeof(buf)), 0);
+    for (unsigned i = 0; i < sizeof(buf); i += 8) {
+        const Addr a = 0x7020 + i;
+        std::uint8_t byte = 0;
+        be->loadRaw(a, &byte, 1);
+        EXPECT_EQ(byte, buf[i]) << "offset " << i;
+    }
+}
+
+TEST_P(BackendConformanceTest, LineCrossingAccessThrows)
+{
+    // One access, one cache line: a span over a line boundary is a
+    // caller bug, caught in every build type.
+    std::uint8_t buf[16] = {};
+    const Addr crossing = 0x7038; // 8 bytes left in its line
+    EXPECT_THROW(be->storeRaw(crossing, buf, sizeof(buf)), std::logic_error);
+    EXPECT_THROW(be->loadRaw(crossing, buf, sizeof(buf)), std::logic_error);
+    be->begin(0);
+    EXPECT_THROW(be->load(0, crossing, buf, sizeof(buf)), std::logic_error);
+    EXPECT_THROW(be->store(0, crossing, buf, sizeof(buf)), std::logic_error);
+    // Nothing was stored; the open transaction still commits cleanly.
+    be->commit(0);
+    EXPECT_EQ(raw64(*be, 0x7038), 0u);
+    EXPECT_EQ(raw64(*be, 0x7040), 0u);
 }
 
 TEST_P(BackendConformanceTest, CharacterizationSampled)

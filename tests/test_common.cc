@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the common substrate: bitmaps, address arithmetic,
- * RNG/distributions, and statistics.
+ * RNG/distributions, statistics and error reporting.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "common/bitmap64.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -110,6 +113,48 @@ TEST(AddressMath, FitsPredicates)
     EXPECT_TRUE(fitsInPage(0, kPageSize));
     EXPECT_FALSE(fitsInPage(8, kPageSize));
     EXPECT_FALSE(fitsInLine(0, 0));
+}
+
+// ---- error reporting ----------------------------------------------------
+
+/** what() of the @p Ex that @p fn throws ("" when it throws none). */
+template <typename Ex, typename Fn>
+std::string
+whatOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const Ex &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Logging, ErrorsThrowWithoutPrinting)
+{
+    // The catcher reports what() once; the error paths print nothing.
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(ssp_fatal("bad option %d", 7), std::runtime_error);
+    EXPECT_THROW(ssp_assert(false), std::logic_error);
+    const std::string fatal_what =
+        whatOf<std::runtime_error>([] { ssp_fatal("bad option %d", 7); });
+    const std::string assert_what = whatOf<std::logic_error>([] {
+        const int x = 1;
+        ssp_assert(x == 2, "x=%d", x);
+    });
+    const std::string panic_what =
+        whatOf<std::logic_error>([] { ssp_panic("broken %s", "invariant"); });
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+    // A fatal is a user-facing message, without a source location; an
+    // assertion or a panic says where it fired.
+    EXPECT_EQ(fatal_what, "fatal: bad option 7");
+    EXPECT_EQ(assert_what.rfind("assertion failed: x == 2: x=1 (", 0), 0u)
+        << assert_what;
+    EXPECT_EQ(panic_what.rfind("panic: broken invariant (", 0), 0u)
+        << panic_what;
+    for (const std::string &what : {assert_what, panic_what})
+        EXPECT_NE(what.find("test_common.cc:"), std::string::npos) << what;
 }
 
 TEST(Rng, Deterministic)
