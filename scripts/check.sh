@@ -19,7 +19,10 @@
 #            -fno-sanitize-recover=all (mirrors the CI
 #            gcc-debug-asan-ubsan leg).  Debug builds also run the
 #            ssp_assert_dbg cross-checks, such as the sharer index
-#            against the caches' tags after every setup phase.
+#            against the caches' tags after every setup phase; the
+#            ASan path then replays one grid subset
+#            (GridReplay.ScaleCores1To4MatchCheckedInReport) so they
+#            run over real grid cells too.
 
 set -euo pipefail
 
@@ -83,6 +86,13 @@ if [ -n "$sanitizer" ]; then
         TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         -LE replay
+    if [ "$sanitizer" = asan ]; then
+        echo "== Debug cross-checks over a replayed grid =="
+        ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
+            UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+            "$build_dir/test_grid_replay" \
+            --gtest_filter=GridReplay.ScaleCores1To4MatchCheckedInReport
+    fi
     echo "OK ($sanitizer)"
     exit 0
 fi

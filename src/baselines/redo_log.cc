@@ -144,8 +144,7 @@ RedoLogBackend::commit(CoreId core)
     commitPhase1(core);
     // The ack point: the redo log (with its marker) is durable, so the
     // write set is published for peer conflict windows here.
-    machine_->conflicts().commitTx(core, machine_->clock(core),
-                                   machine_->minClock());
+    machine_->commitConflicts(core, machine_->clock(core));
     commitPhase2(core);
 }
 

@@ -125,7 +125,7 @@ ShadowPagingBackend::commit(CoreId core)
     mapJournal_.truncate();
 
     shadow_[core].clear();
-    machine_->conflicts().commitTx(core, now, machine_->minClock());
+    machine_->commitConflicts(core, now);
     noteCommit(core);
     tx.clear();
 }

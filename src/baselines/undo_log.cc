@@ -87,7 +87,7 @@ UndoLogBackend::commit(CoreId core)
     now = logs_[core].append(marker, flushed);
     logs_[core].truncate();
 
-    machine_->conflicts().commitTx(core, now, machine_->minClock());
+    machine_->commitConflicts(core, now);
     noteCommit(core);
     tx.clear();
 }

@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -12,13 +13,33 @@ namespace ssp
 namespace
 {
 
+/** Bytes in a host cache line, the alignment of a cache's tags. */
+constexpr std::uint64_t kHostLine = 64;
+
+/** Recency words in a block: the set count rounded up to whole host
+ *  lines, so the tags after them start on a host-line boundary. */
+std::uint64_t
+recencyWords(std::uint64_t sets)
+{
+    return (sets + 7) & ~std::uint64_t{7};
+}
+
+/** Bytes of a block: one host line of alignment slack, the padded
+ *  recency words, then the tags. */
+std::uint64_t
+blockBytes(std::uint64_t sets, unsigned ways)
+{
+    return kHostLine + recencyWords(sets) * sizeof(std::uint64_t) +
+           sets * ways * sizeof(std::uint32_t);
+}
+
 /** Set once the calling thread's pool is gone; a cache destroyed after
  *  that (during thread exit) frees its arrays itself. */
 thread_local bool poolDestroyed = false;
 
 /**
- * The calling thread's retired array blocks (a cache's tags followed
- * by its recency words), all zero, in one pile per geometry.  Freed at
+ * The calling thread's retired array blocks (a cache's recency words
+ * followed by its tags), all zero, in one pile per geometry.  Freed at
  * thread exit.
  */
 class ArrayPool
@@ -30,36 +51,36 @@ class ArrayPool
     ~ArrayPool()
     {
         for (Pile &pile : piles_) {
-            for (std::uint64_t *p : pile.blocks)
+            for (void *p : pile.blocks)
                 std::free(p);
         }
         poolDestroyed = true;
     }
 
-    /** An all-zero block of @p sets x (@p ways + 1) words. */
-    std::uint64_t *
+    /** An all-zero block of blockBytes(@p sets, @p ways) bytes. */
+    void *
     take(std::uint64_t sets, unsigned ways)
     {
-        const std::uint64_t len = sets * (ways + 1);
-        std::vector<std::uint64_t *> &blocks = pile(sets, ways);
+        const std::uint64_t len = blockBytes(sets, ways);
+        std::vector<void *> &blocks = pile(sets, ways);
         if (blocks.empty()) {
-            auto *p = static_cast<std::uint64_t *>(
-                std::calloc(len, sizeof(std::uint64_t)));
+            void *p = std::calloc(len, 1);
             ssp_assert(p != nullptr);
             return p;
         }
-        std::uint64_t *p = blocks.back();
+        void *p = blocks.back();
         blocks.pop_back();
         ++recycled;
-        ssp_assert_dbg(std::all_of(p, p + len,
-                                   [](std::uint64_t w) { return w == 0; }),
+        const auto *bytes = static_cast<const unsigned char *>(p);
+        ssp_assert_dbg(std::all_of(bytes, bytes + len,
+                                   [](unsigned char b) { return b == 0; }),
                        "recycled cache block is not all zero");
         return p;
     }
 
     /** Keep the all-zero block @p p that take() handed out. */
     void
-    give(std::uint64_t sets, unsigned ways, std::uint64_t *p)
+    give(std::uint64_t sets, unsigned ways, void *p)
     {
         pile(sets, ways).push_back(p);
     }
@@ -72,10 +93,10 @@ class ArrayPool
     {
         std::uint64_t sets;
         unsigned ways;
-        std::vector<std::uint64_t *> blocks;
+        std::vector<void *> blocks;
     };
 
-    std::vector<std::uint64_t *> &
+    std::vector<void *> &
     pile(std::uint64_t sets, unsigned ways)
     {
         auto it = std::find_if(piles_.begin(), piles_.end(),
@@ -108,14 +129,18 @@ Cache::Cache(const CacheParams &params) : params_(params)
     ssp_assert(numSets_ > 0);
     setsPow2_ = (numSets_ & (numSets_ - 1)) == 0;
     numLines_ = num_lines;
-    // One all-zero block holds the tags, then the recency words: an
-    // all-zero tag word is invalid and an all-zero recency word is the
-    // identity order (see the class comment).  A recycled block is
+    // One all-zero block holds the recency words, then the tags: an
+    // all-zero recency word is the identity order and an all-zero tag
+    // word is invalid (see the class comment).  A recycled block is
     // already resident; a fresh calloc of a big one maps zero pages
     // lazily, so a 96 MiB L3's tags cost only the sets that lines
     // actually land in.
-    tags_ = pool.take(numSets_, params.ways);
-    recency_ = tags_ + numLines_;
+    block_ = pool.take(numSets_, params.ways);
+    const std::uintptr_t first_line =
+        (reinterpret_cast<std::uintptr_t>(block_) + kHostLine - 1) &
+        ~std::uintptr_t{kHostLine - 1};
+    recency_ = reinterpret_cast<std::uint64_t *>(first_line);
+    tags_ = reinterpret_cast<Tag *>(recency_ + recencyWords(numSets_));
     filledSets_.assign((numSets_ + 63) / 64, 0);
 }
 
@@ -123,9 +148,9 @@ Cache::~Cache()
 {
     clearFilledSets();
     if (poolDestroyed)
-        std::free(tags_);
+        std::free(block_);
     else
-        pool.give(numSets_, params_.ways, tags_);
+        pool.give(numSets_, params_.ways, block_);
 }
 
 std::uint64_t
@@ -185,23 +210,26 @@ Cache::insert(Addr line_addr, bool dirty, bool tx)
 CacheAccessResult
 Cache::fillVictim(Addr line_addr, bool dirty, bool tx)
 {
+    ssp_assert(lineOf(line_addr) < kMaxPhysLines,
+               "line address %#llx is outside the 32 GiB a tag can name",
+               static_cast<unsigned long long>(line_addr));
     CacheAccessResult res;
     const std::uint64_t set = setOf(line_addr);
     filledSets_[set >> 6] |= std::uint64_t{1} << (set & 63);
     const unsigned way = victimIn(set);
     const std::uint64_t idx = set * params_.ways + way;
-    const std::uint64_t old = tags_[idx];
+    const Tag old = tags_[idx];
     if ((old & kValidBit) != 0) {
         ++evictions_;
         if ((old & kDirtyBit) != 0) {
             res.writeback = true;
-            res.victimAddr = old & kTagMask;
+            res.victimAddr = addrOf(old);
             res.victimTx = (old & kTxFlagBit) != 0;
         }
-        notifyRemove(old & kTagMask);
+        notifyRemove(addrOf(old));
     }
     notifyAdd(line_addr);
-    tags_[idx] = line_addr | kValidBit | (dirty ? kDirtyBit : 0) |
+    tags_[idx] = tagOf(line_addr) | kValidBit | (dirty ? kDirtyBit : 0) |
                  (tx ? kTxFlagBit : 0);
     touch(set, way);
     hint_ = idx;

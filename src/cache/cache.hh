@@ -58,10 +58,16 @@ struct CacheAccessResult
  * Tag/state array for one cache level.  True-LRU replacement within the
  * set; victims are reported to the caller, which models the next level.
  *
- * Storage is one packed tag word per line (the 64-byte-aligned line
- * address with the valid/dirty/TX flags packed into the low bits) plus
- * one recency word per set.  A whole 8-way set's tags sit in a single
- * host cache line, so the way scan touches one line.
+ * Storage is one 32-bit tag word per line plus one 64-bit recency word
+ * per set.  A tag word holds the line number in bits 3-31 and the
+ * valid, dirty and TX flags in bits 0-2: it is the line address shifted
+ * right by 3, ORed with the flags, and the address reads back as
+ * (tag & ~7) << 3.  29 bits of line number reach physical addresses
+ * below 32 GiB (kMaxPhysLines), 64 times the largest preset's 504 MiB.
+ * PhysMem refuses a larger space, and fillVictim(), the one place a tag
+ * is built from an address, checks every fill against the limit.  A
+ * whole 16-way set's tags fill one 64-byte host line, so the way scan
+ * touches one line.
  *
  * True LRU needs only the order of a set's ways, not when each was
  * used: the recency word holds that order as a permutation of way
@@ -80,18 +86,19 @@ struct CacheAccessResult
  * hinted slot holding it is that slot.  Consecutive accesses often
  * repeat a line, and then the lookup costs one compare.
  *
- * Both arrays live in one block, the tags followed by the recency
- * words.  It starts all zero, and a retired cache hands it back that
- * way: a word outside the sets marked in filledSets_ is always zero,
- * so the destructor zeroes just the filled sets and returns the block
- * to a per-thread pool keyed by geometry.  The next cache of that
- * geometry on the thread takes it instead of calling calloc.  Every
- * machine builds fresh caches, and a recycled block is memory that is
- * already resident and needs no zeroing beyond what the last machine
- * touched.  A calloc'd block that an earlier machine freed would
- * instead come back from the heap, zeroed in full (glibc's mmap
- * threshold rises to the size of the largest mapping freed), and the
- * freed copies would stay resident between machines.
+ * Both arrays live in one block: the recency words first, where they
+ * stay 8-byte aligned, padded to whole host lines so that the tags
+ * after them start on one.  The block starts all zero, and a retired
+ * cache hands it back that way: a word outside the sets marked in
+ * filledSets_ is always zero, so the destructor zeroes just the filled
+ * sets and returns the block to a per-thread pool keyed by geometry.
+ * The next cache of that geometry on the thread takes it instead of
+ * calling calloc.  Every machine builds fresh caches, and a recycled
+ * block is memory that is already resident and needs no zeroing beyond
+ * what the last machine touched.  A calloc'd block that an earlier
+ * machine freed would instead come back from the heap, zeroed in full
+ * (glibc's mmap threshold rises to the size of the largest mapping
+ * freed), and the freed copies would stay resident between machines.
  */
 class Cache
 {
@@ -246,7 +253,7 @@ class Cache
             const std::uint64_t base = set * params_.ways;
             for (std::uint64_t i = base; i < base + params_.ways; ++i) {
                 if ((tags_[i] & kValidBit) != 0)
-                    fn(tags_[i] & kTagMask);
+                    fn(addrOf(tags_[i]));
             }
         });
     }
@@ -263,21 +270,35 @@ class Cache
 
   private:
     /**
-     * Packed tag word: the 64-byte-aligned line address ORed with the
-     * state flags in the low bits.  All-zero is the invalid/reset
-     * state, and the only invalid one: dropping a line zeroes its word.
+     * Packed tag word: the line number above three state flags (see
+     * the class comment).  All-zero is the invalid/reset state, and
+     * the only invalid one: dropping a line zeroes its word.
      */
-    static constexpr std::uint64_t kValidBit = 1;
-    static constexpr std::uint64_t kDirtyBit = 2;
-    static constexpr std::uint64_t kTxFlagBit = 4;
-    static constexpr std::uint64_t kFlagsMask = kLineSize - 1;
-    static constexpr std::uint64_t kTagMask = ~kFlagsMask;
+    using Tag = std::uint32_t;
+    static constexpr Tag kValidBit = 1;
+    static constexpr Tag kDirtyBit = 2;
+    static constexpr Tag kTxFlagBit = 4;
+    /** Right shift from a line address to its tag bits: the line
+     *  number lands just above the three flags. */
+    static constexpr unsigned kTagShift = kLineShift - 3;
+    static constexpr Tag kTagMask = ~Tag{7};
+    static_assert((kMaxPhysLines << 3) - 1 <= Tag(~Tag{0}),
+                  "the line number field must reach kMaxPhysLines");
     /** "No such line" sentinel index. */
     static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
     /** Stored recency word XOR this is the set's MRU-first order; the
      *  nibbles at positions >= ways keep their identity value. */
     static constexpr std::uint64_t kIdentityOrder = 0xFEDCBA9876543210;
     static constexpr std::uint64_t kNibbleOnes = 0x1111111111111111;
+
+    /** Tag bits of the line at @p line_addr, below kMaxPhysLines. */
+    static Tag
+    tagOf(Addr line_addr)
+    {
+        return static_cast<Tag>(line_addr >> kTagShift);
+    }
+    /** Line address named by the tag bits of @p tag. */
+    static Addr addrOf(Tag tag) { return Addr{tag & kTagMask} << kTagShift; }
 
     /** Set index: line number modulo the set count, taken with a mask
      *  when the count is a power of two (L1, L2) and with a division
@@ -294,10 +315,12 @@ class Cache
     findIdx(Addr line_addr) const
     {
         // One compare per slot: tag equality and the valid bit test
-        // fold into a single masked comparison against addr|valid.
+        // fold into a single masked comparison against tag|valid.
         // A found slot becomes the hint, which carries its set and way
         // to touch(), so no caller divides a slot index by the ways.
-        const std::uint64_t want = line_addr | kValidBit;
+        ssp_assert_dbg(lineOf(line_addr) < kMaxPhysLines,
+                       "line address beyond the tag range");
+        const Tag want = tagOf(line_addr) | kValidBit;
         if ((tags_[hint_] & (kTagMask | kValidBit)) == want)
             return hint_;
         const std::uint64_t set = setOf(line_addr);
@@ -368,12 +391,15 @@ class Cache
     /** numSets_ is a power of two, so setOf() can mask. */
     bool setsPow2_;
     std::uint64_t numLines_;
-    /** numLines_ packed tag words, set-major, at the start of a
-     *  recycled or calloc'd block (see the class comment). */
-    std::uint64_t *tags_ = nullptr;
-    /** numSets_ recency words, stored XOR kIdentityOrder, right after
-     *  the tags in the same block. */
+    /** The recycled or calloc'd block the arrays below live in (see
+     *  the class comment), as the pool hands it out and takes it back. */
+    void *block_ = nullptr;
+    /** numSets_ recency words, stored XOR kIdentityOrder, at the first
+     *  host-line boundary in the block. */
     std::uint64_t *recency_ = nullptr;
+    /** numLines_ packed tag words, set-major, from the host line after
+     *  the recency words. */
+    Tag *tags_ = nullptr;
     /** Index of the last slot found or filled, with its set and way;
      *  any in-range slot is safe, since findIdx() re-verifies it in
      *  full. */

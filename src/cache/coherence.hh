@@ -79,8 +79,7 @@ class CoherenceModel
     using BackInvalidateFn = std::function<CoreBitmap(Addr line, Cycles now)>;
 
     explicit CoherenceModel(unsigned num_cores)
-        : numCores_(num_cores), invalidationsSent_(num_cores, 0),
-          messagesReceived_(num_cores, 0)
+        : numCores_(num_cores), messagesReceived_(num_cores, 0)
     {
     }
 
@@ -163,11 +162,6 @@ class CoherenceModel
     /** Flip-broadcast shootdowns that found and dropped a peer copy. */
     std::uint64_t shootdownsDelivered() const { return shootdownsDelivered_; }
     std::uint64_t
-    invalidationsSent(CoreId core) const
-    {
-        return invalidationsSent_[core];
-    }
-    std::uint64_t
     messagesReceived(CoreId core) const
     {
         return messagesReceived_[core];
@@ -192,13 +186,8 @@ class CoherenceModel
     /** Count one flip-current-bit send. */
     void countFlip() { ++flipMessages_; }
 
-    /** Count one write-invalidation send from @p sender. */
-    void
-    countInvalidation(CoreId sender)
-    {
-        ++invalidations_;
-        ++invalidationsSent_[sender];
-    }
+    /** Count one write-invalidation send. */
+    void countInvalidation() { ++invalidations_; }
 
     /** Count @p n priced interconnect messages. */
     void countMessages(std::uint64_t n) { messages_ += n; }
@@ -209,7 +198,6 @@ class CoherenceModel
     std::uint64_t invalidations_ = 0;
     std::uint64_t shootdownsDelivered_ = 0;
     std::uint64_t messages_ = 0;
-    std::vector<std::uint64_t> invalidationsSent_;
     std::vector<std::uint64_t> messagesReceived_;
 };
 
@@ -246,10 +234,9 @@ class BroadcastCoherence final : public CoherenceModel
     }
 
     Cycles
-    invalidate(CoreId sender, Addr, const CoreBitmap &,
-               Cycles now) override
+    invalidate(CoreId, Addr, const CoreBitmap &, Cycles now) override
     {
-        countInvalidation(sender);
+        countInvalidation();
         if (numCores() <= 1)
             return now;
         countMessages(numCores() - 1);

@@ -92,6 +92,14 @@ inline constexpr unsigned kPageShift = 12;
 /** log2(kLineSize). */
 inline constexpr unsigned kLineShift = 6;
 
+/**
+ * Largest number of physical cache lines a machine may have, 2^29
+ * (physical addresses below 32 GiB): a cache tag word holds the line
+ * number in 29 bits (cache/cache.hh).  PhysMem refuses a larger space,
+ * and a cache fill checks every address it tags against it.
+ */
+inline constexpr std::uint64_t kMaxPhysLines = std::uint64_t{1} << 29;
+
 /** Extract the virtual page number from a virtual address. */
 constexpr Vpn
 pageOf(Addr addr)

@@ -95,6 +95,20 @@ class Machine
         return m;
     }
 
+    /**
+     * Publish @p core's committed write set at @p now
+     * (ConflictManager::commitTx).  The O(cores) minClock() scan for
+     * the prune floor runs only while detection is on: every setup
+     * commit and every one-core commit skips it, as commitTx would
+     * ignore it.
+     */
+    void
+    commitConflicts(CoreId core, Cycles now)
+    {
+        if (conflicts_.enabled())
+            conflicts_.commitTx(core, now, minClock());
+    }
+
     /** Synchronize every core clock to the maximum (barrier). */
     void
     syncClocks()

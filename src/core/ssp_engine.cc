@@ -198,7 +198,7 @@ SspEngine::commit()
 
     stats_.commitCycles += now - commit_t0;
     ++stats_.commits;
-    machine_.conflicts().commitTx(core_, now, machine_.minClock());
+    machine_.commitConflicts(core_, now);
     writeSet_.clear();
     inTx_ = false;
 }

@@ -61,7 +61,7 @@ Cycles
 DirectoryCoherence::invalidate(CoreId sender, Addr line,
                                const CoreBitmap &peers, Cycles now)
 {
-    countInvalidation(sender);
+    countInvalidation();
     if (numCores() <= 1)
         return now;
     CoreBitmap targets = peers;

@@ -9,6 +9,14 @@ PhysMem::PhysMem(std::uint64_t nvram_pages, std::uint64_t dram_pages)
     : nvramPages_(nvram_pages), dramPages_(dram_pages)
 {
     ssp_assert(nvram_pages > 0);
+    constexpr std::uint64_t max_pages = kMaxPhysLines / kLinesPerPage;
+    if (nvram_pages > max_pages || dram_pages > max_pages - nvram_pages)
+        ssp_fatal("physical memory of %llu NVRAM + %llu DRAM pages exceeds "
+                  "the limit of %llu pages (32 GiB, the reach of a cache "
+                  "tag)",
+                  static_cast<unsigned long long>(nvram_pages),
+                  static_cast<unsigned long long>(dram_pages),
+                  static_cast<unsigned long long>(max_pages));
     pages_.resize(totalPages());
 }
 

@@ -35,6 +35,8 @@ class PhysMem
      * @param nvram_pages Number of physical pages in the NVRAM region.
      * @param dram_pages Number of physical pages in the DRAM region,
      *                   starting at physical page nvram_pages.
+     * Fatal, before allocating anything, when the two together exceed
+     * kMaxPhysLines / kLinesPerPage pages.
      */
     PhysMem(std::uint64_t nvram_pages, std::uint64_t dram_pages);
 

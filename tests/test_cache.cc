@@ -521,15 +521,17 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
     }
     for (std::uint64_t k = 0; k < 2 * ways; ++k)
         pool.push_back((5 + (k << 20)) << kLineShift);
-    for (std::uint64_t top : {std::uint64_t{1} << 32,
-                              (std::uint64_t{1} << 58) - 1}) {
-        const std::uint64_t k0 = top / sets;
-        for (std::uint64_t k = k0 - ways; k < k0 + ways; ++k)
-            pool.push_back((3 + k * sets) << kLineShift);
-    }
+    // High line numbers: one class straddles line 2^28, the top bit of
+    // a tag's line field, and one ends at the last line a tag can name.
+    const std::uint64_t k0 = (kMaxPhysLines / 2) / sets;
+    for (std::uint64_t k = k0 - ways; k < k0 + ways; ++k)
+        pool.push_back((3 + k * sets) << kLineShift);
+    for (std::uint64_t k = 0; k < 2 * ways; ++k)
+        pool.push_back((kMaxPhysLines - 1 - k * sets) << kLineShift);
     Rng rng(seed);
     for (unsigned i = 0; i < 16; ++i)
-        pool.push_back(lineBase(rng.nextBounded(std::uint64_t{1} << 40)));
+        pool.push_back(
+            lineBase(rng.nextBounded(kMaxPhysLines << kLineShift)));
 
     Addr last = pool[0];
     for (unsigned step = 0; step < 20000; ++step) {
@@ -702,6 +704,20 @@ TEST(CacheRecycling, EachThreadRecyclesOnlyItsOwnGeometry)
         EXPECT_FALSE(c.access(0, false).hit);
     }).join();
     EXPECT_EQ(Cache::recycledBlocks(), main_recycled);
+}
+
+TEST(CacheGeometry, FillBeyondTheTagLimitThrows)
+{
+    // Line 2^29 would wrap to line 0 in a 29-bit line field.
+    Cache c(tinyCache(32, 8, 4));
+    const Addr last = (kMaxPhysLines - 1) << kLineShift;
+    EXPECT_FALSE(c.access(last, true).hit);
+    EXPECT_TRUE(c.probe(last));
+    EXPECT_THROW(c.access(kMaxPhysLines << kLineShift, false),
+                 std::logic_error);
+    EXPECT_THROW(c.insert(kMaxPhysLines << kLineShift, true, false),
+                 std::logic_error);
+    EXPECT_EQ(c.validLines(), 1u);
 }
 
 TEST(CacheGeometry, MoreThanSixteenWaysIsFatal)

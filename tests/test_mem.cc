@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "core/machine.hh"
 #include "mem/memory_bus.hh"
 #include "mem/phys_mem.hh"
 #include "mem/timing_model.hh"
@@ -77,6 +81,37 @@ TEST(PhysMem, SnapshotCapturesNvram)
     std::uint64_t v;
     std::memcpy(&v, snap[0].data() + 0x40, sizeof(v));
     EXPECT_EQ(v, 5u);
+}
+
+TEST(PhysMem, OnePageOverTheTagLimitIsFatal)
+{
+    // Cache tags name lines below kMaxPhysLines, so a machine whose
+    // physical space is one page larger must not be built.
+    constexpr std::uint64_t max_pages = kMaxPhysLines / kLinesPerPage;
+    SspConfig cfg;
+    cfg.heapPages += max_pages + 1 - (cfg.nvramPages() + cfg.dramPages);
+    ASSERT_EQ(cfg.nvramPages() + cfg.dramPages, max_pages + 1);
+    try {
+        Machine m(cfg);
+        FAIL() << "a machine over the tag limit was built";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::to_string(cfg.nvramPages()) + " NVRAM"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("limit of " + std::to_string(max_pages)),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(PhysMem, LimitIsCheckedBeforeAllocating)
+{
+    // A page table this large cannot be allocated: resizing it would
+    // throw length_error or bad_alloc, neither a runtime_error.  Sums
+    // that wrap around 2^64 are caught too.
+    EXPECT_THROW(PhysMem(~std::uint64_t{0} >> 1, 1), std::runtime_error);
+    EXPECT_THROW(PhysMem(1, ~std::uint64_t{0}), std::runtime_error);
 }
 
 TEST(TimingModel, RowHitIsCheaper)
