@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -33,36 +32,6 @@ namespace
 constexpr unsigned kMaxJobs = 1024;
 constexpr std::uint64_t kMaxTxs = 1'000'000'000;
 /** @} */
-
-/** @p values as "1,2,4" (replication modes as "off,on"). */
-template <typename T>
-std::string
-joinList(const std::vector<T> &values)
-{
-    std::string out;
-    for (T v : values) {
-        if (!out.empty())
-            out += ',';
-        if constexpr (std::is_same_v<T, bool>)
-            out += v ? "on" : "off";
-        else
-            out += jsonNumberToString(static_cast<double>(v));
-    }
-    return out;
-}
-
-/** One help line per grid that sweeps @p axis: its default @p list. */
-template <typename T>
-void
-printAxisDefaults(unsigned axis, std::vector<T> FigureSpec::*list)
-{
-    for (const FigureSpec &grid : figureSpecs()) {
-        if ((grid.sweeps & axis) != 0) {
-            std::fprintf(stderr, "%23s%-9s %s\n", "", grid.name,
-                         joinList(grid.*list).c_str());
-        }
-    }
-}
 
 [[noreturn]] void
 usage(int exit_code)
@@ -91,45 +60,22 @@ usage(int exit_code)
                  "names\n"
                  "                     (e.g. BTree-Rand,SPS; default: "
                  "all)\n"
+                 "  --jobs N           worker threads, 1..%u (default 1);\n"
+                 "                     results are bit-identical for any N\n"
+                 "  --txs N            transactions per cell, 1..%llu\n"
+                 "                     (default: the figure's own count)\n"
+                 "  --seed N           base RNG seed, 0..2^64-1 (default "
+                 "42)\n"
+                 "  --json PATH        output path (default "
+                 "BENCH_<figure>.json)\n"
+                 "  --quiet            suppress per-cell progress lines\n"
+                 "  --list             print known figures and exit\n"
                  "\n"
-                 "Axis lists; only these grids sweep them, by default:\n"
-                 "  --channels LIST    NVRAM channel counts\n",
-                 figures.c_str());
-    printAxisDefaults(kAxisChannels, &FigureSpec::channels);
-    std::fprintf(stderr, "  --cores LIST       core counts, up to what the "
-                         "grid's machine is\n"
-                         "                     provisioned for\n");
-    printAxisDefaults(kAxisCores, &FigureSpec::cores);
-    std::fprintf(stderr, "  --load LIST        offered loads as factors of "
-                         "measured closed-loop\n"
-                         "                     capacity, each in (0, 10]\n");
-    printAxisDefaults(kAxisLoads, &FigureSpec::loads);
-    std::fprintf(stderr, "  --arrival KIND     arrival process of the "
-                         "--load grids: poisson\n"
-                         "                     (default), bursty (MMPP-2) "
-                         "or diurnal\n"
-                         "  --machines LIST    cluster sizes\n");
-    printAxisDefaults(kAxisMachines, &FigureSpec::machines);
-    std::fprintf(stderr, "  --fault-rate LIST  machine failures per "
-                         "million cycles per machine,\n"
-                         "                     each in [0, 1000]; 0 = "
-                         "armed but quiet\n");
-    printAxisDefaults(kAxisFaults, &FigureSpec::faultRates);
-    std::fprintf(stderr, "  --replicate MODE   primary/backup replication: "
-                         "off, on or both\n");
-    printAxisDefaults(kAxisFaults, &FigureSpec::replicate);
-    std::fprintf(
-        stderr,
-        "\n"
-        "  --jobs N           worker threads, 1..%u (default 1);\n"
-        "                     results are bit-identical for any N\n"
-        "  --txs N            transactions per cell, 1..%llu\n"
-        "                     (default: the figure's own count)\n"
-        "  --seed N           base RNG seed, 0..2^64-1 (default 42)\n"
-        "  --json PATH        output path (default BENCH_<figure>.json)\n"
-        "  --quiet            suppress per-cell progress lines\n"
-        "  --list             print known figures and exit\n",
-        kMaxJobs, static_cast<unsigned long long>(kMaxTxs));
+                 "Each grid is one fixed experiment: its axis points (cores,\n"
+                 "channels, loads, machines, fault rates) are set by its\n"
+                 "FigureSpec in src/sweep/figure_spec.cc.\n",
+                 figures.c_str(), kMaxJobs,
+                 static_cast<unsigned long long>(kMaxTxs));
     std::exit(exit_code);
 }
 
@@ -163,39 +109,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--workloads") {
             for (const std::string &name : splitCommas(next_value(i)))
                 args.grid.workloads.push_back(parseWorkloadKind(name));
-        } else if (arg == "--channels" || arg == "--cores") {
-            // parseCountList is fatal on an empty or invalid list: a
-            // bad count sweep must fail loudly, never fall back to the
-            // grid's default list and "succeed".  --cores parses up to
-            // kMaxCores; buildFigureGrid checks every axis option
-            // against the grid.
-            const bool cores = arg == "--cores";
-            auto &list =
-                cores ? args.grid.coreCounts : args.grid.channels;
-            for (unsigned v : parseCountList(arg, next_value(i),
-                                             cores ? kMaxCores : 64))
-                list.push_back(v);
-        } else if (arg == "--machines") {
-            // parseCountList is fatal on an empty or invalid list, like
-            // the count lists above.
-            for (unsigned v : parseCountList(arg, next_value(i), 64))
-                args.grid.machines.push_back(v);
-        } else if (arg == "--fault-rate") {
-            // parseFaultRateList is fatal on an empty or invalid list,
-            // like the count lists above.
-            for (double v : parseFaultRateList(arg, next_value(i)))
-                args.grid.faultRates.push_back(v);
-        } else if (arg == "--replicate") {
-            args.grid.replicateModes =
-                parseReplicateModes(next_value(i));
-        } else if (arg == "--load") {
-            // parseLoadList is fatal on an empty or invalid list, like
-            // the count lists above.
-            for (double v : parseLoadList(arg, next_value(i)))
-                args.grid.loads.push_back(v);
-        } else if (arg == "--arrival") {
-            args.grid.arrival =
-                ssp::serve::parseArrivalKind(next_value(i));
         } else if (arg == "--jobs") {
             // parseCount is fatal on anything but a plain integer in
             // range: "4x", "0" and "-1" exit 2 instead of running.
@@ -303,9 +216,8 @@ try {
 
     return failures == 0 ? 0 : 1;
 } catch (const std::exception &e) {
-    // ssp_fatal (bad figure/backend/workload names, an axis option the
-    // grid does not sweep) throws; turn it into a clean CLI error
-    // instead of std::terminate.
+    // ssp_fatal (bad figure/backend/workload names, a bad count) throws;
+    // turn it into a clean CLI error instead of std::terminate.
     std::fprintf(stderr, "sweep_main: %s\n", e.what());
     return 2;
 }

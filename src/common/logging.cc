@@ -45,12 +45,6 @@ setVerbose(bool verbose)
     g_verbose = verbose;
 }
 
-bool
-verbose()
-{
-    return g_verbose;
-}
-
 // The three error paths only throw: whoever catches the exception (a
 // CLI's main, a sweep cell, a test) decides whether and how to print
 // it, so no message reaches stderr twice.  Uncaught, the exception
@@ -95,16 +89,6 @@ assertFailImpl(const char *file, int line, const char *cond, const char *fmt,
     va_end(ap);
     throw std::logic_error(std::string("assertion failed: ") + cond +
                            (msg.empty() ? "" : ": " + msg) + where(file, line));
-}
-
-void
-warnImpl(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void

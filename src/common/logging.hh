@@ -6,7 +6,6 @@
  *            std::logic_error "panic: <msg> (file:line)".
  * fatal()  — the user asked for something impossible (bad config); throws
  *            std::runtime_error "fatal: <msg>".
- * warn()   — something is off but the simulation can continue.
  * inform() — status messages.
  *
  * panic, fatal and failed assertions print nothing themselves: the
@@ -32,19 +31,15 @@ namespace ssp
                                  const char *fmt, ...)
     __attribute__((format(printf, 4, 5)));
 
-void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Enable/disable inform() output (benches silence it). */
 void setVerbose(bool verbose);
-bool verbose();
 
 } // namespace ssp
 
 #define ssp_panic(...) ::ssp::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define ssp_fatal(...) ::ssp::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define ssp_warn(...) ::ssp::warnImpl(__VA_ARGS__)
 #define ssp_inform(...) ::ssp::informImpl(__VA_ARGS__)
 
 /**

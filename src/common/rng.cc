@@ -10,15 +10,8 @@ namespace ssp
 Rng::Rng(std::uint64_t seed)
 {
     // SplitMix64 to expand the seed into two non-zero state words.
-    auto splitmix = [&seed]() {
-        seed += 0x9e3779b97f4a7c15ull;
-        std::uint64_t z = seed;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    };
-    s0_ = splitmix();
-    s1_ = splitmix();
+    s0_ = deriveSeed(seed, 0);
+    s1_ = deriveSeed(seed, 1);
     if (s0_ == 0 && s1_ == 0)
         s1_ = 1;
 }

@@ -13,6 +13,27 @@
 namespace ssp
 {
 
+/** The splitmix64 finalizer: a bijective 64-bit mix. */
+constexpr std::uint64_t
+splitmix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * Seed @p ordinal of the splitmix64 sequence started at @p base: the
+ * one derivation behind every independent stream (Rng state words,
+ * sweep cells, fault schedules, cluster shards), so distinct ordinals
+ * never share a stream.
+ */
+constexpr std::uint64_t
+deriveSeed(std::uint64_t base, std::uint64_t ordinal)
+{
+    return splitmix64(base + 0x9e3779b97f4a7c15ull * (ordinal + 1));
+}
+
 /**
  * xorshift128+ generator: fast, reproducible across platforms, and good
  * enough for workload generation (we are not doing cryptography).

@@ -36,11 +36,7 @@ FaultPlan::FaultPlan(const FaultParams &params, unsigned machines)
         // One disjoint stream per machine, mixed from the plan seed the
         // same way cells derive their own seeds — machine order never
         // couples the schedules.
-        std::uint64_t z =
-            params.seed + 0x9e3779b97f4a7c15ull * (std::uint64_t{m} + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        streams_[m].rng = Rng(z ^ (z >> 31));
+        streams_[m].rng = Rng(deriveSeed(params.seed, m));
         streams_[m].next.atCycle = 0;
         draw(streams_[m]);
     }

@@ -126,7 +126,8 @@ class FaultPlan
     /** True if machine @p m has a scheduled event at or before @p now. */
     bool due(unsigned m, Cycles now) const;
 
-    /** The next scheduled event of machine @p m. @pre hasNext(m). */
+    /** The next scheduled event of machine @p m.  @pre the plan is
+     *  armed (rate > 0); callers test due(m, now) first. */
     const FaultEvent &peek(unsigned m) const;
 
     /** Consume machine @p m's next event and draw its successor. */

@@ -7,104 +7,30 @@
 namespace ssp::serve
 {
 
-namespace
-{
-
-// Bursty (MMPP-2) shape: burst/lull interval multipliers whose rates
-// average to exactly 1/mean under equal expected state durations
-// ((1/0.6 + 1/3) / 2 == 1), and the mean state duration in cycles
-// expressed in mean inter-arrival times.
-constexpr double kBurstIntervalFactor = 0.6;
-constexpr double kLullIntervalFactor = 3.0;
-constexpr double kStateMeanIntervals = 200.0;
-
-// Diurnal shape: sinusoidal rate swing amplitude and period (in mean
-// inter-arrival times) — a run of ~2000 requests sees about two full
-// day/night cycles.
-constexpr double kDiurnalAmplitude = 0.5;
-constexpr double kDiurnalPeriodIntervals = 1000.0;
-
-} // namespace
-
-ArrivalKind
-parseArrivalKind(const std::string &name)
-{
-    if (name == "poisson")
-        return ArrivalKind::Poisson;
-    if (name == "bursty")
-        return ArrivalKind::Bursty;
-    if (name == "diurnal")
-        return ArrivalKind::Diurnal;
-    ssp_fatal("unknown arrival process '%s' (expected poisson, bursty or "
-              "diurnal)",
-              name.c_str());
-}
-
 const char *
 arrivalKindName(ArrivalKind kind)
 {
     switch (kind) {
       case ArrivalKind::Poisson:
         return "poisson";
-      case ArrivalKind::Bursty:
-        return "bursty";
-      case ArrivalKind::Diurnal:
-        return "diurnal";
     }
     ssp_panic("unreachable arrival kind");
 }
 
-ArrivalProcess::ArrivalProcess(ArrivalKind kind,
-                               double mean_interval_cycles,
+ArrivalProcess::ArrivalProcess(double mean_interval_cycles,
                                std::uint64_t seed)
-    : kind_(kind), meanInterval_(mean_interval_cycles), rng_(seed)
+    : meanInterval_(mean_interval_cycles), rng_(seed)
 {
     ssp_assert(mean_interval_cycles > 0,
                "arrival mean interval must be positive");
-    if (kind_ == ArrivalKind::Bursty) {
-        nextSwitch_ =
-            exponential(kStateMeanIntervals * meanInterval_);
-    }
-}
-
-double
-ArrivalProcess::exponential(double mean)
-{
-    // Inverse-CDF draw; 1 - u stays in (0, 1] so log() is finite.
-    return -std::log(1.0 - rng_.nextDouble()) * mean;
-}
-
-double
-ArrivalProcess::interval()
-{
-    switch (kind_) {
-      case ArrivalKind::Poisson:
-        return exponential(meanInterval_);
-      case ArrivalKind::Bursty:
-        if (now_ >= nextSwitch_) {
-            inBurst_ = !inBurst_;
-            nextSwitch_ =
-                now_ + exponential(kStateMeanIntervals * meanInterval_);
-        }
-        return exponential(meanInterval_ * (inBurst_
-                                                ? kBurstIntervalFactor
-                                                : kLullIntervalFactor));
-      case ArrivalKind::Diurnal: {
-        const double phase =
-            now_ / (kDiurnalPeriodIntervals * meanInterval_);
-        const double rate_scale =
-            1.0 + kDiurnalAmplitude *
-                      std::sin(2.0 * 3.141592653589793 * phase);
-        return exponential(meanInterval_ / rate_scale);
-      }
-    }
-    ssp_panic("unreachable arrival kind");
 }
 
 Cycles
 ArrivalProcess::next()
 {
-    now_ += interval();
+    // Inverse-CDF exponential draw; 1 - u stays in (0, 1] so log() is
+    // finite.
+    now_ += -std::log(1.0 - rng_.nextDouble()) * meanInterval_;
     return static_cast<Cycles>(now_);
 }
 

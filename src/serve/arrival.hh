@@ -1,28 +1,19 @@
 /**
  * @file
- * Open-loop arrival processes for the request-server frontend.
+ * The open-loop arrival process of the request-server frontend.
  *
  * An arrival process generates the absolute cycle at which each request
  * reaches the machine, independently of how fast the machine serves them
  * — the defining property of an open-loop load generator, and the reason
  * queueing delay (and therefore tail latency) becomes visible at all.
  *
- * Three processes are modeled, all deterministic per-seed like every
- * other RNG stream in the simulator:
- *   - Poisson: memoryless exponential inter-arrivals at a fixed rate.
- *   - Bursty (MMPP-2): a two-state Markov-modulated Poisson process
- *     alternating between a burst state (0.6x the mean interval) and a
- *     lull state (3x); with equal expected state durations the long-run
- *     rate equals the configured mean exactly.
- *   - Diurnal: a Poisson process whose instantaneous rate ramps
- *     sinusoidally (+/-50%) over a period of 1000 mean intervals,
- *     modeling a slow day/night traffic swing within one run.
+ * The process is Poisson: memoryless exponential inter-arrivals at a
+ * fixed rate, deterministic per seed like every other RNG stream in the
+ * simulator.
  */
 
 #ifndef SSP_SERVE_ARRIVAL_HH
 #define SSP_SERVE_ARRIVAL_HH
-
-#include <string>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -30,21 +21,16 @@
 namespace ssp::serve
 {
 
-/** The modeled arrival processes. */
+/** The modeled arrival processes; a report names one per cell. */
 enum class ArrivalKind
 {
     Poisson,
-    Bursty,
-    Diurnal,
 };
 
-/** Parse "poisson" / "bursty" / "diurnal"; fatal on anything else. */
-ArrivalKind parseArrivalKind(const std::string &name);
-
-/** Printable arrival-process name (the parse inverse). */
+/** Printable arrival-process name ("poisson"). */
 const char *arrivalKindName(ArrivalKind kind);
 
-/** Deterministic generator of monotone absolute arrival cycles. */
+/** Deterministic generator of monotone absolute Poisson arrival cycles. */
 class ArrivalProcess
 {
   public:
@@ -52,28 +38,15 @@ class ArrivalProcess
      * @p mean_interval_cycles is the long-run mean inter-arrival time;
      * the offered load in requests/cycle is its reciprocal.
      */
-    ArrivalProcess(ArrivalKind kind, double mean_interval_cycles,
-                   std::uint64_t seed);
+    ArrivalProcess(double mean_interval_cycles, std::uint64_t seed);
 
     /** Absolute cycle of the next arrival (non-decreasing). */
     Cycles next();
 
-    ArrivalKind kind() const { return kind_; }
-
   private:
-    /** Draw one inter-arrival interval in cycles. */
-    double interval();
-
-    /** Exponential draw with mean @p mean. */
-    double exponential(double mean);
-
-    ArrivalKind kind_;
     double meanInterval_;
     Rng rng_;
     double now_ = 0;
-    // Bursty (MMPP-2) state: in-burst flag and the absolute switch time.
-    bool inBurst_ = true;
-    double nextSwitch_ = 0;
 };
 
 } // namespace ssp::serve

@@ -59,7 +59,7 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     res.coreBusyCycles.assign(num_cores, 0);
     res.coreTxs.assign(num_cores, 0);
 
-    ArrivalProcess arrivals(params.arrival, mean_interval, params.seed);
+    ArrivalProcess arrivals(mean_interval, params.seed);
     // Per-core FIFO of the arrival cycles of waiting requests.
     std::vector<std::deque<Cycles>> queues(num_cores);
     std::vector<LatencyHistogram> hists(num_cores);

@@ -37,6 +37,7 @@ namespace ssp::serve
 /** Configuration of one open-loop serving run. */
 struct ServeParams
 {
+    /** The arrival process; Poisson is the only one. */
     ArrivalKind arrival = ArrivalKind::Poisson;
     /** Arrival rate as a factor of measured closed-loop capacity. */
     double offeredLoad = 0.6;

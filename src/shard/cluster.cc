@@ -1,6 +1,7 @@
 #include "shard/cluster.hh"
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace ssp::shard
 {
@@ -8,21 +9,13 @@ namespace ssp::shard
 namespace
 {
 
-/** splitmix64 finalizer (same mixer the sweep seed derivation uses). */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /**
  * Ordinal base separating shard workload streams from the sweep
  * machinery's other derived streams (cell ordinals are small, the
- * arrival stream uses 101 and the routing stream 211).
+ * arrival stream uses 101 and the routing stream 211): shard m >= 1
+ * draws deriveSeed ordinal 6999 + m.
  */
-constexpr std::uint64_t kShardSeedOrdinalBase = 7000;
+constexpr std::uint64_t kShardSeedOrdinalBase = 6999;
 
 } // namespace
 
@@ -31,8 +24,7 @@ Cluster::shardSeed(std::uint64_t base_seed, unsigned machine)
 {
     if (machine == 0)
         return base_seed;
-    return mix64(base_seed + 0x9e3779b97f4a7c15ull *
-                                 (kShardSeedOrdinalBase + machine));
+    return deriveSeed(base_seed, kShardSeedOrdinalBase + machine);
 }
 
 Cluster::Cluster(BackendKind backend_kind, WorkloadKind workload_kind,
@@ -53,7 +45,7 @@ Cluster::Cluster(BackendKind backend_kind, WorkloadKind workload_kind,
 unsigned
 Cluster::shardOf(std::uint64_t key) const
 {
-    return static_cast<unsigned>(mix64(key) % shards_.size());
+    return static_cast<unsigned>(splitmix64(key) % shards_.size());
 }
 
 void

@@ -274,8 +274,8 @@ const std::vector<FigureSpec> &
 figureSpecs()
 {
     using B = BackendKind;
-    // Every axis-sweeping grid is pinned: its axis measures machine
-    // effects on the same work, not reseeded noise.
+    // Every grid with a multi-point axis is pinned: its axis measures
+    // machine effects on the same work, not reseeded noise.
     static const std::vector<FigureSpec> specs = {
         // Fig 5 throughput at (a) one and (b) four threads; the report
         // carries every write category, so Figs 6 and 7 render from the
@@ -294,41 +294,39 @@ figureSpecs()
         // Tables 4 and 5: the real workloads, four clients.
         {.name = "table45", .workloads = realWorkloads(), .cores = {4},
          .render = renderTable45},
-        {.name = "chan", .sweeps = kAxisChannels, .pinned = true,
-         .workloads = microbenchmarks(), .channels = {1, 2, 4, 8}},
+        {.name = "chan", .pinned = true, .workloads = microbenchmarks(),
+         .channels = {1, 2, 4, 8}},
         // The smoke machine and transaction budget, so the (SPS, SSP, 1
         // core) cell is the smoke cell
         // (SweepSchema.SmokeCheckedInCellEqualsTheScaleC1Cell).
         {.name = "scale", .txs = 400, .machine = smokeConfig,
-         .smallScale = true, .sweeps = kAxisCores, .pinned = true,
+         .smallScale = true, .pinned = true,
          .workloads = scaleWorkloads(), .backends = scaleBackends(),
          .cores = {1, 2, 4, 8}},
         // The full paper workload scale on the big machine; 2000
         // transactions keep the 126-cell grid affordable.
         {.name = "scale64", .txs = 2000, .machine = bigConfig,
-         .sweeps = kAxisCores, .pinned = true,
-         .workloads = scaleWorkloads(), .backends = scaleBackends(),
-         .cores = {1, 2, 4, 8, 16, 32, 64}},
+         .pinned = true, .workloads = scaleWorkloads(),
+         .backends = scaleBackends(), .cores = {1, 2, 4, 8, 16, 32, 64}},
         // Every cell under the broadcast bus and the mesh directory.
         // scale64's core axis decimated to keep the doubled grid
         // affordable, then extended to 256; 1000 transactions still give
         // the contended cells thousands of coherence events.
         {.name = "scale256", .txs = 1000, .machine = meshConfig,
-         .maxCores = kMaxCores, .sweeps = kAxisCores, .pinned = true,
-         .workloads = scenarioWorkloads(), .backends = scaleBackends(),
-         .cores = {1, 4, 16, 64, 128, 256},
+         .pinned = true, .workloads = scenarioWorkloads(),
+         .backends = scaleBackends(), .cores = {1, 4, 16, 64, 128, 256},
          .coherence = {CoherenceMode::Broadcast, CoherenceMode::Directory}},
         // Open-loop tail latency from comfortable load to past
         // saturation; 2000 requests per cell give an exact-rank p999.
         {.name = "queue", .txs = 2000, .machine = bigConfig,
-         .sweeps = kAxisCores | kAxisLoads, .pinned = true,
-         .workloads = scenarioWorkloads(), .backends = scaleBackends(),
-         .cores = {4, 16}, .loads = {0.3, 0.6, 0.9, 1.2}},
+         .pinned = true, .workloads = scenarioWorkloads(),
+         .backends = scaleBackends(), .cores = {4, 16},
+         .loads = {0.3, 0.6, 0.9, 1.2}},
         // Seeds pinned to the scale plane, so the 1-machine cells replay
         // the scale c4 cells cycle for cycle
         // (ShardGrid.OneMachineCellsReplayTheCheckedInScaleCells).
         {.name = "shard", .txs = 400, .machine = smokeConfig,
-         .smallScale = true, .sweeps = kAxisMachines, .pinned = true,
+         .smallScale = true, .pinned = true,
          .workloads = scenarioWorkloads(), .seedPlane = scaleWorkloads(),
          .backends = scaleBackends(), .cores = {4}, .machines = {1, 2, 4, 8},
          .crossFractions = {0, 0.1, 0.5}},
@@ -337,8 +335,7 @@ figureSpecs()
         // (FaultSweep.ZeroFaultCellsReplayTheShardGridBitForBit).  Rate
         // 20 is about one failure per 50 kcycles per machine.
         {.name = "fault", .txs = 400, .machine = smokeConfig,
-         .smallScale = true, .sweeps = kAxisMachines | kAxisFaults,
-         .pinned = true,
+         .smallScale = true, .pinned = true,
          .workloads = scenarioWorkloads(), .seedPlane = scaleWorkloads(),
          .backends = scaleBackends(), .cores = {4}, .machines = {1, 2, 4},
          .crossFractions = {0.1}, .faultRates = {0, 5, 20},

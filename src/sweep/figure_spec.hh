@@ -2,10 +2,10 @@
  * @file
  * The figure registry: one FigureSpec per sweep grid, holding everything
  * that differs between grids — machine, default transaction count, the
- * axes a caller may sweep and their default lists, the cell generator
- * and the paper tables it renders.  buildFigureGrid, SweepCell::label
- * and the sweep CLI all read a grid's rules from here; no code outside
- * the table compares figure names.
+ * axis lists, the cell generator and the paper tables it renders.  A
+ * grid is one fixed experiment: a new axis point is an edit here.
+ * buildFigureGrid, SweepCell::label and the sweep CLI all read a grid's
+ * rules from here; no code outside the table compares figure names.
  */
 
 #ifndef SSP_SWEEP_FIGURE_SPEC_HH
@@ -20,16 +20,6 @@
 
 namespace ssp::sweep
 {
-
-/** Grid axes SweepGridOptions may replace. */
-enum Axis : unsigned
-{
-    kAxisChannels = 1u << 0, ///< channels
-    kAxisCores = 1u << 1,    ///< coreCounts
-    kAxisLoads = 1u << 2,    ///< loads, and a non-Poisson arrival
-    kAxisMachines = 1u << 3, ///< machines
-    kAxisFaults = 1u << 4,   ///< faultRates and replicateModes
-};
 
 struct FigureSpec;
 
@@ -51,9 +41,6 @@ struct FigureSpec
     SspConfig (*machine)(unsigned cores) = paperConfig;
     /** Clamp the workload scale to the small smoke machine. */
     bool smallScale = false;
-    /** Largest core count the machine is provisioned for. */
-    unsigned maxCores = 64;
-    unsigned sweeps = 0; ///< Axis bits; any other axis option is fatal
     /**
      * Pin each cell's seed to its (workload, backend) position in
      * seedPlane x backends, so every axis point replays the identical
@@ -66,7 +53,7 @@ struct FigureSpec
     /** Workload order that pins seeds; empty = workloads. */
     std::vector<WorkloadKind> seedPlane{};
     std::vector<BackendKind> backends = paperBackends();
-    /** @{ Axis lists; SweepGridOptions replaces the swept ones. */
+    /** @{ Axis lists; planeCells runs their product. */
     std::vector<unsigned> cores{1};
     std::vector<unsigned> channels{1};
     std::vector<double> loads{0};

@@ -85,82 +85,6 @@ parseSeed(const std::string &value)
                          std::numeric_limits<std::uint64_t>::max());
 }
 
-std::vector<unsigned>
-parseCountList(const std::string &flag, const std::string &list,
-               unsigned max_value)
-{
-    std::vector<unsigned> out;
-    for (const std::string &item : splitCommas(list))
-        out.push_back(
-            static_cast<unsigned>(parseCount(flag, item, max_value)));
-    if (out.empty())
-        ssp_fatal("%s: empty count list", flag.c_str());
-    return out;
-}
-
-std::vector<double>
-parseLoadList(const std::string &flag, const std::string &list)
-{
-    std::vector<double> out;
-    for (const std::string &item : splitCommas(list)) {
-        double v = 0;
-        try {
-            std::size_t used = 0;
-            v = std::stod(item, &used);
-            if (used != item.size())
-                v = 0; // trailing junk ("0.6x") is invalid too
-        } catch (const std::exception &) {
-            v = 0;
-        }
-        if (!(v > 0) || v > 10) {
-            ssp_fatal("%s values must be decimals in (0, 10], got '%s'",
-                      flag.c_str(), item.c_str());
-        }
-        out.push_back(v);
-    }
-    if (out.empty())
-        ssp_fatal("%s: empty load list", flag.c_str());
-    return out;
-}
-
-std::vector<double>
-parseFaultRateList(const std::string &flag, const std::string &list)
-{
-    std::vector<double> out;
-    for (const std::string &item : splitCommas(list)) {
-        double v = -1;
-        try {
-            std::size_t used = 0;
-            v = std::stod(item, &used);
-            if (used != item.size())
-                v = -1; // trailing junk ("5x") is invalid too
-        } catch (const std::exception &) {
-            v = -1;
-        }
-        if (!(v >= 0 && v <= 1000)) { // NaN fails both
-            ssp_fatal("%s values must be decimals in [0, 1000], got '%s'",
-                      flag.c_str(), item.c_str());
-        }
-        out.push_back(v);
-    }
-    if (out.empty())
-        ssp_fatal("%s: empty fault-rate list", flag.c_str());
-    return out;
-}
-
-std::vector<bool>
-parseReplicateModes(const std::string &value)
-{
-    if (value == "off")
-        return {false};
-    if (value == "on")
-        return {true};
-    if (value == "both")
-        return {false, true};
-    ssp_fatal("--replicate must be 'off', 'on' or 'both', got '%s'",
-              value.c_str());
-}
-
 SspConfig
 SweepCell::config() const
 {
@@ -193,20 +117,19 @@ SweepCell::label() const
     if (coherenceMode == CoherenceMode::Directory)
         out += "/dir";
     const FigureSpec *grid = findFigureSpec(figure);
-    const unsigned sweeps = grid != nullptr ? grid->sweeps : 0;
-    // Cluster coordinates: every cell of a grid that sweeps machines
-    // names its machine count (m1 included, so the fast-path cells are
+    // Cluster coordinates: every cell of a grid with several machine
+    // counts names its own (m1 included, so the fast-path cells are
     // self-describing); the cross-shard fraction exists only where 2PC
     // is possible, in percent ("x10").
-    if ((sweeps & kAxisMachines) != 0 || machines > 1)
+    if ((grid != nullptr && grid->machines.size() > 1) || machines > 1)
         out += "/m" + std::to_string(machines);
     if (machines > 1)
         out += "/x" + std::to_string(
                    std::lround(crossShardFraction * 100));
     // Fault coordinates, in tenths ("f50" = rate 5.0); every cell of a
-    // grid that sweeps fault rates names its rate (f0 included) so the
+    // grid with several fault rates names its rate (f0 included) so the
     // zero-fault baseline points are self-describing.
-    if ((sweeps & kAxisFaults) != 0 || faultRate > 0)
+    if ((grid != nullptr && grid->faultRates.size() > 1) || faultRate > 0)
         out += "/f" + std::to_string(std::lround(faultRate * 10));
     if (replicate)
         out += "/rep";
@@ -218,15 +141,6 @@ SweepCell::label() const
                std::to_string(std::lround(offeredLoad * 100));
     }
     return out;
-}
-
-std::uint64_t
-deriveCellSeed(std::uint64_t base_seed, std::uint64_t ordinal)
-{
-    std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ull * (ordinal + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
 }
 
 namespace
@@ -254,58 +168,9 @@ buildFigureGrid(const std::string &figure, const SweepGridOptions &opts)
         ssp_fatal("unknown sweep figure '%s' (known grids: %s)",
                   figure.c_str(), known.c_str());
     }
-    FigureSpec grid = *spec;
+    const FigureSpec &grid = *spec;
     const std::uint64_t txs = opts.txs != 0 ? opts.txs : grid.txs;
 
-    // An option may replace only an axis the grid sweeps: failing beats
-    // silently handing back the grid's default cells labeled as the
-    // experiment the caller asked for.
-    auto require_axis = [&](unsigned axis, const char *option) {
-        if ((grid.sweeps & axis) != 0)
-            return;
-        std::string grids;
-        for (const FigureSpec &g : figureSpecs()) {
-            if ((g.sweeps & axis) != 0)
-                grids += std::string(grids.empty() ? "" : ", ") + g.name;
-        }
-        ssp_fatal("the %s option only applies to the %s grid(s), not "
-                  "'%s'",
-                  option, grids.c_str(), figure.c_str());
-    };
-    auto take = [&](auto &axis_list, const auto &requested, unsigned axis,
-                    const char *option) {
-        if (requested.empty())
-            return;
-        require_axis(axis, option);
-        axis_list = requested;
-    };
-    take(grid.channels, opts.channels, kAxisChannels, "channels");
-    take(grid.cores, opts.coreCounts, kAxisCores, "cores");
-    take(grid.loads, opts.loads, kAxisLoads, "loads");
-    take(grid.machines, opts.machines, kAxisMachines, "machines");
-    take(grid.faultRates, opts.faultRates, kAxisFaults, "fault-rate");
-    take(grid.replicate, opts.replicateModes, kAxisFaults, "replicate");
-    if (opts.arrival != serve::ArrivalKind::Poisson)
-        require_axis(kAxisLoads, "arrival");
-
-    // Core counts beyond the machine's provisioning (SSP cache, journal,
-    // shadow pool) fail here with a one-line diagnostic, not as a
-    // Machine assert deep inside a sweep worker.
-    for (unsigned cores : opts.coreCounts) {
-        if (cores <= grid.maxCores)
-            continue;
-        const FigureSpec *largest = &grid;
-        for (const FigureSpec &g : figureSpecs()) {
-            if ((g.sweeps & kAxisCores) != 0 &&
-                g.maxCores > largest->maxCores) {
-                largest = &g;
-            }
-        }
-        ssp_fatal("--cores %u exceeds the '%s' machine's %u-core "
-                  "provisioning (the '%s' grid takes up to %u)",
-                  cores, figure.c_str(), grid.maxCores, largest->name,
-                  largest->maxCores);
-    }
     // Per-cell key sharding is a grid decision (the scale grid's
     // partitioned scenario); failing beats silently dropping a
     // caller-supplied value.
@@ -320,7 +185,6 @@ buildFigureGrid(const std::string &figure, const SweepGridOptions &opts)
         cell.figure = figure;
         cell.scale = opts.scale;
         cell.scale.keyShards = cell.keyShards;
-        cell.arrival = opts.arrival;
         if (grid.smallScale) {
             // Keep the cells proportionate to their tiny machine (and
             // the scale/shard/fault grids' streams identical to the
@@ -338,7 +202,7 @@ buildFigureGrid(const std::string &figure, const SweepGridOptions &opts)
                 ? static_cast<std::uint64_t>(cell.seedOrdinal)
                 : ordinal;
         ++ordinal;
-        cell.scale.seed = deriveCellSeed(opts.scale.seed, seed_ordinal);
+        cell.scale.seed = deriveSeed(opts.scale.seed, seed_ordinal);
         if (keepKind(opts.backends, cell.backend) &&
             keepKind(opts.workloads, cell.workload)) {
             cells.push_back(std::move(cell));

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "baselines/backend_factory.hh"
+#include "common/rng.hh"
 #include "core/config.hh"
 #include "serve/arrival.hh"
 #include "workloads/workload_factory.hh"
@@ -58,7 +59,7 @@ struct SweepCell
     /** queue-grid knob: offered load as a factor of measured closed-loop
      *  capacity; 0 = closed loop (every non-queue grid). */
     double offeredLoad = 0;
-    /** queue-grid knob: the open-loop arrival process. */
+    /** queue-grid knob: the open-loop arrival process (Poisson). */
     serve::ArrivalKind arrival = serve::ArrivalKind::Poisson;
     /** scale256-grid knob: the coherence interconnect model.  Broadcast
      *  is the flat bus every other grid (and the paper machine) uses;
@@ -100,7 +101,11 @@ struct SweepCell
     std::string label() const;
 };
 
-/** Knobs shared by all grid builders. */
+/**
+ * Knobs shared by all grid builders.  They subset or rescale a grid but
+ * never reshape it: every axis point is fixed by the grid's FigureSpec
+ * (sweep/figure_spec.hh), so a new point is an edit there.
+ */
 struct SweepGridOptions
 {
     /** Designs to include; empty means the figure's default set. */
@@ -111,28 +116,6 @@ struct SweepGridOptions
     std::uint64_t txs = 0;
     /** Base workload scale (per-cell seeds are derived from its seed). */
     WorkloadScale scale = paperScale();
-    /*
-     * The axis lists below replace the grid's default list (see its
-     * FigureSpec, sweep/figure_spec.hh); empty keeps the default.  Only
-     * the axes a grid sweeps may be set — any other is fatal.  Seeds
-     * are pinned per (workload, backend) on every grid with a sweepable
-     * axis, so a list's shape does not change any cell's stream.
-     */
-    /** NVRAM channel counts (chan). */
-    std::vector<unsigned> channels{};
-    /** Core counts (scale, scale64, scale256, queue). */
-    std::vector<unsigned> coreCounts{};
-    /** Offered-load factors of measured capacity (queue). */
-    std::vector<double> loads{};
-    /** Open-loop arrival process; anything but Poisson only on queue. */
-    serve::ArrivalKind arrival = serve::ArrivalKind::Poisson;
-    /** Cluster sizes (shard, fault). */
-    std::vector<unsigned> machines{};
-    /** Fault rates, failures per Mcycle per machine (fault).  0 is a
-     *  valid point: the harness is armed but schedules nothing. */
-    std::vector<double> faultRates{};
-    /** Replication modes (fault). */
-    std::vector<bool> replicateModes{};
 };
 
 /** Grid names understood by buildFigureGrid, in presentation order. */
@@ -140,26 +123,27 @@ std::vector<std::string> knownFigures();
 
 /**
  * Build the cell grid of @p figure (one of knownFigures(), defined by
- * its FigureSpec), then apply the option filters.  Fatal on unknown
- * figure names (the message lists the known grids), on an axis option
- * the grid does not sweep, and on core counts beyond what the grid's
- * machine supports — failing up front beats a Machine assert deep
- * inside a worker.
+ * its FigureSpec), then apply the backend/workload filters.  Fatal on
+ * unknown figure names (the message lists the known grids).
  */
 std::vector<SweepCell> buildFigureGrid(const std::string &figure,
                                        const SweepGridOptions &opts = {});
 
-/** splitmix64 finalizer used to derive per-cell seeds. */
-std::uint64_t deriveCellSeed(std::uint64_t base_seed, std::uint64_t ordinal);
+/** deriveSeed under its older sweep name, which bench/perf still calls. */
+inline std::uint64_t
+deriveCellSeed(std::uint64_t base_seed, std::uint64_t ordinal)
+{
+    return deriveSeed(base_seed, ordinal);
+}
 
 /** Split a comma-separated list, dropping empty items. */
 std::vector<std::string> splitCommas(const std::string &list);
 
 /**
- * Parse one count value for @p flag ("--jobs", "--txs", or an item of a
- * count list): a plain integer in [1, @p max_value].  Anything else —
- * "0", "-1", "4x", "abc", "" — is fatal with a message naming @p flag,
- * never a silent truncation or fall-back to a default.
+ * Parse one count value for @p flag ("--jobs" or "--txs"): a plain
+ * integer in [1, @p max_value].  Anything else — "0", "-1", "4x",
+ * "abc", "" — is fatal with a message naming @p flag, never a silent
+ * truncation or fall-back to a default.
  */
 std::uint64_t parseCount(const std::string &flag, const std::string &value,
                          std::uint64_t max_value);
@@ -170,40 +154,6 @@ std::uint64_t parseCount(const std::string &flag, const std::string &value,
  * a message naming --seed.
  */
 std::uint64_t parseSeed(const std::string &value);
-
-/**
- * Parse a comma-separated count list for @p flag ("--cores",
- * "--channels"): every item must pass parseCount, and the list must be
- * non-empty — an empty or invalid list is fatal, never a silent
- * fall-back to the grid default.  --cores passes kMaxCores (the
- * per-figure ceiling is enforced by buildFigureGrid); --channels keeps
- * the historical 64.
- */
-std::vector<unsigned> parseCountList(const std::string &flag,
-                                     const std::string &list,
-                                     unsigned max_value = 64);
-
-/**
- * Parse a comma-separated offered-load list for @p flag ("--load"):
- * every item must be a decimal in (0, 10], and the list must be
- * non-empty — an empty or invalid list is fatal, never a silent
- * fall-back to the grid default.
- */
-std::vector<double> parseLoadList(const std::string &flag,
-                                  const std::string &list);
-
-/**
- * Parse a comma-separated fault-rate list for --fault-rate: every item
- * must be a decimal in [0, 1000] (failures per Mcycle per machine; 0
- * is the armed-but-quiet baseline point), and the list must be
- * non-empty — an empty or invalid list is fatal.
- */
-std::vector<double> parseFaultRateList(const std::string &flag,
-                                       const std::string &list);
-
-/** Parse the --replicate value: "off" = {false}, "on" = {true},
- *  "both" = {false, true}; fatal on anything else. */
-std::vector<bool> parseReplicateModes(const std::string &value);
 
 } // namespace ssp::sweep
 

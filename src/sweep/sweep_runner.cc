@@ -48,17 +48,17 @@ runOneCell(const SweepCell &cell)
                 fault::FaultParams fp;
                 fp.ratePerMcycle = cell.faultRate;
                 fp.replicate = cell.replicate;
-                fp.seed = deriveCellSeed(cell.scale.seed,
-                                         fault::kFaultSeedOrdinal);
+                fp.seed = deriveSeed(cell.scale.seed,
+                                     fault::kFaultSeedOrdinal);
                 inj = std::make_unique<fault::FaultInjector>(
                     cluster, fp,
-                    deriveCellSeed(cell.scale.seed,
-                                   fault::kNetFaultSeedOrdinal),
+                    deriveSeed(cell.scale.seed,
+                               fault::kNetFaultSeedOrdinal),
                     cell.crossShardFraction);
             }
             shard::ShardRunResult sr = shard::runClusterExperiment(
                 cluster, cell.txs, cell.cores, cell.crossShardFraction,
-                deriveCellSeed(cell.scale.seed, kRouteSeedOrdinal),
+                deriveSeed(cell.scale.seed, kRouteSeedOrdinal),
                 inj.get());
             res.run = std::move(sr.aggregate);
             res.shardRuns = std::move(sr.shards);
@@ -80,7 +80,7 @@ runOneCell(const SweepCell &cell)
             params.arrival = cell.arrival;
             params.offeredLoad = cell.offeredLoad;
             params.seed =
-                deriveCellSeed(cell.scale.seed, kArrivalSeedOrdinal);
+                deriveSeed(cell.scale.seed, kArrivalSeedOrdinal);
             res.run = serve::runServeExperiment(exp, cell.txs,
                                                 cell.cores, params);
         } else {

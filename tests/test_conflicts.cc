@@ -27,6 +27,7 @@ namespace
 using sweep::buildFigureGrid;
 using sweep::CellResult;
 using sweep::runSweep;
+using sweep::SweepCell;
 using sweep::SweepGridOptions;
 
 // ---- LineSet unit tests ---------------------------------------------------
@@ -383,10 +384,10 @@ RunResult
 contendedRun()
 {
     SweepGridOptions opts;
-    opts.coreCounts = {2};
     opts.backends = {BackendKind::UndoLog};
     opts.workloads = {WorkloadKind::BTreeZipf};
-    const auto cells = buildFigureGrid("scale", opts);
+    const auto cells = gridCells(
+        "scale", [](const SweepCell &c) { return c.cores == 2; }, opts);
     const auto results = runSweep(cells, 1);
     EXPECT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].ok) << results[0].error;
@@ -422,10 +423,11 @@ TEST(ConflictEndToEnd, ContendedRunStaysFunctionallyCorrect)
 TEST(ConflictEndToEnd, AbortCountersAreDeterministicAcrossJobs)
 {
     SweepGridOptions opts;
-    opts.coreCounts = {2, 4};
     opts.backends = {BackendKind::UndoLog, BackendKind::Ssp};
     opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashZipf};
-    const auto cells = buildFigureGrid("scale", opts);
+    const auto cells = gridCells("scale", [](const SweepCell &c) {
+        return c.cores == 2 || c.cores == 4;
+    }, opts);
     ASSERT_EQ(cells.size(), 2u * 2u * 2u);
 
     const std::vector<CellResult> serial = runSweep(cells, 1);

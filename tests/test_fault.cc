@@ -546,30 +546,6 @@ TEST(FaultGrid, ShapeCoversMachinesRatesAndReplication)
         labels.count("fault/REDO-LOG/BTree-Zipf/c4/m4/x10/f200/rep"));
 }
 
-TEST(FaultGrid, RateListParserRejectsJunkAndAcceptsZero)
-{
-    EXPECT_EQ(sweep::parseFaultRateList("--fault-rate", "0,5,20"),
-              (std::vector<double>{0, 5, 20}));
-    EXPECT_THROW(sweep::parseFaultRateList("--fault-rate", "5x"),
-                 std::runtime_error);
-    EXPECT_THROW(sweep::parseFaultRateList("--fault-rate", "-1"),
-                 std::runtime_error);
-    EXPECT_THROW(sweep::parseFaultRateList("--fault-rate", "1001"),
-                 std::runtime_error);
-    // NaN fails every comparison, so a range test written as "v < 0 ||
-    // v > 1000" let it through as an effectively-off fault rate.
-    EXPECT_THROW(sweep::parseFaultRateList("--fault-rate", "nan"),
-                 std::runtime_error);
-    EXPECT_THROW(sweep::parseFaultRateList("--fault-rate", "-nan"),
-                 std::runtime_error);
-    EXPECT_THROW(sweep::parseFaultRateList("--fault-rate", ""),
-                 std::runtime_error);
-    EXPECT_EQ(sweep::parseReplicateModes("both"),
-              (std::vector<bool>{false, true}));
-    EXPECT_THROW(sweep::parseReplicateModes("maybe"),
-                 std::runtime_error);
-}
-
 // ---- fault sweep runs ------------------------------------------------------
 
 /** The small fault grid the sweep tests share. */
@@ -577,12 +553,12 @@ std::vector<sweep::SweepCell>
 smallFaultGrid()
 {
     sweep::SweepGridOptions opts;
-    opts.machines = {1, 2};
-    opts.faultRates = {0, 20};
     opts.workloads = {WorkloadKind::Sps};
     opts.backends = {BackendKind::Ssp};
     opts.txs = 60;
-    return sweep::buildFigureGrid("fault", opts);
+    return ssp::test::gridCells("fault", [](const sweep::SweepCell &c) {
+        return c.machines <= 2 && c.faultRate != 5;
+    }, opts);
 }
 
 TEST(FaultSweep, CellsAreDeterministicAcrossJobs)
@@ -639,32 +615,24 @@ TEST(FaultSweep, ZeroFaultCellsReplayTheShardGridBitForBit)
     // The opt-in bar: a fault-grid cell at rate 0 without replication
     // runs the identical code path as its shard-grid twin — same seeds
     // (both pinned to the scale plane), same driver, no injector.
-    sweep::SweepGridOptions fopts;
-    fopts.machines = {2};
-    fopts.faultRates = {0};
-    fopts.replicateModes = {false};
-    fopts.workloads = {WorkloadKind::Sps};
-    fopts.backends = {BackendKind::Ssp};
-    fopts.txs = 80;
-    const auto fault_cells = sweep::buildFigureGrid("fault", fopts);
+    sweep::SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::Sps};
+    opts.backends = {BackendKind::Ssp};
+    opts.txs = 80;
+    const auto fault_cells =
+        ssp::test::gridCells("fault", [](const sweep::SweepCell &c) {
+            return c.machines == 2 && c.faultRate == 0 && !c.replicate;
+        }, opts);
     ASSERT_EQ(fault_cells.size(), 1u);
-
-    sweep::SweepGridOptions sopts;
-    sopts.machines = {2};
-    sopts.workloads = {WorkloadKind::Sps};
-    sopts.backends = {BackendKind::Ssp};
-    sopts.txs = 80;
-    const auto shard_cells = sweep::buildFigureGrid("shard", sopts);
-    const sweep::SweepCell *twin = nullptr;
-    for (const sweep::SweepCell &s : shard_cells) {
-        if (s.crossShardFraction == 0.1)
-            twin = &s;
-    }
-    ASSERT_NE(twin, nullptr);
-    ASSERT_EQ(twin->scale.seed, fault_cells[0].scale.seed);
+    const auto shard_cells =
+        ssp::test::gridCells("shard", [](const sweep::SweepCell &c) {
+            return c.machines == 2 && c.crossShardFraction == 0.1;
+        }, opts);
+    ASSERT_EQ(shard_cells.size(), 1u);
+    ASSERT_EQ(shard_cells[0].scale.seed, fault_cells[0].scale.seed);
 
     const auto fr = sweep::runSweep(fault_cells, 1);
-    const auto sr = sweep::runSweep({*twin}, 1);
+    const auto sr = sweep::runSweep(shard_cells, 1);
     ASSERT_TRUE(fr[0].ok && sr[0].ok);
     EXPECT_EQ(fr[0].run.cycles, sr[0].run.cycles);
     EXPECT_EQ(fr[0].run.committedTxs, sr[0].run.committedTxs);
@@ -683,12 +651,13 @@ TEST(FaultSweep, ReplicatedCellsShowFailoverBeatingRecovery)
     // fault schedule, replication turns every outage into a failover
     // whose total stall is strictly below the in-place recovery stall.
     sweep::SweepGridOptions opts;
-    opts.machines = {2};
-    opts.faultRates = {20};
     opts.workloads = {WorkloadKind::BTreeZipf};
     opts.backends = {BackendKind::Ssp};
     opts.txs = 100;
-    const auto cells = sweep::buildFigureGrid("fault", opts);
+    const auto cells =
+        ssp::test::gridCells("fault", [](const sweep::SweepCell &c) {
+            return c.machines == 2 && c.faultRate == 20;
+        }, opts);
     ASSERT_EQ(cells.size(), 2u); // rep off + rep on
     const auto results = sweep::runSweep(cells, 2);
     const sweep::CellResult *plain = nullptr;

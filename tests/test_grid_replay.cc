@@ -38,6 +38,7 @@ namespace
 {
 
 using ssp::test::expectReplaysCheckedIn;
+using ssp::test::gridCells;
 using ssp::test::loadCheckedIn;
 
 /** Index a report's cells by label; @p doc must outlive the map. */
@@ -74,17 +75,20 @@ TEST(GridReplay, ScaleCores1To4MatchCheckedInReport)
 {
     // The single-core model and the concurrent conflict/abort/retry
     // path at 2 and 4 cores, on every scale scenario.
-    SweepGridOptions opts;
-    opts.coreCounts = {1, 2, 4};
-    expectReplaysCheckedIn("scale", opts, 54);
+    const auto cells =
+        gridCells("scale", [](const SweepCell &c) { return c.cores <= 4; });
+    ASSERT_EQ(cells.size(), 54u);
+    expectReplaysCheckedIn("scale", cells);
 }
 
 TEST(GridReplay, Scale64Cores1_4_16MatchCheckedInReport)
 {
     // The big machine at full paper workload scale.
-    SweepGridOptions opts;
-    opts.coreCounts = {1, 4, 16};
-    expectReplaysCheckedIn("scale64", opts, 54);
+    const auto cells = gridCells("scale64", [](const SweepCell &c) {
+        return c.cores == 1 || c.cores == 4 || c.cores == 16;
+    });
+    ASSERT_EQ(cells.size(), 54u);
+    expectReplaysCheckedIn("scale64", cells);
 }
 
 TEST(GridReplay, Scale64Cores16_4_16OnOneThreadMatchCheckedInReport)
@@ -94,12 +98,13 @@ TEST(GridReplay, Scale64Cores16_4_16OnOneThreadMatchCheckedInReport)
     // cores' L1 and L2 blocks, and the second 16-core pass takes all
     // sixteen back, four of them last used by the smaller machine.
     // One worker, so every cell recycles on this thread, in order.
+    SweepGridOptions opts;
+    opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashRand};
     std::vector<SweepCell> cells;
     for (unsigned cores : {16u, 4u, 16u}) {
-        SweepGridOptions opts;
-        opts.coreCounts = {cores};
-        opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashRand};
-        const auto part = buildFigureGrid("scale64", opts);
+        const auto part = gridCells(
+            "scale64",
+            [cores](const SweepCell &c) { return c.cores == cores; }, opts);
         ASSERT_EQ(part.size(), 6u);
         cells.insert(cells.end(), part.begin(), part.end());
     }
@@ -112,37 +117,42 @@ TEST(GridReplay, QueueC4Load60MatchesCheckedInReport)
 {
     // Calibration, arrivals, admission and percentiles of the
     // event-driven serve path.
-    SweepGridOptions opts;
-    opts.coreCounts = {4};
-    opts.loads = {0.6};
-    expectReplaysCheckedIn("queue", opts, 9);
+    const auto cells = gridCells("queue", [](const SweepCell &c) {
+        return c.cores == 4 && c.offeredLoad == 0.6;
+    });
+    ASSERT_EQ(cells.size(), 9u);
+    expectReplaysCheckedIn("queue", cells);
 }
 
 TEST(GridReplay, Scale256Cores1_16_128MatchCheckedInReport)
 {
     // Broadcast and directory coherence; 128 cores crosses the
     // one-word sharer-bitmap boundary.
-    SweepGridOptions opts;
-    opts.coreCounts = {1, 16, 128};
-    expectReplaysCheckedIn("scale256", opts, 54);
+    const auto cells = gridCells("scale256", [](const SweepCell &c) {
+        return c.cores == 1 || c.cores == 16 || c.cores == 128;
+    });
+    ASSERT_EQ(cells.size(), 54u);
+    expectReplaysCheckedIn("scale256", cells);
 }
 
 TEST(GridReplay, ShardMachines1_2_4MatchCheckedInReport)
 {
     // The single-machine fast path, 2PC rounds and network pricing.
-    SweepGridOptions opts;
-    opts.machines = {1, 2, 4};
-    expectReplaysCheckedIn("shard", opts, 63);
+    const auto cells = gridCells(
+        "shard", [](const SweepCell &c) { return c.machines <= 4; });
+    ASSERT_EQ(cells.size(), 63u);
+    expectReplaysCheckedIn("shard", cells);
 }
 
 TEST(GridReplay, FaultMachines1_2Rates0_20MatchCheckedInReport)
 {
     // The zero-rate identity path, the logged 2PC crash windows,
     // recovery against failover, and the lossy RPC retry loop.
-    SweepGridOptions opts;
-    opts.machines = {1, 2};
-    opts.faultRates = {0, 20};
-    expectReplaysCheckedIn("fault", opts, 72);
+    const auto cells = gridCells("fault", [](const SweepCell &c) {
+        return c.machines <= 2 && c.faultRate != 5;
+    });
+    ASSERT_EQ(cells.size(), 72u);
+    expectReplaysCheckedIn("fault", cells);
 }
 
 // ---- schema and twin identities of the checked-in reports -----------------

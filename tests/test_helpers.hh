@@ -2,8 +2,8 @@
  * @file
  * Shared test fixtures: a small machine configuration that keeps tests
  * fast, helpers for driving transactions by hand, a whole-metric-list
- * equality check, and a loader and a replay check for the checked-in
- * BENCH_*.json reports.
+ * equality check, a grid filter, and a loader and a replay check for
+ * the checked-in BENCH_*.json reports.
  *
  * Include convention: test sources include this header as
  * "tests/test_helpers.hh", i.e. relative to the repository root.  The
@@ -126,6 +126,24 @@ loadCheckedIn(const std::string &name)
 }
 
 /**
+ * The cells of @p figure's grid (options @p opts) that @p keep accepts,
+ * the way the bench/perf workloads take their subsets.  Filtering after
+ * the build keeps every cell's full-grid seed.
+ */
+template <typename Keep>
+std::vector<sweep::SweepCell>
+gridCells(const std::string &figure, Keep keep,
+          const sweep::SweepGridOptions &opts = {})
+{
+    std::vector<sweep::SweepCell> out;
+    for (sweep::SweepCell &cell : sweep::buildFigureGrid(figure, opts)) {
+        if (keep(cell))
+            out.push_back(std::move(cell));
+    }
+    return out;
+}
+
+/**
  * Rerun @p cells of @p figure and require every cell's report entry to
  * equal, byte for byte, the same-label entry of the checked-in
  * BENCH_<figure>.json.  Cells run on @p jobs workers, 0 meaning one
@@ -160,18 +178,6 @@ expectReplaysCheckedIn(const std::string &figure,
         EXPECT_EQ(got.dump(2), it->second->dump(2)) << label;
     }
     return results;
-}
-
-/** As above, for the @p opts subset of @p figure, which must have
- *  @p want_cells cells. */
-inline void
-expectReplaysCheckedIn(const std::string &figure,
-                       const sweep::SweepGridOptions &opts,
-                       std::size_t want_cells)
-{
-    const auto cells = sweep::buildFigureGrid(figure, opts);
-    ASSERT_EQ(cells.size(), want_cells);
-    expectReplaysCheckedIn(figure, cells);
 }
 
 } // namespace ssp::test

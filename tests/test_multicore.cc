@@ -32,6 +32,7 @@ using sweep::buildFigureGrid;
 using sweep::CellResult;
 using sweep::runSweep;
 using sweep::SweepGridOptions;
+using ssp::test::gridCells;
 
 TEST(Multicore, CowRemapShootsDownPeerStaleLines)
 {
@@ -126,13 +127,14 @@ TEST(Multicore, PartialRoundsLeaveClocksSynced)
 TEST(Multicore, ScaleSweepDeterministicAcrossJobs)
 {
     SweepGridOptions opts;
-    opts.coreCounts = {2, 4};
     opts.backends = {BackendKind::Ssp};
     opts.workloads = {WorkloadKind::Sps, WorkloadKind::HashZipf};
     opts.txs = 60;
     opts.scale.keySpace = 256;
     opts.scale.spsElements = 1024;
-    const auto cells = buildFigureGrid("scale", opts);
+    const auto cells = gridCells("scale", [](const sweep::SweepCell &c) {
+        return c.cores == 2 || c.cores == 4;
+    }, opts);
     ASSERT_EQ(cells.size(), 2u * 2u);
 
     const std::vector<CellResult> serial = runSweep(cells, 1);
@@ -219,11 +221,12 @@ TEST(Multicore, SingleCoreScaleCellBitIdenticalToSmokeCell)
     // the exact pre-PR single-core model.  The (SPS, SSP, 1 core) cell
     // must reproduce the smoke cell result bit for bit.
     const auto smoke_cells = buildFigureGrid("smoke");
-    sweep::SweepGridOptions one_core;
-    one_core.coreCounts = {1};
-    one_core.backends = {BackendKind::Ssp};
-    one_core.workloads = {WorkloadKind::Sps};
-    const auto scale_cells = buildFigureGrid("scale", one_core);
+    sweep::SweepGridOptions opts;
+    opts.backends = {BackendKind::Ssp};
+    opts.workloads = {WorkloadKind::Sps};
+    const auto scale_cells = gridCells(
+        "scale", [](const sweep::SweepCell &c) { return c.cores == 1; },
+        opts);
     ASSERT_EQ(scale_cells.size(), 1u);
 
     const auto smoke_res = runSweep(smoke_cells, 1);
@@ -273,8 +276,9 @@ TEST(Multicore, ContendedZipfCellsMatchTheCheckedInScaleReport)
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::BTreeZipf, WorkloadKind::HashZipf,
                       WorkloadKind::RbTreeZipf};
-    opts.coreCounts = {8};
-    const auto cells = buildFigureGrid("scale", opts);
+    const auto cells = gridCells(
+        "scale", [](const sweep::SweepCell &c) { return c.cores == 8; },
+        opts);
     ASSERT_EQ(cells.size(), 9u); // 3 workloads x 3 backends
     const auto results = expectReplaysCheckedIn("scale", cells);
     // These cells must actually exercise the conflict machinery.

@@ -1,12 +1,12 @@
 /**
  * @file
  * Request-serving subsystem tests: histogram bucket math and exact-rank
- * percentiles, arrival-process determinism and long-run rates, the
- * open-loop server's accounting invariants and overload behavior, and
- * the bulk-synchronous driver's replay of checked-in scale cells.
+ * percentiles, the Poisson arrival process's determinism and long-run
+ * rate, the open-loop server's accounting invariants and overload
+ * behavior, and the bulk-synchronous driver's replay of checked-in scale
+ * cells.
  */
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,49 +120,32 @@ TEST(LatencyHistogram, MergeEqualsCombinedRecording)
 
 TEST(ArrivalProcess, SequencesAreDeterministicPerSeed)
 {
-    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Bursty,
-                             ArrivalKind::Diurnal}) {
-        ArrivalProcess a(kind, 100.0, 42);
-        ArrivalProcess b(kind, 100.0, 42);
-        ArrivalProcess c(kind, 100.0, 43);
-        bool any_differs = false;
-        Cycles prev = 0;
-        for (int i = 0; i < 1000; ++i) {
-            const Cycles t = a.next();
-            EXPECT_EQ(t, b.next());
-            any_differs |= (t != c.next());
-            // Arrival times never run backwards.
-            EXPECT_GE(t, prev);
-            prev = t;
-        }
-        EXPECT_TRUE(any_differs) << arrivalKindName(kind);
+    ArrivalProcess a(100.0, 42);
+    ArrivalProcess b(100.0, 42);
+    ArrivalProcess c(100.0, 43);
+    bool any_differs = false;
+    Cycles prev = 0;
+    for (int i = 0; i < 1000; ++i) {
+        const Cycles t = a.next();
+        EXPECT_EQ(t, b.next());
+        any_differs |= (t != c.next());
+        // Arrival times never run backwards.
+        EXPECT_GE(t, prev);
+        prev = t;
     }
+    EXPECT_TRUE(any_differs);
 }
 
 TEST(ArrivalProcess, LongRunRateMatchesTheConfiguredMean)
 {
-    // All three processes are calibrated so the long-run mean interval
-    // is the configured one — bursty alternates 0.6x/3x states whose
-    // rates average to 1, diurnal's sinusoid is rate-symmetric.
     constexpr int kDraws = 20000;
-    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Bursty,
-                             ArrivalKind::Diurnal}) {
-        ArrivalProcess p(kind, 100.0, 1234);
-        Cycles last = 0;
-        for (int i = 0; i < kDraws; ++i)
-            last = p.next();
-        const double mean = static_cast<double>(last) / kDraws;
-        EXPECT_GT(mean, 80.0) << arrivalKindName(kind);
-        EXPECT_LT(mean, 125.0) << arrivalKindName(kind);
-    }
-}
-
-TEST(ArrivalProcess, UnknownNameIsFatalAndNamesRoundTrip)
-{
-    EXPECT_THROW(parseArrivalKind("weekly"), std::runtime_error);
-    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Bursty,
-                             ArrivalKind::Diurnal})
-        EXPECT_EQ(parseArrivalKind(arrivalKindName(kind)), kind);
+    ArrivalProcess p(100.0, 1234);
+    Cycles last = 0;
+    for (int i = 0; i < kDraws; ++i)
+        last = p.next();
+    const double mean = static_cast<double>(last) / kDraws;
+    EXPECT_GT(mean, 80.0);
+    EXPECT_LT(mean, 125.0);
 }
 
 // ---- open-loop server ------------------------------------------------------
@@ -185,7 +168,6 @@ TEST(ServeExperiment, RunsAreDeterministic)
 {
     ServeParams params;
     params.offeredLoad = 1.1;
-    params.arrival = ArrivalKind::Bursty;
     Experiment a = smallServeExperiment(2);
     Experiment b = smallServeExperiment(2);
     const RunResult ra = runServeExperiment(a, 300, 2, params);
@@ -237,8 +219,8 @@ TEST(Scheduler, RoundsModeReplaysTheCheckedInScaleCells)
 
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::BTreeZipf};
-    opts.coreCounts = {4};
-    const auto cells = buildFigureGrid("scale", opts);
+    const auto cells = ssp::test::gridCells(
+        "scale", [](const SweepCell &c) { return c.cores == 4; }, opts);
     ASSERT_EQ(cells.size(), 3u); // one workload x 3 backends
 
     std::size_t matched = 0;

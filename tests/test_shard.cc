@@ -138,9 +138,8 @@ TEST(ShardGrid, OneMachineCellsReplayTheCheckedInScaleCells)
         scale_cells[c["label"].asString()] = &c;
     }
 
-    sweep::SweepGridOptions opts;
-    opts.machines = {1};
-    const auto cells = sweep::buildFigureGrid("shard", opts);
+    const auto cells = ssp::test::gridCells(
+        "shard", [](const sweep::SweepCell &c) { return c.machines == 1; });
     ASSERT_EQ(cells.size(), 9u); // 3 workloads x 3 backends, frac 0 only
     const auto results = sweep::runSweep(cells, 2);
     for (const sweep::CellResult &r : results) {
@@ -298,11 +297,12 @@ TEST(ShardGrid, ShapeCoversMachinesAndFractions)
 TEST(ShardSweep, CellsAreDeterministicAcrossJobs)
 {
     sweep::SweepGridOptions opts;
-    opts.machines = {1, 2};
     opts.workloads = {WorkloadKind::Sps, WorkloadKind::BTreeZipf};
     opts.backends = {BackendKind::Ssp};
     opts.txs = 60;
-    const auto cells = sweep::buildFigureGrid("shard", opts);
+    const auto cells = ssp::test::gridCells(
+        "shard", [](const sweep::SweepCell &c) { return c.machines <= 2; },
+        opts);
     ASSERT_EQ(cells.size(), 2u + 3u * 2u);
     const auto serial = sweep::runSweep(cells, 1);
     const auto parallel = sweep::runSweep(cells, 3);
@@ -313,11 +313,12 @@ TEST(ShardSweep, CellsAreDeterministicAcrossJobs)
 TEST(ShardSweep, Report2pcMetricsAreZeroOnOneMachine)
 {
     sweep::SweepGridOptions opts;
-    opts.machines = {1, 2};
     opts.workloads = {WorkloadKind::BTreeZipf};
     opts.backends = {BackendKind::Ssp};
     opts.txs = 60;
-    const auto cells = sweep::buildFigureGrid("shard", opts);
+    const auto cells = ssp::test::gridCells(
+        "shard", [](const sweep::SweepCell &c) { return c.machines <= 2; },
+        opts);
     const auto results = sweep::runSweep(cells, 2);
     const Json report =
         Json::parse(sweep::sweepReport("shard", results).dump(2));

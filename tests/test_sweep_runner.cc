@@ -33,6 +33,7 @@ namespace
 {
 
 using ssp::test::expectReplaysCheckedIn;
+using ssp::test::gridCells;
 using ssp::test::expectSameMetrics;
 
 /** A tiny fig5 grid that keeps the suite fast on one core. */
@@ -51,6 +52,11 @@ tinyOptions()
 
 TEST(SweepGrid, KnownFiguresBuildNonEmptyGrids)
 {
+    EXPECT_EQ(knownFigures(),
+              (std::vector<std::string>{"fig5", "fig8", "fig9", "table3",
+                                        "table45", "chan", "scale",
+                                        "scale64", "scale256", "queue",
+                                        "shard", "fault", "smoke"}));
     for (const std::string &figure : knownFigures()) {
         const auto cells = buildFigureGrid(figure);
         ASSERT_FALSE(cells.empty()) << figure;
@@ -132,18 +138,20 @@ TEST(SweepGrid, SeedsAreStableUnderFiltering)
 
 TEST(SweepGrid, ChanGridSweepsChannelCounts)
 {
-    // Default: 4 channel counts x 7 microbenchmarks x 3 designs.
-    EXPECT_EQ(buildFigureGrid("chan").size(), 4u * 7u * 3u);
-
-    SweepGridOptions opts;
-    opts.channels = {1, 16};
-    const auto cells = buildFigureGrid("chan", opts);
-    EXPECT_EQ(cells.size(), 2u * 7u * 3u);
+    // 4 channel counts x 7 microbenchmarks x 3 designs.
+    const auto cells = buildFigureGrid("chan");
+    EXPECT_EQ(cells.size(), 4u * 7u * 3u);
+    std::set<unsigned> channels;
     for (const SweepCell &cell : cells) {
-        EXPECT_TRUE(cell.nvramChannels == 1 || cell.nvramChannels == 16);
-        const SspConfig cfg = cell.config();
-        EXPECT_EQ(cfg.nvramChannels, cell.nvramChannels);
+        channels.insert(cell.nvramChannels);
+        EXPECT_EQ(cell.config().nvramChannels, cell.nvramChannels);
     }
+    EXPECT_EQ(channels, (std::set<unsigned>{1, 2, 4, 8}));
+    // A count off the grid reaches the config the same way.
+    SweepCell wide = cells.front();
+    wide.nvramChannels = 16;
+    EXPECT_EQ(wide.config().nvramChannels, 16u);
+    EXPECT_NE(wide.label().find("/ch16"), std::string::npos);
 }
 
 TEST(SweepGrid, AxisGridsPinOneSeedPerWorkloadAndBackend)
@@ -167,25 +175,15 @@ TEST(SweepGrid, AxisGridsPinOneSeedPerWorkloadAndBackend)
         for (const auto &[key, seed] : seeds[figure])
             EXPECT_EQ(seed, seeds["scale"].at(key)) << figure;
     }
-    // The ordinal is pinned, not positional: a sub-list of the axis keeps
-    // every cell's stream.
-    SweepGridOptions only64;
-    only64.coreCounts = {64};
-    const auto cells = buildFigureGrid("scale64", only64);
-    ASSERT_EQ(cells.size(), 18u);
-    for (const SweepCell &cell : cells) {
-        EXPECT_EQ(cell.scale.seed,
-                  seeds["scale64"].at(Key{cell.backend, cell.workload}));
-    }
 }
 
 TEST(SweepRunner, ChanGridIsBitIdenticalForAnyJobCount)
 {
     // The determinism guarantee must hold across the channel dimension:
     // N-channel results may not depend on sweep worker scheduling.
-    SweepGridOptions opts = tinyOptions();
-    opts.channels = {1, 2, 4};
-    const auto cells = buildFigureGrid("chan", opts);
+    const auto cells = gridCells(
+        "chan", [](const SweepCell &c) { return c.nvramChannels <= 4; },
+        tinyOptions());
     ASSERT_EQ(cells.size(), 3u * 2u * 2u);
 
     const auto serial = runSweep(cells, 1);
@@ -202,9 +200,10 @@ TEST(SweepRunner, ChanGridIsBitIdenticalForAnyJobCount)
 
 TEST(SweepReport, ChanCellsCarryChannelCoordinates)
 {
-    SweepGridOptions opts = tinyOptions();
-    opts.channels = {2};
-    const auto cells = buildFigureGrid("chan", opts);
+    const auto cells = gridCells(
+        "chan", [](const SweepCell &c) { return c.nvramChannels == 2; },
+        tinyOptions());
+    ASSERT_EQ(cells.size(), 2u * 2u);
     const auto results = runSweep(cells, 2);
     const Json parsed = Json::parse(sweepReport("chan", results).dump(2));
     ASSERT_EQ(parsed["cells"].size(), results.size());
@@ -360,30 +359,6 @@ TEST(SweepReport, NumberFormattingIsAShortestRoundTripFixedPoint)
     EXPECT_EQ(jsonNumberToString(0.5), "0.5");
 }
 
-TEST(SweepCli, CountListParsesValidInput)
-{
-    EXPECT_EQ(parseCountList("--cores", "1,2,4,8"),
-              (std::vector<unsigned>{1, 2, 4, 8}));
-    EXPECT_EQ(parseCountList("--channels", "64"),
-              (std::vector<unsigned>{64}));
-}
-
-TEST(SweepCli, EmptyOrInvalidCountListIsFatalNotASilentDefault)
-{
-    // An empty list must never fall back to the grid default: the
-    // sweep CLI exits non-zero instead of "succeeding" on a grid the
-    // caller did not ask for.
-    EXPECT_THROW(parseCountList("--cores", ""), std::runtime_error);
-    EXPECT_THROW(parseCountList("--cores", ",,,"), std::runtime_error);
-    EXPECT_THROW(parseCountList("--cores", "0"), std::runtime_error);
-    EXPECT_THROW(parseCountList("--cores", "65"), std::runtime_error);
-    EXPECT_THROW(parseCountList("--cores", "4x"), std::runtime_error);
-    EXPECT_THROW(parseCountList("--channels", "two"),
-                 std::runtime_error);
-    EXPECT_THROW(parseCountList("--channels", "1,,x"),
-                 std::runtime_error);
-}
-
 TEST(SweepCli, JobsValueRejectsInvalidInput)
 {
     // ssp_fatal throws std::runtime_error; sweep_main turns it into
@@ -438,7 +413,9 @@ TEST(SweepReplay, Fig5SpsCellsMatchCheckedInReport)
     // The paper's own Figure 5 cells: every design at 1 and 4 cores.
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::Sps};
-    expectReplaysCheckedIn("fig5", opts, 6);
+    const auto cells = buildFigureGrid("fig5", opts);
+    ASSERT_EQ(cells.size(), 6u);
+    expectReplaysCheckedIn("fig5", cells);
 }
 
 TEST(SweepReplay, ChanSpsCellsMatchCheckedInReport)
@@ -446,7 +423,9 @@ TEST(SweepReplay, ChanSpsCellsMatchCheckedInReport)
     // Every design at 1, 2, 4 and 8 page-interleaved NVRAM channels.
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::Sps};
-    expectReplaysCheckedIn("chan", opts, 12);
+    const auto cells = buildFigureGrid("chan", opts);
+    ASSERT_EQ(cells.size(), 12u);
+    expectReplaysCheckedIn("chan", cells);
 }
 
 // ---- scale64 grid ---------------------------------------------------------
@@ -472,10 +451,10 @@ TEST(SweepGrid, Scale64GridCoversTheBigMachineTo64Cores)
 TEST(SweepReport, Scale64OneCoreCellsReportOneBusyCoreAndNoConflicts)
 {
     SweepGridOptions opts;
-    opts.coreCounts = {1};
     opts.workloads = {WorkloadKind::Sps};
     opts.txs = 20;
-    auto cells = buildFigureGrid("scale64", opts);
+    const auto cells = gridCells(
+        "scale64", [](const SweepCell &c) { return c.cores == 1; }, opts);
     ASSERT_EQ(cells.size(), 3u);
     const auto results = runSweep(cells, 1);
     const Json report = sweepReport("scale64", results);
@@ -498,8 +477,10 @@ TEST(SweepReplay, Scale64HashZipfC16CellsMatchCheckedInReport)
 {
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::HashZipf};
-    opts.coreCounts = {16};
-    expectReplaysCheckedIn("scale64", opts, 3);
+    const auto cells = gridCells(
+        "scale64", [](const SweepCell &c) { return c.cores == 16; }, opts);
+    ASSERT_EQ(cells.size(), 3u);
+    expectReplaysCheckedIn("scale64", cells);
 }
 
 // ---- queue grid ------------------------------------------------------------
@@ -533,87 +514,24 @@ TEST(SweepGrid, QueueGridCoversLoadsCoresAndSharingScenarios)
                              "poisson/load120"));
 }
 
-TEST(SweepGrid, AxisOptionsApplyOnlyToTheGridsThatSweepThem)
-{
-    // Written out here rather than read from the registry: which grid
-    // sweeps which axis is the contract under test.
-    const std::vector<std::string> figures = {
-        "fig5",    "fig8",     "fig9",  "table3", "table45", "chan", "scale",
-        "scale64", "scale256", "queue", "shard",  "fault",   "smoke"};
-    EXPECT_EQ(knownFigures(), figures);
-    const std::map<std::string, std::set<std::string>> sweeps = {
-        {"chan", {"channels"}},
-        {"scale", {"cores"}},
-        {"scale64", {"cores"}},
-        {"scale256", {"cores"}},
-        {"queue", {"cores", "loads", "arrival"}},
-        {"shard", {"machines"}},
-        {"fault", {"machines", "fault rates", "replicate"}},
-    };
-    for (const std::string &figure : figures) {
-        for (const std::string axis :
-             {"channels", "cores", "loads", "arrival", "machines",
-              "fault rates", "replicate"}) {
-            SweepGridOptions opts;
-            if (axis == "channels")
-                opts.channels = {2};
-            if (axis == "cores")
-                opts.coreCounts = {4};
-            if (axis == "loads")
-                opts.loads = {0.5};
-            if (axis == "arrival")
-                opts.arrival = serve::ArrivalKind::Bursty;
-            if (axis == "machines")
-                opts.machines = {2};
-            if (axis == "fault rates")
-                opts.faultRates = {5};
-            if (axis == "replicate")
-                opts.replicateModes = {true};
-            const auto it = sweeps.find(figure);
-            if (it != sweeps.end() && it->second.count(axis) != 0) {
-                EXPECT_NO_THROW(buildFigureGrid(figure, opts))
-                    << figure << " x " << axis;
-            } else {
-                EXPECT_THROW(buildFigureGrid(figure, opts),
-                             std::runtime_error)
-                    << figure << " x " << axis;
-            }
-        }
-    }
-}
-
-TEST(SweepCli, LoadListParsesValidInputAndRejectsGarbage)
-{
-    EXPECT_EQ(parseLoadList("--load", "0.3,0.6,1.2"),
-              (std::vector<double>{0.3, 0.6, 1.2}));
-    EXPECT_EQ(parseLoadList("--load", "2"), (std::vector<double>{2.0}));
-    EXPECT_THROW(parseLoadList("--load", ""), std::runtime_error);
-    EXPECT_THROW(parseLoadList("--load", "0"), std::runtime_error);
-    EXPECT_THROW(parseLoadList("--load", "-0.5"), std::runtime_error);
-    EXPECT_THROW(parseLoadList("--load", "0.6x"), std::runtime_error);
-    EXPECT_THROW(parseLoadList("--load", "eleven"), std::runtime_error);
-    EXPECT_THROW(parseLoadList("--load", "12"), std::runtime_error);
-}
-
 TEST(SweepReport, QueueCellsCarryTailLatencyMetricsAndCoordinates)
 {
     SweepGridOptions opts;
-    opts.coreCounts = {2};
-    opts.loads = {1.0};
     opts.workloads = {WorkloadKind::Sps};
     opts.backends = {BackendKind::Ssp};
     opts.txs = 120;
-    opts.arrival = serve::ArrivalKind::Bursty;
-    const auto cells = buildFigureGrid("queue", opts);
+    const auto cells = gridCells("queue", [](const SweepCell &c) {
+        return c.cores == 4 && c.offeredLoad == 1.2;
+    }, opts);
     ASSERT_EQ(cells.size(), 1u);
     const auto results = runSweep(cells, 1);
     ASSERT_TRUE(results[0].ok) << results[0].error;
     const Json report =
         Json::parse(sweepReport("queue", results).dump(2));
     const Json &c = report["cells"].at(0);
-    EXPECT_EQ(c["arrival"].asString(), "bursty");
+    EXPECT_EQ(c["arrival"].asString(), "poisson");
     const Json &m = c["metrics"];
-    EXPECT_EQ(m["offered_load"].asDouble(), 1.0);
+    EXPECT_EQ(m["offered_load"].asDouble(), 1.2);
     EXPECT_GT(m["p50_cycles"].asUint(), 0u);
     EXPECT_GE(m["p99_cycles"].asUint(), m["p50_cycles"].asUint());
     // Every request is accounted for: acked + shed == generated.
@@ -637,46 +555,14 @@ TEST(SweepReplay, QueueSpsC4Load60CellsMatchCheckedInReport)
 {
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::Sps};
-    opts.coreCounts = {4};
-    opts.loads = {0.6};
-    expectReplaysCheckedIn("queue", opts, 3);
+    const auto cells = gridCells("queue", [](const SweepCell &c) {
+        return c.cores == 4 && c.offeredLoad == 0.6;
+    }, opts);
+    ASSERT_EQ(cells.size(), 3u);
+    expectReplaysCheckedIn("queue", cells);
 }
 
 // ---- scale256 grid --------------------------------------------------------
-
-TEST(SweepCli, CountListHonorsTheCallerProvidedCeiling)
-{
-    // --cores parses up to kMaxCores (the per-figure machine ceiling is
-    // buildFigureGrid's job); --channels keeps the historical 64.
-    EXPECT_EQ(parseCountList("--cores", "128,256", kMaxCores),
-              (std::vector<unsigned>{128, 256}));
-    EXPECT_EQ(parseCountList("--cores", "65", kMaxCores),
-              (std::vector<unsigned>{65}));
-    EXPECT_THROW(parseCountList("--cores", "257", kMaxCores),
-                 std::runtime_error);
-}
-
-TEST(SweepGrid, CoreCeilingIsPerFigureMachine)
-{
-    // A core count beyond the figure's machine provisioning must fail
-    // in grid construction with a clear message, never as a Machine
-    // assert deep inside a sweep worker.
-    SweepGridOptions opts;
-    opts.coreCounts = {128};
-    EXPECT_THROW(buildFigureGrid("scale64", opts), std::runtime_error);
-    EXPECT_THROW(buildFigureGrid("scale", opts), std::runtime_error);
-    EXPECT_THROW(buildFigureGrid("queue", opts), std::runtime_error);
-    try {
-        buildFigureGrid("scale64", opts);
-        FAIL() << "over-provisioned core count did not throw";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("128"), std::string::npos);
-        EXPECT_NE(msg.find("scale256"), std::string::npos); // the fix
-    }
-    opts.coreCounts = {256};
-    EXPECT_FALSE(buildFigureGrid("scale256", opts).empty());
-}
 
 TEST(SweepGrid, Scale256PairsBroadcastAndDirectoryAtEveryCoreCount)
 {
@@ -711,10 +597,10 @@ TEST(SweepGrid, Scale256PairsBroadcastAndDirectoryAtEveryCoreCount)
 TEST(SweepReport, Scale256DirectoryCountersAreZeroUnderBroadcast)
 {
     SweepGridOptions opts;
-    opts.coreCounts = {1};
     opts.workloads = {WorkloadKind::Sps};
     opts.txs = 20;
-    const auto cells = buildFigureGrid("scale256", opts);
+    const auto cells = gridCells(
+        "scale256", [](const SweepCell &c) { return c.cores == 1; }, opts);
     ASSERT_EQ(cells.size(), 6u); // 2 modes x 3 backends
     const auto results = runSweep(cells, 1);
     const Json report =
@@ -742,12 +628,10 @@ TEST(SweepReplay, Scale256DirectoryCellsMatchCheckedInReport)
     // directory transaction on the mesh.
     SweepGridOptions opts;
     opts.workloads = {WorkloadKind::HashRand};
-    opts.coreCounts = {1, 128};
-    std::vector<SweepCell> cells;
-    for (const SweepCell &cell : buildFigureGrid("scale256", opts)) {
-        if (cell.coherenceMode == CoherenceMode::Directory)
-            cells.push_back(cell);
-    }
+    const auto cells = gridCells("scale256", [](const SweepCell &c) {
+        return (c.cores == 1 || c.cores == 128) &&
+               c.coherenceMode == CoherenceMode::Directory;
+    }, opts);
     ASSERT_EQ(cells.size(), 6u);
     expectReplaysCheckedIn("scale256", cells);
 }
@@ -755,11 +639,11 @@ TEST(SweepReplay, Scale256DirectoryCellsMatchCheckedInReport)
 TEST(SweepRunner, Scale256CellsAreDeterministicAcrossJobs)
 {
     SweepGridOptions opts;
-    opts.coreCounts = {1, 4};
     opts.workloads = {WorkloadKind::Sps};
     opts.backends = {BackendKind::Ssp};
     opts.txs = 40;
-    const auto cells = buildFigureGrid("scale256", opts);
+    const auto cells = gridCells(
+        "scale256", [](const SweepCell &c) { return c.cores <= 4; }, opts);
     ASSERT_EQ(cells.size(), 4u); // 2 core counts x 2 modes
     const auto serial = runSweep(cells, 1);
     const auto parallel = runSweep(cells, 3);
