@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 #
 # Full local CI pipeline: configure, build and run the test suite.  The
-# suite includes the checked-in grid gate (test_grid_replay); the
-# non-sanitizer path then regenerates all nine checked-in grids with
-# scripts/regen_grids.sh and requires them byte-identical, as CI's
-# gcc-release leg does.  Nothing is written outside the build directory
-# except regen_grids.sh's own mktemp directory, removed on exit.
+# suite includes the checked-in grid gate (test_grid_replay).  The
+# non-sanitizer path then does what CI's gcc-release leg does after its
+# tests: it regenerates all nine checked-in grids with
+# scripts/regen_grids.sh and requires them byte-identical, builds the
+# host-performance benchmark (bench/perf) into <build-dir>/perf, runs
+# its smoke test and its one-pass gate over every benchmark cell, so an
+# API edit that breaks the benchmark build fails here too.  Nothing is
+# written outside the build directory except regen_grids.sh's own
+# mktemp directory, removed on exit.
 #
 # Usage: scripts/check.sh [--lint] [--tsan | --asan] [build-dir]
 #        (default build-dir: build, build-tsan or build-asan)
@@ -100,5 +104,14 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
 echo "== grid regeneration =="
 "$repo_root/scripts/regen_grids.sh" "$build_dir/sweep_main" "$jobs"
+
+echo "== bench/perf build and smoke =="
+cmake -S "$repo_root/bench/perf" -B "$build_dir/perf"
+cmake --build "$build_dir/perf" -j "$jobs"
+ctest --test-dir "$build_dir/perf" --output-on-failure
+
+echo "== bench/perf one-pass gate =="
+python3 "$repo_root/bench/perf/run.py" --seconds 1 \
+    --binary "$build_dir/perf/ssp_perf"
 
 echo "OK"

@@ -11,20 +11,10 @@ RedoLogBackend::RedoLogBackend(const SspConfig &cfg)
     : BaselineBase(cfg), writeBuf_(cfg.numCores),
       phase1Done_(cfg.numCores, false)
 {
-    // Line-align the per-core carve: at non-power-of-two core counts a
-    // plain division would misalign every region past the first.
-    const std::uint64_t per_core = lineBase(cfg.logBytes() / cfg.numCores);
-    ssp_assert(per_core > cfg.numCores * cfg.nvram.rowBufferBytes,
-               "log area too small for %u staggered per-core regions; "
-               "raise logPages",
-               cfg.numCores);
     logs_.reserve(cfg.numCores);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
-        // Stagger per-core regions across banks (see UndoLogBackend).
-        const Addr base =
-            cfg.logBase() + c * per_core + c * cfg.nvram.rowBufferBytes;
-        logs_.emplace_back(machine_->bus(), base,
-                           per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
+        const NvramRegion region = cfg.coreLog(c);
+        logs_.emplace_back(machine_->bus(), region.base, region.bytes,
                            WriteCategory::RedoLog, LogMode::Streamed);
     }
 }

@@ -7,23 +7,12 @@ namespace ssp
 
 UndoLogBackend::UndoLogBackend(const SspConfig &cfg) : BaselineBase(cfg)
 {
-    // Line-align the per-core carve: at non-power-of-two core counts a
-    // plain division would misalign every region past the first.
-    const std::uint64_t per_core = lineBase(cfg.logBytes() / cfg.numCores);
-    ssp_assert(per_core > cfg.numCores * cfg.nvram.rowBufferBytes,
-               "log area too small for %u staggered per-core regions; "
-               "raise logPages",
-               cfg.numCores);
     logs_.reserve(cfg.numCores);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
-        // Per-core log regions are staggered by one row so they map to
-        // different NVRAM banks (a real controller interleaves them).
-        const Addr base =
-            cfg.logBase() + c * per_core + c * cfg.nvram.rowBufferBytes;
         // Synchronous undo logging: every entry persists by itself
         // before the data store may proceed.
-        logs_.emplace_back(machine_->bus(), base,
-                           per_core - cfg.numCores * cfg.nvram.rowBufferBytes,
+        const NvramRegion region = cfg.coreLog(c);
+        logs_.emplace_back(machine_->bus(), region.base, region.bytes,
                            WriteCategory::UndoLog, LogMode::Synchronous);
     }
 }

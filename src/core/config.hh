@@ -13,13 +13,20 @@
 #include <cstdint>
 
 #include "cache/hierarchy.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "mem/mem_system.hh"
 #include "mem/timing_model.hh"
-#include "nvram/ssp_cache.hh"
 
 namespace ssp
 {
+
+/** A byte range of the NVRAM address space. */
+struct NvramRegion
+{
+    Addr base = 0;
+    std::uint64_t bytes = 0;
+};
 
 /** Everything configurable about the simulated system. */
 struct SspConfig
@@ -73,7 +80,9 @@ struct SspConfig
     /** SSP cache slots; 0 means "cores x TLB entries + overprovision". */
     unsigned sspCacheSlots = 0;
     std::uint64_t checkpointThresholdBytes = 64 * 1024;
-    SspCacheLatencyParams sspCacheLatency{};
+    /** When non-zero, every SSP-cache access costs exactly this many
+     *  cycles instead of the L3-partition hot-set model (Figure 9). */
+    Cycles sspCacheFixedLatency = 0;
 
     // ---- derived layout -------------------------------------------------
     std::uint64_t
@@ -94,6 +103,66 @@ struct SspConfig
         return pageBase(heapPages + shadowPoolPages + journalPages);
     }
     std::uint64_t logBytes() const { return logPages * kPageSize; }
+
+    /**
+     * The persistent SSP cache's slot lines, one per slot, carved off
+     * the top of the journal area so checkpoint writes never alias
+     * journal-append lines on the bank/channel layout.  Fatal when the
+     * journal area cannot also keep two checkpoint thresholds of
+     * headroom, or when the shadow pool cannot give every slot its
+     * extra page.
+     */
+    NvramRegion
+    persistentSspCache() const
+    {
+        const unsigned slots = effectiveSspSlots();
+        const std::uint64_t bytes = std::uint64_t{slots} * kLineSize;
+        if (journalBytes() <= bytes + 2 * checkpointThresholdBytes) {
+            ssp_fatal("journal area (%llu bytes) too small for %u "
+                      "persistent slot lines plus journal headroom; raise "
+                      "journalPages",
+                      static_cast<unsigned long long>(journalBytes()),
+                      slots);
+        }
+        if (shadowPoolPages < slots) {
+            ssp_fatal("shadow pool (%llu pages) smaller than the SSP cache "
+                      "(%u slots); every slot needs an extra page",
+                      static_cast<unsigned long long>(shadowPoolPages),
+                      slots);
+        }
+        return {journalBase() + journalBytes() - bytes, bytes};
+    }
+
+    /** The SSP metadata journal proper: the journal area below the
+     *  persistent SSP cache. */
+    NvramRegion
+    sspJournal() const
+    {
+        return {journalBase(), persistentSspCache().base - journalBase()};
+    }
+
+    /**
+     * Core @p core's undo/redo log.  The log area splits into one
+     * line-aligned stride per core (a plain division would misalign
+     * every region past the first at non-power-of-two core counts);
+     * region c starts c NVRAM rows into its stride, so the regions map
+     * to different banks as a real controller interleaves them.  Fatal
+     * when a stride cannot hold the stagger.
+     */
+    NvramRegion
+    coreLog(unsigned core) const
+    {
+        const std::uint64_t stride = lineBase(logBytes() / numCores);
+        const std::uint64_t stagger =
+            std::uint64_t{numCores} * nvram.rowBufferBytes;
+        if (stride <= stagger) {
+            ssp_fatal("log area too small for %u staggered per-core "
+                      "regions; raise logPages",
+                      numCores);
+        }
+        return {logBase() + core * (stride + nvram.rowBufferBytes),
+                stride - stagger};
+    }
 
     unsigned
     effectiveSspSlots() const

@@ -63,6 +63,11 @@ class SspSystem : public AtomicityBackend
     Addr committedLocation(Addr vaddr);
 
   private:
+    /** Where @p vaddr lives: in the page its slot's committed (or
+     *  current) bitmap picks, or at the page-table mapping when the
+     *  page has no SSP-cache slot. */
+    Addr lineLocation(Addr vaddr, bool committed) const;
+
     std::unique_ptr<Machine> machine_;
     std::unique_ptr<MemController> mc_;
     std::vector<std::unique_ptr<SspEngine>> engines_;

@@ -34,7 +34,6 @@ FaultInjector::FaultInjector(shard::Cluster &cluster,
     : cluster_(cluster), plan_(params, cluster.machines()),
       replicate_(params.replicate), crossFraction_(cross_fraction),
       recoveryCost_(recoverInPlaceCycles(cluster.machine(0).cfg())),
-      failoverCost_(failoverCycles(cluster.network().params())),
       armed_(cluster.machines()), hadFault_(cluster.machines(), false),
       firstFaultCommits_(cluster.machines(), 0)
 {
@@ -42,7 +41,7 @@ FaultInjector::FaultInjector(shard::Cluster &cluster,
         cluster.network().enableFaults(netFaultsFor(params.ratePerMcycle),
                                        net_seed);
     }
-    ssp_assert(failoverCost_ < recoveryCost_,
+    ssp_assert(failoverCycles() < recoveryCost_,
                "failover must beat in-place recovery");
 }
 
@@ -157,7 +156,7 @@ FaultInjector::failMachine(unsigned m)
     noteFirstFault(m);
     cluster_.powerFail(m);
     Machine &machine = cluster_.machine(m);
-    const Cycles down = replicate_ ? failoverCost_ : recoveryCost_;
+    const Cycles down = replicate_ ? failoverCycles() : recoveryCost_;
     if (replicate_) {
         ++stats_.failovers;
         stats_.failoverStallCycles += down;

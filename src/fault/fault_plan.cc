@@ -14,12 +14,10 @@ recoverInPlaceCycles(const SspConfig &cfg)
 }
 
 Cycles
-failoverCycles(const shard::NetworkParams &net)
+failoverCycles()
 {
-    const Cycles wire =
-        (kShipAckBytes + net.bytesPerCycle - 1) / net.bytesPerCycle;
-    const Cycles handshake = 2 * (net.rpcLatency + net.serialization + wire);
-    return kFailureDetectCycles + handshake + kPromotionCycles;
+    return kFailureDetectCycles + 2 * shard::rpcCost(kShipAckBytes) +
+           kPromotionCycles;
 }
 
 FaultPlan::FaultPlan(const FaultParams &params, unsigned machines)

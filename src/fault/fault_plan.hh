@@ -104,12 +104,12 @@ Cycles recoverInPlaceCycles(const SspConfig &cfg);
 /**
  * Cycles a replicated shard is unavailable across a failover: the
  * backup detects the silent primary, runs the promotion handshake (two
- * one-way messages priced by @p net's parameters, uncounted — the
- * handshake is control traffic, not workload traffic) and takes over.
+ * one-way messages priced as shard::rpcCost, uncounted — the handshake
+ * is control traffic, not workload traffic) and takes over.
  * No log scan: synchronous shipping means the backup is already
  * current.  Strictly below recoverInPlaceCycles for any real config.
  */
-Cycles failoverCycles(const shard::NetworkParams &net);
+Cycles failoverCycles();
 
 /**
  * Per-machine lazy fault schedule.  Events are drawn machine by machine

@@ -8,19 +8,15 @@
 namespace ssp
 {
 
-MemController::MemController(const MemControllerParams &params,
-                             MemoryBus &bus, PageTable &pt)
-    : params_(params), bus_(bus), pt_(pt),
-      cache_(params.sspCacheSlots, params.latency),
-      journal_(bus, params.journalBase, params.journalBytes,
+MemController::MemController(const SspConfig &cfg, MemoryBus &bus,
+                             PageTable &pt)
+    : cfg_(cfg), persistentCache_(cfg.persistentSspCache()), bus_(bus),
+      pt_(pt), cache_(cfg.effectiveSspSlots(), cfg.sspCacheFixedLatency),
+      journal_(bus, cfg.sspJournal().base, cfg.sspJournal().bytes,
                WriteCategory::MetaJournal, LogMode::BackgroundStreamed),
-      pool_(params.shadowPoolBase, params.shadowPoolPages),
+      pool_(cfg.shadowPoolBase(), cfg.shadowPoolPages),
       consolidator_(cache_, journal_, pt_, bus)
 {
-    ssp_assert(params_.persistentCacheBytes > 0,
-               "the persistent SSP-cache area must not be empty");
-    ssp_assert(params_.checkpointThresholdBytes <= params_.journalBytes,
-               "checkpoint threshold beyond journal capacity");
 }
 
 MetadataFetchResult
@@ -174,7 +170,7 @@ MemController::commitTx(TxId tid, Cycles now)
     journal_.append(rec, now);
     Cycles done = journal_.flush(now);
     // Checkpointing bounds the journal, and with it recovery time.
-    if (journal_.appendedBytes() >= params_.checkpointThresholdBytes)
+    if (journal_.appendedBytes() >= cfg_.checkpointThresholdBytes)
         checkpoint(done);
     return done;
 }
@@ -209,9 +205,8 @@ MemController::checkpoint(Cycles now)
         // onto the real bank/channel layout if checkpointing is ever
         // made contending.
         const Addr slot_line =
-            params_.persistentCacheBase +
-            (static_cast<Addr>(sid) * kLineSize) %
-                params_.persistentCacheBytes;
+            persistentCache_.base +
+            (static_cast<Addr>(sid) * kLineSize) % persistentCache_.bytes;
         bus_.issueWrite(slot_line, WriteCategory::Checkpoint, now, true);
     }
     journal_.truncate();
@@ -288,7 +283,7 @@ MemController::recover()
     //    in use: those owned by live slots and those mapped.  Pages at or
     //    above the end of the reserved range are never pool candidates.
     const std::vector<SlotId> live_slots = cache_.validSlots();
-    const Ppn universe_end = params_.shadowPoolBase + params_.shadowPoolPages;
+    const Ppn universe_end = cfg_.shadowPoolBase() + cfg_.shadowPoolPages;
     std::vector<std::uint8_t> used(universe_end, 0);
     auto mark_used = [&](Ppn ppn) {
         if (ppn < universe_end)
@@ -311,8 +306,8 @@ MemController::recover()
         if (used[ppn] == 0)
             free_list.push_back(ppn);
     }
-    pool_ = FreePagePool::fromList(params_.shadowPoolBase,
-                                   params_.shadowPoolPages, free_list);
+    pool_ = FreePagePool::fromList(cfg_.shadowPoolBase(),
+                                   cfg_.shadowPoolPages, free_list);
 
     // 5. Checkpoint immediately so the persistent cache reflects the
     //    recovered state and the journal restarts empty.

@@ -20,6 +20,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/config.hh"
 #include "mem/memory_bus.hh"
 #include "nvram/consolidation.hh"
 #include "nvram/free_pages.hh"
@@ -29,33 +30,6 @@
 
 namespace ssp
 {
-
-/** Configuration of the controller. */
-struct MemControllerParams
-{
-    /** SSP cache slots (cores x TLB entries + overprovisioning). */
-    unsigned sspCacheSlots = 4 * 64 + 64;
-    /** First physical page of the reserved shadow-page pool. */
-    Ppn shadowPoolBase = 0;
-    /** Number of reserved shadow pages. */
-    std::uint64_t shadowPoolPages = 1024;
-    /** NVRAM byte address of the metadata journal. */
-    Addr journalBase = 0;
-    /** Journal area size in bytes. */
-    std::uint64_t journalBytes = 1 << 20;
-    /**
-     * NVRAM area holding the persistent SSP-cache slot lines that
-     * checkpoints write.  Must not overlap the journal proper, or
-     * checkpoint traffic would alias journal-append lines on the
-     * bank/channel layout.
-     */
-    Addr persistentCacheBase = 0;
-    std::uint64_t persistentCacheBytes = 0;
-    /** Checkpoint when the journal holds this many bytes. */
-    std::uint64_t checkpointThresholdBytes = 256 * 1024;
-    /** Latency model of the SSP cache. */
-    SspCacheLatencyParams latency;
-};
 
 /** Result of a metadata fetch on a TLB miss. */
 struct MetadataFetchResult
@@ -70,8 +44,10 @@ struct MetadataFetchResult
 class MemController
 {
   public:
-    MemController(const MemControllerParams &params, MemoryBus &bus,
-                  PageTable &pt);
+    /** Lay the controller out as @p cfg's shadow pool, SSP cache and
+     *  journal describe; fatal when the journal or the pool is too
+     *  small for the cache (SspConfig::persistentSspCache). */
+    MemController(const SspConfig &cfg, MemoryBus &bus, PageTable &pt);
 
     /**
      * TLB-fill path: after the page walk produced @p ppn0, fetch (or
@@ -145,7 +121,9 @@ class MemController
      *  pool; force a journal flush only when the pool is empty. */
     void reclaimQuarantine(Cycles now);
 
-    MemControllerParams params_;
+    const SspConfig cfg_;
+    /** cfg_.persistentSspCache(), where checkpoints write slot lines. */
+    const NvramRegion persistentCache_;
     MemoryBus &bus_;
     PageTable &pt_;
     SspCache cache_;

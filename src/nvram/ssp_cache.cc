@@ -5,8 +5,20 @@
 namespace ssp
 {
 
-SspCache::SspCache(unsigned num_slots, const SspCacheLatencyParams &latency)
-    : latency_(latency)
+namespace
+{
+
+/** Entries that fit in the reserved L3 partition (section 5.1: ~1K). */
+constexpr std::size_t kL3ResidentEntries = 1024;
+/** An L3-resident entry costs the L3 latency (Table 2: 27 cycles). */
+constexpr Cycles kHitLatency = 27;
+/** Any other entry comes from DRAM (50 ns = 185 cycles). */
+constexpr Cycles kMissLatency = 185;
+
+} // namespace
+
+SspCache::SspCache(unsigned num_slots, Cycles fixed_latency)
+    : fixedLatency_(fixed_latency)
 {
     ssp_assert(num_slots > 0);
     slots_.resize(num_slots);
@@ -90,7 +102,7 @@ SspCache::touchHot(SlotId sid)
     auto it = hotIndex_.find(sid);
     if (it != hotIndex_.end()) {
         hotLru_.erase(it->second);
-    } else if (hotLru_.size() >= latency_.l3ResidentEntries) {
+    } else if (hotLru_.size() >= kL3ResidentEntries) {
         SlotId cold = hotLru_.back();
         hotLru_.pop_back();
         hotIndex_.erase(cold);
@@ -102,18 +114,18 @@ SspCache::touchHot(SlotId sid)
 Cycles
 SspCache::access(SlotId sid, Cycles now)
 {
-    if (latency_.fixedLatency != 0) {
+    if (fixedLatency_ != 0) {
         touchHot(sid);
-        return now + latency_.fixedLatency;
+        return now + fixedLatency_;
     }
     const bool hit = hotIndex_.contains(sid);
     touchHot(sid);
     if (hit) {
         ++hotHits_;
-        return now + latency_.hitLatency;
+        return now + kHitLatency;
     }
     ++hotMisses_;
-    return now + latency_.missLatency;
+    return now + kMissLatency;
 }
 
 std::uint64_t

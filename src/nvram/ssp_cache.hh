@@ -15,9 +15,10 @@
  *  - the persistent half (NVRAM) holds only the durable fields and is
  *    written by checkpointing, read only during recovery.
  *
- * Access latency is modeled after the paper's method: a small L3
- * partition caches hot entries; a hit costs the L3 latency, a miss the
- * DRAM latency.  Figure 9's sweep replaces this with a fixed latency.
+ * Access latency is modeled after the paper's method: an L3 partition
+ * caches the 1024 hottest entries (section 5.1: ~1K); a hit costs the
+ * L3 latency (Table 2: 27 cycles), a miss the DRAM latency (50 ns = 185
+ * cycles).  Figure 9's sweep replaces this with a fixed latency.
  */
 
 #ifndef SSP_NVRAM_SSP_CACHE_HH
@@ -64,19 +65,6 @@ struct PersistentSlot
     Bitmap64 committed;
 };
 
-/** Latency configuration for SSP-cache accesses. */
-struct SspCacheLatencyParams
-{
-    /** Entries that fit in the reserved L3 partition (~1K in the paper). */
-    unsigned l3ResidentEntries = 1024;
-    /** Latency when the entry is L3-resident (Table 2 L3: 27 cycles). */
-    Cycles hitLatency = 27;
-    /** Latency when it must come from DRAM (paper: 185 cycles). */
-    Cycles missLatency = 185;
-    /** When non-zero, every access costs exactly this (Figure 9 sweep). */
-    Cycles fixedLatency = 0;
-};
-
 /**
  * The SSP cache proper: slot storage, vpn index, LRU hot-set latency
  * model, and the persistent half.
@@ -86,9 +74,10 @@ class SspCache
   public:
     /**
      * @param num_slots Capacity (paper: cores x TLB entries + overflow).
-     * @param latency Latency model parameters.
+     * @param fixed_latency When non-zero, the cost of every access in
+     *        place of the hot-set model (Figure 9's sweep).
      */
-    SspCache(unsigned num_slots, const SspCacheLatencyParams &latency);
+    SspCache(unsigned num_slots, Cycles fixed_latency);
 
     /** Look up the slot for @p vpn; kInvalidSlot if absent. */
     SlotId findSlot(Vpn vpn) const;
@@ -157,7 +146,7 @@ class SspCache
   private:
     void touchHot(SlotId sid);
 
-    SspCacheLatencyParams latency_;
+    Cycles fixedLatency_;
     std::vector<SspCacheEntry> slots_;
     std::vector<PersistentSlot> persistent_;
     std::unordered_map<Vpn, SlotId> byVpn_;

@@ -20,7 +20,6 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
     ssp_assert(num_cores >= 1 && num_cores <= machine.cfg().numCores,
                "serve run uses more cores than the machine has");
     ssp_assert(params.offeredLoad > 0, "offered load must be positive");
-    ssp_assert(params.queueDepth > 0, "queue depth must be positive");
 
     // Calibrate: measure closed-loop capacity (cycles per transaction at
     // this core count) so the offered load can be expressed as a factor
@@ -114,7 +113,7 @@ runServeExperiment(Experiment &exp, std::uint64_t num_requests,
             advance_to(next_arrival);
             const unsigned core =
                 static_cast<unsigned>(delivered % num_cores);
-            if (queues[core].size() >= params.queueDepth) {
+            if (queues[core].size() >= kQueueDepth) {
                 ++rejected;
             } else {
                 queues[core].push_back(next_arrival);

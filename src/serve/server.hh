@@ -20,9 +20,10 @@
  * past what this backend/workload/core-count can sustain", regardless
  * of how fast the cell happens to be.
  *
- * Admission control: a request arriving at a full queue is shed and
- * counted (rejected_txs) instead of growing the queue without bound —
- * above saturation an open-loop system must either shed or diverge.
+ * Admission control: a request arriving at a full queue (kQueueDepth
+ * requests) is shed and counted (rejected_txs) instead of growing the
+ * queue without bound — above saturation an open-loop system must
+ * either shed or diverge.
  */
 
 #ifndef SSP_SERVE_SERVER_HH
@@ -34,6 +35,9 @@
 namespace ssp::serve
 {
 
+/** Per-core queue bound; arrivals beyond it are shed. */
+inline constexpr unsigned kQueueDepth = 64;
+
 /** Configuration of one open-loop serving run. */
 struct ServeParams
 {
@@ -41,8 +45,6 @@ struct ServeParams
     ArrivalKind arrival = ArrivalKind::Poisson;
     /** Arrival rate as a factor of measured closed-loop capacity. */
     double offeredLoad = 0.6;
-    /** Per-core queue bound; arrivals beyond it are shed. */
-    unsigned queueDepth = 64;
     /** Seed of the arrival process RNG stream (independent of the
      *  workload's key stream). */
     std::uint64_t seed = 1;

@@ -29,8 +29,7 @@ Cluster::shardSeed(std::uint64_t base_seed, unsigned machine)
 
 Cluster::Cluster(BackendKind backend_kind, WorkloadKind workload_kind,
                  const SspConfig &cfg, const WorkloadScale &scale,
-                 unsigned machines, const NetworkParams &net)
-    : net_(net)
+                 unsigned machines)
 {
     ssp_assert(machines >= 1, "a cluster needs at least one machine");
     shards_.reserve(machines);

@@ -37,7 +37,7 @@ class Cluster
      */
     Cluster(BackendKind backend_kind, WorkloadKind workload_kind,
             const SspConfig &cfg, const WorkloadScale &scale,
-            unsigned machines, const NetworkParams &net = {});
+            unsigned machines);
 
     unsigned machines() const
     {

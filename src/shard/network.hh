@@ -23,19 +23,21 @@
 namespace ssp::shard
 {
 
-/** Cost knobs of the cluster interconnect (datacenter-class defaults). */
-struct NetworkParams
+/** One-way message latency: ~1.35 us at the simulated 3.7 GHz core, a
+ *  datacenter-class kernel-bypass RPC fabric, not loopback. */
+inline constexpr Cycles kRpcLatency = 5000;
+/** Serialization/deserialization CPU cost per message. */
+inline constexpr Cycles kSerializationCycles = 200;
+/** Wire bandwidth as payload bytes moved per core cycle. */
+inline constexpr std::uint64_t kWireBytesPerCycle = 16;
+
+/** Cycles one cross-machine message of @p bytes payload costs. */
+constexpr Cycles
+rpcCost(std::uint64_t bytes)
 {
-    /**
-     * One-way message latency in core cycles.  ~2.3 us at the simulated
-     * core frequency — a kernel-bypass RPC fabric, not loopback.
-     */
-    Cycles rpcLatency = 5000;
-    /** Serialization/deserialization CPU cost per message. */
-    Cycles serialization = 200;
-    /** Wire bandwidth as payload bytes moved per core cycle. */
-    std::uint64_t bytesPerCycle = 16;
-};
+    return kRpcLatency + kSerializationCycles +
+           (bytes + kWireBytesPerCycle - 1) / kWireBytesPerCycle;
+}
 
 /** Wire sizes of the 2PC messages (header + footprint summary). */
 inline constexpr std::uint64_t kPrepareBytes = 256;
@@ -48,6 +50,9 @@ inline constexpr Cycles kMaxExtraDelay = 2500;
 /** Sender timeout before the first resend (4x the one-way latency);
  *  backoff doubles it per retry, capped at 8x. */
 inline constexpr Cycles kRpcTimeout = 20000;
+/** Forced delivery after this many drops of one message — the model's
+ *  way of saying retransmission eventually wins. */
+inline constexpr unsigned kMaxRetries = 16;
 
 /**
  * Unreliability knobs for the fault harness.  All zero (the default)
@@ -60,9 +65,6 @@ struct NetworkFaultParams
     double lossRate = 0;
     /** Per-delivery probability of an extra queueing delay. */
     double delayRate = 0;
-    /** Forced delivery after this many drops of one message — the
-     *  model's way of saying retransmission eventually wins. */
-    unsigned maxRetries = 16;
 };
 
 /**
@@ -74,11 +76,6 @@ struct NetworkFaultParams
 class NetworkModel
 {
   public:
-    explicit NetworkModel(const NetworkParams &params = {})
-        : params_(params)
-    {
-    }
-
     /**
      * Arm the unreliable-network mode: sendReliable() starts drawing
      * loss/delay from a stream seeded by @p seed.  Never called on
@@ -102,10 +99,7 @@ class NetworkModel
     {
         if (src == dst)
             return 0;
-        const Cycles wire =
-            (bytes + params_.bytesPerCycle - 1) / params_.bytesPerCycle;
-        const Cycles cost = params_.rpcLatency + params_.serialization +
-                            wire;
+        const Cycles cost = rpcCost(bytes);
         ++messages_;
         cycles_ += cost;
         return cost;
@@ -130,7 +124,7 @@ class NetworkModel
         Cycles total = 0;
         for (unsigned attempt = 0;; ++attempt) {
             const double u = faultRng_.nextDouble();
-            if (u < faults_.lossRate && attempt < faults_.maxRetries) {
+            if (u < faults_.lossRate && attempt < kMaxRetries) {
                 // Dropped: the sender waits out its timeout (doubled
                 // per retry, capped at 8x) and retransmits.
                 const Cycles wait = kRpcTimeout << std::min(attempt, 3u);
@@ -149,8 +143,6 @@ class NetworkModel
         }
     }
 
-    const NetworkParams &params() const { return params_; }
-
     /** Cross-machine messages priced so far. */
     std::uint64_t messages() const { return messages_; }
 
@@ -167,7 +159,6 @@ class NetworkModel
     Cycles timeoutStallCycles() const { return timeoutStall_; }
 
   private:
-    NetworkParams params_;
     std::uint64_t messages_ = 0;
     Cycles cycles_ = 0;
     bool faultsEnabled_ = false;

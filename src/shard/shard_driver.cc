@@ -31,16 +31,6 @@ runClusterExperiment(Cluster &cluster, std::uint64_t txs_per_shard,
 {
     ShardRunResult res;
     const unsigned machines = cluster.machines();
-    if (machines == 1 && faults == nullptr) {
-        // The 1-machine cluster IS the single-machine model: same
-        // driver, same barriers, same clocks — cycle-identical by
-        // construction.  No 2PC state exists to report.
-        res.shards.push_back(
-            runExperiment(cluster.shard(0), txs_per_shard, num_cores));
-        res.aggregate = res.shards[0];
-        return res;
-    }
-
     for (unsigned m = 0; m < machines; ++m) {
         Machine &machine = cluster.machine(m);
         ssp_assert(num_cores >= 1 &&

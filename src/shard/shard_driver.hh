@@ -6,9 +6,9 @@
  * coordinator slot, whether the operation stays single-shard or becomes
  * a cross-shard 2PC transaction against a drawn peer shard.
  *
- * A 1-machine cluster delegates wholesale to runExperiment — literally
- * the same code path — so machines=1 results are cycle-identical to the
- * single-machine model by construction, not by reimplementation.
+ * Each machine's rounds end on the same barriers runExperiment's do, so
+ * a 1-machine cluster yields runExperiment's metrics on shard 0 (pinned
+ * by ShardDriver.OneMachineClusterMatchesTheSingleMachineDriver).
  */
 
 #ifndef SSP_SHARD_SHARD_DRIVER_HH
@@ -36,7 +36,8 @@ struct ShardRunResult
     RunResult aggregate;
     /** Per-shard deltas, index = shard. */
     std::vector<RunResult> shards;
-    /** 2PC accounting; all zero for a 1-machine cluster. */
+    /** 2PC accounting.  A 1-machine cluster counts every operation as
+     *  a single-shard commit and leaves the rest zero. */
     ShardTxStats tx;
     /** Cross-machine messages priced by the NetworkModel. */
     std::uint64_t networkMessages = 0;
@@ -77,14 +78,11 @@ class ClusterFaultDriver
  * @p num_cores cores per machine.  Each slot becomes a cross-shard
  * transaction with probability @p cross_shard_fraction (peer drawn
  * uniformly from the other shards); the routing stream is seeded by
- * @p route_seed, independent of every workload stream.  With one
- * machine the call is exactly runExperiment on shard 0.
+ * @p route_seed, independent of every workload stream.
  *
  * @p faults, when non-null, arms the fault harness: scheduled machine
  * failures fire at slot boundaries, 2PC runs in the logged mode, and
- * commits are log-shipped when replication is on.  A 1-machine cluster
- * with faults armed runs the general loop (so failures can fire), not
- * the runExperiment delegate.
+ * commits are log-shipped when replication is on.
  */
 ShardRunResult runClusterExperiment(Cluster &cluster,
                                     std::uint64_t txs_per_shard,

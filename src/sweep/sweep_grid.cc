@@ -92,7 +92,7 @@ SweepCell::config() const
     cfg.numCores = cores;
     cfg.nvramLatencyMultiplier = nvramLatencyMultiplier;
     if (sspCacheFixedLatency != 0)
-        cfg.sspCacheLatency.fixedLatency = sspCacheFixedLatency;
+        cfg.sspCacheFixedLatency = sspCacheFixedLatency;
     if (nvramChannels != 1)
         cfg.nvramChannels = nvramChannels;
     cfg.coherence.mode = coherenceMode;

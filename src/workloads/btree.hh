@@ -5,10 +5,11 @@
  * spatial locality that lets SSP "nearly eliminate the logging writes"
  * on this workload, section 5.2).
  *
- * Layout: fixed 256-byte nodes (4 cache lines).
+ * Layout: fixed 768-byte nodes (12 cache lines), fanout kFanout = 32.
  *   header (line 0): is_leaf, count, next-leaf (leaves only)
- *   keys   (line 1): up to 8 keys
- *   slots  (lines 2-3): 8 values (leaf) or 9 children (inner)
+ *   keys   (lines 1-4, from byte 64): up to 32 keys
+ *   slots  (lines 6-10, from byte 384): 32 values (leaf) or 33
+ *          children (inner)
  * Deletes remove from the leaf without rebalancing (underfull leaves are
  * tolerated, as in most PM B+-tree implementations); inserts split
  * bottom-up.

@@ -75,7 +75,7 @@ class Workload
      * deleted again.  The structure therefore holds fewer than
      * keySpace/2 keys — at keySpace 4096, 1274 in the B-tree after the
      * Rand prefill and 638 after the Zipf one.  How full it should be
-     * belongs with matching Table 3's write sets (ROADMAP.md item 5).
+     * belongs with matching Table 3's write sets, an open ROADMAP item.
      */
     virtual void setup() = 0;
 

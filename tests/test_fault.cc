@@ -143,10 +143,11 @@ TEST(FaultPricing, FailoverBeatsInPlaceRecovery)
     // The replication claim the fault grid measures: promotion costs
     // detection + handshake + bookkeeping, never a log scan, so it is
     // strictly cheaper than recovering in place on any real config.
-    const shard::NetworkParams net;
-    EXPECT_LT(failoverCycles(net), recoverInPlaceCycles(faultConfig(4)));
-    EXPECT_GE(failoverCycles(net),
-              kFailureDetectCycles + kPromotionCycles);
+    EXPECT_LT(failoverCycles(), recoverInPlaceCycles(faultConfig(4)));
+    // Two 64-byte handshake messages at 5000 + 200 + 4 cycles each.
+    EXPECT_EQ(failoverCycles(),
+              kFailureDetectCycles + 2 * (5000u + 200u + 4u) +
+                  kPromotionCycles);
 }
 
 // ---- unreliable network ----------------------------------------------------
@@ -172,16 +173,15 @@ TEST(UnreliableNetwork, CertainLossRetriesWithCappedBackoffThenDelivers)
 {
     shard::NetworkFaultParams faults;
     faults.lossRate = 1.0; // every transmission drops...
-    faults.maxRetries = 5; // ...until the forced delivery
     shard::NetworkModel net;
     net.enableFaults(faults, 7);
     const Cycles base = shard::NetworkModel().messageCost(0, 1, 256);
-    // Timeouts: 20000 << {0,1,2,3,3} = 20k+40k+80k+160k+160k, then the
-    // sixth attempt is forced through at plain messageCost.
-    const Cycles stall = 20000 + 40000 + 80000 + 160000 + 160000;
+    // ...until the 17th attempt is forced through at plain messageCost.
+    // Timeouts: 20000 << {0,1,2,3,3,...} = 20k+40k+80k, then 13 x 160k.
+    const Cycles stall = 20000 + 40000 + 80000 + 13 * 160000;
     EXPECT_EQ(net.sendReliable(0, 1, 256), stall + base);
-    EXPECT_EQ(net.messagesLost(), 5u);
-    EXPECT_EQ(net.rpcRetries(), 5u);
+    EXPECT_EQ(net.messagesLost(), 16u);
+    EXPECT_EQ(net.rpcRetries(), 16u);
     EXPECT_EQ(net.timeoutStallCycles(), stall);
 }
 
@@ -479,8 +479,7 @@ TEST(FaultInjector, ReplicationFailsOverInsteadOfRecoveringInPlace)
     EXPECT_GT(s.powerFails, 0u);
     EXPECT_EQ(s.failovers, s.powerFails);
     EXPECT_EQ(s.recoveries, 0u);
-    const Cycles per_failover =
-        failoverCycles(cluster.network().params());
+    const Cycles per_failover = failoverCycles();
     EXPECT_EQ(s.failoverStallCycles, s.failovers * per_failover);
     EXPECT_LT(per_failover, recoverInPlaceCycles(faultConfig(4)));
     // Synchronous log shipping priced every commit: a ship + an ack.

@@ -150,18 +150,18 @@ TEST_F(JournalTest, RecordOrderPreserved)
 
 TEST(ControllerCheckpoint, RunsWhenTheJournalReachesTheThreshold)
 {
-    PhysMem mem(64, 4);
+    SspConfig cfg;
+    cfg.heapPages = 32;
+    cfg.shadowPoolPages = 16;
+    cfg.journalPages = 1;
+    cfg.logPages = 0;
+    cfg.sspCacheSlots = 8;
+    cfg.checkpointThresholdBytes = 2 * kLineSize;
+    PhysMem mem(cfg.nvramPages(), 4);
     MemoryBus bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
                   MemTimingParams{4, 1024, 200, 800, 0.4});
     PageTable pt(0);
-    MemControllerParams params;
-    params.shadowPoolBase = 32;
-    params.shadowPoolPages = 16;
-    params.journalBytes = 16 * kLineSize;
-    params.persistentCacheBase = kPageSize;
-    params.persistentCacheBytes = kPageSize;
-    params.checkpointThresholdBytes = 2 * kLineSize;
-    MemController mc(params, bus, pt);
+    MemController mc(cfg, bus, pt);
     // Each commit appends one 8-byte marker: the 16th reaches 128 bytes.
     for (int i = 0; i < 15; ++i)
         mc.commitTx(mc.beginTx(), 0);

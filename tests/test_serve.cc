@@ -2,12 +2,10 @@
  * @file
  * Request-serving subsystem tests: histogram bucket math and exact-rank
  * percentiles, the Poisson arrival process's determinism and long-run
- * rate, the open-loop server's accounting invariants and overload
- * behavior, and the bulk-synchronous driver's replay of checked-in scale
- * cells.
+ * rate, and the open-loop server's accounting invariants and overload
+ * behavior.
  */
 
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,18 +14,12 @@
 #include "serve/latency_histogram.hh"
 #include "serve/server.hh"
 #include "sim/system_builder.hh"
-#include "sweep/sweep_grid.hh"
-#include "sweep/sweep_runner.hh"
 #include "tests/test_helpers.hh"
 
 namespace ssp::serve::test
 {
 namespace
 {
-
-using ssp::sweep::buildFigureGrid;
-using ssp::sweep::SweepCell;
-using ssp::sweep::SweepGridOptions;
 
 /** A small serving experiment on the tiny test machine. */
 Experiment
@@ -201,51 +193,11 @@ TEST(ServeExperiment, OverloadRaisesTailLatencyAndQueueDepth)
 TEST(ServeExperiment, AdmissionControlShedsAtFullQueues)
 {
     ServeParams params;
-    params.offeredLoad = 4.0; // far past capacity...
-    params.queueDepth = 2;    // ...with almost no buffer
+    params.offeredLoad = 4.0; // far past capacity: 64-deep queues fill
     Experiment exp = smallServeExperiment(2);
     const RunResult res = runServeExperiment(exp, 300, 2, params);
     EXPECT_GT(res.rejectedTxs, 0u);
     EXPECT_EQ(res.committedTxs + res.rejectedTxs, 300u);
-}
-
-// ---- driver replay ---------------------------------------------------------
-
-TEST(Scheduler, RoundsModeReplaysTheCheckedInScaleCells)
-{
-    // The driver's bulk-synchronous rounds must reproduce the
-    // checked-in BENCH_scale.json contended 4-core cells exactly.
-    const Json checked_in = ssp::test::loadCheckedIn("BENCH_scale.json");
-
-    SweepGridOptions opts;
-    opts.workloads = {WorkloadKind::BTreeZipf};
-    const auto cells = ssp::test::gridCells(
-        "scale", [](const SweepCell &c) { return c.cores == 4; }, opts);
-    ASSERT_EQ(cells.size(), 3u); // one workload x 3 backends
-
-    std::size_t matched = 0;
-    for (const SweepCell &cell : cells) {
-        Experiment exp = buildExperiment(cell.backend, cell.workload,
-                                         cell.config(), cell.scale);
-        const RunResult run = runExperiment(exp, cell.txs, cell.cores);
-        for (std::size_t j = 0; j < checked_in["cells"].size(); ++j) {
-            const Json &want = checked_in["cells"].at(j);
-            if (want["label"].asString() != cell.label())
-                continue;
-            const Json &m = want["metrics"];
-            EXPECT_EQ(run.committedTxs, m["committed_txs"].asUint())
-                << cell.label();
-            EXPECT_EQ(run.cycles, m["cycles"].asUint()) << cell.label();
-            EXPECT_EQ(run.nvramWrites, m["nvram_writes"].asUint())
-                << cell.label();
-            EXPECT_EQ(run.loggingWrites, m["logging_writes"].asUint())
-                << cell.label();
-            EXPECT_EQ(run.txAborts, m["tx_aborts"].asUint())
-                << cell.label();
-            ++matched;
-        }
-    }
-    EXPECT_EQ(matched, 3u);
 }
 
 } // namespace

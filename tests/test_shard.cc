@@ -57,17 +57,13 @@ TEST(NetworkModel, SameMachineMessagesAreFreeAndUncounted)
 
 TEST(NetworkModel, CrossMachineCostIsLatencyPlusSerializationPlusWire)
 {
-    NetworkParams params;
-    params.rpcLatency = 1000;
-    params.serialization = 50;
-    params.bytesPerCycle = 16;
-    NetworkModel net(params);
+    NetworkModel net;
     // 256 bytes at 16 B/cycle = 16 wire cycles.
-    EXPECT_EQ(net.messageCost(0, 1, 256), 1000u + 50u + 16u);
+    EXPECT_EQ(net.messageCost(0, 1, 256), 5000u + 200u + 16u);
     // Partial last beat rounds up: 17 bytes take 2 cycles.
-    EXPECT_EQ(net.messageCost(1, 0, 17), 1000u + 50u + 2u);
+    EXPECT_EQ(net.messageCost(1, 0, 17), 5000u + 200u + 2u);
     EXPECT_EQ(net.messages(), 2u);
-    EXPECT_EQ(net.cyclesCharged(), (1000u + 50u + 16u) + (1000u + 50u + 2u));
+    EXPECT_EQ(net.cyclesCharged(), (5000u + 200u + 16u) + (5000u + 200u + 2u));
 }
 
 // ---- cluster construction --------------------------------------------------

@@ -32,6 +32,42 @@ TEST(Config, LayoutIsDisjointAndOrdered)
     EXPECT_GE(cfg.logBase(), cfg.journalBase() + cfg.journalBytes());
 }
 
+/** makeBackend(@p kind, @p cfg) throws, naming @p fix. */
+void
+expectLayoutFatal(BackendKind kind, const SspConfig &cfg, const char *fix)
+{
+    try {
+        makeBackend(kind, cfg);
+        ADD_FAILURE() << backendKindName(kind) << " accepted the layout";
+    } catch (const std::exception &e) {
+        EXPECT_NE(std::string(e.what()).find(fix), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Config, JournalTooSmallForThePersistentSlotLinesIsFatal)
+{
+    SspConfig cfg;
+    cfg.journalPages = 4; // 16 KiB: not 320 slot lines + 2 x 64 KiB
+    expectLayoutFatal(BackendKind::Ssp, cfg, "raise journalPages");
+}
+
+TEST(Config, ShadowPoolSmallerThanTheSspCacheIsFatal)
+{
+    SspConfig cfg;
+    cfg.shadowPoolPages = cfg.effectiveSspSlots() - 1;
+    expectLayoutFatal(BackendKind::Ssp, cfg, "every slot needs an extra page");
+}
+
+TEST(Config, LogAreaTooSmallForPerCoreRegionsIsFatal)
+{
+    SspConfig cfg;
+    cfg.numCores = 8;
+    cfg.logPages = 4; // 2 KiB strides cannot hold an 8-row stagger
+    for (BackendKind kind : {BackendKind::UndoLog, BackendKind::RedoLog})
+        expectLayoutFatal(kind, cfg, "raise logPages");
+}
+
 TEST(Config, EffectiveSlotsFollowPaperFormula)
 {
     SspConfig cfg;

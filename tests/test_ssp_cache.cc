@@ -5,6 +5,8 @@
  * persistent half.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "nvram/ssp_cache.hh"
@@ -14,16 +16,9 @@ using namespace ssp;
 namespace
 {
 
-SspCacheLatencyParams
-lat(unsigned hot_entries = 4, Cycles hit = 27, Cycles miss = 185,
-    Cycles fixed = 0)
-{
-    return SspCacheLatencyParams{hot_entries, hit, miss, fixed};
-}
-
 TEST(SspCache, AllocateAndFind)
 {
-    SspCache cache(8, lat());
+    SspCache cache(8, 0);
     EXPECT_EQ(cache.findSlot(5), kInvalidSlot);
     SlotId sid = cache.allocateSlot(5);
     EXPECT_EQ(cache.findSlot(5), sid);
@@ -34,7 +29,7 @@ TEST(SspCache, AllocateAndFind)
 
 TEST(SspCache, FreeSlotClears)
 {
-    SspCache cache(8, lat());
+    SspCache cache(8, 0);
     SlotId sid = cache.allocateSlot(5);
     cache.freeSlot(sid);
     EXPECT_EQ(cache.findSlot(5), kInvalidSlot);
@@ -43,7 +38,7 @@ TEST(SspCache, FreeSlotClears)
 
 TEST(SspCache, EvictsConsolidatedUnreferencedWhenFull)
 {
-    SspCache cache(2, lat());
+    SspCache cache(2, 0);
     SlotId a = cache.allocateSlot(1);
     SlotId b = cache.allocateSlot(2);
     // Slot a is consolidated (committed zero) and unreferenced; slot b
@@ -61,7 +56,7 @@ TEST(SspCache, EvictsConsolidatedUnreferencedWhenFull)
 
 TEST(SspCache, GrowsWhenNoEntryIsEvictable)
 {
-    SspCache cache(2, lat());
+    SspCache cache(2, 0);
     SlotId a = cache.allocateSlot(1);
     SlotId b = cache.allocateSlot(2);
     cache.entry(a).tlbRefCount = 1;
@@ -73,7 +68,7 @@ TEST(SspCache, GrowsWhenNoEntryIsEvictable)
 
 TEST(SspCache, ReferencedDirtyEntriesNotEvicted)
 {
-    SspCache cache(2, lat());
+    SspCache cache(2, 0);
     SlotId a = cache.allocateSlot(1);
     cache.entry(a).committed.set(3); // not consolidated
     cache.allocateSlot(2);
@@ -88,23 +83,29 @@ TEST(SspCache, ReferencedDirtyEntriesNotEvicted)
 
 TEST(SspCache, HotSetLatencyModel)
 {
-    SspCache cache(8, lat(2, 27, 185));
-    SlotId a = cache.allocateSlot(1);
-    SlotId b = cache.allocateSlot(2);
-    SlotId c = cache.allocateSlot(3);
+    // The L3 partition holds the 1024 most recently used entries; a hit
+    // costs the L3's 27 cycles, a miss DRAM's 185.
+    SspCache cache(1100, 0);
+    std::vector<SlotId> sids;
+    for (Vpn vpn = 0; vpn < 1025; ++vpn)
+        sids.push_back(cache.allocateSlot(vpn));
+    const SlotId a = sids[0];
 
     EXPECT_EQ(cache.access(a, 0), 185u); // cold
     EXPECT_EQ(cache.access(a, 0), 27u);  // hot
-    cache.access(b, 0);                  // hot set now {a,b} -> {b,a}
-    cache.access(c, 0);                  // evicts a from the hot set
+    for (std::size_t i = 1; i < 1024; ++i)
+        cache.access(sids[i], 0); // 1023 others: a is still resident
+    EXPECT_EQ(cache.access(a, 0), 27u);
+    for (std::size_t i = 1; i < 1025; ++i)
+        cache.access(sids[i], 0); // 1024 others, newer than a: evicted
     EXPECT_EQ(cache.access(a, 0), 185u); // cold again
-    EXPECT_GT(cache.hotMisses(), 0u);
-    EXPECT_GT(cache.hotHits(), 0u);
+    EXPECT_EQ(cache.hotHits(), 2u + 1023u);
+    EXPECT_EQ(cache.hotMisses(), 2u + 1024u);
 }
 
 TEST(SspCache, FixedLatencyOverride)
 {
-    SspCache cache(8, lat(2, 27, 185, 60));
+    SspCache cache(8, 60);
     SlotId a = cache.allocateSlot(1);
     EXPECT_EQ(cache.access(a, 100), 160u);
     EXPECT_EQ(cache.access(a, 100), 160u);
@@ -112,7 +113,7 @@ TEST(SspCache, FixedLatencyOverride)
 
 TEST(SspCache, PersistentHalfSurvivesPowerFail)
 {
-    SspCache cache(4, lat());
+    SspCache cache(4, 0);
     SlotId sid = cache.allocateSlot(7);
     cache.entry(sid).ppn0 = 70;
     cache.entry(sid).ppn1 = 71;
@@ -143,7 +144,7 @@ TEST(SspCache, PersistentHalfSurvivesPowerFail)
 
 TEST(SspCache, ValidSlotsEnumerates)
 {
-    SspCache cache(4, lat());
+    SspCache cache(4, 0);
     cache.allocateSlot(1);
     cache.allocateSlot(2);
     EXPECT_EQ(cache.validSlots().size(), 2u);

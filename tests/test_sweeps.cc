@@ -196,7 +196,7 @@ TEST(SweepProperties, FixedSspCacheLatencyMonotone)
     Cycles prev_cycles = 0;
     for (Cycles lat : {20u, 100u, 180u}) {
         SspConfig cfg = smallConfig();
-        cfg.sspCacheLatency.fixedLatency = lat;
+        cfg.sspCacheFixedLatency = lat;
         SspSystem sys(cfg);
         // TLB-thrashing access pattern maximizes SSP-cache accesses.
         for (unsigned i = 0; i < 500; ++i)
