@@ -8,7 +8,8 @@
 # build-prof/ (override with PROFILE_BUILD_DIR), runs PASSES passes
 # (default 4) of WORKLOAD under the LD_PRELOAD SIGPROF sampler in
 # scripts/sigprof_sampler.c (one sample per millisecond of CPU time),
-# and prints the top 30 rows of per-function, per-inline-frame and
+# and prints the top 30 rows of per-function, per-inline-frame,
+# per-source-line (file:line of the innermost inline frame) and
 # per-shared-object sample tables (scripts/profile_report.py).  Samples
 # in libc are attributed to their caller.  The raw samples stay in
 # build-prof/profile-WORKLOAD.txt, next to the run's JSON output.

@@ -4,11 +4,13 @@
 Usage: profile_report.py EXECUTABLE SAMPLES
 
 SAMPLES holds one "rip stackword" hex pair per line; SAMPLES.maps is the
-sampled process's /proc/self/maps.  Prints the TOP rows of three tables
+sampled process's /proc/self/maps.  Prints the TOP rows of four tables
 of sample counts:
 
   - per function: the out-of-line function a sample's RIP is in;
   - per inline frame: the innermost function inlined at that RIP;
+  - per source line: the file:line of that innermost frame, relative to
+    the repository root when under it;
   - per shared object: the mapped file the RIP is in.
 
 EXECUTABLE must carry debug info (-g).  A sample in libc is attributed to
@@ -20,10 +22,12 @@ not point into EXECUTABLE, the sample counts as "libc (caller unknown)".
 
 import collections
 import os
+import re
 import subprocess
 import sys
 
 ET_EXEC = 2
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 # Rows printed per table.
 TOP = 30
 
@@ -65,8 +69,23 @@ def find_map(maps, addr):
     return None
 
 
+def source_line(location):
+    """addr2line's "file:line (discriminator N)", without the
+    discriminator and with the file relative to the repository root
+    when it is under it."""
+    location = re.sub(r" \(discriminator \d+\)$", "", location)
+    path, sep, line = location.rpartition(":")
+    if not sep or not os.path.isabs(path):
+        return location
+    path = os.path.normpath(path)
+    if path.startswith(REPO_ROOT + os.sep):
+        path = path[len(REPO_ROOT) + 1:]
+    return path + ":" + line
+
+
 def symbolize(executable, addrs):
-    """addr -> inline frames, innermost first, via addr2line -f -C -i."""
+    """addr -> inline frames, innermost first, as (function, file:line)
+    pairs, via addr2line -f -C -i."""
     addrs = sorted(addrs)
     if not addrs:
         return {}
@@ -84,7 +103,7 @@ def symbolize(executable, addrs):
             frames[current] = []
             i += 1
             continue
-        frames[current].append(lines[i])  # function; the next is file:line
+        frames[current].append((lines[i], source_line(lines[i + 1])))
         i += 2
     return frames
 
@@ -133,6 +152,7 @@ def main():
                        {a for a, _, _ in located if a is not None})
     per_function = collections.Counter()
     per_inline = collections.Counter()
+    per_line = collections.Counter()
     per_object = collections.Counter()
     for addr, obj, via_libc in located:
         per_object[obj] += 1
@@ -140,15 +160,18 @@ def main():
             key = "libc (caller unknown)" if via_libc else "[%s]" % obj
             per_function[key] += 1
             per_inline[key] += 1
+            per_line[key] += 1
             continue
-        chain = frames.get(addr) or ["??"]
+        chain = frames.get(addr) or [("??", "??:0")]
         tag = " [libc]" if via_libc else ""
-        per_function[chain[-1] + tag] += 1
-        per_inline[chain[0] + tag] += 1
+        per_function[chain[-1][0] + tag] += 1
+        per_inline[chain[0][0] + tag] += 1
+        per_line[chain[0][1] + tag] += 1
 
     total = len(samples)
     print_table("Per function", per_function, total, TOP)
     print_table("Per inline frame", per_inline, total, TOP)
+    print_table("Per source line", per_line, total, TOP)
     print_table("Per shared object", per_object, total, TOP)
 
 

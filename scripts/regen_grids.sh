@@ -1,22 +1,23 @@
 #!/usr/bin/env bash
 #
 # Regenerate every checked-in BENCH_<figure>.json grid and compare it
-# byte for byte with the tree's copy; optionally compare the grids that
-# are not checked in against a parent build.
+# byte for byte with the tree's copy; optionally compare any grid that
+# is not checked in against a parent build.
 #
 # Usage: scripts/regen_grids.sh [SWEEP_MAIN] [JOBS] [PARENT_SWEEP_MAIN]
 #        (default SWEEP_MAIN: build/sweep_main; JOBS: one per CPU)
 #
 # Each BENCH_F.json in the repo root is regenerated by
 # `sweep_main --figure F --jobs JOBS --json` into a temporary directory
-# that is removed on exit.  Given PARENT_SWEEP_MAIN (a sweep_main built
-# from another revision), every grid of `SWEEP_MAIN --list` without a
-# checked-in BENCH_F.json (fig8, fig9, table3, table45) is also run by
-# both binaries and their reports compared.  Prints one line per grid
-# and exits 1 naming every grid that differs (or that a sweep_main
-# failed to produce); a model-neutral change leaves all of them
-# byte-identical.  About 10-15 s in total on 4 CPUs for the nine
-# checked-in grids.
+# that is removed on exit.  Every grid of `sweep_main --list` is checked
+# in (SweepSchema.EveryCheckedInGridMatchesItsDefinition fails on one
+# that is not); given PARENT_SWEEP_MAIN (a sweep_main built from another
+# revision), a grid of `SWEEP_MAIN --list` without a checked-in
+# BENCH_F.json, such as a new one, is run by both binaries and their
+# reports compared.  Prints one line per grid and exits 1 naming every
+# grid that differs (or that a sweep_main failed to produce); a
+# model-neutral change leaves all of them byte-identical.  About 15-20 s
+# in total on 4 CPUs for the thirteen checked-in grids.
 
 set -euo pipefail
 

@@ -24,6 +24,10 @@
 #include "common/logging.hh"
 #include "common/types.hh"
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 namespace ssp
 {
 
@@ -66,8 +70,7 @@ struct CacheAccessResult
  * below 32 GiB (kMaxPhysLines), 64 times the largest preset's 504 MiB.
  * PhysMem refuses a larger space, and fillVictim(), the one place a tag
  * is built from an address, checks every fill against the limit.  A
- * whole 16-way set's tags fill one 64-byte host line, so the way scan
- * touches one line.
+ * whole 16-way set's tags fill one 64-byte host line.
  *
  * True LRU needs only the order of a set's ways, not when each was
  * used: the recency word holds that order as a permutation of way
@@ -80,11 +83,26 @@ struct CacheAccessResult
  * way, so once all ways are valid the order ranks each by its last
  * use.  Replacement state is 8 bytes per set rather than per line.
  *
- * Every lookup first tries a hint naming the last slot found or
- * filled, with the full tag-and-valid compare, and only then scans the
- * set.  That is exact: a valid line lives in exactly one slot, so a
- * hinted slot holding it is that slot.  Consecutive accesses often
- * repeat a line, and then the lookup costs one compare.
+ * A lookup compares tag words under a mask that keeps the line number
+ * and the valid bit and drops the dirty and TX flags, against the
+ * line's tag bits ORed with the valid bit.  It takes three steps:
+ *
+ *  - The hint: the last slot found or filled, compared first.
+ *    Consecutive accesses often repeat a line, and then the lookup
+ *    costs one compare.
+ *  - The set probe, when the hint misses: with SSE2 and a way count
+ *    that is a multiple of 4 (every preset level), four tag words per
+ *    vector compare, whose hits gather into a mask of ways; the lowest
+ *    set bit is the way, which becomes the hint.  It has no early exit
+ *    and no branch per way.  The tags start on a host line, so every
+ *    such set starts 16-byte aligned.
+ *  - The scalar scan, one way at a time: the probe for other way
+ *    counts and targets without SSE2, and in Debug builds the check of
+ *    every vector probe's answer.
+ *
+ * All three give the same slot: a valid line lives in exactly one
+ * slot, so a hinted slot holding it is that slot, and at most one way
+ * of a set matches.
  *
  * Both arrays live in one block: the recency words first, where they
  * stay 8-byte aligned, padded to whole host lines so that the tags
@@ -314,26 +332,72 @@ class Cache
     std::uint64_t
     findIdx(Addr line_addr) const
     {
-        // One compare per slot: tag equality and the valid bit test
-        // fold into a single masked comparison against tag|valid.
-        // A found slot becomes the hint, which carries its set and way
-        // to touch(), so no caller divides a slot index by the ways.
+        // Tag equality and the valid bit test fold into a single
+        // masked comparison against tag|valid.  A found slot becomes
+        // the hint, which carries its set and way to touch(), so no
+        // caller divides a slot index by the ways.
         ssp_assert_dbg(lineOf(line_addr) < kMaxPhysLines,
                        "line address beyond the tag range");
         const Tag want = tagOf(line_addr) | kValidBit;
         if ((tags_[hint_] & (kTagMask | kValidBit)) == want)
             return hint_;
         const std::uint64_t set = setOf(line_addr);
-        const std::uint64_t base = set * params_.ways;
-        for (unsigned w = 0; w < params_.ways; ++w) {
-            if ((tags_[base + w] & (kTagMask | kValidBit)) == want) {
-                hint_ = base + w;
-                hintSet_ = set;
-                hintWay_ = w;
-                return hint_;
+        const unsigned way = probeSet(set, want);
+        if (way == params_.ways)
+            return kNoLine;
+        hint_ = set * params_.ways + way;
+        hintSet_ = set;
+        hintWay_ = way;
+        return hint_;
+    }
+
+    /** Way of @p set whose masked tag word equals @p want, or
+     *  params_.ways when none does. */
+    unsigned
+    probeSet(std::uint64_t set, Tag want) const
+    {
+        const Tag *tags = tags_ + set * params_.ways;
+#ifdef __SSE2__
+        if (params_.ways % 4 == 0) {
+            // Four ways per compare; a set of 4k ways starts 16-byte
+            // aligned, since the tags start on a host line.  Each
+            // compare's hits land in the way mask at their way
+            // numbers, above a sentinel bit at params_.ways that
+            // answers "absent" when no way matched.
+            const __m128i mask =
+                _mm_set1_epi32(static_cast<int>(kTagMask | kValidBit));
+            const __m128i key = _mm_set1_epi32(static_cast<int>(want));
+            const auto *lanes = reinterpret_cast<const __m128i *>(tags);
+            unsigned hits = 1u << params_.ways;
+            for (unsigned w = 0; w < params_.ways; w += 4) {
+                const __m128i four = _mm_load_si128(lanes + w / 4);
+                const __m128i eq =
+                    _mm_cmpeq_epi32(_mm_and_si128(four, mask), key);
+                const int eq_mask = _mm_movemask_ps(_mm_castsi128_ps(eq));
+                hits |= static_cast<unsigned>(eq_mask) << w;
             }
+            const unsigned way = std::countr_zero(hits);
+            ssp_assert_dbg(way == scanWay(tags, want),
+                           "tag probe found way %u, the scan way %u", way,
+                           scanWay(tags, want));
+            return way;
         }
-        return kNoLine;
+#endif
+        return scanWay(tags, want);
+    }
+
+    /** probeSet() one way at a time, over the set starting at
+     *  @p tags: the path for way counts that are not a multiple of 4
+     *  and for targets without SSE2, and the Debug cross-check of the
+     *  vector probe. */
+    unsigned
+    scanWay(const Tag *tags, Tag want) const
+    {
+        for (unsigned w = 0; w < params_.ways; ++w) {
+            if ((tags[w] & (kTagMask | kValidBit)) == want)
+                return w;
+        }
+        return params_.ways;
     }
 
     /** Call @p fn(set) for every set marked in filledSets_, in

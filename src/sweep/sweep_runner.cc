@@ -7,6 +7,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "serve/server.hh"
@@ -25,6 +26,18 @@ constexpr std::uint64_t kArrivalSeedOrdinal = 101;
 /** Ordinal separating a shard cell's routing stream from its keys. */
 constexpr std::uint64_t kRouteSeedOrdinal = 211;
 
+/** Throw, naming the check and @p where, unless @p workload's
+ *  persistent image matches its reference model. */
+void
+verifyImage(Workload &workload, const std::string &where)
+{
+    if (!workload.verify())
+        ssp_fatal("%s failed Workload::verify() against the reference model",
+                  where.c_str());
+}
+
+/** Run @p cell and verify every machine's workload after the run; a
+ *  cell that throws or fails verification is !ok with the error. */
 CellResult
 runOneCell(const SweepCell &cell)
 {
@@ -65,8 +78,16 @@ runOneCell(const SweepCell &cell)
             res.shardTx = sr.tx;
             res.networkMessages = sr.networkMessages;
             res.networkCycles = sr.networkCycles;
-            if (inj != nullptr)
+            if (inj != nullptr) {
+                // The injector verified every shard at the run's end
+                // (FaultInjector::atRunEnd).
                 res.faultStats = inj->stats();
+            } else {
+                for (unsigned m = 0; m < cluster.machines(); ++m) {
+                    verifyImage(*cluster.shard(m).workload,
+                                "shard " + std::to_string(m));
+                }
+            }
             res.ok = true;
             return res;
         }
@@ -86,6 +107,7 @@ runOneCell(const SweepCell &cell)
         } else {
             res.run = runExperiment(exp, cell.txs, cell.cores);
         }
+        verifyImage(*exp.workload, "the workload");
         res.ok = true;
     } catch (const std::exception &e) {
         res.error = e.what();

@@ -491,6 +491,63 @@ expectSameResult(const CacheAccessResult &got, const CacheAccessResult &want,
 }
 
 /**
+ * Every way position of one set, the vector probe's lane boundaries
+ * 3|4, 7|8 and 11|12 included.  @p ways congruent lines fill an empty
+ * set in order, so line k lands in way k, with the dirty and TX flags
+ * in a pattern that shifts by one lane per group of four ways, which
+ * the probe's mask must drop.  Before each lookup the hint is aimed at
+ * a line of another set, so the set probe, not the hint, answers.  A
+ * writing hit must mark only its own way dirty, and the hits' touches
+ * must leave the LRU order the reference has: the next fill evicts the
+ * way touched longest ago.  Line address 0 in an empty set is absent:
+ * an all-zero (invalid) tag word holds its line number.
+ */
+void
+probeEveryWay(Cache &cache, RefCache &ref, std::uint64_t sets,
+              unsigned ways)
+{
+    ASSERT_FALSE(cache.probe(0));
+    const std::uint64_t set = sets / 2;
+    auto line = [&](std::uint64_t k) {
+        return Addr{(set + k * sets) << kLineShift};
+    };
+    const Addr elsewhere = (set + 1) << kLineShift;
+    expectSameResult(cache.insert(elsewhere, false, false),
+                     ref.insert(elsewhere, false, false), 0);
+    for (unsigned k = 0; k < ways; ++k) {
+        const unsigned flags = (k + k / 4) % 4;
+        expectSameResult(cache.insert(line(k), flags & 1, flags & 2),
+                         ref.insert(line(k), flags & 1, flags & 2), k);
+    }
+    auto expectSet = [&](unsigned step) {
+        for (unsigned j = 0; j < ways; ++j) {
+            ASSERT_TRUE(cache.probe(elsewhere));
+            ASSERT_EQ(cache.probe(line(j)), ref.probe(line(j)))
+                << "step " << step << " way " << j;
+            EXPECT_EQ(cache.isDirty(line(j)), ref.isDirty(line(j)))
+                << "step " << step << " way " << j;
+            EXPECT_EQ(cache.txBit(line(j)), ref.txBit(line(j)))
+                << "step " << step << " way " << j;
+        }
+        ASSERT_TRUE(cache.probe(elsewhere));
+        EXPECT_EQ(cache.probe(line(ways)), ref.probe(line(ways)))
+            << "step " << step;
+    };
+    expectSet(0);
+    // Writing hits from the last way down, so way 0 ends most recently
+    // used and the last way is the victim.
+    for (unsigned k = ways; k-- > 0;) {
+        ASSERT_TRUE(cache.probe(elsewhere));
+        ASSERT_TRUE(cache.tryHit(line(k), true)) << "way " << k;
+        ref.access(line(k), true);
+        expectSet(ways - k);
+    }
+    expectSameResult(cache.insert(line(ways), false, false),
+                     ref.insert(line(ways), false, false), ways + 1);
+    expectSet(ways + 1);
+}
+
+/**
  * Random access/insert/remap/invalidate/cleanIfDirty/setTxBit sequences,
  * with a power failure (invalidateAll) about one step in 400, over a
  * line pool that piles into a few sets — both as congruent lines
@@ -504,7 +561,8 @@ expectSameResult(const CacheAccessResult &got, const CacheAccessResult &want,
  * hint serves; one op drops that hinted line (invalidate, remap away
  * or power failure) and then touches it again, which a hint that
  * trusted a stale slot would wrongly hit.  The split tryHit/fillMiss
- * access and cleanIfDirty run against the same reference.
+ * access and cleanIfDirty run against the same reference.  The
+ * sequence starts from probeEveryWay()'s filled set.
  */
 void
 runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
@@ -513,6 +571,7 @@ runCacheDifferential(std::uint64_t size_bytes, unsigned ways,
     Cache cache(CacheParams{"dut", size_bytes, ways, 1});
     RefCache ref(size_bytes, ways);
     const std::uint64_t sets = size_bytes / kLineSize / ways;
+    probeEveryWay(cache, ref, sets, ways);
 
     std::vector<Addr> pool;
     for (std::uint64_t base : {std::uint64_t{3}, sets - 1}) {
@@ -644,7 +703,9 @@ runFreshThenRecycled(std::uint64_t size_bytes, unsigned ways,
 // One geometry per way count the recency word packs differently:
 // direct-mapped (a single nibble, never reordered), 2, 4, 8, 12 (not a
 // power of two, so the LRU nibble sits mid-word) and 16 (every nibble).
-// Each runs on fresh arrays, then again on the recycled ones.
+// 4, 8, 12 and 16 ways take the vector tag probe (one, two, three and
+// four compares a set), 1 and 2 the scalar scan.  Each runs on fresh
+// arrays, then again on the recycled ones.
 
 TEST(CacheGeometry, DirectMappedMatchesTheReference)
 {

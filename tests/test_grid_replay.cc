@@ -1,7 +1,8 @@
 /**
  * @file
- * The checked-in grid gate.  The nine BENCH_<figure>.json reports hold
- * the reproduction's results, and this suite is what keeps them from
+ * The checked-in grid gate.  Every grid of knownFigures() has a
+ * checked-in BENCH_<figure>.json report; the thirteen hold the
+ * reproduction's results, and this suite is what keeps them from
  * drifting:
  *
  *  - GridReplay.* rerun fixed subsets of the larger grids (every
@@ -162,9 +163,7 @@ TEST(SweepSchema, EveryCheckedInGridMatchesItsDefinition)
     // A grid definition edited without regenerating its report fails
     // here: the labels, seeds and transaction counts of every
     // checked-in cell must be what buildFigureGrid produces today.
-    for (const std::string figure :
-         {"smoke", "fig5", "chan", "scale", "scale64", "scale256",
-          "queue", "shard", "fault"}) {
+    for (const std::string &figure : knownFigures()) {
         SCOPED_TRACE(figure);
         const Json doc = loadCheckedIn("BENCH_" + figure + ".json");
         EXPECT_EQ(doc["figure"].asString(), figure);
@@ -232,9 +231,7 @@ TEST(SweepSchema, EveryCellCarriesEveryMetric)
                              "rejected_txs", "mean_queue_depth"};
     std::size_t single_machine = 0, broadcast = 0, fault_free = 0,
                 unarmed = 0, unreplicated = 0, closed_loop = 0;
-    for (const std::string figure :
-         {"smoke", "fig5", "chan", "scale", "scale64", "scale256",
-          "queue", "shard", "fault"}) {
+    for (const std::string &figure : knownFigures()) {
         SCOPED_TRACE(figure);
         const Json doc = loadCheckedIn("BENCH_" + figure + ".json");
         EXPECT_EQ(doc["schema"].asString(), "ssp-bench-report-v2");
@@ -295,13 +292,12 @@ TEST(SweepSchema, ConservationLaws)
 {
     // Identities every cell of every checked-in grid must satisfy,
     // whatever it ran: the write categories partition the NVRAM
-    // writes, the per-core commits add up, the derived per-transaction
-    // cycles are the quotient they claim to be, every retry follows an
-    // abort, and the latency percentiles are ordered.
+    // writes, the per-core commits add up (but for Memcached's GETs),
+    // the derived per-transaction cycles are the quotient they claim
+    // to be, every retry follows an abort, and the latency percentiles
+    // are ordered.
     std::size_t cells = 0, cross_shard_cells = 0;
-    for (const std::string figure :
-         {"smoke", "fig5", "chan", "scale", "scale64", "scale256",
-          "queue", "shard", "fault"}) {
+    for (const std::string &figure : knownFigures()) {
         SCOPED_TRACE(figure);
         const Json doc = loadCheckedIn("BENCH_" + figure + ".json");
         for (std::size_t i = 0; i < doc["cells"].size(); ++i) {
@@ -332,7 +328,13 @@ TEST(SweepSchema, ConservationLaws)
                 std::uint64_t core_txs = 0;
                 for (std::size_t k = 0; k < m["core_txs"].size(); ++k)
                     core_txs += m["core_txs"].at(k).asUint();
-                EXPECT_EQ(committed, core_txs) << label;
+                // core_txs counts operations.  Memcached's GETs (a
+                // tenth of its operations) read without a transaction;
+                // every other workload commits each operation.
+                if (c["workload"].asString() == "Memcached")
+                    EXPECT_LT(committed, core_txs) << label;
+                else
+                    EXPECT_EQ(committed, core_txs) << label;
                 continue;
             }
             // The shard rollup sums each participant's commit, so a

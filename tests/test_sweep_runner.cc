@@ -247,6 +247,33 @@ TEST(SweepRunner, FailingCellIsCapturedNotFatal)
     EXPECT_FALSE(results[0].error.empty());
 }
 
+TEST(SweepRunner, EveryCellKindVerifiesItsWorkload)
+{
+    // A closed-loop cell, an open-loop (serve) cell and an unarmed
+    // two-machine cluster cell each check every machine's persistent
+    // image against its workload's reference model after the run; a
+    // failed check would make the cell !ok, naming Workload::verify().
+    SweepGridOptions opts;
+    opts.txs = 200;
+    std::vector<SweepCell> cells;
+    auto pick = [&](const std::string &figure, auto keep) {
+        const auto found = gridCells(figure, keep, opts);
+        ASSERT_FALSE(found.empty()) << figure;
+        cells.push_back(found.front());
+    };
+    pick("fig5", [](const SweepCell &c) {
+        return c.backend == BackendKind::Ssp &&
+               c.workload == WorkloadKind::BTreeRand;
+    });
+    pick("queue", [](const SweepCell &c) { return c.offeredLoad > 0; });
+    pick("shard", [](const SweepCell &c) {
+        return c.machines == 2 && c.crossShardFraction > 0;
+    });
+    ASSERT_EQ(cells.size(), 3u);
+    for (const CellResult &r : runSweep(cells, 3))
+        EXPECT_TRUE(r.ok) << r.cell.label() << ": " << r.error;
+}
+
 TEST(MetricList, NamesAreUniqueAndCountersFillCounts)
 {
     // A duplicate name would silently overwrite its twin in the same
