@@ -26,16 +26,6 @@ constexpr std::uint64_t kArrivalSeedOrdinal = 101;
 /** Ordinal separating a shard cell's routing stream from its keys. */
 constexpr std::uint64_t kRouteSeedOrdinal = 211;
 
-/** Throw, naming the check and @p where, unless @p workload's
- *  persistent image matches its reference model. */
-void
-verifyImage(Workload &workload, const std::string &where)
-{
-    if (!workload.verify())
-        ssp_fatal("%s failed Workload::verify() against the reference model",
-                  where.c_str());
-}
-
 /** Run @p cell and verify every machine's workload after the run; a
  *  cell that throws or fails verification is !ok with the error. */
 CellResult
@@ -116,6 +106,14 @@ runOneCell(const SweepCell &cell)
 }
 
 } // namespace
+
+void
+verifyImage(Workload &workload, const std::string &where)
+{
+    if (!workload.verify())
+        ssp_fatal("%s failed Workload::verify() against the reference model",
+                  where.c_str());
+}
 
 std::vector<CellResult>
 runSweep(const std::vector<SweepCell> &cells, unsigned jobs,

@@ -45,6 +45,14 @@ struct CellResult
     fault::FaultStats faultStats{};
 };
 
+/**
+ * Throw (ssp_fatal), naming "failed Workload::verify()" and @p where,
+ * unless @p workload's persistent image matches its reference model.
+ * Every cell runs it on each machine after its run, so a cell whose
+ * image is wrong is !ok with that error.
+ */
+void verifyImage(Workload &workload, const std::string &where);
+
 /** Invoked after each cell completes: (result, done count, total). */
 using CellCallback =
     std::function<void(const CellResult &, std::size_t, std::size_t)>;

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/metrics.hh"
+#include "sim/system_builder.hh"
 #include "sweep/figure_spec.hh"
 #include "sweep/sweep_grid.hh"
 #include "sweep/sweep_runner.hh"
@@ -35,6 +36,9 @@ namespace
 using ssp::test::expectReplaysCheckedIn;
 using ssp::test::gridCells;
 using ssp::test::expectSameMetrics;
+using ssp::test::raw64;
+using ssp::test::smallConfig;
+using ssp::test::txWrite64;
 
 /** A tiny fig5 grid that keeps the suite fast on one core. */
 SweepGridOptions
@@ -247,31 +251,31 @@ TEST(SweepRunner, FailingCellIsCapturedNotFatal)
     EXPECT_FALSE(results[0].error.empty());
 }
 
-TEST(SweepRunner, EveryCellKindVerifiesItsWorkload)
+TEST(SweepRunner, VerifyImageFailsOnAStoreTheReferenceModelMissed)
 {
-    // A closed-loop cell, an open-loop (serve) cell and an unarmed
-    // two-machine cluster cell each check every machine's persistent
-    // image against its workload's reference model after the run; a
-    // failed check would make the cell !ok, naming Workload::verify().
-    SweepGridOptions opts;
-    opts.txs = 200;
-    std::vector<SweepCell> cells;
-    auto pick = [&](const std::string &figure, auto keep) {
-        const auto found = gridCells(figure, keep, opts);
-        ASSERT_FALSE(found.empty()) << figure;
-        cells.push_back(found.front());
-    };
-    pick("fig5", [](const SweepCell &c) {
-        return c.backend == BackendKind::Ssp &&
-               c.workload == WorkloadKind::BTreeRand;
-    });
-    pick("queue", [](const SweepCell &c) { return c.offeredLoad > 0; });
-    pick("shard", [](const SweepCell &c) {
-        return c.machines == 2 && c.crossShardFraction > 0;
-    });
-    ASSERT_EQ(cells.size(), 3u);
-    for (const CellResult &r : runSweep(cells, 3))
-        EXPECT_TRUE(r.ok) << r.cell.label() << ": " << r.error;
+    // The check every cell runs on each machine after its run; the
+    // runner turns its throw into a !ok cell with the text.  A stray
+    // committed store that the SPS reference model never saw must fail
+    // it, naming the check and the machine.
+    WorkloadScale scale;
+    scale.spsElements = 64;
+    Experiment exp = buildExperiment(BackendKind::Ssp, WorkloadKind::Sps,
+                                     smallConfig(), scale);
+    runExperiment(exp, 50, 1);
+    EXPECT_NO_THROW(verifyImage(*exp.workload, "shard 1"));
+
+    // SPS allocates its array first, at the start of the heap (page 1).
+    const Addr first = kPageSize;
+    txWrite64(*exp.backend, 0, first, raw64(*exp.backend, first) + 1);
+    try {
+        verifyImage(*exp.workload, "shard 1");
+        ADD_FAILURE() << "a corrupted image passed verifyImage";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("shard 1 failed Workload::verify()"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(MetricList, NamesAreUniqueAndCountersFillCounts)
