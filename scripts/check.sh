@@ -3,7 +3,7 @@
 # Full local CI pipeline: configure, build and run the test suite.  The
 # suite includes the checked-in grid gate (test_grid_replay).  The
 # non-sanitizer path then does what CI's gcc-release leg does after its
-# tests: it regenerates all nine checked-in grids with
+# tests: it regenerates all thirteen checked-in grids with
 # scripts/regen_grids.sh and requires them byte-identical, builds the
 # host-performance benchmark (bench/perf) into <build-dir>/perf, runs
 # its smoke test and its one-pass gate over every benchmark cell, so an

@@ -81,9 +81,6 @@ ConflictManager::validate(CoreId core, Cycles now)
         return c < p.commitCycle;
     };
     auto earliest_hit = [&](Addr line, std::uint64_t &best) {
-        const auto [word, bit] = bloomBit(line);
-        if ((postingBloom_[word] & bit) == 0)
-            return; // proven absent: no record wrote this line
         auto it = postings_.find(line);
         if (it == postings_.end())
             return;
@@ -126,7 +123,8 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
     ssp_assert(tx.active, "conflict-tracking commit without a begin");
 
     const Cycles commit_cycle = tx.validated ? tx.validatedAt : now;
-    const LineSet writes = std::move(tx.writes);
+    std::swap(publishing_, tx.writes);
+    const LineSet &writes = publishing_;
     closeTx(tx);
 
     // Prune: a future transaction on any core begins no earlier than
@@ -147,10 +145,8 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
     // this is where the posting index resets instead of growing
     // without bound.  clear() keeps the bucket array, so the per-round
     // rebuild does not re-pay rehashing.
-    if (log_.empty()) {
+    if (log_.empty())
         postings_.clear();
-        postingBloom_.fill(0);
-    }
 
     // Publish.  A record already at or below the floor is unreachable
     // by any future window; the pre-index code path reached the same
@@ -169,8 +165,6 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
                     return c < p.commitCycle;
                 });
             vec.insert(at, Posting{commit_cycle, seq, core});
-            const auto [word, bit] = bloomBit(line);
-            postingBloom_[word] |= bit;
         }
         log_.push_back(commit_cycle);
     }
@@ -217,7 +211,6 @@ ConflictManager::reset()
         closeTx(tx);
     log_.clear();
     postings_.clear();
-    postingBloom_.fill(0);
 }
 
 } // namespace ssp

@@ -38,7 +38,6 @@
 #ifndef SSP_CORE_CONFLICT_MANAGER_HH
 #define SSP_CORE_CONFLICT_MANAGER_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -182,7 +181,7 @@ class ConflictManager
         bool validated = false;
         Cycles validatedAt = 0;
         /** Line-aligned vaddrs; LineSet keeps the hot record/validate
-         *  path allocation- and hash-free for Table 3-sized sets. */
+         *  path hash-free, and recycled sets allocation-free. */
         LineSet reads;
         LineSet writes;
     };
@@ -237,31 +236,15 @@ class ConflictManager
      * round.
      */
     std::unordered_map<Addr, std::vector<Posting>> postings_;
-    /**
-     * 4096-bit Bloom filter over postings_'s keys (one bit per line,
-     * set on publish, zeroed when the index resets).  Validation
-     * probes the footprint lines here first: a clear bit proves the
-     * line has no postings, so the common cold line costs one bit test
-     * instead of a hash lookup.  False positives just fall through to
-     * the map; the result is exact either way.
-     */
-    std::array<std::uint64_t, 64> postingBloom_{};
+    /** The write set being published: commitTx swaps it with the
+     *  committing transaction's, so both keep their capacity. */
+    LineSet publishing_;
     /** Log-order sequence number of the next published record. */
     std::uint64_t nextSeq_ = 0;
     ConflictStats stats_;
 
     /** Close @p core's transaction, keeping openTxs_ in step. */
     void closeTx(TxState &tx);
-
-    /** Bloom bit position for @p line (splitmix-style spread). */
-    static std::pair<unsigned, std::uint64_t>
-    bloomBit(Addr line)
-    {
-        std::uint64_t h = line * 0x9e3779b97f4a7c15ull;
-        h >>= 52; // top 12 bits index 4096 positions
-        return {static_cast<unsigned>(h >> 6),
-                std::uint64_t{1} << (h & 63)};
-    }
 };
 
 } // namespace ssp

@@ -1,32 +1,28 @@
 /**
  * @file
- * A sorted set of cache-line addresses with small inline capacity.
+ * A sorted set of cache-line addresses.
  *
  * The ConflictManager records every transactional load and store into a
- * per-transaction read/write set, which makes set insertion and
- * intersection the innermost loop of every multi-core cell.  Table 3
- * characterizes transaction footprints as a handful of lines, so a
- * hash set pays allocation, hashing and pointer-chasing for sets that
- * almost always fit in a cache line or two.
+ * per-transaction read/write set, and the baselines record every
+ * written line and page, which makes set insertion an inner loop of
+ * every cell.  Table 3 characterizes transaction footprints as a
+ * handful of lines, so a hash set pays allocation, hashing and
+ * pointer-chasing for sets that almost always fit in a cache line or
+ * two.
  *
- * LineSet stores the lines sorted and unique in a fixed inline array,
- * spilling to a heap vector only when a transaction outgrows it
- * (Memcached/Vacation-style footprints).  Membership is binary search,
- * insertion is a memmove, and intersection is a linear merge gated by
- * a free min/max range overlap test — all sequential memory, no
- * hashing.  Iteration order is the address order, deterministic by
- * construction.
+ * LineSet stores the lines sorted and unique in one vector.  Membership
+ * is binary search and insertion is a memmove — sequential memory, no
+ * hashing.  clear() keeps the capacity, so a set recycled across
+ * transactions stops allocating once it has seen its largest footprint.
+ * Iteration order is the address order, deterministic by construction.
  */
 
 #ifndef SSP_CORE_LINE_SET_HH
 #define SSP_CORE_LINE_SET_HH
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace ssp
@@ -36,51 +32,14 @@ namespace ssp
 class LineSet
 {
   public:
-    /** Inline capacity: covers the Table 3 microbenchmark footprints. */
-    static constexpr std::size_t kInlineCapacity = 16;
-
-    LineSet() = default;
-    LineSet(const LineSet &) = default;
-    LineSet &operator=(const LineSet &) = default;
-    /** Moves leave the source empty (a usable, not just destructible,
-     *  state: the manager recycles per-core sets across transactions). */
-    LineSet(LineSet &&other) noexcept { *this = std::move(other); }
-    LineSet &
-    operator=(LineSet &&other) noexcept
-    {
-        if (this != &other) {
-            size_ = other.size_;
-            inline_ = other.inline_;
-            spill_ = std::move(other.spill_);
-            other.size_ = 0;
-            other.spill_.clear();
-        }
-        return *this;
-    }
-
     /** Insert @p line; returns true when it was not already present. */
     bool
     insert(Addr line)
     {
-        Addr *base = data();
-        Addr *end = base + size_;
-        Addr *pos = std::lower_bound(base, end, line);
-        if (pos != end && *pos == line)
+        auto pos = std::lower_bound(lines_.begin(), lines_.end(), line);
+        if (pos != lines_.end() && *pos == line)
             return false;
-        const std::size_t at = static_cast<std::size_t>(pos - base);
-        if (size_ < kInlineCapacity) {
-            std::memmove(pos + 1, pos,
-                         (size_ - at) * sizeof(Addr));
-            *pos = line;
-        } else {
-            if (size_ == kInlineCapacity && spill_.empty()) {
-                // First spill: move the inline contents to the heap.
-                spill_.assign(inline_.begin(), inline_.end());
-            }
-            spill_.insert(spill_.begin() + static_cast<std::ptrdiff_t>(at),
-                          line);
-        }
-        ++size_;
+        lines_.insert(pos, line);
         return true;
     }
 
@@ -88,67 +47,22 @@ class LineSet
     bool
     contains(Addr line) const
     {
-        const Addr *base = data();
-        return std::binary_search(base, base + size_, line);
+        return std::binary_search(lines_.begin(), lines_.end(), line);
     }
 
-    /** Drop every element (spill capacity is retained). */
-    void
-    clear()
-    {
-        size_ = 0;
-        spill_.clear();
-    }
+    /** Drop every element (the capacity is retained). */
+    void clear() { lines_.clear(); }
 
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
+    bool empty() const { return lines_.empty(); }
+    std::size_t size() const { return lines_.size(); }
 
     /** @{ Sorted iteration. */
-    const Addr *begin() const { return data(); }
-    const Addr *end() const { return data() + size_; }
+    auto begin() const { return lines_.begin(); }
+    auto end() const { return lines_.end(); }
     /** @} */
 
-    /**
-     * True when the two sets share at least one line.  A min/max range
-     * test rejects the common disjoint-footprint case before the merge
-     * scan runs; the result is exactly set intersection either way.
-     */
-    friend bool
-    intersects(const LineSet &a, const LineSet &b)
-    {
-        if (a.empty() || b.empty())
-            return false;
-        const Addr *pa = a.begin(), *ea = a.end();
-        const Addr *pb = b.begin(), *eb = b.end();
-        if (ea[-1] < *pb || eb[-1] < *pa)
-            return false;
-        while (pa != ea && pb != eb) {
-            if (*pa < *pb)
-                ++pa;
-            else if (*pb < *pa)
-                ++pb;
-            else
-                return true;
-        }
-        return false;
-    }
-
   private:
-    const Addr *
-    data() const
-    {
-        return size_ <= kInlineCapacity ? inline_.data() : spill_.data();
-    }
-    Addr *
-    data()
-    {
-        return size_ <= kInlineCapacity ? inline_.data() : spill_.data();
-    }
-
-    std::size_t size_ = 0;
-    std::array<Addr, kInlineCapacity> inline_{};
-    /** Holds *all* elements once size_ exceeds the inline capacity. */
-    std::vector<Addr> spill_;
+    std::vector<Addr> lines_;
 };
 
 } // namespace ssp

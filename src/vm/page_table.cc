@@ -5,42 +5,32 @@
 namespace ssp
 {
 
-PageTable::PageTable(Cycles walk_cycles, std::uint64_t dense_pages)
-    : walkCycles_(walk_cycles), densePages_(dense_pages)
+PageTable::PageTable(Cycles walk_cycles, std::uint64_t pages)
+    : walkCycles_(walk_cycles), pages_(pages),
+      entries_(static_cast<std::uint64_t *>(
+          std::calloc(pages, sizeof(std::uint64_t))))
 {
-    if (densePages_ > 0) {
-        dense_.reset(static_cast<std::uint64_t *>(
-            std::calloc(densePages_, sizeof(std::uint64_t))));
-        ssp_assert(dense_ != nullptr);
-    }
+    ssp_assert(entries_ != nullptr || pages == 0);
 }
 
 void
 PageTable::map(Vpn vpn, Ppn ppn)
 {
     ssp_assert(ppn != kInvalidPpn);
-    if (vpn < densePages_) {
-        if (dense_[vpn] == 0)
-            ++size_;
-        dense_[vpn] = ppn + 1;
-        return;
-    }
-    size_ += overflow_.contains(vpn) ? 0 : 1;
-    overflow_[vpn] = ppn;
+    ssp_assert(vpn < pages_, "map of vpn %llx past the table's %llu pages",
+               static_cast<unsigned long long>(vpn),
+               static_cast<unsigned long long>(pages_));
+    if (entries_[vpn] == 0)
+        ++size_;
+    entries_[vpn] = ppn + 1;
 }
 
 bool
 PageTable::unmap(Vpn vpn)
 {
-    if (vpn < densePages_) {
-        if (dense_[vpn] == 0)
-            return false;
-        dense_[vpn] = 0;
-        --size_;
-        return true;
-    }
-    if (overflow_.erase(vpn) == 0)
+    if (!isMapped(vpn))
         return false;
+    entries_[vpn] = 0;
     --size_;
     return true;
 }
@@ -48,24 +38,15 @@ PageTable::unmap(Vpn vpn)
 bool
 PageTable::isMapped(Vpn vpn) const
 {
-    if (vpn < densePages_)
-        return dense_[vpn] != 0;
-    return overflow_.contains(vpn);
+    return vpn < pages_ && entries_[vpn] != 0;
 }
 
 Ppn
 PageTable::translate(Vpn vpn) const
 {
-    if (vpn < densePages_) {
-        const std::uint64_t e = dense_[vpn];
-        ssp_assert(e != 0, "translate of unmapped vpn %llx",
-                   static_cast<unsigned long long>(vpn));
-        return e - 1;
-    }
-    auto it = overflow_.find(vpn);
-    ssp_assert(it != overflow_.end(), "translate of unmapped vpn %llx",
+    ssp_assert(isMapped(vpn), "translate of unmapped vpn %llx",
                static_cast<unsigned long long>(vpn));
-    return it->second;
+    return entries_[vpn] - 1;
 }
 
 } // namespace ssp

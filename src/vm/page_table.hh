@@ -10,11 +10,11 @@
  * re-derives the mapping of every *active* page from the SSP cache, so
  * the page-table update itself does not need to be ordered.
  *
- * Storage is a flat, calloc-backed dense array over the first
- * @p dense_pages VPNs (entries store ppn+1, so the all-zero reset state
- * means "unmapped") with an unordered_map spilling any VPN beyond it.
- * The machine sizes the dense range to cover the identity-mapped
- * persistent heap, so every hot-path translation is one array load.
+ * Storage is one flat, calloc-backed array over VPNs [0, pages)
+ * (entries store ppn+1, so the all-zero reset state means "unmapped").
+ * The machine sizes it to the identity-mapped persistent heap, so every
+ * translation is one array load; mapping or translating a VPN past the
+ * end is a caller bug and asserts.
  */
 
 #ifndef SSP_VM_PAGE_TABLE_HH
@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "common/types.hh"
 
@@ -37,23 +36,22 @@ class PageTable
      * @param walk_cycles Cost of a page-table walk in core cycles.
      *        A radix walk is mostly cached; Table 2-class machines see
      *        on the order of tens of cycles.
-     * @param dense_pages VPNs [0, dense_pages) live in the flat array;
-     *        anything above spills to the overflow map (0 = everything
-     *        spills, the standalone-test configuration).
+     * @param pages Number of VPNs the table covers: [0, pages).
      */
-    explicit PageTable(Cycles walk_cycles, std::uint64_t dense_pages = 0);
+    PageTable(Cycles walk_cycles, std::uint64_t pages);
 
-    /** Install or replace a mapping. */
+    /** Install or replace a mapping; @p vpn must be below the page count. */
     void map(Vpn vpn, Ppn ppn);
 
     /** Remove a mapping; returns true if it existed. */
     bool unmap(Vpn vpn);
 
-    /** True if @p vpn is mapped. */
+    /** True if @p vpn is mapped (false at or past the table's end). */
     bool isMapped(Vpn vpn) const;
 
-    /** Translate; fails (panics) on unmapped pages — the simulated
-     *  workloads never touch unmapped persistent memory. */
+    /** Translate; asserts on unmapped pages, including any past the
+     *  end — the simulated workloads never touch unmapped persistent
+     *  memory. */
     Ppn translate(Vpn vpn) const;
 
     /** Timed page walk. @return completion time. */
@@ -74,22 +72,19 @@ class PageTable
     void
     forEachEntry(Fn &&fn) const
     {
-        for (Vpn vpn = 0; vpn < densePages_; ++vpn) {
-            const std::uint64_t e = dense_[vpn];
+        for (Vpn vpn = 0; vpn < pages_; ++vpn) {
+            const std::uint64_t e = entries_[vpn];
             if (e != 0)
                 fn(vpn, static_cast<Ppn>(e - 1));
         }
-        for (const auto &kv : overflow_)
-            fn(kv.first, kv.second);
     }
 
   private:
     Cycles walkCycles_;
-    std::uint64_t densePages_;
-    /** densePages_ entries of ppn+1 (0 = unmapped); calloc'd so the
+    std::uint64_t pages_;
+    /** pages_ entries of ppn+1 (0 = unmapped); calloc'd so the
      *  untouched tail of a big heap costs address space only. */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> dense_;
-    std::unordered_map<Vpn, Ppn> overflow_;
+    std::unique_ptr<std::uint64_t[], FreeDeleter> entries_;
     std::uint64_t size_ = 0;
 };
 

@@ -46,8 +46,10 @@ Addr
 BTreeWorkload::findLeaf(CoreId c, std::uint64_t key,
                         std::vector<Addr> *path)
 {
+    HopLimit hop(alloc_);
     Addr n = root(c);
     while (!isLeaf(c, n)) {
+        hop();
         if (path != nullptr)
             path->push_back(n);
         const unsigned cnt = count(c, n);
@@ -211,8 +213,10 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>>
 BTreeWorkload::scan(CoreId c, std::uint64_t key, unsigned limit)
 {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    HopLimit hop(alloc_);
     Addr leaf = findLeaf(c, key, nullptr);
     while (leaf != 0 && out.size() < limit) {
+        hop();
         const unsigned cnt = count(c, leaf);
         for (unsigned i = 0; i < cnt && out.size() < limit; ++i) {
             const std::uint64_t k = heap_.load64(c, keyAddr(leaf, i));
@@ -254,15 +258,19 @@ BTreeWorkload::verify()
 {
     // Walk the leaf chain from the leftmost leaf and compare the pair
     // sequence with the reference map.
+    HopLimit hop(alloc_);
     Addr n = heap_.raw64(rootAddr_);
     if (n == 0)
         return reference_.empty();
-    while (heap_.raw64(n + kIsLeafOff) == 0)
+    while (heap_.raw64(n + kIsLeafOff) == 0) {
+        hop();
         n = heap_.raw64(slotAddr(n, 0));
+    }
 
     auto it = reference_.begin();
     std::uint64_t found = 0;
     while (n != 0) {
+        hop();
         const auto cnt =
             static_cast<unsigned>(heap_.raw64(n + kCountOff));
         std::uint64_t prev = 0;

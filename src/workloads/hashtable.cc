@@ -65,8 +65,10 @@ HashWorkload::setup()
 bool
 HashWorkload::lookup(CoreId core, std::uint64_t key, std::uint64_t *value)
 {
+    HopLimit hop(alloc_);
     Addr node = heap_.load64(core, bucketAddr(key));
     while (node != 0) {
+        hop();
         if (heap_.load64(core, node + kKeyOff) == key) {
             if (value != nullptr)
                 *value = heap_.load64(core, node + kValOff);
@@ -86,9 +88,11 @@ HashWorkload::upsertOrDelete(CoreId core, std::uint64_t key)
         victim = 0;
 
         // Search the chain, remembering the predecessor link.
+        HopLimit hop(alloc_);
         Addr prev_link = bucketAddr(key);
         Addr node = heap_.load64(core, prev_link);
         while (node != 0 && heap_.load64(core, node + kKeyOff) != key) {
+            hop();
             prev_link = node + kNextOff;
             node = heap_.load64(core, node + kNextOff);
         }
@@ -130,9 +134,11 @@ HashWorkload::verify()
     // Every reference key must be present with the right value, and the
     // chains must contain no extras.
     std::uint64_t found = 0;
+    HopLimit hop(alloc_);
     for (std::uint64_t b = 0; b < buckets_; ++b) {
         Addr node = heap_.raw64(table_ + b * sizeof(std::uint64_t));
         while (node != 0) {
+            hop();
             const std::uint64_t key = heap_.raw64(node + kKeyOff);
             const std::uint64_t val = heap_.raw64(node + kValOff);
             auto it = reference_.find(key);

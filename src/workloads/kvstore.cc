@@ -64,9 +64,11 @@ KvStoreWorkload::setup()
 Addr
 KvStoreWorkload::findItem(CoreId core, std::uint64_t key, Addr *prev_link)
 {
+    HopLimit hop(alloc_);
     Addr link = bucketAddr(key);
     Addr item = heap_.load64(core, link);
     while (item != 0 && heap_.load64(core, item + kKeyOff) != key) {
+        hop();
         link = item + kNextOff;
         item = heap_.load64(core, item + kNextOff);
     }
@@ -209,9 +211,11 @@ KvStoreWorkload::verify()
 {
     // Every reference key must be resident with the right stamp.
     std::uint64_t found = 0;
+    HopLimit hop(alloc_);
     for (std::uint64_t b = 0; b < params_.buckets; ++b) {
         Addr item = heap_.raw64(table_ + b * sizeof(std::uint64_t));
         while (item != 0) {
+            hop();
             const std::uint64_t key = heap_.raw64(item + kKeyOff);
             const std::uint64_t stamp = heap_.raw64(item + kSeqOff);
             auto it = reference_.find(key);

@@ -67,7 +67,9 @@ RbTreeWorkload::rotateRight(CoreId c, Addr x)
 void
 RbTreeWorkload::insertFixup(CoreId c, Addr z)
 {
+    HopLimit hop(alloc_);
     while (isRed(c, parent(c, z))) {
+        hop();
         Addr p = parent(c, z);
         Addr g = parent(c, p);
         if (p == left(c, g)) {
@@ -128,8 +130,11 @@ RbTreeWorkload::transplant(CoreId c, Addr u, Addr v)
 Addr
 RbTreeWorkload::minimum(CoreId c, Addr n)
 {
-    while (left(c, n) != 0)
+    HopLimit hop(alloc_);
+    while (left(c, n) != 0) {
+        hop();
         n = left(c, n);
+    }
     return n;
 }
 
@@ -174,7 +179,9 @@ RbTreeWorkload::deleteNode(CoreId c, Addr z)
 void
 RbTreeWorkload::deleteFixup(CoreId c, Addr x, Addr x_parent)
 {
+    HopLimit hop(alloc_);
     while (x != root(c) && !isRed(c, x)) {
+        hop();
         if (x_parent == 0)
             break;
         if (x == left(c, x_parent)) {
@@ -246,9 +253,11 @@ RbTreeWorkload::upsertOrDelete(CoreId c, std::uint64_t k)
         victim = 0;
 
         // Search.
+        HopLimit hop(alloc_);
         Addr node = root(c);
         Addr last = 0;
         while (node != 0) {
+            hop();
             last = node;
             const std::uint64_t nk = key(c, node);
             if (nk == k)
@@ -293,17 +302,22 @@ RbTreeWorkload::runOp(CoreId core)
 
 int
 RbTreeWorkload::checkSubtree(Addr n, std::uint64_t lo, std::uint64_t hi,
-                             bool *ok)
+                             bool *ok, HopLimit &hop)
 {
-    if (n == 0)
+    // Stop at the first violation: a corrupted image can link a node
+    // back to an ancestor, and the key range then fails at the repeat,
+    // which bounds the recursion depth by the nodes on one path.
+    if (n == 0 || !*ok)
         return 1; // nil nodes are black
+    hop();
     const std::uint64_t k = heap_.raw64(n);
     if (k < lo || k > hi)
         *ok = false;
     if (rawRed(n) && (rawRed(rawLeft(n)) || rawRed(rawRight(n))))
         *ok = false;
-    const int bl = checkSubtree(rawLeft(n), lo, k == 0 ? 0 : k - 1, ok);
-    const int br = checkSubtree(rawRight(n), k + 1, hi, ok);
+    const int bl =
+        checkSubtree(rawLeft(n), lo, k == 0 ? 0 : k - 1, ok, hop);
+    const int br = checkSubtree(rawRight(n), k + 1, hi, ok, hop);
     if (bl != br)
         *ok = false;
     return bl + (rawRed(n) ? 0 : 1);
@@ -318,7 +332,8 @@ RbTreeWorkload::invariantsHold()
     if (rawRed(r))
         return false;
     bool ok = true;
-    checkSubtree(r, 0, ~std::uint64_t{0}, &ok);
+    HopLimit hop(alloc_);
+    checkSubtree(r, 0, ~std::uint64_t{0}, &ok, hop);
     return ok;
 }
 
@@ -331,10 +346,12 @@ RbTreeWorkload::verify()
     std::uint64_t count = 0;
     // Iterative traversal using an explicit stack of addresses.
     std::vector<Addr> stack;
+    HopLimit hop(alloc_);
     Addr cur = heap_.raw64(rootAddr_);
     auto it = reference_.begin();
     while (cur != 0 || !stack.empty()) {
         while (cur != 0) {
+            hop();
             stack.push_back(cur);
             cur = rawLeft(cur);
         }

@@ -112,7 +112,8 @@ class RbTreeWorkload : public Workload
     {
         return n != 0 && (heap_.raw64(n + 32) & 1) != 0;
     }
-    int checkSubtree(Addr n, std::uint64_t lo, std::uint64_t hi, bool *ok);
+    int checkSubtree(Addr n, std::uint64_t lo, std::uint64_t hi, bool *ok,
+                     HopLimit &hop);
 
     KeyGenerator keys_;
     KeyDist dist_;

@@ -103,18 +103,24 @@ VacationWorkload::setup()
 Addr
 VacationWorkload::findResource(CoreId c, unsigned table, std::uint64_t id)
 {
+    HopLimit hop(alloc_);
     Addr rec = heap_.load64(c, tableBucket(table, id));
-    while (rec != 0 && heap_.load64(c, rec + 0) != id)
+    while (rec != 0 && heap_.load64(c, rec + 0) != id) {
+        hop();
         rec = heap_.load64(c, rec + 32);
+    }
     return rec;
 }
 
 Addr
 VacationWorkload::findCustomer(CoreId c, std::uint64_t id)
 {
+    HopLimit hop(alloc_);
     Addr rec = heap_.load64(c, custBucket(id));
-    while (rec != 0 && heap_.load64(c, rec + 0) != id)
+    while (rec != 0 && heap_.load64(c, rec + 0) != id) {
+        hop();
         rec = heap_.load64(c, rec + 24);
+    }
     return rec;
 }
 
@@ -194,11 +200,13 @@ bool
 VacationWorkload::verify()
 {
     // Resource availability must match the model.
+    HopLimit hop(alloc_);
     for (unsigned t = 0; t < 3; ++t) {
         for (std::uint64_t b = 0; b < params_.buckets; ++b) {
             Addr rec =
                 heap_.raw64(tables_[t] + b * sizeof(std::uint64_t));
             while (rec != 0) {
+                hop();
                 const std::uint64_t id = heap_.raw64(rec + 0);
                 if (heap_.raw64(rec + 24) != freeModel_[modelKey(t, id)])
                     return false;
@@ -211,6 +219,7 @@ VacationWorkload::verify()
     for (std::uint64_t b = 0; b < params_.buckets; ++b) {
         Addr rec = heap_.raw64(custTable_ + b * sizeof(std::uint64_t));
         while (rec != 0) {
+            hop();
             const std::uint64_t id = heap_.raw64(rec + 0);
             const std::uint64_t bill = heap_.raw64(rec + 8);
             if (bill != billModel_[id])
@@ -218,6 +227,7 @@ VacationWorkload::verify()
             std::uint64_t sum = 0;
             Addr rsv = heap_.raw64(rec + 16);
             while (rsv != 0) {
+                hop();
                 sum += heap_.raw64(rsv + 8);
                 rsv = heap_.raw64(rsv + 16);
             }

@@ -170,6 +170,40 @@ class Workload
         return key % shard + (core % keyShards_) * shard;
     }
 
+    /**
+     * Bound on one walk over persistent pointers: a chain, list or
+     * tree traversal whose trip count the image decides.  Every node a
+     * walk can reach is a distinct allocation of at least 8 bytes, so a
+     * sound image never needs more than alloc_.bytesUsed() / 8 hops; a
+     * corrupted one can link a node back to itself.  Each such loop
+     * counts its hops here, and past the bound it panics, so a cell
+     * reports "ok": false instead of spinning.  Host-only: it issues
+     * no simulated access and charges no cycle.
+     */
+    class HopLimit
+    {
+      public:
+        explicit HopLimit(const PersistAlloc &alloc)
+            : limit_(alloc.bytesUsed() / 8)
+        {
+        }
+
+        /** Count one hop. */
+        void
+        operator()()
+        {
+            if (++hops_ > limit_) {
+                ssp_panic("a walk over persistent pointers passed %llu "
+                          "hops: the image is corrupted",
+                          static_cast<unsigned long long>(limit_));
+            }
+        }
+
+      private:
+        std::uint64_t limit_;
+        std::uint64_t hops_ = 0;
+    };
+
     TxHeap heap_;
     PersistAlloc &alloc_;
     unsigned keyShards_ = 1;

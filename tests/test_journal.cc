@@ -160,7 +160,7 @@ TEST(ControllerCheckpoint, RunsWhenTheJournalReachesTheThreshold)
     PhysMem mem(cfg.nvramPages(), 4);
     MemoryBus bus(mem, MemTimingParams{4, 1024, 100, 100, 0.4},
                   MemTimingParams{4, 1024, 200, 800, 0.4});
-    PageTable pt(0);
+    PageTable pt(0, cfg.heapPages);
     MemController mc(cfg, bus, pt);
     // Each commit appends one 8-byte marker: the 16th reaches 128 bytes.
     for (int i = 0; i < 15; ++i)

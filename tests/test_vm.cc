@@ -21,7 +21,7 @@ namespace
 
 TEST(PageTable, MapTranslateUnmap)
 {
-    PageTable pt(60);
+    PageTable pt(60, 16);
     pt.map(5, 500);
     EXPECT_TRUE(pt.isMapped(5));
     EXPECT_EQ(pt.translate(5), 500u);
@@ -32,7 +32,7 @@ TEST(PageTable, MapTranslateUnmap)
 
 TEST(PageTable, RemapOverwrites)
 {
-    PageTable pt(60);
+    PageTable pt(60, 16);
     pt.map(7, 70);
     pt.map(7, 71);
     EXPECT_EQ(pt.translate(7), 71u);
@@ -41,14 +41,27 @@ TEST(PageTable, RemapOverwrites)
 
 TEST(PageTable, WalkCostsConfiguredCycles)
 {
-    PageTable pt(60);
+    PageTable pt(60, 16);
     EXPECT_EQ(pt.walk(100), 160u);
 }
 
 TEST(PageTable, TranslateUnmappedPanics)
 {
-    PageTable pt(60);
+    PageTable pt(60, 16);
     EXPECT_THROW(pt.translate(9), std::logic_error);
+}
+
+TEST(PageTable, EndOfTheTableIsUnmappedAndAsserts)
+{
+    PageTable pt(60, 16);
+    pt.map(15, 150); // the last page
+    EXPECT_TRUE(pt.isMapped(15));
+    EXPECT_FALSE(pt.isMapped(16));
+    EXPECT_FALSE(pt.isMapped(~Vpn{0}));
+    EXPECT_THROW(pt.map(16, 160), std::logic_error);
+    EXPECT_THROW(pt.translate(16), std::logic_error);
+    EXPECT_FALSE(pt.unmap(16));
+    EXPECT_EQ(pt.size(), 1u);
 }
 
 TlbEntry

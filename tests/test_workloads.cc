@@ -142,6 +142,22 @@ TEST_F(WorkloadTest, HashLookupMatchesToggleState)
     EXPECT_EQ(hash.lookup(0, 42, nullptr), before);
 }
 
+TEST_F(WorkloadTest, HashChainCycleThrowsInsteadOfSpinning)
+{
+    // One bucket: every key sits in one chain, and the bucket array is
+    // the allocator's first block.
+    HashWorkload hash(*sys, *alloc, 1, 64, KeyDist::Uniform, 8);
+    hash.setup();
+    ASSERT_GT(hash.size(), 0u);
+    const Addr head = raw64(*sys, alloc->base());
+    ASSERT_NE(head, 0u);
+    // Corrupt the image: the head node's next pointer (offset 16)
+    // points back at the node itself.
+    sys->storeRaw(head + 16, &head, sizeof(head));
+    EXPECT_THROW(hash.lookup(0, 1000, nullptr), std::logic_error);
+    EXPECT_THROW(hash.verify(), std::logic_error);
+}
+
 TEST_F(WorkloadTest, SpsPreservesPermutation)
 {
     SpsWorkload sps(*sys, *alloc, 1024, 8);
