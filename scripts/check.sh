@@ -24,9 +24,10 @@
 #            gcc-debug-asan-ubsan leg).  Debug builds also run the
 #            ssp_assert_dbg cross-checks, such as the sharer index
 #            against the caches' tags after every setup phase; the
-#            ASan path then replays one grid subset
-#            (GridReplay.ScaleCores1To4MatchCheckedInReport) so they
-#            run over real grid cells too.
+#            ASan path then replays two grid subsets so they run over
+#            real grid cells too: GridReplay.ScaleCores1To4Match...
+#            (broadcast) and GridReplay.Scale256Cores1Match..., whose
+#            directory cells evict from the snoop filter.
 
 set -euo pipefail
 
@@ -95,7 +96,7 @@ if [ -n "$sanitizer" ]; then
         ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
             UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
             "$build_dir/test_grid_replay" \
-            --gtest_filter=GridReplay.ScaleCores1To4MatchCheckedInReport
+            --gtest_filter=GridReplay.ScaleCores1To4MatchCheckedInReport:GridReplay.Scale256Cores1MatchCheckedInReport
     fi
     echo "OK ($sanitizer)"
     exit 0

@@ -5,13 +5,19 @@ Usage: profile_report.py EXECUTABLE SAMPLES
 
 SAMPLES holds one "rip stackword" hex pair per line; SAMPLES.maps is the
 sampled process's /proc/self/maps.  Prints the TOP rows of four tables
-of sample counts:
+of sample counts, then a fifth with one row per simulator layer:
 
   - per function: the out-of-line function a sample's RIP is in;
   - per inline frame: the innermost function inlined at that RIP;
   - per source line: the file:line of that innermost frame, relative to
     the repository root when under it;
-  - per shared object: the mapped file the RIP is in.
+  - per shared object: the mapped file the RIP is in;
+  - per layer: the first layer in LAYERS whose classes the innermost
+    inline frame names, going outward frame by frame.  A frame names a
+    class in its qualified name or template arguments, not in its
+    parameter list, so an out-of-line std::_Hashtable frame over
+    SharerIndex::Masks is the sharer index's.  A sample none of whose
+    frames names a layer is "other".
 
 EXECUTABLE must carry debug info (-g).  A sample in libc is attributed to
 its caller: the word at the stack pointer, which is the return address
@@ -30,6 +36,29 @@ ET_EXEC = 2
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 # Rows printed per table.
 TOP = 30
+# Host layers of the per-layer table: (row, classes or functions).
+LAYERS = [
+    ("vm", ["Tlb", "PageTable"]),
+    ("caches", ["Cache", "CacheHierarchy"]),
+    ("sharer index", ["SharerIndex"]),
+    ("directory", ["DirectoryCoherence", "MeshGeometry",
+                   "BroadcastCoherence", "CoherenceModel"]),
+    ("memory", ["PhysMem", "MemoryBus", "MemTimingModel",
+                "MemChannelGroup"]),
+    ("conflicts", ["ConflictManager", "LineSet"]),
+    ("SSP engine/NVRAM", ["SspEngine", "SspSystem", "WriteSetBuffer",
+                          "SspCache", "MemController", "Consolidator",
+                          "FreePagePool"]),
+    ("baselines", ["BaselineBase", "UndoLogBackend", "RedoLogBackend",
+                   "ShadowPagingBackend", "PersistLog"]),
+    ("workloads", ["Workload", "TxHeap", "PersistAlloc", "BTreeWorkload",
+                   "HashWorkload", "KvStoreWorkload", "RbTreeWorkload",
+                   "SpsWorkload", "VacationWorkload", "KeyGenerator",
+                   "ZipfGenerator"]),
+    ("bench probe", ["probeSeconds"]),
+]
+LAYER_RES = [(row, re.compile(r"\b(?:%s)\b" % "|".join(names)))
+             for row, names in LAYERS]
 
 
 def read_maps(path):
@@ -108,6 +137,30 @@ def symbolize(executable, addrs):
     return frames
 
 
+def without_parameters(function):
+    """FUNCTION without its trailing parameter list and qualifiers, so
+    that only its qualified name and template arguments remain."""
+    depth = 0
+    for i in range(function.rfind(")"), -1, -1):
+        if function[i] == ")":
+            depth += 1
+        elif function[i] == "(":
+            depth -= 1
+            if depth == 0:
+                return function[:i]
+    return function
+
+
+def layer_of(chain):
+    """The LAYERS row of the innermost inline frame naming a layer."""
+    for function, _ in chain:
+        name = without_parameters(function)
+        for row, pattern in LAYER_RES:
+            if pattern.search(name):
+                return row
+    return "other"
+
+
 def short(name, width=96):
     return name if len(name) <= width else name[:width - 3] + "..."
 
@@ -117,6 +170,15 @@ def print_table(title, counts, total, top):
     print("%8s %7s  %s" % ("samples", "share", "name"))
     for name, n in counts.most_common(top):
         print("%8d %6.2f%%  %s" % (n, 100.0 * n / total, short(name)))
+
+
+def print_layers(counts, total):
+    """Every LAYERS row in declared order, then "other"."""
+    print("\nPer layer (%d samples)" % total)
+    print("%8s %7s  %s" % ("samples", "share", "layer"))
+    for row in [row for row, _ in LAYERS] + ["other"]:
+        n = counts[row]
+        print("%8d %6.2f%%  %s" % (n, 100.0 * n / total, row))
 
 
 def main():
@@ -154,6 +216,7 @@ def main():
     per_inline = collections.Counter()
     per_line = collections.Counter()
     per_object = collections.Counter()
+    per_layer = collections.Counter()
     for addr, obj, via_libc in located:
         per_object[obj] += 1
         if addr is None:
@@ -161,18 +224,21 @@ def main():
             per_function[key] += 1
             per_inline[key] += 1
             per_line[key] += 1
+            per_layer["other"] += 1
             continue
         chain = frames.get(addr) or [("??", "??:0")]
         tag = " [libc]" if via_libc else ""
         per_function[chain[-1][0] + tag] += 1
         per_inline[chain[0][0] + tag] += 1
         per_line[chain[0][1] + tag] += 1
+        per_layer[layer_of(chain)] += 1
 
     total = len(samples)
     print_table("Per function", per_function, total, TOP)
     print_table("Per inline frame", per_inline, total, TOP)
     print_table("Per source line", per_line, total, TOP)
     print_table("Per shared object", per_object, total, TOP)
+    print_layers(per_layer, total)
 
 
 if __name__ == "__main__":

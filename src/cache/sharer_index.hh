@@ -21,7 +21,9 @@
  * which is popcount of exactly this bitmap.  The optional listener
  * hook feeds the directory's capacity-limited snoop filter — it fires
  * on every private-cache fill and on the drop of a line's last private
- * copy, so the filter can mirror which lines it must track.
+ * copy, so the filter can mirror which lines it must track.  Each entry
+ * carries one 32-bit slot the listener owns (the filter's LRU node),
+ * so a tracked line is keyed once, here, and not again by the filter.
  */
 
 #ifndef SSP_CACHE_SHARER_INDEX_HH
@@ -31,10 +33,14 @@
 #include <unordered_map>
 
 #include "common/bitmap64.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace ssp
 {
+
+/** An index entry's listener slot before the listener assigns one. */
+inline constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
 /**
  * Observer of sharer-index transitions (the directory snoop filter).
@@ -47,11 +53,19 @@ class SharerListener
   public:
     virtual ~SharerListener() = default;
 
-    /** A private cache gained a copy of @p line (fires on every fill). */
-    virtual void lineCached(Addr line) = 0;
+    /**
+     * A private cache gained a copy of @p line (fires on every fill).
+     * @p slot is the line's entry field for the listener's bookkeeping:
+     * kNoSlot until the listener first stores to it, then whatever it
+     * stored, for as long as the line has a private copy.
+     */
+    virtual void lineCached(Addr line, std::uint32_t &slot) = 0;
 
-    /** The last private-cache copy of @p line was dropped. */
-    virtual void lineUncached(Addr line) = 0;
+    /**
+     * The last private-cache copy of the line whose entry held @p slot
+     * was dropped; the entry is already gone.
+     */
+    virtual void lineUncached(std::uint32_t slot) = 0;
 };
 
 /** Tracks which cores' private caches hold each line (see file doc). */
@@ -75,7 +89,7 @@ class SharerIndex
         Masks &m = map_[line];
         (level == kL1 ? m.l1 : m.l2).set(core);
         if (listener_ != nullptr)
-            listener_->lineCached(line);
+            listener_->lineCached(line, m.slot);
     }
 
     /** Core @p core's level-@p level cache dropped @p line. */
@@ -88,9 +102,10 @@ class SharerIndex
         Masks &m = it->second;
         (level == kL1 ? m.l1 : m.l2).reset(core);
         if ((m.l1 | m.l2).none()) {
+            const std::uint32_t slot = m.slot;
             map_.erase(it);
             if (listener_ != nullptr)
-                listener_->lineUncached(line);
+                listener_->lineUncached(slot);
         }
     }
 
@@ -103,8 +118,18 @@ class SharerIndex
                                 : (it->second.l1 | it->second.l2);
     }
 
-    /** Drop every mapping (bulk alternative to per-line remove). */
-    void clear() { map_.clear(); }
+    /**
+     * Drop every mapping (bulk alternative to per-line remove).  Only
+     * an unlistened index may clear: a listener would keep the slots
+     * of the dropped entries forever.
+     */
+    void
+    clear()
+    {
+        ssp_assert(listener_ == nullptr,
+                   "clearing a listened sharer index orphans its slots");
+        map_.clear();
+    }
 
     /** Number of lines with at least one private-cache copy. */
     std::size_t trackedLines() const { return map_.size(); }
@@ -114,6 +139,7 @@ class SharerIndex
     {
         CoreBitmap l1;
         CoreBitmap l2;
+        std::uint32_t slot = kNoSlot; ///< the listener's (see lineCached)
     };
 
     std::unordered_map<Addr, Masks> map_;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ssp
 {
@@ -30,11 +31,31 @@ vformat(const char *fmt, va_list ap)
     return out;
 }
 
-/** " (file:line)": where a panic or failed assertion fired. */
+/**
+ * The source tree's root as the compiler spells paths in it: this
+ * file's own path without its "src/common/logging.cc" tail.
+ */
+constexpr std::string_view
+sourceRoot()
+{
+    constexpr std::string_view self = __FILE__;
+    constexpr std::string_view tail = "src/common/logging.cc";
+    return self.ends_with(tail) ? self.substr(0, self.size() - tail.size())
+                                : std::string_view{};
+}
+
+/**
+ * " (file:line)": where a panic or failed assertion fired, the file
+ * relative to the source root, so one failure reads the same from any
+ * checkout.
+ */
 std::string
 where(const char *file, int line)
 {
-    return " (" + std::string(file) + ":" + std::to_string(line) + ")";
+    std::string_view path = file;
+    if (path.starts_with(sourceRoot()))
+        path.remove_prefix(sourceRoot().size());
+    return " (" + std::string(path) + ":" + std::to_string(line) + ")";
 }
 
 } // namespace

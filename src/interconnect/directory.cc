@@ -11,8 +11,11 @@ DirectoryCoherence::DirectoryCoherence(unsigned num_cores,
                                        const CoherenceParams &params)
     : CoherenceModel(num_cores),
       mesh_(MeshGeometry::forCores(num_cores)),
-      filterCapacity_(params.snoopFilterEntries), filters_(mesh_.tiles())
+      filterCapacity_(params.snoopFilterEntries), tracked_(mesh_.tiles())
 {
+    // Each tile's ring starts as its sentinel alone.
+    for (std::uint32_t t = 0; t < mesh_.tiles(); ++t)
+        links_.push_back(Link{t, t, 0});
 }
 
 Cycles
@@ -80,39 +83,54 @@ DirectoryCoherence::shootdownReceiverCost(CoreId receiver, Addr line) const
 }
 
 void
-DirectoryCoherence::lineCached(Addr line)
+DirectoryCoherence::lineCached(Addr line, std::uint32_t &slot)
 {
-    TileFilter &f = filters_[mesh_.homeTile(line)];
-    auto it = f.map.find(line);
-    if (it != f.map.end()) {
+    const unsigned tile = mesh_.homeTile(line);
+    if (slot == kNoSlot) {
+        if (freeSlots_ != kNoSlot) {
+            slot = freeSlots_;
+            freeSlots_ = links_[slot].next;
+            links_[slot].line = line;
+        } else {
+            // Fewer than 2^32 slots: physical memory holds 2^29 lines.
+            slot = static_cast<std::uint32_t>(links_.size());
+            links_.push_back(Link{kNoSlot, kNoSlot, line});
+        }
+    } else if (links_[slot].prev != kNoSlot) {
         // Already tracked: touch to most-recently-used.
-        f.lru.splice(f.lru.begin(), f.lru, it->second);
+        if (links_[slot].prev != tile) {
+            unlink(slot);
+            linkFront(tile, slot);
+        }
         return;
     }
-    f.lru.push_front(line);
-    f.map.emplace(line, f.lru.begin());
-    if (filterCapacity_ == 0 || f.map.size() <= filterCapacity_)
+    linkFront(tile, slot);
+    if (++tracked_[tile] <= filterCapacity_ || filterCapacity_ == 0)
         return;
     // Capacity exceeded: evict the LRU line.  Inclusion demands its
     // live sharer copies be dropped, but this callback runs inside a
     // cache fill — queue the back-invalidation for the post-access
-    // drain instead of re-entering the tag arrays here.
-    const Addr victim = f.lru.back();
-    f.map.erase(victim);
-    f.lru.pop_back();
+    // drain instead of re-entering the tag arrays here.  The victim's
+    // slot stays its entry's until lineUncached frees it.
+    const std::uint32_t victim = links_[tile].prev;
+    unlink(victim);
+    --tracked_[tile];
     ++filterEvictions_;
-    pendingBackInvals_.push_back(victim);
+    pendingBackInvals_.push_back(links_[victim].line);
 }
 
 void
-DirectoryCoherence::lineUncached(Addr line)
+DirectoryCoherence::lineUncached(std::uint32_t slot)
 {
-    TileFilter &f = filters_[mesh_.homeTile(line)];
-    auto it = f.map.find(line);
-    if (it == f.map.end())
-        return;
-    f.lru.erase(it->second);
-    f.map.erase(it);
+    ssp_assert_dbg(slot >= mesh_.tiles() && slot < links_.size(),
+                   "a line uncached without a snoop filter slot");
+    Link &l = links_[slot];
+    if (l.prev != kNoSlot) {
+        unlink(slot);
+        --tracked_[mesh_.homeTile(l.line)];
+    }
+    l.next = freeSlots_;
+    freeSlots_ = slot;
 }
 
 void
@@ -124,9 +142,9 @@ DirectoryCoherence::drainMaintenance(Cycles now)
         ssp_assert(backInvalidate_,
                    "directory snoop filter evicted a line with no "
                    "back-invalidator attached");
-        // Dropping the copies fires lineUncached (the filter entry is
-        // already gone) and may write back dirty data — both safe here,
-        // outside any in-flight access.
+        // Dropping the copies fires lineUncached (which frees the
+        // victim's unlinked slot) and may write back dirty data — both
+        // safe here, outside any in-flight access.
         const CoreBitmap dropped = backInvalidate_(victim, now);
         const unsigned home = mesh_.homeTile(victim);
         std::uint64_t dropped_hops = 0;
@@ -145,12 +163,12 @@ void
 DirectoryCoherence::powerFail()
 {
     // The filters are home-tile SRAM: volatile, like the caches whose
-    // contents they mirror.  Pending evictions die with the copies they
-    // would have dropped.
-    for (TileFilter &f : filters_) {
-        f.lru.clear();
-        f.map.clear();
-    }
+    // contents they mirror.  The caches' invalidateAll has already
+    // uncached every line, and so emptied every filter.  Pending
+    // evictions die with the copies they would have dropped.
+    for (unsigned t = 0; t < mesh_.tiles(); ++t)
+        ssp_assert(tracked_[t] == 0,
+                   "a snoop filter outlived the caches it mirrors");
     pendingBackInvals_.clear();
 }
 

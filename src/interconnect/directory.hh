@@ -22,14 +22,20 @@
  * the listener fires mid-fill, evictions are queued and drained by the
  * hierarchy after the access completes (drainMaintenance), never
  * re-entering the cache arrays.
+ *
+ * The filters add no second map from line to filter entry: every
+ * SharerIndex entry holds the index of its line's slot, and every
+ * tile's LRU is a doubly linked list over slot indices in one shared
+ * vector (slots 0..tiles-1 are the tiles' sentinels).  An evicted slot
+ * stays owned by its index entry, unlinked, until the line's last
+ * private copy goes (lineUncached frees it), so no slot is reused while
+ * an entry still names it, and a refill before the drain relinks it.
  */
 
 #ifndef SSP_INTERCONNECT_DIRECTORY_HH
 #define SSP_INTERCONNECT_DIRECTORY_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/coherence.hh"
@@ -87,28 +93,48 @@ class DirectoryCoherence final : public CoherenceModel,
     std::uint64_t backInvalidations() const override { return backInvals_; }
 
     // ---- SharerListener ------------------------------------------------
-    void lineCached(Addr line) override;
-    void lineUncached(Addr line) override;
+    void lineCached(Addr line, std::uint32_t &slot) override;
+    void lineUncached(std::uint32_t slot) override;
 
     const MeshGeometry &mesh() const { return mesh_; }
 
     /** Lines currently tracked by @p tile's snoop filter. */
-    std::size_t
-    filterSize(unsigned tile) const
-    {
-        return filters_[tile].map.size();
-    }
+    std::size_t filterSize(unsigned tile) const { return tracked_[tile]; }
 
   private:
     /**
-     * Per-home-tile snoop filter: LRU list of tracked lines, most
-     * recently touched at the front, plus the line -> list-node map.
+     * One slot: a node of its home tile's LRU ring (most recently
+     * touched next to the sentinel), or a tile's sentinel.  An evicted
+     * slot has prev == kNoSlot; a free one chains the free list
+     * through next.
      */
-    struct TileFilter
+    struct Link
     {
-        std::list<Addr> lru;
-        std::unordered_map<Addr, std::list<Addr>::iterator> map;
+        std::uint32_t prev;
+        std::uint32_t next;
+        Addr line;
     };
+
+    /** Link slot @p s right after @p tile's sentinel (most recent). */
+    void
+    linkFront(unsigned tile, std::uint32_t s)
+    {
+        const std::uint32_t first = links_[tile].next;
+        links_[s].prev = tile;
+        links_[s].next = first;
+        links_[first].prev = s;
+        links_[tile].next = s;
+    }
+
+    /** Take linked slot @p s out of its ring. */
+    void
+    unlink(std::uint32_t s)
+    {
+        Link &l = links_[s];
+        links_[l.prev].next = l.next;
+        links_[l.next].prev = l.prev;
+        l.prev = kNoSlot;
+    }
 
     /**
      * Price one directory transaction from @p sender for @p line with
@@ -121,7 +147,10 @@ class DirectoryCoherence final : public CoherenceModel,
     MeshGeometry mesh_;
     unsigned filterCapacity_; ///< tracked lines per tile; 0 = unbounded
 
-    std::vector<TileFilter> filters_;
+    /** The tiles' sentinels, then every allocated or free slot. */
+    std::vector<Link> links_;
+    std::uint32_t freeSlots_ = kNoSlot; ///< head of the free list
+    std::vector<std::uint32_t> tracked_; ///< linked slots per tile
     /** Evicted lines awaiting back-invalidation at the next drain. */
     std::vector<Addr> pendingBackInvals_;
     BackInvalidateFn backInvalidate_;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -401,11 +404,175 @@ TEST_F(SnoopFilterMixTest, NoMaintenanceIsPendingAfterAnyHierarchyCall)
             break;
         }
         ASSERT_FALSE(dir.maintenancePending()) << "step " << step;
+        // Every back-invalidation has been drained, so the bounded
+        // filters track exactly the lines with a private copy.
+        ASSERT_EQ(totalFilterSize(), hier.sharerIndex().trackedLines())
+            << "step " << step;
         steps_with_eviction += dir.snoopFilterEvictions() > evictions;
     }
     // The filters really overflowed, so there was work to drain.
     EXPECT_GT(steps_with_eviction, 100u);
     EXPECT_GT(dir.backInvalidations(), 0u);
+}
+
+// ---- the snoop filter against a reference LRU -----------------------------
+
+/**
+ * The snoop filters as a plain per-tile std::list LRU (most recent at
+ * the front) with a line -> node map: the model the slot-linked filter
+ * must reproduce, eviction for eviction.
+ */
+class ReferenceFilters
+{
+  public:
+    ReferenceFilters(const MeshGeometry &mesh, unsigned capacity)
+        : mesh_(mesh), capacity_(capacity), lru_(mesh.tiles())
+    {
+    }
+
+    void
+    cached(Addr line)
+    {
+        std::list<Addr> &lru = lru_[mesh_.homeTile(line)];
+        auto it = nodes_.find(line);
+        if (it != nodes_.end()) {
+            lru.splice(lru.begin(), lru, it->second);
+            return;
+        }
+        lru.push_front(line);
+        nodes_[line] = lru.begin();
+        if (capacity_ == 0 || lru.size() <= capacity_)
+            return;
+        pending.push_back(lru.back());
+        nodes_.erase(lru.back());
+        lru.pop_back();
+    }
+
+    void
+    uncached(Addr line)
+    {
+        auto it = nodes_.find(line);
+        if (it == nodes_.end())
+            return;
+        lru_[mesh_.homeTile(line)].erase(it->second);
+        nodes_.erase(it);
+    }
+
+    std::size_t size(unsigned tile) const { return lru_[tile].size(); }
+
+    /** Evicted lines not yet drained, in eviction order. */
+    std::vector<Addr> pending;
+
+  private:
+    MeshGeometry mesh_;
+    unsigned capacity_;
+    std::vector<std::list<Addr>> lru_;
+    std::map<Addr, std::list<Addr>::iterator> nodes_;
+};
+
+/**
+ * Drive the directory through the listener API alone, with the slots
+ * held here the way SharerIndex entries hold them, and compare every
+ * tile's size and every victim with the reference after each step.
+ */
+void
+expectFilterMatchesReferenceLru(unsigned capacity, std::uint64_t seed)
+{
+    constexpr unsigned kCores = 4;
+    DirectoryCoherence dir(kCores, directoryParams(capacity));
+    ASSERT_GE(dir.mesh().tiles(), 3u);
+    ReferenceFilters ref(dir.mesh(), capacity);
+    std::map<Addr, std::uint32_t> slots; // lines with a private copy
+    std::vector<Addr> victims;
+    auto cache = [&](Addr line) {
+        dir.lineCached(line, slots.try_emplace(line, kNoSlot).first->second);
+        ref.cached(line);
+    };
+    auto uncache = [&](Addr line) {
+        auto it = slots.find(line);
+        if (it == slots.end())
+            return false;
+        dir.lineUncached(it->second);
+        slots.erase(it);
+        ref.uncached(line);
+        return true;
+    };
+    dir.attachBackInvalidator([&](Addr line, Cycles) {
+        victims.push_back(line);
+        return uncache(line) ? CoreBitmap::ofCore(0) : CoreBitmap{};
+    });
+
+    // Sixteen pages spread over the tiles, six lines each.
+    std::vector<Addr> lines;
+    for (unsigned i = 0; i < 96; ++i)
+        lines.push_back(pageBase(i % 16) + (i / 16) * kLineSize);
+    Rng rng(seed);
+    std::uint64_t undrained_refills = 0;
+    for (unsigned step = 0; step < 4000; ++step) {
+        const unsigned op = static_cast<unsigned>(rng.nextBounded(10));
+        if (op < 6 || (op == 6 && ref.pending.empty())) {
+            cache(lines[rng.nextBounded(lines.size())]);
+        } else if (op == 6) {
+            // Refill a line whose back-invalidation is still queued.
+            const Addr line =
+                ref.pending[rng.nextBounded(ref.pending.size())];
+            undrained_refills += slots.count(line);
+            cache(line);
+        } else if (op < 9) {
+            if (!slots.empty()) {
+                auto it = slots.begin();
+                std::advance(it, rng.nextBounded(slots.size()));
+                uncache(it->first);
+            }
+        } else {
+            // The directory drains its queue newest first.
+            const std::vector<Addr> expect(ref.pending.rbegin(),
+                                           ref.pending.rend());
+            ref.pending.clear();
+            victims.clear();
+            dir.drainMaintenance(step);
+            ASSERT_EQ(victims, expect) << "step " << step;
+        }
+        std::size_t total = 0;
+        for (unsigned t = 0; t < dir.mesh().tiles(); ++t) {
+            ASSERT_EQ(dir.filterSize(t), ref.size(t))
+                << "capacity " << capacity << ", step " << step
+                << ", tile " << t;
+            total += dir.filterSize(t);
+        }
+        ASSERT_LE(total, slots.size());
+        ASSERT_EQ(dir.maintenancePending(), !ref.pending.empty());
+    }
+    if (capacity == 0) {
+        EXPECT_EQ(dir.snoopFilterEvictions(), 0u);
+    } else {
+        EXPECT_GT(dir.snoopFilterEvictions(), 500u);
+        EXPECT_GT(undrained_refills, 100u);
+    }
+
+    // Uncaching every line empties every filter; power failure checks
+    // that, and the freed slots serve the next fills.
+    dir.drainMaintenance(0);
+    while (!slots.empty())
+        uncache(slots.begin()->first);
+    dir.powerFail();
+    for (Addr line : lines)
+        cache(line);
+    for (unsigned t = 0; t < dir.mesh().tiles(); ++t)
+        EXPECT_EQ(dir.filterSize(t), ref.size(t)) << "tile " << t;
+}
+
+TEST(SnoopFilterReference, MatchesListLruAtCapacities1_2_8AndUnbounded)
+{
+    for (unsigned capacity : {1u, 2u, 8u, 0u}) {
+        for (std::uint64_t seed : {7u, 2024u}) {
+            SCOPED_TRACE(testing::Message() << "capacity " << capacity
+                                            << ", seed " << seed);
+            expectFilterMatchesReferenceLru(capacity, seed);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
 }
 
 // ---- sharer masks past 64 cores -------------------------------------------

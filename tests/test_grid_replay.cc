@@ -125,14 +125,25 @@ TEST(GridReplay, QueueC4Load60MatchesCheckedInReport)
     expectReplaysCheckedIn("queue", cells);
 }
 
-TEST(GridReplay, Scale256Cores1_16_128MatchCheckedInReport)
+TEST(GridReplay, Scale256Cores1MatchCheckedInReport)
+{
+    // Broadcast and directory coherence on one core.  Its directory
+    // cells hold the only snoop-filter evictions in any checked-in
+    // grid, so the sanitizer replay runs this one too.
+    const auto cells =
+        gridCells("scale256", [](const SweepCell &c) { return c.cores == 1; });
+    ASSERT_EQ(cells.size(), 18u);
+    expectReplaysCheckedIn("scale256", cells);
+}
+
+TEST(GridReplay, Scale256Cores16_128MatchCheckedInReport)
 {
     // Broadcast and directory coherence; 128 cores crosses the
     // one-word sharer-bitmap boundary.
     const auto cells = gridCells("scale256", [](const SweepCell &c) {
-        return c.cores == 1 || c.cores == 16 || c.cores == 128;
+        return c.cores == 16 || c.cores == 128;
     });
-    ASSERT_EQ(cells.size(), 54u);
+    ASSERT_EQ(cells.size(), 36u);
     expectReplaysCheckedIn("scale256", cells);
 }
 
