@@ -12,8 +12,12 @@
 # gated by its own tree's run.py and checked-in grids.
 #
 # Everything lands in build-pairs/ (override with PERF_PAIRS_DIR); the
-# results files are started afresh on every call.  Exits with compare's
-# status: 1 on a regression, 2 when there are too few pairs.
+# results files are started afresh on every call.  With "all", exits
+# with compare's status: 1 on a regression, 2 when a workload has too
+# few pairs.  With one workload, compare still reports the other four
+# as having no pairs, so the status comes from that workload's own
+# block of the report instead: 1 on a regression, else 2 on an
+# unresolved metric or too few pairs, else 0.
 
 set -euo pipefail
 
@@ -66,5 +70,26 @@ for ((i = 0; i < pairs; i++)); do
         run_side "$parent_src" "$parent_build" "$out/parent.json"
     fi
 done
+status=0
 python3 "$repo_root/bench/perf/run.py" compare "$out/parent.json" \
-    "$out/change.json"
+    "$out/change.json" >"$out/compare.txt" || status=$?
+cat "$out/compare.txt"
+if [ "$workload" != all ]; then
+    # The block is the "WORKLOAD: ..." line and its indented rows.
+    block="$(awk -v w="$workload:" '
+        $1 == w { inside = 1; print; next }
+        inside && /^  / { print; next }
+        { inside = 0 }' "$out/compare.txt")"
+    if [ -z "$block" ]; then
+        echo "error: compare printed no block for $workload" >&2
+        status=2
+    elif grep -q ' regression (bound' <<<"$block"; then
+        status=1
+    elif grep -qE ' unresolved \(bound|every metric unresolved' \
+        <<<"$block"; then
+        status=2
+    else
+        status=0
+    fi
+fi
+exit "$status"

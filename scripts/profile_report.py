@@ -3,9 +3,11 @@
 
 Usage: profile_report.py EXECUTABLE SAMPLES
 
-SAMPLES holds one "rip stackword" hex pair per line; SAMPLES.maps is the
-sampled process's /proc/self/maps.  Prints the TOP rows of four tables
-of sample counts, then a fifth with one row per simulator layer:
+SAMPLES holds one "rip stackword [return...]" line of hex words per
+sample, the return addresses (if any) from a frame-pointer walk;
+SAMPLES.maps is the sampled process's /proc/self/maps.  Prints the TOP
+rows of four tables of sample counts, then a fifth with one row per
+simulator layer:
 
   - per function: the out-of-line function a sample's RIP is in;
   - per inline frame: the innermost function inlined at that RIP;
@@ -16,8 +18,13 @@ of sample counts, then a fifth with one row per simulator layer:
     inline frame names, going outward frame by frame.  A frame names a
     class in its qualified name or template arguments, not in its
     parameter list, so an out-of-line std::_Hashtable frame over
-    SharerIndex::Masks is the sharer index's.  A sample none of whose
-    frames names a layer is "other".
+    SharerIndex::Masks is the sharer index's.  When no frame at the
+    sample names a layer, the recorded return addresses are tried in
+    turn, callers before their callers, each with its inline frames,
+    so an out-of-line container function goes to the layer that called
+    it (this needs -fno-omit-frame-pointer, which scripts/profile.sh
+    builds with).  A sample none of whose frames names a layer is
+    "other".
 
 EXECUTABLE must carry debug info (-g).  A sample in libc is attributed to
 its caller: the word at the stack pointer, which is the return address
@@ -188,50 +195,65 @@ def main():
     samples_path = sys.argv[2]
     maps, bias = read_maps(samples_path + ".maps")
     with open(samples_path) as f:
-        samples = [tuple(int(x, 16) for x in line.split()) for line in f]
+        samples = [[int(x, 16) for x in line.split()] for line in f]
     if not samples:
         sys.exit("no samples in " + samples_path)
 
+    def in_executable(addr):
+        """ADDR's ELF vaddr when it points into EXECUTABLE, else None."""
+        name = find_map(maps, addr)
+        if name is not None and os.path.realpath(name) == executable:
+            return addr - bias[name]
+        return None
+
+    # Caller addresses per sample: each return address, stepped back
+    # into its call instruction, when it points into EXECUTABLE.
+    callers = [[a - 1 for a in map(in_executable, returns) if a]
+               for _, _, *returns in samples]
     # (key address in the executable, or None; shared object; via libc)
     located = []
-    for rip, stackword in samples:
+    for rip, stackword, *_ in samples:
         name = find_map(maps, rip)
         obj = os.path.basename(name) if name else "[unknown]"
-        if name is not None and os.path.realpath(name) == executable:
-            located.append((rip - bias[name], obj, False))
-            continue
-        if obj.startswith("libc.so") or obj.startswith("libc-"):
-            caller = find_map(maps, stackword)
-            if caller is not None and os.path.realpath(caller) == executable:
-                # A return address: step back into the call instruction.
-                located.append((stackword - bias[caller] - 1, obj, True))
-                continue
-            located.append((None, obj, True))
-            continue
-        located.append((None, obj, False))
+        addr = in_executable(rip)
+        if addr is not None:
+            located.append((addr, obj, False))
+        elif obj.startswith("libc.so") or obj.startswith("libc-"):
+            # The stack word as a return address: step back into the
+            # call instruction.
+            caller = in_executable(stackword)
+            located.append((None if caller is None else caller - 1, obj,
+                            True))
+        else:
+            located.append((None, obj, False))
 
     frames = symbolize(executable,
-                       {a for a, _, _ in located if a is not None})
+                       {a for a, _, _ in located if a is not None} |
+                       {a for chain in callers for a in chain})
     per_function = collections.Counter()
     per_inline = collections.Counter()
     per_line = collections.Counter()
     per_object = collections.Counter()
     per_layer = collections.Counter()
-    for addr, obj, via_libc in located:
+    for (addr, obj, via_libc), returns in zip(located, callers):
         per_object[obj] += 1
+        layer = "other"
+        for a in ([] if addr is None else [addr]) + returns:
+            layer = layer_of(frames.get(a) or [])
+            if layer != "other":
+                break
+        per_layer[layer] += 1
         if addr is None:
             key = "libc (caller unknown)" if via_libc else "[%s]" % obj
             per_function[key] += 1
             per_inline[key] += 1
             per_line[key] += 1
-            per_layer["other"] += 1
             continue
         chain = frames.get(addr) or [("??", "??:0")]
         tag = " [libc]" if via_libc else ""
         per_function[chain[-1][0] + tag] += 1
         per_inline[chain[0][0] + tag] += 1
         per_line[chain[0][1] + tag] += 1
-        per_layer[layer_of(chain)] += 1
 
     total = len(samples)
     print_table("Per function", per_function, total, TOP)

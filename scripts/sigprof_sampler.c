@@ -3,15 +3,22 @@
  * scripts/profile.sh.
  *
  * Every PERIOD_US microseconds of process CPU time ITIMER_PROF raises
- * SIGPROF, and the handler records two words:
- * the interrupted RIP and the word at the interrupted stack pointer.
- * When the sample lands in a leaf function, such as a memset that
- * calloc tail-called, that word is the return address into its caller,
- * which is how profile.sh attributes libc time to the code that called
- * it.  At exit the samples go to $SSP_PROF_OUT as "rip stackword" hex
- * lines, and /proc/self/maps to $SSP_PROF_OUT.maps, so the addresses
- * can be symbolized offline.  Samples past the buffer's capacity are
- * counted and dropped.
+ * SIGPROF, and the handler records the interrupted RIP, the word at the
+ * interrupted stack pointer and up to FRAMES return addresses found by
+ * walking the frame-pointer chain from RBP.  When the sample lands in a
+ * leaf function, such as a memset that calloc tail-called, the stack
+ * word is the return address into its caller, which is how profile.sh
+ * attributes libc time to the code that called it.  The return
+ * addresses name the callers of an out-of-line function, such as a
+ * container's, when the program is built with -fno-omit-frame-pointer;
+ * the walk follows RBP only while it stays inside the main thread's
+ * stack, above the stack pointer and rising, so code that uses RBP as
+ * a general register ends it early instead of faulting.  Samples on
+ * other threads carry no return addresses.  At exit the samples go to
+ * $SSP_PROF_OUT as "rip stackword [return...]" hex lines, and
+ * /proc/self/maps to $SSP_PROF_OUT.maps, so the addresses can be
+ * symbolized offline.  Samples past the buffer's capacity are counted
+ * and dropped.
  *
  *   cc -O2 -shared -fPIC -o sampler.so scripts/sigprof_sampler.c
  *   SSP_PROF_OUT=prof.txt LD_PRELOAD=./sampler.so PROGRAM ARGS...
@@ -24,6 +31,7 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -35,10 +43,17 @@
 /* The kernel delivers ITIMER_PROF at most once per tick, so a shorter
  * period would not sample any more often. */
 #define PERIOD_US 1000
+/* Return addresses recorded per sample. */
+#define FRAMES 6
+/* Words per sample: RIP, the stack word, then the return addresses
+ * (0 past the end of the walk). */
+#define WORDS (2 + FRAMES)
 
-static uint64_t (*samples)[2];
+static uint64_t (*samples)[WORDS];
 static unsigned long next_sample;
 static unsigned long dropped;
+/* The main thread's stack mapping, [stack_lo, stack_hi). */
+static uint64_t stack_lo, stack_hi;
 
 static void
 on_sigprof(int sig, siginfo_t *info, void *context)
@@ -53,8 +68,51 @@ on_sigprof(int sig, siginfo_t *info, void *context)
         return;
     }
     const uint64_t rsp = (uint64_t)uc->uc_mcontext.gregs[REG_RSP];
-    samples[i][0] = (uint64_t)uc->uc_mcontext.gregs[REG_RIP];
-    samples[i][1] = *(const uint64_t *)rsp;
+    uint64_t *sample = samples[i];
+    sample[0] = (uint64_t)uc->uc_mcontext.gregs[REG_RIP];
+    sample[1] = *(const uint64_t *)rsp;
+    /* Everything from rsp up to stack_hi is mapped, so a frame there
+     * can be read; each saved RBP must lie above the frame before. */
+    uint64_t fp = (uint64_t)uc->uc_mcontext.gregs[REG_RBP];
+    uint64_t floor = rsp;
+    const int on_stack = rsp >= stack_lo && rsp < stack_hi;
+    for (int k = 0; k < FRAMES; ++k) {
+        if (!on_stack || fp < floor || fp > stack_hi - 16 || (fp & 7)) {
+            sample[2 + k] = 0;
+            continue;
+        }
+        const uint64_t *frame = (const uint64_t *)fp;
+        sample[2 + k] = frame[1];
+        floor = fp + 16;
+        fp = frame[0];
+    }
+}
+
+/* Find the main thread's stack, which runs this: its [stack] mapping
+ * grows down from the top as far as RLIMIT_STACK, a range the kernel
+ * keeps free of other mappings. */
+static void
+find_stack(void)
+{
+    FILE *maps = fopen("/proc/self/maps", "r");
+    if (maps == NULL)
+        return;
+    char line[4096];
+    unsigned long lo = 0, hi = 0;
+    while (fgets(line, sizeof(line), maps) != NULL) {
+        if (strstr(line, "[stack]") != NULL &&
+            sscanf(line, "%lx-%lx", &lo, &hi) == 2)
+            break;
+        lo = hi = 0;
+    }
+    fclose(maps);
+    struct rlimit lim;
+    uint64_t size = hi - lo;
+    if (getrlimit(RLIMIT_STACK, &lim) == 0 && lim.rlim_cur > size &&
+        lim.rlim_cur <= ((rlim_t)1 << 30))
+        size = lim.rlim_cur;
+    stack_hi = hi;
+    stack_lo = hi - size;
 }
 
 __attribute__((constructor)) static void
@@ -70,6 +128,7 @@ sampler_start(void)
         samples = NULL;
         return;
     }
+    find_stack();
     struct sigaction sa;
     memset(&sa, 0, sizeof(sa));
     sa.sa_sigaction = on_sigprof;
@@ -99,9 +158,13 @@ sampler_stop(void)
     unsigned long n = __atomic_load_n(&next_sample, __ATOMIC_RELAXED);
     if (n > MAX_SAMPLES)
         n = MAX_SAMPLES;
-    for (unsigned long i = 0; i < n; ++i)
-        fprintf(out, "%lx %lx\n", (unsigned long)samples[i][0],
+    for (unsigned long i = 0; i < n; ++i) {
+        fprintf(out, "%lx %lx", (unsigned long)samples[i][0],
                 (unsigned long)samples[i][1]);
+        for (int k = 2; k < WORDS && samples[i][k] != 0; ++k)
+            fprintf(out, " %lx", (unsigned long)samples[i][k]);
+        fputc('\n', out);
+    }
     fclose(out);
     if (dropped != 0)
         fprintf(stderr, "sigprof_sampler: %lu samples dropped\n", dropped);

@@ -1,15 +1,23 @@
 #include "core/conflict_manager.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace ssp
 {
 
+namespace
+{
+/** The posting index's first capacity, in slots. */
+constexpr std::size_t kFirstIndexSlots = 64;
+} // namespace
+
 ConflictManager::ConflictManager(unsigned num_cores)
     : detects_(num_cores > 1), enabled_(detects_), tx_(num_cores)
 {
+    resizeIndex(kFirstIndexSlots);
 }
 
 void
@@ -81,13 +89,13 @@ ConflictManager::validate(CoreId core, Cycles now)
         return c < p.commitCycle;
     };
     auto earliest_hit = [&](Addr line, std::uint64_t &best) {
-        auto it = postings_.find(line);
-        if (it == postings_.end())
+        const std::vector<Posting> *list = findPostings(line);
+        if (list == nullptr)
             return;
         // The list is cycle-sorted, so the (begin, now] window is a
         // binary-searched range — empty for the common conflict-free
         // line, without walking a single out-of-window posting.
-        const std::vector<Posting> &vec = it->second;
+        const std::vector<Posting> &vec = *list;
         auto lo = std::upper_bound(vec.begin(), vec.end(),
                                    tx.beginCycle, cycle_less);
         auto hi = std::upper_bound(lo, vec.end(), now, cycle_less);
@@ -98,6 +106,8 @@ ConflictManager::validate(CoreId core, Cycles now)
     };
     for (Addr line : tx.writes)
         earliest_hit(line, best_ww);
+    // A line the read record holds twice is looked up twice; the
+    // minimum makes the repeat harmless.
     for (Addr line : tx.reads)
         earliest_hit(line, best_rw);
     if (best_ww != ~std::uint64_t{0} || best_rw != ~std::uint64_t{0}) {
@@ -143,10 +153,10 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
     // The log drains completely at every round boundary (the barrier
     // advances the floor past the previous round's commit points), so
     // this is where the posting index resets instead of growing
-    // without bound.  clear() keeps the bucket array, so the per-round
-    // rebuild does not re-pay rehashing.
+    // without bound.  The reset keeps the table and the pooled lists,
+    // so the per-round rebuild neither rehashes nor allocates.
     if (log_.empty())
-        postings_.clear();
+        clearIndex();
 
     // Publish.  A record already at or below the floor is unreachable
     // by any future window; the pre-index code path reached the same
@@ -154,7 +164,7 @@ ConflictManager::commitTx(CoreId core, Cycles now, Cycles min_core_clock)
     if (!writes.empty() && !(log_.empty() && commit_cycle <= floor)) {
         const std::uint64_t seq = nextSeq_++;
         for (Addr line : writes) {
-            std::vector<Posting> &vec = postings_[line];
+            std::vector<Posting> &vec = postingsFor(line);
             // Keep each line's postings sorted by commit point so
             // validation can binary-search its window.  Commit points
             // interleave across cores mid-round, so this is a real
@@ -210,7 +220,62 @@ ConflictManager::reset()
     for (auto &tx : tx_)
         closeTx(tx);
     log_.clear();
-    postings_.clear();
+    clearIndex();
+}
+
+const std::vector<ConflictManager::Posting> *
+ConflictManager::findPostings(Addr line) const
+{
+    // The load factor stays at or below one half, so a probe always
+    // reaches a stale slot.
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = slotOf(line);; i = (i + 1) & mask) {
+        const Slot &s = slots_[i];
+        if (s.gen != gen_)
+            return nullptr;
+        if (s.line == line)
+            return &lists_[s.list];
+    }
+}
+
+std::vector<ConflictManager::Posting> &
+ConflictManager::postingsFor(Addr line)
+{
+    if (2 * (std::size_t{live_} + 1) > slots_.size())
+        resizeIndex(2 * slots_.size());
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slotOf(line);
+    for (; slots_[i].gen == gen_; i = (i + 1) & mask) {
+        if (slots_[i].line == line)
+            return lists_[slots_[i].list];
+    }
+    // A new line takes the next pooled list; one left over from an
+    // earlier generation is emptied, keeping its capacity.
+    slots_[i] = Slot{line, gen_, live_};
+    if (live_ == lists_.size())
+        lists_.emplace_back();
+    else
+        lists_[live_].clear();
+    return lists_[live_++];
+}
+
+void
+ConflictManager::resizeIndex(std::size_t slots)
+{
+    std::vector<Slot> old(slots);
+    old.swap(slots_);
+    shift_ = std::countl_zero(slots) + 1;
+    // Only live slots move; the new table starts all stale (gen 0,
+    // below every generation).
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot &s : old) {
+        if (s.gen != gen_)
+            continue;
+        std::size_t i = slotOf(s.line);
+        while (slots_[i].gen == gen_)
+            i = (i + 1) & mask;
+        slots_[i] = s;
+    }
 }
 
 } // namespace ssp

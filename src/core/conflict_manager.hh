@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -100,8 +99,12 @@ class ConflictManager
     void
     recordRead(CoreId core, Addr vaddr)
     {
-        if (enabled_ && tx_[core].active)
-            tx_[core].reads.insert(lineBase(vaddr));
+        if (!enabled_ || !tx_[core].active)
+            return;
+        std::vector<Addr> &reads = tx_[core].reads;
+        const Addr line = lineBase(vaddr);
+        if (reads.empty() || reads.back() != line)
+            reads.push_back(line);
     }
 
     /** Record a transactional store to the line containing @p vaddr. */
@@ -159,7 +162,9 @@ class ConflictManager
      */
     Cycles preparedAt(CoreId core) const { return tx_[core].validatedAt; }
 
-    /** Introspection (tests): in-flight set sizes and log depth. */
+    /** Introspection (tests): in-flight footprint sizes, log depth and
+     *  the number of lines the posting index holds.  The read set is
+     *  a record, not a set: a line re-read after another counts again. */
     bool inTx(CoreId core) const { return tx_[core].active; }
     std::size_t readSetSize(CoreId core) const
     {
@@ -170,6 +175,7 @@ class ConflictManager
         return tx_[core].writes.size();
     }
     std::size_t logSize() const { return log_.size(); }
+    std::size_t indexedLines() const { return live_; }
 
   private:
     /** One in-flight transaction's footprint. */
@@ -180,9 +186,16 @@ class ConflictManager
         /** Commit point fixed by the last successful validate(). */
         bool validated = false;
         Cycles validatedAt = 0;
-        /** Line-aligned vaddrs; LineSet keeps the hot record/validate
-         *  path hash-free, and recycled sets allocation-free. */
-        LineSet reads;
+        /**
+         * Line-aligned vaddrs of every load, in program order, less a
+         * repeat of the line recorded just before: appending is all a
+         * simulated load pays.  A line re-read after another appears
+         * again, which validation tolerates because it keeps the
+         * minimum sequence number per class.  Recycled, so it stops
+         * allocating once it has seen the largest footprint.
+         */
+        std::vector<Addr> reads;
+        /** The write set stays unique: each line is published once. */
         LineSet writes;
     };
 
@@ -216,7 +229,7 @@ class ConflictManager
      * Commit points of the published records, in log order: the prune
      * loop pops them off the front, and the log's emptiness is what
      * resets the posting index.  The written lines themselves live
-     * only in postings_.
+     * only in the index.
      */
     std::deque<Cycles> log_;
     /**
@@ -234,8 +247,30 @@ class ConflictManager
      * exact filter the record scan applied.  The index resets whenever
      * the log drains, which the round barrier guarantees once per
      * round.
+     *
+     * The index is an open-addressed table of power-of-two capacity
+     * (multiplicative hash of the line number, linear probing, load at
+     * most one half).  A slot is live only when it carries the current
+     * generation, so a reset is one increment of gen_: every slot goes
+     * stale at once, and the 64-bit counter cannot wrap in any run.
+     * The posting lists live in a pool that the live slots index in
+     * insertion order — lists_[0, live_) — so a reset keeps every
+     * list's capacity and a new round reuses them without allocating.
      */
-    std::unordered_map<Addr, std::vector<Posting>> postings_;
+    struct Slot
+    {
+        Addr line = 0;
+        std::uint64_t gen = 0; ///< live when equal to gen_
+        std::uint32_t list = 0; ///< index into lists_
+    };
+    std::vector<Slot> slots_;
+    /** 64 - log2(slots_.size()): the hash keeps the product's top bits. */
+    unsigned shift_ = 0;
+    /** Current generation; 0 marks a never-used slot. */
+    std::uint64_t gen_ = 1;
+    /** Live slots, which is also the number of pooled lists in use. */
+    std::uint32_t live_ = 0;
+    std::vector<std::vector<Posting>> lists_;
     /** The write set being published: commitTx swaps it with the
      *  committing transaction's, so both keep their capacity. */
     LineSet publishing_;
@@ -245,6 +280,26 @@ class ConflictManager
 
     /** Close @p core's transaction, keeping openTxs_ in step. */
     void closeTx(TxState &tx);
+
+    /** Home slot of @p line. */
+    std::size_t
+    slotOf(Addr line) const
+    {
+        return (lineOf(line) * 0x9e3779b97f4a7c15ull) >> shift_;
+    }
+    /** The postings of @p line, or nullptr when it has none. */
+    const std::vector<Posting> *findPostings(Addr line) const;
+    /** The postings of @p line, entering the line when it is new. */
+    std::vector<Posting> &postingsFor(Addr line);
+    /** Give the index @p slots slots (a power of two), keeping its
+     *  live ones. */
+    void resizeIndex(std::size_t slots);
+    /** Empty the index in O(1): every slot goes stale. */
+    void clearIndex()
+    {
+        ++gen_;
+        live_ = 0;
+    }
 };
 
 } // namespace ssp

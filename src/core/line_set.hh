@@ -2,10 +2,10 @@
  * @file
  * A sorted set of cache-line addresses.
  *
- * The ConflictManager records every transactional load and store into a
- * per-transaction read/write set, and the baselines record every
- * written line and page, which makes set insertion an inner loop of
- * every cell.  Table 3 characterizes transaction footprints as a
+ * The ConflictManager records every transactional store into a
+ * per-transaction write set, and the baselines record every written
+ * line and page, which makes set insertion an inner loop of every
+ * cell.  Table 3 characterizes transaction footprints as a
  * handful of lines, so a hash set pays allocation, hashing and
  * pointer-chasing for sets that almost always fit in a cache line or
  * two.

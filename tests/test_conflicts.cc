@@ -210,6 +210,88 @@ TEST(ConflictManager, AbortClearsTheInFlightFootprint)
     EXPECT_EQ(cm.logSize(), 0u);
 }
 
+TEST(ConflictManager, ResetEmptiesThePostingIndex)
+{
+    ConflictManager cm(2);
+    const Addr x = lineAddr(3, 0);
+    cm.beginTx(0, 0);
+    cm.recordWrite(0, x);
+    cm.commitTx(0, 10, 0);
+    EXPECT_EQ(cm.indexedLines(), 1u);
+
+    // A power failure drops the log and the index with it.
+    cm.reset();
+    EXPECT_EQ(cm.logSize(), 0u);
+    EXPECT_EQ(cm.indexedLines(), 0u);
+
+    // Core 1's (0, 20] window covers the lost cycle-10 commit of x, but
+    // its posting is gone: neither a read nor a write of x conflicts.
+    cm.beginTx(1, 0);
+    cm.recordRead(1, x);
+    cm.recordWrite(1, x);
+    EXPECT_TRUE(cm.validate(1, 20));
+    cm.commitTx(1, 20, 0);
+    EXPECT_EQ(cm.indexedLines(), 1u);
+
+    // The index refills after the reset: core 0's (0, 30] window meets
+    // core 1's cycle-20 posting of x, the only one the index holds.
+    cm.beginTx(0, 0);
+    cm.recordRead(0, x);
+    EXPECT_FALSE(cm.validate(0, 30));
+    EXPECT_EQ(cm.stats().readWriteConflicts, 1u);
+    EXPECT_EQ(cm.stats().writeWriteConflicts, 0u);
+}
+
+TEST(ConflictManager, RepeatedReadsKeepTheVerdictAndItsClass)
+{
+    const Addr x = lineAddr(3, 0);
+    const Addr y = lineAddr(4, 0);
+    const Addr z = lineAddr(5, 0);
+    for (bool reread : {false, true}) {
+        SCOPED_TRACE(reread);
+        ConflictManager cm(2);
+        // Core 0 publishes x at cycle 10, then z at cycle 12.
+        cm.beginTx(0, 0);
+        cm.recordWrite(0, x);
+        cm.commitTx(0, 10, 0);
+        cm.beginTx(0, 10);
+        cm.recordWrite(0, z);
+        cm.commitTx(0, 12, 0);
+
+        // Core 1 reads x, then y; with reread it goes back to x and y.
+        // A repeat of the line read just before is recorded once, a
+        // line read again after another is recorded again.
+        cm.beginTx(1, 0);
+        cm.recordRead(1, x);
+        cm.recordRead(1, x + 8);
+        cm.recordRead(1, y);
+        if (reread) {
+            cm.recordRead(1, x + 16);
+            cm.recordRead(1, y);
+        }
+        EXPECT_EQ(cm.readSetSize(1), reread ? 4u : 2u);
+        // x's record comes first in the log, so the verdict is
+        // read-write although the write of z meets the later record.
+        cm.recordWrite(1, z);
+        EXPECT_FALSE(cm.validate(1, 20));
+        EXPECT_EQ(cm.stats().readWriteConflicts, 1u);
+        EXPECT_EQ(cm.stats().writeWriteConflicts, 0u);
+        cm.abortTx(1);
+
+        // Against the cycle-12 record alone, a write of z ties with a
+        // (re-)read of z: a tie classes write-write.
+        cm.beginTx(1, 10);
+        cm.recordRead(1, z);
+        cm.recordRead(1, y);
+        if (reread)
+            cm.recordRead(1, z);
+        cm.recordWrite(1, z);
+        EXPECT_FALSE(cm.validate(1, 20));
+        EXPECT_EQ(cm.stats().readWriteConflicts, 1u);
+        EXPECT_EQ(cm.stats().writeWriteConflicts, 1u);
+    }
+}
+
 TEST(ConflictManager, IdlePeersPinThePruneFloor)
 {
     // Only core 0 runs on a multi-core machine: the idle peers' clocks
@@ -266,17 +348,45 @@ TEST(ConflictManager, IdlePeersPinThePruneFloor)
     EXPECT_TRUE(cm.validate(0, 30060));
 }
 
+/** The shape of one differential run of validate(). */
+struct DiffShape
+{
+    unsigned cores;
+    /** Lines the footprints draw from.  Past 192, three draws in four
+     *  range over all of them and the rest over the first 192, so both
+     *  conflict kinds still occur. */
+    std::uint64_t lines = 192;
+    /** Steps between round barriers (every open transaction finishes,
+     *  then every clock catches up), which drain the log; 0: none. */
+    int roundSteps = 0;
+    /** Each round after the first lasts as long as all before it, so
+     *  it outgrows them: the index grows after drains, over stale
+     *  slots. */
+    bool doublingRounds = false;
+    /** A fifth of the loads go back to a line the footprint read
+     *  earlier, though not the line it read last. */
+    bool rereads = false;
+};
+
+/** What a differential run went through, for its shape's checks. */
+struct DiffRun
+{
+    unsigned drains = 0;          ///< commits that emptied the log
+    std::size_t maxIndexed = 0;   ///< most lines the index held at once
+    unsigned rereads = 0;         ///< loads the read record holds twice
+};
+
 /**
  * Differential check of validate() against the definition it indexes:
  * scan every published record in log order and stop at the first one
  * committed by a peer inside the (begin, now] window that overlaps the
  * footprint, write-write before read-write within a record.  Random
  * multi-core footprints, some far larger than a Table 3 write set,
- * drawn from a small line universe so both conflict kinds occur; the
- * verdict and the classification must match on every validation.
+ * drawn so that both conflict kinds occur; the verdict and the
+ * classification must match on every validation.
  */
-void
-differentialValidation(unsigned cores, std::uint64_t seed)
+DiffRun
+differentialValidation(const DiffShape &shape, std::uint64_t seed)
 {
     struct Record
     {
@@ -291,7 +401,11 @@ differentialValidation(unsigned cores, std::uint64_t seed)
         Cycles begin = 0;
         Cycles validatedAt = 0;
         std::set<Addr> reads, writes;
+        std::vector<Addr> readOrder; ///< lines in first-read order
+        Addr lastRead = ~Addr{0};
+        std::size_t recorded = 0; ///< read record length to expect
     };
+    const unsigned cores = shape.cores;
     ConflictManager cm(cores);
     std::mt19937_64 rng(seed);
     auto draw = [&](std::uint64_t n) { return rng() % n; };
@@ -301,48 +415,73 @@ differentialValidation(unsigned cores, std::uint64_t seed)
     auto min_clock = [&] {
         return *std::min_element(clock.begin(), clock.end());
     };
+    auto catch_up_idle = [&] {
+        const Cycles top = *std::max_element(clock.begin(), clock.end());
+        for (CoreId k = 0; k < cores; ++k) {
+            if (!open[k].active)
+                clock[k] = top;
+        }
+    };
     unsigned verdicts[2] = {0, 0};
     unsigned ww = 0, rw = 0;
+    DiffRun run;
 
-    for (int step = 0; step < 6000; ++step) {
-        const CoreId c = static_cast<CoreId>(draw(cores));
+    auto read = [&](CoreId c, Addr line) {
         Open &tx = open[c];
-        if (!tx.active) {
-            // Occasionally a round barrier: every idle clock catches up.
-            if (draw(16) == 0) {
-                const Cycles top =
-                    *std::max_element(clock.begin(), clock.end());
-                for (CoreId k = 0; k < cores; ++k) {
-                    if (!open[k].active)
-                        clock[k] = top;
-                }
-            }
-            clock[c] += 1 + draw(4);
-            // A quarter of the windows open at the lowest clock instead,
-            // which no prune floor has passed: they reach back over
-            // the core's own records.
-            const Cycles begin = draw(4) == 0 ? min_clock() : clock[c];
-            cm.beginTx(c, begin);
-            tx = Open{};
-            tx.active = true;
-            tx.begin = begin;
-            // Mostly small footprints, one in five far past 16 lines.
-            const std::uint64_t lines =
-                draw(5) == 0 ? 17 + draw(40) : 1 + draw(4);
-            for (std::uint64_t i = 0; i < lines; ++i) {
-                const Addr line = draw(192) * kLineSize;
-                if (draw(3) == 0) {
-                    cm.recordWrite(c, line + draw(kLineSize));
-                    tx.writes.insert(line);
-                } else {
-                    cm.recordRead(c, line + draw(kLineSize));
-                    tx.reads.insert(line);
-                }
+        cm.recordRead(c, line + draw(kLineSize));
+        if (tx.reads.insert(line).second)
+            tx.readOrder.push_back(line);
+        else if (line != tx.lastRead)
+            ++run.rereads;
+        tx.recorded += line != tx.lastRead;
+        tx.lastRead = line;
+    };
+    auto begin = [&](CoreId c) {
+        Open &tx = open[c];
+        // Occasionally a barrier for the idle cores: their clocks
+        // catch up.
+        if (draw(16) == 0)
+            catch_up_idle();
+        clock[c] += 1 + draw(4);
+        // A quarter of the windows open at the lowest clock instead,
+        // which no prune floor has passed: they reach back over
+        // the core's own records.
+        const Cycles at = draw(4) == 0 ? min_clock() : clock[c];
+        cm.beginTx(c, at);
+        tx = Open{};
+        tx.active = true;
+        tx.begin = at;
+        // Mostly small footprints, one in five far past 16 lines.
+        const std::uint64_t lines =
+            draw(5) == 0 ? 17 + draw(40) : 1 + draw(4);
+        for (std::uint64_t i = 0; i < lines; ++i) {
+            if (shape.rereads && tx.readOrder.size() > 1 &&
+                draw(5) == 0) {
+                // Back to an earlier line, never the last one read.
+                Addr line;
+                do {
+                    line = tx.readOrder[draw(tx.readOrder.size())];
+                } while (line == tx.lastRead);
+                read(c, line);
                 clock[c] += draw(8);
+                continue;
             }
-            continue;
+            const std::uint64_t universe =
+                shape.lines > 192 && draw(4) != 0 ? shape.lines : 192;
+            const Addr line = draw(universe) * kLineSize;
+            if (draw(3) == 0) {
+                cm.recordWrite(c, line + draw(kLineSize));
+                tx.writes.insert(line);
+            } else {
+                read(c, line);
+            }
+            clock[c] += draw(8);
         }
-
+        EXPECT_EQ(cm.readSetSize(c), tx.recorded);
+    };
+    // Validate (nine times in ten) and commit @p c's transaction.
+    auto finish = [&](CoreId c) {
+        Open &tx = open[c];
         clock[c] += draw(20);
         const Cycles now = clock[c];
         // A tenth of the commits skip validation (the direct-driver
@@ -364,47 +503,96 @@ differentialValidation(unsigned cores, std::uint64_t seed)
             }
             const ConflictStats before = cm.stats();
             const bool ok = cm.validate(c, now);
-            ASSERT_EQ(ok, expect == 0) << "step " << step;
+            EXPECT_EQ(ok, expect == 0);
             ++verdicts[ok];
-            ASSERT_EQ(cm.stats().writeWriteConflicts -
+            EXPECT_EQ(cm.stats().writeWriteConflicts -
                           before.writeWriteConflicts,
-                      expect == 1 ? 1u : 0u)
-                << "step " << step;
-            ASSERT_EQ(cm.stats().readWriteConflicts -
+                      expect == 1 ? 1u : 0u);
+            EXPECT_EQ(cm.stats().readWriteConflicts -
                           before.readWriteConflicts,
-                      expect == 2 ? 1u : 0u)
-                << "step " << step;
+                      expect == 2 ? 1u : 0u);
             ww += expect == 1;
             rw += expect == 2;
             if (!ok) {
                 cm.abortTx(c);
                 clock[c] += cm.retryPenalty(c, 1);
                 tx.active = false;
-                continue;
+                return;
             }
             tx.validated = true;
             tx.validatedAt = now;
         }
         clock[c] += draw(50); // the commit's durability ack
+        const std::size_t logged = cm.logSize();
         cm.commitTx(c, clock[c], min_clock());
+        // The log drained when at most this commit's record is left.
+        if (logged > 0 && cm.logSize() <= (tx.writes.empty() ? 0u : 1u))
+            ++run.drains;
+        run.maxIndexed = std::max(run.maxIndexed, cm.indexedLines());
         if (!tx.writes.empty()) {
             published.push_back(
                 {tx.validated ? tx.validatedAt : clock[c], c, tx.writes});
         }
         tx.active = false;
+    };
+
+    int barrier = shape.roundSteps;
+    for (int step = 0; step < 6000 && !::testing::Test::HasFailure();
+         ++step) {
+        SCOPED_TRACE(step);
+        if (shape.roundSteps != 0 && step == barrier) {
+            barrier = shape.doublingRounds ? 2 * step
+                                           : step + shape.roundSteps;
+            // A round barrier: every transaction finishes, then every
+            // clock catches up past every commit point.
+            for (CoreId k = 0; k < cores; ++k) {
+                if (open[k].active)
+                    finish(k);
+            }
+            catch_up_idle();
+        }
+        const CoreId c = static_cast<CoreId>(draw(cores));
+        if (open[c].active)
+            finish(c);
+        else
+            begin(c);
     }
     // The draw must exercise every outcome, or the check shows little.
     EXPECT_GT(verdicts[true], 100u);
     EXPECT_GT(ww, 20u);
     EXPECT_GT(rw, 20u);
+    return run;
 }
 
 TEST(ConflictManager, ValidateMatchesABruteForceScanOfTheLog)
 {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         SCOPED_TRACE(seed);
-        differentialValidation(4, seed);
-        differentialValidation(16, seed);
+        differentialValidation({.cores = 4}, seed);
+        differentialValidation({.cores = 16}, seed);
+
+        // 64 Ki lines and rounds that double in length: each round
+        // grows the index past the size of the one before while it is
+        // under way, far past its first capacity.
+        DiffRun run = differentialValidation({.cores = 16,
+                                              .lines = 64 * 1024,
+                                              .roundSteps = 40,
+                                              .doublingRounds = true},
+                                             seed);
+        EXPECT_GE(run.drains, 7u);
+        EXPECT_GT(run.maxIndexed, 2048u);
+
+        // Hundreds of round drains: every generation reuses stale slots
+        // and the pooled posting lists of the rounds before it.
+        run = differentialValidation(
+            {.cores = 8, .lines = 1024, .roundSteps = 12}, seed);
+        EXPECT_GE(run.drains, 300u);
+
+        // Footprints go back to lines read earlier, so the read record
+        // holds duplicates.
+        run = differentialValidation(
+            {.cores = 8, .roundSteps = 40, .rereads = true}, seed);
+        EXPECT_GT(run.rereads, 1000u);
     }
 }
 
