@@ -8,9 +8,10 @@
 # bench/perf into build-prof/ (override with PROFILE_BUILD_DIR), runs
 # PASSES passes (default 4) of WORKLOAD under the LD_PRELOAD SIGPROF
 # sampler in scripts/sigprof_sampler.c (one sample per millisecond of
-# CPU time), and prints the top 30 rows of per-function,
-# per-inline-frame, per-source-line (file:line of the innermost inline
-# frame) and per-shared-object sample tables, then the per-layer table
+# CPU time), and prints the top 30 rows of per-function (self and
+# inclusive), per-inline-frame, per-source-line (file:line of the
+# innermost inline frame) and per-shared-object sample tables, then the
+# per-layer table
 # (scripts/profile_report.py).  Samples in libc are attributed to their
 # caller, and the frame pointers let the per-layer table charge an
 # out-of-line library function to the layer that called it.  The raw

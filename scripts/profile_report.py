@@ -6,10 +6,15 @@ Usage: profile_report.py EXECUTABLE SAMPLES
 SAMPLES holds one "rip stackword [return...]" line of hex words per
 sample, the return addresses (if any) from a frame-pointer walk;
 SAMPLES.maps is the sampled process's /proc/self/maps.  Prints the TOP
-rows of four tables of sample counts, then a fifth with one row per
+rows of five tables of sample counts, then a sixth with one row per
 simulator layer:
 
   - per function: the out-of-line function a sample's RIP is in;
+  - per function, inclusive: every function named by the sample's
+    inline frames or by those of its recorded return addresses, each
+    counted once per sample, so a function's row includes the time of
+    everything it called that was inlined into it or recorded under it
+    (the shares add up to more than 100 %);
   - per inline frame: the innermost function inlined at that RIP;
   - per source line: the file:line of that innermost frame, relative to
     the repository root when under it;
@@ -231,6 +236,7 @@ def main():
                        {a for a, _, _ in located if a is not None} |
                        {a for chain in callers for a in chain})
     per_function = collections.Counter()
+    per_inclusive = collections.Counter()
     per_inline = collections.Counter()
     per_line = collections.Counter()
     per_object = collections.Counter()
@@ -243,6 +249,10 @@ def main():
             if layer != "other":
                 break
         per_layer[layer] += 1
+        per_inclusive.update({
+            function
+            for a in ([] if addr is None else [addr]) + returns
+            for function, _ in (frames.get(a) or []) if function != "??"})
         if addr is None:
             key = "libc (caller unknown)" if via_libc else "[%s]" % obj
             per_function[key] += 1
@@ -257,6 +267,7 @@ def main():
 
     total = len(samples)
     print_table("Per function", per_function, total, TOP)
+    print_table("Per function, inclusive", per_inclusive, total, TOP)
     print_table("Per inline frame", per_inline, total, TOP)
     print_table("Per source line", per_line, total, TOP)
     print_table("Per shared object", per_object, total, TOP)

@@ -8,7 +8,8 @@ namespace ssp
 BTreeWorkload::BTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                              std::uint64_t key_space, KeyDist dist,
                              std::uint64_t seed)
-    : Workload(be, alloc), keys_(dist, key_space, seed), dist_(dist)
+    : Workload(be, alloc), keys_(dist, key_space, seed), dist_(dist),
+      reference_(key_space)
 {
 }
 
@@ -243,7 +244,7 @@ BTreeWorkload::upsertOrDelete(CoreId c, std::uint64_t key)
     if (deleted)
         reference_.erase(key);
     else
-        reference_[key] = v;
+        reference_.set(key, v);
     ++opCounter_;
 }
 
@@ -256,8 +257,8 @@ BTreeWorkload::runOp(CoreId core)
 bool
 BTreeWorkload::verify()
 {
-    // Walk the leaf chain from the leftmost leaf and compare the pair
-    // sequence with the reference map.
+    // Walk the leaf chain from the leftmost leaf: its keys must be the
+    // reference's keys in ascending order, each with its value.
     HopLimit hop(alloc_);
     Addr n = heap_.raw64(rootAddr_);
     if (n == 0)
@@ -267,28 +268,23 @@ BTreeWorkload::verify()
         n = heap_.raw64(slotAddr(n, 0));
     }
 
-    auto it = reference_.begin();
-    std::uint64_t found = 0;
+    std::uint64_t expect = reference_.next(0);
     while (n != 0) {
         hop();
         const auto cnt =
             static_cast<unsigned>(heap_.raw64(n + kCountOff));
-        std::uint64_t prev = 0;
         for (unsigned i = 0; i < cnt; ++i) {
             const std::uint64_t k = heap_.raw64(keyAddr(n, i));
-            if (i > 0 && k <= prev)
-                return false; // unsorted leaf
-            prev = k;
-            if (it == reference_.end())
+            const std::uint64_t *v = reference_.find(k);
+            if (k != expect || v == nullptr ||
+                *v != heap_.raw64(slotAddr(n, i))) {
                 return false;
-            if (it->first != k || it->second != heap_.raw64(slotAddr(n, i)))
-                return false;
-            ++it;
-            ++found;
+            }
+            expect = reference_.next(k + 1);
         }
         n = heap_.raw64(n + kNextOff);
     }
-    return found == reference_.size();
+    return expect == reference_.keySpace();
 }
 
 } // namespace ssp

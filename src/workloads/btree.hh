@@ -18,10 +18,10 @@
 #ifndef SSP_WORKLOADS_BTREE_HH
 #define SSP_WORKLOADS_BTREE_HH
 
-#include <map>
 #include <vector>
 
 #include "workloads/keygen.hh"
+#include "workloads/keyed_reference.hh"
 #include "workloads/workload.hh"
 
 namespace ssp
@@ -99,7 +99,7 @@ class BTreeWorkload : public Workload
     KeyGenerator keys_;
     KeyDist dist_;
     Addr rootAddr_ = 0;
-    std::map<std::uint64_t, std::uint64_t> reference_;
+    KeyedReference reference_;
     std::uint64_t opCounter_ = 0;
 };
 

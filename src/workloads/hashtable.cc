@@ -26,7 +26,7 @@ HashWorkload::HashWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                            std::uint64_t buckets, std::uint64_t key_space,
                            KeyDist dist, std::uint64_t seed)
     : Workload(be, alloc), buckets_(buckets),
-      keys_(dist, key_space, seed), dist_(dist)
+      keys_(dist, key_space, seed), dist_(dist), reference_(key_space)
 {
     ssp_assert((buckets & (buckets - 1)) == 0,
                "bucket count must be a power of two");
@@ -117,7 +117,7 @@ HashWorkload::upsertOrDelete(CoreId core, std::uint64_t key)
         alloc_.free(victim, kNodeSize);
         reference_.erase(key);
     } else {
-        reference_[key] = value;
+        reference_.set(key, value);
     }
     ++opCounter_;
 }
@@ -141,8 +141,8 @@ HashWorkload::verify()
             hop();
             const std::uint64_t key = heap_.raw64(node + kKeyOff);
             const std::uint64_t val = heap_.raw64(node + kValOff);
-            auto it = reference_.find(key);
-            if (it == reference_.end() || it->second != val)
+            const std::uint64_t *expect = reference_.find(key);
+            if (expect == nullptr || *expect != val)
                 return false;
             if (bucketOf(key) != b)
                 return false;

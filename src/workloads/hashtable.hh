@@ -12,9 +12,8 @@
 #ifndef SSP_WORKLOADS_HASHTABLE_HH
 #define SSP_WORKLOADS_HASHTABLE_HH
 
-#include <unordered_map>
-
 #include "workloads/keygen.hh"
+#include "workloads/keyed_reference.hh"
 #include "workloads/workload.hh"
 
 namespace ssp
@@ -60,7 +59,7 @@ class HashWorkload : public Workload
     KeyGenerator keys_;
     KeyDist dist_;
     Addr table_ = 0;
-    std::unordered_map<std::uint64_t, std::uint64_t> reference_;
+    KeyedReference reference_;
     std::uint64_t opCounter_ = 0;
 };
 

@@ -24,7 +24,11 @@ enum class KeyDist
     Zipf,    ///< "-Zipf" (80/15 hotspot, per the paper's definition)
 };
 
-/** Draws keys from [0, key_space) under a distribution. */
+/**
+ * Draws keys from [0, key_space) under a distribution.  The key space
+ * also sizes the workload's reference model (KeyedReference): 8 bytes
+ * plus one bit of host memory per key.
+ */
 class KeyGenerator
 {
   public:

@@ -21,7 +21,8 @@ hashKey(std::uint64_t key)
 KvStoreWorkload::KvStoreWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                                  const KvStoreParams &params,
                                  std::uint64_t seed)
-    : Workload(be, alloc), params_(params), rng_(seed)
+    : Workload(be, alloc), params_(params), rng_(seed),
+      reference_(params.keySpace)
 {
     ssp_assert((params.buckets & (params.buckets - 1)) == 0,
                "bucket count must be a power of two");
@@ -174,7 +175,7 @@ KvStoreWorkload::set(CoreId core, std::uint64_t key)
     });
 
     seq_ = stamp;
-    reference_[key] = stamp;
+    reference_.set(key, stamp);
     if (replaced)
         return;
     evictions_ += freed.size();
@@ -218,8 +219,8 @@ KvStoreWorkload::verify()
             hop();
             const std::uint64_t key = heap_.raw64(item + kKeyOff);
             const std::uint64_t stamp = heap_.raw64(item + kSeqOff);
-            auto it = reference_.find(key);
-            if (it == reference_.end() || it->second != stamp)
+            const std::uint64_t *expect = reference_.find(key);
+            if (expect == nullptr || *expect != stamp)
                 return false;
             std::uint8_t byte = 0;
             backend().loadRaw(item + kValueOff, &byte, 1);

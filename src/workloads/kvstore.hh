@@ -15,9 +15,8 @@
 #ifndef SSP_WORKLOADS_KVSTORE_HH
 #define SSP_WORKLOADS_KVSTORE_HH
 
-#include <unordered_map>
-
 #include "common/rng.hh"
+#include "workloads/keyed_reference.hh"
 #include "workloads/workload.hh"
 
 namespace ssp
@@ -84,7 +83,7 @@ class KvStoreWorkload : public Workload
     Addr lruHeadAddr_ = 0;
     Addr lruTailAddr_ = 0;
     /** key -> expected value seq (host-side model). */
-    std::unordered_map<std::uint64_t, std::uint64_t> reference_;
+    KeyedReference reference_;
     std::uint64_t seq_ = 0;
     std::uint64_t evictions_ = 0;
 };

@@ -8,7 +8,8 @@ namespace ssp
 RbTreeWorkload::RbTreeWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                                std::uint64_t key_space, KeyDist dist,
                                std::uint64_t seed)
-    : Workload(be, alloc), keys_(dist, key_space, seed), dist_(dist)
+    : Workload(be, alloc), keys_(dist, key_space, seed), dist_(dist),
+      reference_(key_space)
 {
 }
 
@@ -289,7 +290,7 @@ RbTreeWorkload::upsertOrDelete(CoreId c, std::uint64_t k)
         alloc_.free(victim, kNodeSize);
         reference_.erase(k);
     } else {
-        reference_[k] = v;
+        reference_.set(k, v);
     }
     ++opCounter_;
 }
@@ -340,15 +341,15 @@ RbTreeWorkload::invariantsHold()
 bool
 RbTreeWorkload::verify()
 {
-    // In-order traversal must match the reference map exactly.
+    // The in-order keys must be the reference's keys in ascending
+    // order, each with its value.
     if (!invariantsHold())
         return false;
-    std::uint64_t count = 0;
     // Iterative traversal using an explicit stack of addresses.
     std::vector<Addr> stack;
     HopLimit hop(alloc_);
     Addr cur = heap_.raw64(rootAddr_);
-    auto it = reference_.begin();
+    std::uint64_t expect = reference_.next(0);
     while (cur != 0 || !stack.empty()) {
         while (cur != 0) {
             hop();
@@ -357,17 +358,14 @@ RbTreeWorkload::verify()
         }
         cur = stack.back();
         stack.pop_back();
-        if (it == reference_.end())
+        const std::uint64_t k = heap_.raw64(cur);
+        const std::uint64_t *v = reference_.find(k);
+        if (k != expect || v == nullptr || *v != heap_.raw64(cur + 8))
             return false;
-        if (heap_.raw64(cur) != it->first ||
-            heap_.raw64(cur + 8) != it->second) {
-            return false;
-        }
-        ++it;
-        ++count;
+        expect = reference_.next(k + 1);
         cur = rawRight(cur);
     }
-    return count == reference_.size();
+    return expect == reference_.keySpace();
 }
 
 } // namespace ssp

@@ -14,9 +14,8 @@
 #ifndef SSP_WORKLOADS_RBTREE_HH
 #define SSP_WORKLOADS_RBTREE_HH
 
-#include <map>
-
 #include "workloads/keygen.hh"
+#include "workloads/keyed_reference.hh"
 #include "workloads/workload.hh"
 
 namespace ssp
@@ -118,7 +117,7 @@ class RbTreeWorkload : public Workload
     KeyGenerator keys_;
     KeyDist dist_;
     Addr rootAddr_ = 0;
-    std::map<std::uint64_t, std::uint64_t> reference_;
+    KeyedReference reference_;
     std::uint64_t opCounter_ = 0;
 };
 

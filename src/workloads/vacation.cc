@@ -14,19 +14,13 @@ hashId(std::uint64_t id)
     return (id * 0xc6a4a7935bd1e995ull) >> 13;
 }
 
-/** Model key combining table and tuple id. */
-std::uint64_t
-modelKey(unsigned table, std::uint64_t id)
-{
-    return (static_cast<std::uint64_t>(table) << 56) | id;
-}
-
 } // namespace
 
 VacationWorkload::VacationWorkload(AtomicityBackend &be, PersistAlloc &alloc,
                                    const VacationParams &params,
                                    std::uint64_t seed)
-    : Workload(be, alloc), params_(params), rng_(seed)
+    : Workload(be, alloc), params_(params), rng_(seed),
+      freeModel_(3 * params.relations), billModel_(params.customers)
 {
     ssp_assert((params.buckets & (params.buckets - 1)) == 0,
                "bucket count must be a power of two");
@@ -82,7 +76,7 @@ VacationWorkload::setup()
             backend().storeRaw(rec + 24, &total, 8); // free == total
             backend().storeRaw(rec + 32, &head, 8);
             backend().storeRaw(head_addr, &rec, 8);
-            freeModel_[modelKey(t, id)] = total;
+            freeModel_[t * params_.relations + id] = total;
         }
     }
     for (std::uint64_t id = 0; id < params_.customers; ++id) {
@@ -96,7 +90,6 @@ VacationWorkload::setup()
         backend().storeRaw(rec + 16, &zero64, 8); // reservation list
         backend().storeRaw(rec + 24, &head, 8);
         backend().storeRaw(head_addr, &rec, 8);
-        billModel_[id] = 0;
     }
 }
 
@@ -191,7 +184,7 @@ VacationWorkload::runOp(CoreId core)
 
     if (best == 0)
         return;
-    freeModel_[modelKey(best_table, best_id)] -= 1;
+    freeModel_[best_table * params_.relations + best_id] -= 1;
     billModel_[cust_id] += best_price;
     ++reservations_;
 }
@@ -199,8 +192,10 @@ VacationWorkload::runOp(CoreId core)
 bool
 VacationWorkload::verify()
 {
-    // Resource availability must match the model.
+    // Resource availability must match the model, and every tuple and
+    // customer must be in its table.
     HopLimit hop(alloc_);
+    std::uint64_t records = 0;
     for (unsigned t = 0; t < 3; ++t) {
         for (std::uint64_t b = 0; b < params_.buckets; ++b) {
             Addr rec =
@@ -208,8 +203,12 @@ VacationWorkload::verify()
             while (rec != 0) {
                 hop();
                 const std::uint64_t id = heap_.raw64(rec + 0);
-                if (heap_.raw64(rec + 24) != freeModel_[modelKey(t, id)])
+                if (id >= params_.relations ||
+                    heap_.raw64(rec + 24) !=
+                        freeModel_[t * params_.relations + id]) {
                     return false;
+                }
+                ++records;
                 rec = heap_.raw64(rec + 32);
             }
         }
@@ -222,7 +221,7 @@ VacationWorkload::verify()
             hop();
             const std::uint64_t id = heap_.raw64(rec + 0);
             const std::uint64_t bill = heap_.raw64(rec + 8);
-            if (bill != billModel_[id])
+            if (id >= params_.customers || bill != billModel_[id])
                 return false;
             std::uint64_t sum = 0;
             Addr rsv = heap_.raw64(rec + 16);
@@ -233,10 +232,11 @@ VacationWorkload::verify()
             }
             if (sum != bill)
                 return false;
+            ++records;
             rec = heap_.raw64(rec + 24);
         }
     }
-    return true;
+    return records == 3 * params_.relations + params_.customers;
 }
 
 } // namespace ssp

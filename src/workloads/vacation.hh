@@ -17,7 +17,6 @@
 #ifndef SSP_WORKLOADS_VACATION_HH
 #define SSP_WORKLOADS_VACATION_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -70,9 +69,10 @@ class VacationWorkload : public Workload
     Addr custTable_ = 0;
     std::uint64_t reservations_ = 0;
 
-    /** Host-side model: free seats per (table, id) and bills. */
-    std::unordered_map<std::uint64_t, std::uint64_t> freeModel_;
-    std::unordered_map<std::uint64_t, std::uint64_t> billModel_;
+    /** Host-side model: free seats by table * relations + id, and
+     *  bills by customer id. */
+    std::vector<std::uint64_t> freeModel_;
+    std::vector<std::uint64_t> billModel_;
 };
 
 } // namespace ssp

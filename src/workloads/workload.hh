@@ -7,6 +7,11 @@
  * paper's microbenchmarks wrap each insert/delete/swap in a transaction,
  * section 5.1).  Workloads keep a host-side reference model so their
  * contents can be verified functionally after a run or after a crash.
+ * The keyed ones (B-tree, RB-tree, hash, Memcached) keep it as a dense
+ * KeyedReference over their key space, which costs 8 bytes plus one
+ * bit per key of host memory however few keys are present: 256 KiB +
+ * 4 KiB at keySpace 32,768, the largest any grid runs.  Vacation keeps
+ * two flat vectors, 8 bytes per tuple and per customer.
  */
 
 #ifndef SSP_WORKLOADS_WORKLOAD_HH

@@ -1,16 +1,23 @@
 /**
  * @file
  * Unit tests for the workloads themselves: structural invariants of the
- * persistent data structures, allocator behavior, and key generators,
- * all exercised over the SSP backend.
+ * persistent data structures, allocator behavior and key generators,
+ * all exercised over the SSP backend; that each keyed workload's
+ * verify() rejects a corrupted image; and the dense reference model
+ * against a std::map.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/rng.hh"
 #include "core/ssp_system.hh"
 #include "tests/test_helpers.hh"
 #include "workloads/btree.hh"
 #include "workloads/hashtable.hh"
+#include "workloads/keyed_reference.hh"
 #include "workloads/kvstore.hh"
 #include "workloads/rbtree.hh"
 #include "workloads/sps.hh"
@@ -36,9 +43,135 @@ class WorkloadTest : public ::testing::Test
                                                4096ull * kPageSize);
     }
 
+    /**
+     * Overwrite the word at @p addr with @p value and expect @p w's
+     * verify() to fail; then restore the word and expect it to pass,
+     * which shows that @p addr held what the caller meant to corrupt.
+     */
+    void
+    expectCorruptionCaught(Workload &w, Addr addr, std::uint64_t value)
+    {
+        const std::uint64_t saved = raw64(*sys, addr);
+        ASSERT_NE(saved, value);
+        sys->storeRaw(addr, &value, sizeof(value));
+        EXPECT_FALSE(w.verify());
+        sys->storeRaw(addr, &saved, sizeof(saved));
+        EXPECT_TRUE(w.verify());
+    }
+
     std::unique_ptr<SspSystem> sys;
     std::unique_ptr<PersistAlloc> alloc;
 };
+
+/** Expect @p ref to hold exactly @p model, walked in ascending order. */
+void
+expectSameAsMap(const KeyedReference &ref,
+                const std::map<std::uint64_t, std::uint64_t> &model)
+{
+    ASSERT_EQ(ref.size(), model.size());
+    EXPECT_EQ(ref.empty(), model.empty());
+    std::uint64_t k = ref.next(0);
+    for (const auto &[key, value] : model) {
+        ASSERT_EQ(k, key);
+        const std::uint64_t *found = ref.find(key);
+        ASSERT_NE(found, nullptr);
+        EXPECT_EQ(*found, value);
+        k = ref.next(key + 1);
+    }
+    EXPECT_EQ(k, ref.keySpace());
+}
+
+TEST(KeyedReference, MatchesStdMapUnderRandomSteps)
+{
+    for (const std::uint64_t space : {1u, 64u, 65u, 4096u}) {
+        SCOPED_TRACE(space);
+        KeyedReference ref(space);
+        std::map<std::uint64_t, std::uint64_t> model;
+        Rng rng(space);
+        // Half the keys land on the edges of the key space and of the
+        // first 64-key bitmap word.
+        const std::uint64_t edges[] = {
+            0, space - 1, std::min<std::uint64_t>(63, space - 1),
+            std::min<std::uint64_t>(64, space - 1)};
+        for (unsigned step = 0; step < 20000; ++step) {
+            const std::uint64_t key = rng.nextBool(0.5)
+                                          ? edges[rng.nextBounded(4)]
+                                          : rng.nextBounded(space);
+            switch (rng.nextBounded(4)) {
+              case 0: {
+                const std::uint64_t value = rng.next();
+                ref.set(key, value);
+                model[key] = value;
+                break;
+              }
+              case 1:
+                ref.erase(key);
+                model.erase(key);
+                break;
+              case 2: {
+                const auto it = model.find(key);
+                const std::uint64_t *found = ref.find(key);
+                ASSERT_EQ(found != nullptr, it != model.end());
+                if (found != nullptr) {
+                    EXPECT_EQ(*found, it->second);
+                }
+                break;
+              }
+              default: {
+                const auto it = model.lower_bound(key);
+                EXPECT_EQ(ref.next(key),
+                          it == model.end() ? space : it->first);
+                break;
+              }
+            }
+            ASSERT_EQ(ref.size(), model.size());
+            if (step % 256 == 0)
+                expectSameAsMap(ref, model);
+        }
+        expectSameAsMap(ref, model);
+    }
+}
+
+TEST(KeyedReference, EdgesAndRepeats)
+{
+    for (const std::uint64_t space : {1u, 64u, 65u, 4096u}) {
+        SCOPED_TRACE(space);
+        KeyedReference ref(space);
+        EXPECT_TRUE(ref.empty());
+        EXPECT_EQ(ref.next(0), space);
+
+        // A full key space walks every key once, in order.
+        std::map<std::uint64_t, std::uint64_t> model;
+        for (std::uint64_t k = 0; k < space; ++k) {
+            ref.set(k, 3 * k + 1);
+            model[k] = 3 * k + 1;
+        }
+        expectSameAsMap(ref, model);
+        EXPECT_EQ(ref.find(space), nullptr);
+        EXPECT_EQ(ref.find(~std::uint64_t{0}), nullptr);
+        EXPECT_EQ(ref.next(space), space);
+        EXPECT_EQ(ref.next(~std::uint64_t{0}), space);
+        EXPECT_THROW(ref.set(space, 1), std::logic_error);
+        EXPECT_THROW(ref.erase(space), std::logic_error);
+
+        // A repeated set replaces the value and keeps the count.
+        ref.set(space - 1, 7);
+        ref.set(space - 1, 8);
+        EXPECT_EQ(ref.size(), space);
+        EXPECT_EQ(*ref.find(space - 1), 8u);
+
+        // A repeated erase drops the count once.
+        ref.erase(0);
+        ref.erase(0);
+        EXPECT_EQ(ref.size(), space - 1);
+        EXPECT_EQ(ref.find(0), nullptr);
+        EXPECT_EQ(ref.next(0), space == 1 ? space : 1u);
+        ref.erase(space - 1);
+        ref.erase(space - 1);
+        EXPECT_EQ(ref.size(), space < 2 ? 0u : space - 2);
+        EXPECT_EQ(ref.find(space - 1), nullptr);
+    }
+}
 
 TEST_F(WorkloadTest, AllocatorAlignsAndSeparates)
 {
@@ -156,6 +289,120 @@ TEST_F(WorkloadTest, HashChainCycleThrowsInsteadOfSpinning)
     sys->storeRaw(head + 16, &head, sizeof(head));
     EXPECT_THROW(hash.lookup(0, 1000, nullptr), std::logic_error);
     EXPECT_THROW(hash.verify(), std::logic_error);
+}
+
+TEST_F(WorkloadTest, BTreeVerifyRejectsCorruptedImage)
+{
+    BTreeWorkload tree(*sys, *alloc, 256, KeyDist::Uniform, 12);
+    tree.setup();
+    for (unsigned i = 0; i < 200; ++i)
+        tree.runOp(0);
+    ASSERT_TRUE(tree.verify());
+    ASSERT_GT(tree.size(), 0u);
+    // The root pointer is the allocator's first block.  Nodes: is_leaf
+    // at 0, count at 8, next leaf at 16, keys from 64, slots from 384.
+    Addr n = raw64(*sys, alloc->base());
+    while (raw64(*sys, n) == 0)
+        n = raw64(*sys, n + 384);
+    expectCorruptionCaught(tree, n + 384, raw64(*sys, n + 384) + 1);
+    // The largest key, raised to the key space, keeps the leaves sorted.
+    while (raw64(*sys, n + 16) != 0)
+        n = raw64(*sys, n + 16);
+    const std::uint64_t cnt = raw64(*sys, n + 8);
+    ASSERT_GT(cnt, 0u);
+    expectCorruptionCaught(tree, n + 64 + 8 * (cnt - 1), 256);
+}
+
+TEST_F(WorkloadTest, RbTreeVerifyRejectsCorruptedImage)
+{
+    RbTreeWorkload tree(*sys, *alloc, 256, KeyDist::Uniform, 13);
+    tree.setup();
+    for (unsigned i = 0; i < 200; ++i)
+        tree.runOp(0);
+    ASSERT_TRUE(tree.verify());
+    // The root pointer is the allocator's first block.  Nodes: key at
+    // 0, value at 8, right child at 24.
+    Addr n = raw64(*sys, alloc->base());
+    ASSERT_NE(n, 0u);
+    expectCorruptionCaught(tree, n + 8, raw64(*sys, n + 8) + 1);
+    // The largest key, raised to the key space, keeps the BST order.
+    while (raw64(*sys, n + 24) != 0)
+        n = raw64(*sys, n + 24);
+    expectCorruptionCaught(tree, n, 256);
+}
+
+TEST_F(WorkloadTest, HashVerifyRejectsCorruptedImage)
+{
+    // One bucket, whose head is the allocator's first block, so a key
+    // moved past the key space still sits in its bucket.
+    HashWorkload hash(*sys, *alloc, 1, 64, KeyDist::Uniform, 14);
+    hash.setup();
+    for (unsigned i = 0; i < 100; ++i)
+        hash.runOp(0);
+    ASSERT_TRUE(hash.verify());
+    const Addr head = raw64(*sys, alloc->base());
+    ASSERT_NE(head, 0u);
+    // Nodes: key at 0, value at 8.
+    expectCorruptionCaught(hash, head + 8, raw64(*sys, head + 8) + 1);
+    expectCorruptionCaught(hash, head, 64);
+    expectCorruptionCaught(hash, head, ~std::uint64_t{0});
+}
+
+TEST_F(WorkloadTest, KvStoreVerifyRejectsCorruptedImage)
+{
+    KvStoreParams params;
+    params.buckets = 1;
+    params.keySpace = 100;
+    params.capacity = 64;
+    params.valueBytes = 64;
+    KvStoreWorkload kv(*sys, *alloc, params, 15);
+    kv.setup();
+    for (unsigned i = 0; i < 100; ++i)
+        kv.runOp(0);
+    ASSERT_TRUE(kv.verify());
+    // One bucket, whose head is the allocator's first block.  Items:
+    // key at 0, value stamp at 8.  The payload bytes repeat the stamp's
+    // low byte, so a stamp 256 higher still matches its payload.
+    const Addr head = raw64(*sys, alloc->base());
+    ASSERT_NE(head, 0u);
+    expectCorruptionCaught(kv, head + 8, raw64(*sys, head + 8) + 256);
+    expectCorruptionCaught(kv, head, params.keySpace);
+}
+
+TEST_F(WorkloadTest, VacationVerifyRejectsCorruptedImage)
+{
+    VacationParams params;
+    params.relations = 256;
+    params.customers = 128;
+    params.buckets = 128;
+    VacationWorkload vac(*sys, *alloc, params, 16);
+    vac.setup();
+    for (unsigned i = 0; i < 200; ++i)
+        vac.runOp(0);
+    ASSERT_GT(vac.reservationsMade(), 0u);
+    ASSERT_TRUE(vac.verify());
+    // The three resource tables' bucket arrays, then the customers',
+    // are the allocator's first blocks, back to back.
+    const auto first_bucket = [&](Addr table) {
+        for (std::uint64_t b = 0; b < params.buckets; ++b) {
+            if (raw64(*sys, table + 8 * b) != 0)
+                return table + 8 * b;
+        }
+        return Addr{0};
+    };
+    // Resources: id at 0, free seats at 24, next at 32.
+    const Addr bucket = first_bucket(alloc->base());
+    ASSERT_NE(bucket, 0u);
+    const Addr tuple = raw64(*sys, bucket);
+    expectCorruptionCaught(vac, tuple + 24, raw64(*sys, tuple + 24) + 1);
+    expectCorruptionCaught(vac, tuple, params.relations);
+    // A tuple unlinked from its chain is missing from the image.
+    expectCorruptionCaught(vac, bucket, raw64(*sys, tuple + 32));
+    // Customers: id at 0.
+    const Addr customers =
+        first_bucket(alloc->base() + 3 * params.buckets * 8);
+    ASSERT_NE(customers, 0u);
+    expectCorruptionCaught(vac, raw64(*sys, customers), params.customers);
 }
 
 TEST_F(WorkloadTest, SpsPreservesPermutation)
